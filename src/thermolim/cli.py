@@ -2,7 +2,8 @@
 #
 # thermolim <subcommand> --config <path> --out <dir> [--threads N] [--seed S]
 #
-# Exit codes: 0 all verdicts pass, 1 verdict failure, 2 gate/config error.
+# Exit codes: 0 all verdicts pass, 1 verdict failure, 2 gate/config error or
+# a quadrature that reached its node cap without meeting its tolerance.
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ import argparse
 import sys
 
 from .lab import EXPERIMENTS, ConfigError, parse_config, run
-from .propagators import ValidityGateError
+from .propagators import QuadratureCapError, ValidityGateError
 
 
 def main(argv=None) -> int:
@@ -40,7 +41,7 @@ def main(argv=None) -> int:
 
     try:
         report = run(args.subcommand, config)
-    except (ConfigError, ValidityGateError) as exc:
+    except (ConfigError, ValidityGateError, QuadratureCapError) as exc:
         print(f"{args.subcommand}: {exc}", file=sys.stderr)
         return 2
 

@@ -114,6 +114,10 @@ class SpectralDecomposition:
     Eigenvectors are stored as columns, L2-normalized on the grid
     (sum |psi_j|^2 dx = 1) with the sign fixed so the first component
     exceeding 1e-12 of the max magnitude is positive.
+
+    Both arrays are read-only.  Arrays passed in read-only are kept as they
+    are (diagonalize hands over arrays it has just allocated); writeable
+    ones are copied, so the caller cannot change the decomposition later.
     """
 
     grid: object
@@ -121,12 +125,12 @@ class SpectralDecomposition:
     eigenvectors: np.ndarray  # shape (n_grid, n_modes)
 
     def __post_init__(self):
-        w = np.asarray(self.eigenvalues, dtype=float).copy()
-        v = np.asarray(self.eigenvectors, dtype=float).copy()
-        w.flags.writeable = False
-        v.flags.writeable = False
-        object.__setattr__(self, "eigenvalues", w)
-        object.__setattr__(self, "eigenvectors", v)
+        for name in ("eigenvalues", "eigenvectors"):
+            a = np.asarray(getattr(self, name), dtype=float)
+            if a.flags.writeable:
+                a = a.copy()
+                a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     @property
     def n_modes(self) -> int:
@@ -138,13 +142,14 @@ class SpectralDecomposition:
 
 def _fix_signs(v: np.ndarray, dx: float) -> np.ndarray:
     # scale to grid L2 normalization, then fix the sign from the first
-    # component that clears the noise threshold
-    v = v / np.sqrt(dx)
-    amax = np.abs(v).max(axis=0)
-    for k in range(v.shape[1]):
-        nz = np.nonzero(np.abs(v[:, k]) > 1e-12 * amax[k])[0]
-        if nz.size and v[nz[0], k] < 0:
-            v[:, k] = -v[:, k]
+    # component that clears the noise threshold; works in place on v, and
+    # its temporaries are boolean masks, an eighth of the size of v
+    v /= np.sqrt(dx)
+    thr = 1e-12 * np.maximum(v.max(axis=0), -v.min(axis=0))
+    above = v > thr
+    above |= v < -thr
+    first = above.argmax(axis=0)  # 0 for an all-zero column, whose entry is 0
+    v *= np.where(v[first, np.arange(v.shape[1])] < 0, -1.0, 1.0)
     return v
 
 
@@ -194,21 +199,25 @@ def diagonalize(
             )
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise EigensolverError(f"tridiagonal eigensolver failed: {exc}") from exc
-    order = np.argsort(w)
-    w = w[order]
-    v = _fix_signs(v[:, order], dx)
+    if np.any(w[1:] < w[:-1]):
+        order = np.argsort(w)
+        w, v = w[order], v[:, order]
+    v = _fix_signs(v, dx)
+    w.flags.writeable = False
+    v.flags.writeable = False
     return SpectralDecomposition(H.grid, w, v)
 
 
 def residual_norms(H: TridiagonalOperator, decomp: SpectralDecomposition) -> np.ndarray:
     """Per-mode ||H psi - eps psi||_2 on the grid (decomposition quality)."""
     dx = getattr(H.grid, "dx", None) or H.grid.dr
-    res = np.empty(decomp.n_modes)
-    for k in range(decomp.n_modes):
-        psi = decomp.eigenvectors[:, k]
-        r = H.apply(psi) - decomp.eigenvalues[k] * psi
-        res[k] = np.sqrt((r * r).sum() * dx)
-    return res
+    v = decomp.eigenvectors
+    e = H.off_diagonal[:, None]
+    r = H.diagonal[:, None] * v
+    r[:-1] += e * v[1:]
+    r[1:] += e * v[:-1]
+    r -= decomp.eigenvalues * v
+    return np.sqrt((r * r).sum(axis=0) * dx)
 
 
 def parity_of(psi: WaveFunction, tol: float = 1e-6) -> str:

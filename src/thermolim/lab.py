@@ -29,6 +29,7 @@ from .propagators import (
     evolve_free,
     evolve_spectral,
     gap_decay_scan,
+    gated_gap,
 )
 
 
@@ -191,40 +192,44 @@ def run_propagator_scan(config: dict) -> Report:
             return 2.0 * R + 16.0
         return float(cfg["box_rule"])
 
-    def build(args):
-        rule_name, R = args
-        c = _coupling_rule(rule_name)(R)
+    margin = float(cfg["margin"])
+
+    def scan_radius(job):
+        # one (rule, R) decomposition, used for every time and then dropped,
+        # so a pool thread holds at most one n x n eigenvector matrix
+        rule_name, R = job
         grid = make_grid(box_L(R), n)
-        decomp = diagonalize(assemble(grid, soft_wall_trap(R, c)))
+        decomp = diagonalize(assemble(grid, soft_wall_trap(R, _coupling_rule(rule_name)(R))))
         f = bump(float(cfg["bump_center"]), float(cfg["bump_radius"]), grid)
-        return (rule_name, R), (decomp, f)
+        gaps = []
+        for t, trapped in zip(ts, evolve_spectral(decomp, f, ts)):
+            try:
+                gaps.append(gated_gap(f, trapped, t, R, margin=margin))
+            except ValidityGateError as exc:
+                gaps.append(exc)
+        return f, gaps
 
     jobs = [(rule, R) for rule in rules for R in radii]
     with ThreadPoolExecutor(max_workers=max(1, int(cfg["threads"]))) as pool:
-        built = dict(pool.map(build, jobs))
+        scanned = dict(zip(jobs, pool.map(scan_radius, jobs)))
 
     for rule_name in rules:
         c_of_R = _coupling_rule(rule_name)
-        for t in ts:
-            try:
-                scan = gap_decay_scan(
-                    None,
-                    t,
-                    radii,
-                    c_of_R,
-                    f_factory=lambda R: built[(rule_name, R)],
-                    margin=float(cfg["margin"]),
-                )
-            except ValidityGateError as exc:
+        for k, t in enumerate(ts):
+            gaps = [scanned[(rule_name, R)][1][k] for R in radii]
+            failed = [(R, g) for R, g in zip(radii, gaps) if isinstance(g, ValidityGateError)]
+            if failed:
+                R, exc = failed[0]
                 rep.gates[f"box[{rule_name},t={t}]"] = False
-                rep.notes.append(f"gate failure ({rule_name}, t={t}): {exc}")
+                rep.notes.append(f"gate failure ({rule_name}, t={t}, R={R}): {exc}")
                 for R in radii:
                     rep.rows.append((rule_name, t, R, float("nan"), float("nan"), float("nan"), "invalid-gate"))
                 rep.verdicts[f"scan[{rule_name},t={t}]"] = "invalid-gate"
                 continue
+            scan = gap_decay_scan(t, radii, gaps)
             rep.gates[f"box[{rule_name},t={t}]"] = True
             bounds = [
-                duhamel_bound(built[(rule_name, R)][1], t, R, coupling=c_of_R(R))
+                duhamel_bound(scanned[(rule_name, R)][0], t, R, coupling=c_of_R(R))
                 for R in radii
             ]
             decreasing = bool(np.all(np.diff(scan.gaps) < 0))

@@ -6,7 +6,9 @@ import pytest
 from thermolim.grids import GridConfigError, RadialGrid, make_grid
 from thermolim.hamiltonians import (
     PotentialSpec,
+    SpectralDecomposition,
     TridiagonalOperator,
+    _fix_signs,
     assemble,
     diagonalize,
     free_potential,
@@ -66,6 +68,69 @@ def test_decomposition_quality():
     assert np.all(res <= 1e-9 * np.maximum(1.0, np.abs(d.eigenvalues)))
     gram = d.eigenvectors.T @ d.eigenvectors * g.dx
     assert np.abs(gram - np.eye(d.n_modes)).max() < 1e-10
+
+
+def test_residual_norms_match_per_mode_loop():
+    g = make_grid(8.0, 512)
+    H = assemble(g, soft_wall_trap(3.0, 1.0))
+    d = diagonalize(H)
+    loop = np.empty(d.n_modes)
+    for k in range(d.n_modes):
+        psi = d.eigenvectors[:, k]
+        r = H.apply(psi) - d.eigenvalues[k] * psi
+        loop[k] = np.sqrt((r * r).sum() * g.dx)
+    res = residual_norms(H, d)
+    assert np.all(np.abs(res - loop) <= 1e-12 * loop)
+
+
+def _fix_signs_loop(v, dx):
+    # per-column reference for the vectorised sign convention
+    v = v / np.sqrt(dx)
+    amax = np.abs(v).max(axis=0)
+    for k in range(v.shape[1]):
+        nz = np.nonzero(np.abs(v[:, k]) > 1e-12 * amax[k])[0]
+        if nz.size and v[nz[0], k] < 0:
+            v[:, k] = -v[:, k]
+    return v
+
+
+def test_fix_signs_first_component_rule():
+    v = np.array(
+        [
+            [0.0, -1e-14, 2e-12, 0.0],  # column 1: sub-threshold leading noise
+            [-0.5, 0.5, -0.5, 0.0],
+            [0.25, -0.25, 0.25, 0.0],
+        ]
+    )
+    out = _fix_signs(v.copy(), 0.25)
+    expected = 2.0 * v * np.array([-1.0, 1.0, 1.0, 1.0])
+    assert np.array_equal(out, expected)  # column 2's first entry is above 1e-12 * max
+    assert not np.any(np.signbit(out[:, 3]))  # the all-zero column is left alone
+
+
+def test_fix_signs_matches_per_column_loop():
+    rng = np.random.default_rng(5)
+    v = rng.normal(size=(64, 48))
+    v[:3] *= rng.choice([1e-20, 1e-13, 1e-11, 1.0], size=(3, 48))  # noise near the threshold
+    v[:, 7] = 0.0
+    ref = _fix_signs_loop(v, 0.03)
+    assert np.array_equal(_fix_signs(np.asfortranarray(v), 0.03), ref)
+    assert np.array_equal(_fix_signs(v.copy(), 0.03), ref)
+
+
+def test_spectral_decomposition_is_read_only():
+    g = make_grid(8.0, 256)
+    d = diagonalize(assemble(g, soft_wall_trap(3.0, 1.0)))
+    for a in (d.eigenvalues, d.eigenvectors):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+    # writeable input is copied, so changing it later leaves the decomposition alone
+    w, v = np.array([1.0, 2.0]), np.eye(2)
+    d2 = SpectralDecomposition(g, w, v)
+    w[0], v[0, 0] = 7.0, 7.0
+    assert d2.eigenvalues[0] == 1.0 and d2.eigenvectors[0, 0] == 1.0
+    assert not d2.eigenvalues.flags.writeable and not d2.eigenvectors.flags.writeable
 
 
 def test_eigenvalues_nonnegative_for_confining_potential():

@@ -1,11 +1,15 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
+from thermolim import lab
 from thermolim.cli import main
+from thermolim.grids import bump, make_grid
 from thermolim.lab import ConfigError, parse_config, run, spectrum_rows, write_spectrum_csv
 from thermolim.hamiltonians import trap_decomposition
+from thermolim.propagators import QuadratureCapError, ValidityGateError, check_box_gate, evolve_free
 
 
 def test_parse_config_types_and_lists():
@@ -66,6 +70,53 @@ def test_gate_soundness_negative():
     assert rep.exit_code == 2
     assert all(v == "invalid-gate" for k, v in rep.verdicts.items() if k.startswith("scan"))
     assert any(row[-1] == "invalid-gate" for row in rep.rows)
+
+
+def test_gate_failure_is_isolated_to_its_time():
+    # at n = 512 the free packet reaches the box edge by t = 2 for R <= 8
+    # (edge amplitude 3e-2 and 2e-2 against the 5e-3 gate) but not at
+    # t = 0.25; only the t = 2 scan may turn invalid
+    radii = [6.0, 8.0, 10.0, 12.0]
+    rep = run(
+        "lemma31",
+        {"radius_list": radii, "t_list": [0.25, 2.0], "c_rules": ["1"], "n_points": 512},
+    )
+    assert rep.gates == {"box[1,t=0.25]": True, "box[1,t=2.0]": False}
+    assert rep.verdicts["scan[1,t=2.0]"] == "invalid-gate"
+    assert rep.verdicts["scan[1,t=0.25]"] in ("pass", "fail")
+    assert {k for k in rep.verdicts if not k.startswith("scan")} == {
+        "decrease[1,t=0.25]",
+        "bound[1,t=0.25]",
+    }
+    assert all(np.isfinite(row[3]) and row[-1] != "invalid-gate" for row in rep.rows if row[1] == 0.25)
+    assert [row[-1] for row in rep.rows if row[1] == 2.0] == ["invalid-gate"] * 4
+    assert rep.exit_code == 2
+    # the note names the first failing radius and carries that radius's gate message
+    grid = make_grid(2 * 6.0 + 16.0, 512)
+    with pytest.raises(ValidityGateError) as exc:
+        check_box_gate(grid, 6.0, evolved=evolve_free(bump(0.0, 2.0, grid), 2.0))
+    assert rep.notes == [f"gate failure (1, t=2.0, R=6.0): {exc.value}"]
+
+
+def test_lemma31_threads_leave_the_report_unchanged():
+    config = {"radius_list": [6.0, 8.0, 10.0, 12.0], "t_list": [0.25, 0.5], "c_rules": ["1", "R"],
+              "n_points": 256}
+    one = run("lemma31", dict(config, threads=1))
+    two = run("lemma31", dict(config, threads=2))
+    np.testing.assert_equal(two.rows, one.rows)  # NaN slopes compare equal here
+    assert (two.verdicts, two.gates, two.notes) == (one.verdicts, one.gates, one.notes)
+
+
+def test_cli_exits_2_when_a_quadrature_hits_its_cap(monkeypatch, tmp_path, capsys):
+    def capped(*args, **kwargs):
+        raise QuadratureCapError("Duhamel quadrature: relative change 1e-03 after 4096 intervals")
+
+    monkeypatch.setattr(lab, "duhamel_bound", capped)
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text("radius_list = 6, 8, 10, 12\nt_list = 0.25\nc_rules = 1\nn_points = 256\n")
+    assert main(["lemma31", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+    assert "4096 intervals" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
 
 
 def test_cli_roundtrip(tmp_path):

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from thermolim.grids import bump, make_grid
 from thermolim.hamiltonians import assemble, diagonalize, free_potential, soft_wall_trap
 from thermolim.propagators import (
+    QuadratureCapError,
     ValidityGateError,
     check_box_gate,
     duhamel_bound,
@@ -47,6 +50,34 @@ def test_spectral_eigenmode_phase(trap_setup):
     evolved = evolve_spectral(decomp, psi3, t)
     expected = psi3.values * np.exp(-1j * t * decomp.eigenvalues[3])
     assert np.sqrt((np.abs(evolved.values - expected) ** 2).sum() * grid.dx) < 1e-9
+
+
+def test_spectral_time_sequence_matches_scalar_calls(trap_setup):
+    # a complex packet, so the real and imaginary halves both carry weight
+    _, grid, decomp, f = trap_setup
+    f = f.with_values(f.values * np.exp(0.9j * grid.x))
+    times = [0.3, 1.1, -0.7]
+    batched = evolve_spectral(decomp, f, times)
+    assert isinstance(batched, list) and len(batched) == 3
+    for t, g in zip(times, batched):
+        single = evolve_spectral(decomp, f, t)
+        assert np.abs(g.values - single.values).max() < 1e-14
+    assert len(evolve_spectral(decomp, f, np.array([0.3]))) == 1
+
+
+def test_spectral_evolution_does_not_copy_the_eigenvectors():
+    grid = make_grid(20.0, 1024)
+    decomp = diagonalize(assemble(grid, soft_wall_trap(4.0, 1.0)))
+    f = bump(0.0, 2.0, grid)
+    evolve_spectral(decomp, f, 0.5)  # warm-up outside the traced region
+    tracemalloc.start()
+    try:
+        evolve_spectral(decomp, f, 0.5)
+        evolve_spectral(decomp, f, [0.25, 0.5, 1.0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < decomp.eigenvectors.nbytes
 
 
 def test_free_identity_and_unitarity(trap_setup):
@@ -104,6 +135,26 @@ def test_duhamel_dominates_gap(trap_setup):
         assert gap <= duhamel_bound(f, t, R) + 1e-8
 
 
+def test_duhamel_cap_raises():
+    # over t = 50 the integrand on this tiny grid oscillates at the grid's
+    # top frequency 4/dx^2 = 64; 4096 intervals reach 6e-10 relative, far
+    # above its roundoff floor, and not the asked 1e-12
+    f = bump(0.0, 2.0, make_grid(8.0, 64))
+    with pytest.raises(QuadratureCapError, match="4096 intervals"):
+        duhamel_bound(f, 50.0, 3.0, rel_tol=1e-12)
+    assert duhamel_bound(f, 50.0, 3.0, rel_tol=1e-8) > 0
+
+
+def test_duhamel_accepts_the_roundoff_floor_at_the_cap():
+    # at t = 0.25 the packet barely reaches |x| > 8 on this grid: the
+    # integrand sits at the FFT roundoff floor (~1e-13) for most of [0, t],
+    # so 1e-6 relative is out of reach, but the last change (4e-17) is far
+    # inside the floor and the estimate stands
+    R = 8.0
+    f = bump(0.0, 2.0, make_grid(2 * R + 16.0, 512))
+    assert 1e-11 < duhamel_bound(f, 0.25, R) < 3e-11
+
+
 def test_box_margin_gate():
     grid = make_grid(18.0, 1024)
     with pytest.raises(ValidityGateError):
@@ -133,21 +184,22 @@ def test_scan_verdicts():
         grid = make_grid(2 * R + 16.0, 2048)
         cache[R] = (diagonalize(assemble(grid, soft_wall_trap(R, 1.0))), bump(0.0, 2.0, grid))
 
-    factory = lambda R: cache[R]
-    rep = gap_decay_scan(None, 0.25, radii, lambda R: 1.0, f_factory=factory)
+    def gaps(t):
+        return [propagator_gap(*cache[R], t, R) for R in radii]
+
+    rep = gap_decay_scan(0.25, radii, gaps(0.25))
     assert rep.verdict == "pass"
     assert all(s < 0 for s in rep.slopes)
 
-    rep0 = gap_decay_scan(None, 0.0, radii, lambda R: 1.0, f_factory=factory)
+    rep0 = gap_decay_scan(0.0, radii, gaps(0.0))
     assert rep0.verdict == "trivial"
 
 
-def test_scan_input_validation(trap_setup):
-    R, _, decomp, f = trap_setup
+def test_scan_input_validation():
     with pytest.raises(ValueError):
-        gap_decay_scan(f, 1.0, [6.0, 8.0], lambda R: 1.0, decomps={6.0: decomp, 8.0: decomp})
+        gap_decay_scan(1.0, [6.0, 8.0], [1e-3, 1e-4])
     with pytest.raises(ValueError):
-        gap_decay_scan(f, 1.0, [8.0, 6.0, 9.0, 10.0], lambda R: 1.0, decomps={})
+        gap_decay_scan(1.0, [8.0, 6.0, 9.0, 10.0], [1e-3, 1e-4, 1e-5, 1e-6])
 
 
 def test_gap_insensitive_to_box_doubling():
