@@ -6,8 +6,12 @@
 # The basis consists of occupation tuples (n_1, ..., n_m) with n_i <= n_max
 # and sum n_i <= N_total.  Creation/annihilation matrix elements are exact;
 # truncation only removes states, so commutation relations hold exactly on
-# every state with headroom.  Dense matrices throughout: the oracle must be
-# obviously correct, not fast.
+# every state with headroom.  The number resolvent (lam + a*(f) a(f))^(-1)
+# conserves particle number, so it is built, inverted and traced one
+# sector at a time from the exact sector-to-sector annihilator blocks; no
+# D x D matrix is formed for it.  The field resolvent (phi(f) changes the
+# particle number) and the self-tests (commutators, annihilator matrices)
+# stay dense: the oracle must be obviously correct, not fast.
 
 from __future__ import annotations
 
@@ -17,6 +21,7 @@ from itertools import product
 import numpy as np
 
 DIMENSION_CAP = 200_000
+TRUNCATION_TOL = 1e-10  # largest Gibbs weight a trace may discard
 
 
 class FockConfigError(ValueError):
@@ -37,6 +42,7 @@ class FockSpace:
     basis: tuple = field(init=False)
     index: dict = field(init=False, repr=False)
     sectors: dict = field(init=False, repr=False)
+    occupations: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.n_modes not in (1, 2, 3):
@@ -59,6 +65,9 @@ class FockSpace:
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "sectors", {k: np.array(v) for k, v in sectors.items()})
+        occupations = np.array(basis).reshape(len(basis), self.n_modes)
+        occupations.flags.writeable = False
+        object.__setattr__(self, "occupations", occupations)
 
     @property
     def dimension(self) -> int:
@@ -150,16 +159,42 @@ def number_resolvent_matrix(space: FockSpace, lam: float, coeffs: np.ndarray) ->
     """
     if lam <= 0:
         raise FockConfigError(f"lambda must be positive, got {lam}")
-    af = space.annihilator_of(coeffs)
-    X = af.conj().T @ af
-    out = []
+    return [
+        SectorOperator(n, np.linalg.inv(lam * np.eye(len(X)) + X))
+        for n, X in _number_sector_blocks(space, coeffs)
+    ]
+
+
+def _number_sector_blocks(space: FockSpace, coeffs):
+    """
+    Yield (n, X_n) for every particle-number sector n in ascending order,
+    where X_n is the block of a*(f) a(f) on sector n in basis order.
+
+    X_n = A_n^* A_n with A_n the block of a(f) from sector n to sector
+    n - 1; a(f) maps sector n into sector n - 1 only, so these are exactly
+    the diagonal blocks of the dense product.
+    """
+    coeffs = np.asarray(coeffs, dtype=complex)
+    if coeffs.shape != (space.n_modes,):
+        raise FockConfigError("coefficient vector does not match the mode count")
+    occ = space.occupations
+    # mixed-radix key of each occupation tuple, ascending in basis order
+    # (itertools.product order); occupations never exceed min(n_max, n_total)
+    radix = (min(space.n_max, space.n_total) + 1) ** np.arange(space.n_modes - 1, -1, -1)
+    keys = occ @ radix
     for n in sorted(space.sectors):
         idx = space.sectors[n]
-        block = X[np.ix_(idx, idx)]
-        out.append(
-            SectorOperator(n, np.linalg.inv(lam * np.eye(len(idx)) + block))
-        )
-    return out
+        if n == 0:
+            yield n, np.zeros((1, 1), dtype=complex)
+            continue
+        lower = keys[space.sectors[n - 1]]
+        a = np.zeros((len(lower), len(idx)), dtype=complex)
+        for m, c in enumerate(coeffs):
+            occ_m = occ[idx, m]
+            cols = np.flatnonzero(occ_m)
+            rows = np.searchsorted(lower, keys[idx[cols]] - radix[m])
+            a[rows, cols] = np.conj(c) * np.sqrt(occ_m[cols])
+        yield n, a.conj().T @ a
 
 
 def sector_norm_monotonicity(blocks: list[SectorOperator], tol: float = 1e-12):
@@ -261,11 +296,7 @@ def _gibbs_weights(space: FockSpace, energies, beta: float, mu: float) -> np.nda
         raise FockConfigError("one energy per mode required")
     if mu >= energies.min():
         raise FockConfigError("chemical potential must lie below every mode energy")
-    w = np.array(
-        [np.exp(-beta * sum((energies[m] - mu) * occ[m] for m in range(space.n_modes)))
-         for occ in space.basis]
-    )
-    return w
+    return np.exp(-beta * (space.occupations @ (energies - mu)))
 
 
 def truncation_weight(space: FockSpace, energies, beta: float, mu: float) -> float:
@@ -283,20 +314,26 @@ def gibbs_trace_expectation(
     energies,
     beta: float,
     mu: float,
-    truncation_tol: float = 1e-10,
+    truncation_tol: float = TRUNCATION_TOL,
 ) -> float:
     """
     Grand-canonical expectation Tr(e^(-beta H) op) / Tr(e^(-beta H)) with
     H = sum_i (eps_i - mu) N_i on the truncated space.
     """
+    w = _checked_gibbs_weights(space, energies, beta, mu, truncation_tol)
+    val = (w * np.diag(op).real).sum() / w.sum()
+    return float(val)
+
+
+def _checked_gibbs_weights(space, energies, beta, mu, truncation_tol) -> np.ndarray:
+    # Boltzmann weights of the basis states, refused when the truncation
+    # discards more than truncation_tol of the Gibbs weight
     drop = truncation_weight(space, energies, beta, mu)
     if drop > truncation_tol:
         raise TruncationError(
             f"truncation weight {drop:.2e} above {truncation_tol:.0e}; raise the caps"
         )
-    w = _gibbs_weights(space, energies, beta, mu)
-    val = (w * np.diag(op).real).sum() / w.sum()
-    return float(val)
+    return _gibbs_weights(space, energies, beta, mu)
 
 
 def gibbs_number_resolvent(
@@ -307,11 +344,18 @@ def gibbs_number_resolvent(
     beta: float,
     mu: float,
 ) -> float:
-    """Gibbs trace of (lam + a*(f) a(f))^(-1): the oracle for the series formula."""
-    af = space.annihilator_of(np.asarray(coeffs, dtype=complex))
-    X = af.conj().T @ af
-    A = np.linalg.inv(lam * np.eye(space.dimension) + X)
-    return gibbs_trace_expectation(space, A, energies, beta, mu)
+    """
+    Gibbs trace of (lam + a*(f) a(f))^(-1): the oracle for the series formula.
+
+    The operator conserves particle number, so each sector block is inverted
+    on its own and only the diagonals of the inverses are weighted.
+    """
+    w = _checked_gibbs_weights(space, energies, beta, mu, TRUNCATION_TOL)
+    val = 0.0
+    for n, X in _number_sector_blocks(space, coeffs):
+        inv = np.linalg.inv(lam * np.eye(len(X)) + X)
+        val += (w[space.sectors[n]] * np.diag(inv).real).sum()
+    return float(val / w.sum())
 
 
 def gibbs_field_resolvent(

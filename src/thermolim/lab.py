@@ -175,8 +175,11 @@ def run_propagator_scan(config: dict) -> Report:
     }
     cfg.update(config)
     radii = [float(R) for R in _as_list(cfg["radius_list"])]
-    if not radii:
-        raise ConfigError("radius_list must not be empty")
+    # gap_decay_scan needs these too; checked here, before any eigensolve
+    if len(radii) < 4:
+        raise ConfigError(f"radius_list needs at least 4 radii, got {len(radii)}")
+    if any(b <= a for a, b in zip(radii, radii[1:])):
+        raise ConfigError(f"radius_list must be strictly ascending, got {radii}")
     ts = [float(t) for t in _as_list(cfg["t_list"])]
     rules = [str(r) for r in _as_list(cfg["c_rules"])]
     n = int(cfg["n_points"])
@@ -593,10 +596,11 @@ def run_memory(config: dict) -> Report:
         beta=beta, mu=0.0, dimension=3, kappa=kappa, mode=qf.ConstantMode()
     )
     plateau = kappa**2 * f.integral_3d() ** 2
+    # two independent calls, so the plateau check compares two computations
+    thermals = qf.temporal_correlation(thermal_state, f, f, ts)
+    totals = qf.temporal_correlation(state, f, f, ts)
     mags, plateau_ok = [], True
-    for t in ts:
-        thermal = qf.temporal_correlation(thermal_state, f, f, t)
-        total = qf.temporal_correlation(state, f, f, t)
+    for t, thermal, total in zip(ts, thermals, totals):
         err = abs((total - thermal) - plateau)
         plateau_ok = plateau_ok and err <= float(cfg["plateau_tol"])
         mags.append(abs(thermal))

@@ -250,9 +250,16 @@ def thermal_edge_weight(state: QuasifreeState, zone: float = 4.0) -> float:
     """
     grid = state.decomposition.grid
     m = np.abs(grid.x) >= grid.half_width - zone
+    v = state.decomposition.eigenvectors
     n = state.weights.occupations
-    edge = (n[None, :] * state.decomposition.eigenvectors[m, :] ** 2).sum()
-    total = (n[None, :] * state.decomposition.eigenvectors**2).sum()
+    # per-row density sum_k n_k psi_k(x)^2, squared in row blocks so no
+    # temporary grows to the size of the eigenvector matrix
+    density = np.empty(v.shape[0])
+    step = 256
+    for i in range(0, len(density), step):
+        density[i : i + step] = (v[i : i + step] ** 2) @ n
+    edge = density[m].sum()
+    total = density.sum()
     return float(edge / total) if total > 0 else 0.0
 
 
@@ -282,7 +289,6 @@ def homogeneous_density(beta: float, mu: float, s: int) -> float:
         return radial_weight * p ** (s - 1) / np.expm1(beta * (p * p - mu))
 
     p_cut = np.sqrt((600.0 + beta * max(-mu, 0.0)) / beta)
-    ptsribbon = []
     if mu < 0:
         pts = sorted({min(np.sqrt(-mu), p_cut / 2), min(10 * np.sqrt(-mu), p_cut / 2)})
         pts = [p for p in pts if 0 < p < p_cut]
@@ -494,8 +500,12 @@ class RadialFunction3D:
         step = 2048
         w = r * r * self.phi0
         for i in range(0, len(p), step):
-            pr = np.outer(p[i : i + step], r)
-            out[i : i + step] = (np.sinc(pr / np.pi) * w).sum(axis=1) * dr
+            x = np.outer(p[i : i + step], r)
+            zero = x == 0
+            k = np.sin(x)
+            np.divide(k, x, out=k, where=~zero)
+            k[zero] = 1.0  # sin(x)/x -> 1
+            out[i : i + step] = (k @ w) * dr
         return out * 4.0 * np.pi / (2.0 * np.pi) ** 1.5
 
 
@@ -522,7 +532,7 @@ def _oscillatory_thermal_integral(fh_spline, beta: float, mu: float, t: float, p
     )
 
 
-def temporal_correlation(state: HomogeneousState, f, g, t: float) -> complex:
+def temporal_correlation(state: HomogeneousState, f, g, t):
     """
     omega(alpha_t(a*(f)) a(g)) in the limit state:
 
@@ -530,7 +540,14 @@ def temporal_correlation(state: HomogeneousState, f, g, t: float) -> complex:
 
     where the condensate mode h carries zero energy, so its term is exactly
     time independent.  The thermal term is a momentum-space quadrature.
+
+    t is one time, giving a complex number, or a 1-D sequence of times,
+    giving a list in the same order.  In 3D the radial transforms and their
+    spline are built once for all times.
     """
+    times = np.asarray(t, dtype=float)
+    if times.ndim > 1:
+        raise ValueError(f"t must be a scalar or a 1-D sequence, got shape {times.shape}")
     if state.mu == 0.0 and state.dimension < 3:
         raise DomainError("mu = 0 temporal correlations need dimension >= 3")
 
@@ -541,36 +558,42 @@ def temporal_correlation(state: HomogeneousState, f, g, t: float) -> complex:
         # goal and keeps the oscillation-resolving grid short at large t
         p_cut = np.sqrt((48.0 + state.beta * max(-state.mu, 0.0)) / state.beta)
         p_coarse = np.linspace(0.0, p_cut, 8193)
-        prod = f.radial_transform(p_coarse) * g.radial_transform(p_coarse)
-        spline = CubicSpline(p_coarse, prod)
-        thermal = _oscillatory_thermal_integral(spline, state.beta, state.mu, t, p_cut)
+        fh = f.radial_transform(p_coarse)
+        gh = fh if g is f else g.radial_transform(p_coarse)
+        spline = CubicSpline(p_coarse, fh * gh)
         # spherical measure already folded into the integral helper
-        val = thermal
+        vals = [
+            _oscillatory_thermal_integral(spline, state.beta, state.mu, s, p_cut)
+            for s in times.ravel()
+        ]
     elif state.dimension == 1:
         if state.mu >= 0:
             raise DomainError("1D correlations need mu < 0")
-
-        def integrand_re(p):
-            fh = fourier_at(f, p)[0]
-            gh = fourier_at(g, p)[0]
-            w = np.conj(gh) * fh / np.expm1(state.beta * (p * p - state.mu))
-            return (w * np.exp(-1j * t * p * p)).real
-
-        def integrand_im(p):
-            fh = fourier_at(f, p)[0]
-            gh = fourier_at(g, p)[0]
-            w = np.conj(gh) * fh / np.expm1(state.beta * (p * p - state.mu))
-            return (w * np.exp(-1j * t * p * p)).imag
-
-        p_cut = np.sqrt((600.0 + state.beta * max(-state.mu, 0.0)) / state.beta)
-        re, _ = quad(integrand_re, -p_cut, p_cut, limit=800, epsabs=1e-12, epsrel=1e-10)
-        im, _ = quad(integrand_im, -p_cut, p_cut, limit=800, epsabs=1e-12, epsrel=1e-10)
-        val = complex(re, im)
+        vals = [_thermal_correlation_1d(state, f, g, s) for s in times.ravel()]
     else:
         raise DomainError("temporal correlations implemented for s = 1 and s = 3")
 
     if state.kappa > 0:
-        hf = state.mode.pairing(f)
-        hg = state.mode.pairing(g)
-        val += state.kappa**2 * hf * np.conj(hg)
-    return val
+        plateau = state.kappa**2 * state.mode.pairing(f) * np.conj(state.mode.pairing(g))
+        vals = [val + plateau for val in vals]
+    return vals if times.ndim else vals[0]
+
+
+def _thermal_correlation_1d(state: HomogeneousState, f, g, t: float) -> complex:
+    # <g, T e^(itH) f> by adaptive quadrature of the real and imaginary parts
+    def integrand_re(p):
+        fh = fourier_at(f, p)[0]
+        gh = fourier_at(g, p)[0]
+        w = np.conj(gh) * fh / np.expm1(state.beta * (p * p - state.mu))
+        return (w * np.exp(-1j * t * p * p)).real
+
+    def integrand_im(p):
+        fh = fourier_at(f, p)[0]
+        gh = fourier_at(g, p)[0]
+        w = np.conj(gh) * fh / np.expm1(state.beta * (p * p - state.mu))
+        return (w * np.exp(-1j * t * p * p)).imag
+
+    p_cut = np.sqrt((600.0 + state.beta * max(-state.mu, 0.0)) / state.beta)
+    re, _ = quad(integrand_re, -p_cut, p_cut, limit=800, epsabs=1e-12, epsrel=1e-10)
+    im, _ = quad(integrand_im, -p_cut, p_cut, limit=800, epsabs=1e-12, epsrel=1e-10)
+    return complex(re, im)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -223,9 +225,58 @@ def test_truncation_guard():
     assert truncation_weight(small, [0.5, 1.5], 1.0, -0.2) > 1e-10
     with pytest.raises(TruncationError):
         gibbs_trace_expectation(small, np.eye(small.dimension), [0.5, 1.5], 1.0, -0.2)
+    with pytest.raises(TruncationError):
+        gibbs_number_resolvent(small, 1.0, [0.8, 0.6], [0.5, 1.5], 1.0, -0.2)
 
 
 def test_gibbs_rejects_mu_above_spectrum():
     sp = build_fock(2, 10, 10)
     with pytest.raises(FockConfigError):
         gibbs_trace_expectation(sp, np.eye(sp.dimension), [0.5, 1.5], 1.0, 0.6)
+
+
+def _dense_number_resolvent(space, lam, coeffs):
+    af = space.annihilator_of(coeffs)
+    return np.linalg.inv(lam * np.eye(space.dimension) + af.conj().T @ af)
+
+
+@pytest.mark.parametrize(
+    "shape, energies, beta, mu",
+    [((2, 36, 36), [0.5, 1.5], 1.0, -0.2), ((3, 9, 9), [1.0, 2.0, 2.5], 2.5, -0.3)],
+)
+def test_gibbs_number_resolvent_matches_dense_trace(shape, energies, beta, mu):
+    sp = build_fock(*shape)
+    assert truncation_weight(sp, energies, beta, mu) <= 1e-10
+    occ = np.array(sp.basis)
+    w = np.exp(-beta * occ @ (np.array(energies) - mu))
+    rng = np.random.default_rng(shape[0])
+    coeffs = rng.normal(size=shape[0]) + 1j * rng.normal(size=shape[0])
+    for lam in (0.3, 1.0, 2.5):
+        A = _dense_number_resolvent(sp, lam, coeffs)
+        dense = (w * np.diag(A).real).sum() / w.sum()
+        got = gibbs_number_resolvent(sp, lam, coeffs, energies, beta, mu)
+        assert got == pytest.approx(dense, rel=1e-12, abs=1e-12)
+
+
+def test_number_resolvent_blocks_match_dense_blocks():
+    rng = np.random.default_rng(3)
+    for shape in ((1, 6, 6), (2, 5, 7), (3, 4, 5)):
+        sp = build_fock(*shape)
+        coeffs = rng.normal(size=shape[0]) + 1j * rng.normal(size=shape[0])
+        dense = sector_blocks(sp, _dense_number_resolvent(sp, 0.8, coeffs))
+        blocks = number_resolvent_matrix(sp, 0.8, coeffs)
+        assert [b.sector for b in blocks] == [d.sector for d in dense]
+        for b, d in zip(blocks, dense):
+            assert np.abs(b.matrix - d.matrix).max() < 1e-13
+
+
+def test_gibbs_number_resolvent_stays_below_one_dense_matrix():
+    sp = build_fock(2, 64, 64)
+    dense_bytes = sp.dimension**2 * 16  # one complex D x D matrix, 73.6 MB
+    tracemalloc.start()
+    try:
+        gibbs_number_resolvent(sp, 1.0, [0.8, 0.6], [0.5, 1.5], 1.0, -0.2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < dense_bytes

@@ -119,6 +119,19 @@ def test_cli_exits_2_when_a_quadrature_hits_its_cap(monkeypatch, tmp_path, capsy
     assert not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize("radii", ["6, 8, 10", "6, 10, 8, 12"])
+def test_cli_rejects_a_bad_radius_list_before_solving(radii, monkeypatch, tmp_path, capsys):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("eigensolve started before the radius list was checked")
+
+    monkeypatch.setattr(lab, "diagonalize", no_solve)
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text(f"radius_list = {radii}\nt_list = 0.25\nc_rules = 1\nn_points = 256\n")
+    assert main(["lemma31", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+    assert "radius_list" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
 def test_cli_roundtrip(tmp_path):
     out = tmp_path / "reports"
     code = main(["oracle", "--out", str(out), "--seed", "7"])

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import erfcx, zeta
 
 from thermolim.grids import RadialGrid, bump, bump_profile, make_grid
-from thermolim.hamiltonians import trap_decomposition
+from thermolim.hamiltonians import assemble, diagonalize, soft_wall_trap, trap_decomposition
 from thermolim.propagators import evolve_spectral
 from thermolim.quasifree import (
     BoseWeightTable,
@@ -26,6 +28,7 @@ from thermolim.quasifree import (
     number_resolvent_expectation,
     position_density,
     temporal_correlation,
+    thermal_edge_weight,
     two_point,
 )
 from thermolim.fock import build_fock, gibbs_number_resolvent
@@ -160,6 +163,36 @@ def test_local_number_matches_two_point_basis(trap_state):
         ev = trap_state.decomposition.mode(0).with_values(e)
         total += two_point(trap_state, ev, ev).real
     assert total == pytest.approx(local_particle_number(trap_state, -1.0, 1.0), rel=1e-10)
+
+
+@pytest.fixture(scope="module")
+def box_state():
+    # n = 1024 box with a warm state, so the edge carries visible weight
+    grid = make_grid(20.0, 1024)
+    decomp = diagonalize(assemble(grid, soft_wall_trap(4.0, 1.0)))
+    return QuasifreeState(beta=0.2, mu=-1.0, decomposition=decomp)
+
+
+def test_thermal_edge_weight_matches_the_full_sum(box_state):
+    grid = box_state.decomposition.grid
+    v = box_state.decomposition.eigenvectors
+    n = box_state.weights.occupations
+    for zone in (1.0, 4.0):
+        m = np.abs(grid.x) >= grid.half_width - zone
+        expected = (n[None, :] * v[m, :] ** 2).sum() / (n[None, :] * v**2).sum()
+        assert thermal_edge_weight(box_state, zone) == pytest.approx(expected, rel=1e-12)
+        assert 0.0 < expected < 1.0
+
+
+def test_thermal_edge_weight_allocates_less_than_the_eigenvectors(box_state):
+    thermal_edge_weight(box_state)  # warm-up outside the traced region
+    tracemalloc.start()
+    try:
+        thermal_edge_weight(box_state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < box_state.decomposition.eigenvectors.nbytes
 
 
 def test_homogeneous_density_polylog_oracle():
@@ -345,3 +378,62 @@ def test_radial_function_transforms():
     assert fhat0 == pytest.approx(f.integral_3d() / (2 * np.pi) ** 1.5, rel=1e-10)
     # axial moment of a z-even function vanishes
     assert f.axial_moment() == 0.0
+
+
+def _radial_pair():
+    rg = RadialGrid(4.0, 256)
+    f = RadialFunction3D(rg, bump_profile(rg.r / 4.0))
+    f = RadialFunction3D(rg, f.phi0 / f.integral_3d())
+    g = RadialFunction3D(rg, bump_profile((rg.r - 1.0) / 2.5), bump_profile(rg.r / 3.0))
+    return f, g
+
+
+def _assert_batch_matches_scalar_calls(state, f, g, times):
+    batched = temporal_correlation(state, f, g, times)
+    assert isinstance(batched, list) and len(batched) == len(times)
+    for t, b in zip(times, batched):
+        single = temporal_correlation(state, f, g, t)
+        assert np.ndim(single) == 0
+        assert abs(b - single) <= 1e-14 * abs(single)
+
+
+def test_temporal_correlation_batch_3d_condensate(monkeypatch):
+    f, _ = _radial_pair()
+    state = HomogeneousState(beta=1.0, mu=0.0, dimension=3, kappa=0.5, mode=ConstantMode())
+    _assert_batch_matches_scalar_calls(state, f, f, [0.0, 3.0, 17.0])
+    # one transform serves every time when g is f
+    calls = []
+    transform = RadialFunction3D.radial_transform
+    monkeypatch.setattr(
+        RadialFunction3D, "radial_transform", lambda fn, p: calls.append(fn) or transform(fn, p)
+    )
+    temporal_correlation(state, f, f, [0.0, 3.0, 17.0])
+    assert len(calls) == 1
+
+
+def test_temporal_correlation_batch_3d_distinct_g():
+    f, g = _radial_pair()
+    state = HomogeneousState(beta=1.0, mu=-0.3, dimension=3)
+    _assert_batch_matches_scalar_calls(state, f, g, [0.5, 4.0])
+    assert len(temporal_correlation(state, f, g, np.array([2.0]))) == 1
+
+
+def test_temporal_correlation_batch_1d():
+    grid = make_grid(16.0, 512)
+    f = bump(0.0, 2.0, grid)
+    g = bump(1.0, 1.5, grid)
+    state = HomogeneousState(beta=1.0, mu=-0.5, dimension=1)
+    _assert_batch_matches_scalar_calls(state, f, g, [0.0, 1.5])
+    with pytest.raises(ValueError):
+        temporal_correlation(state, f, g, [[0.0, 1.0]])
+
+
+def test_radial_transform_matches_the_sinc_kernel():
+    _, g = _radial_pair()
+    r, dr = g.grid.r, g.grid.dr
+    p = np.concatenate([[0.0], np.linspace(0.01, 12.0, 2500)])  # two kernel blocks
+    ref = (np.sinc(np.outer(p, r) / np.pi) * (r * r * g.phi0)).sum(axis=1) * dr
+    ref *= 4.0 * np.pi / (2.0 * np.pi) ** 1.5
+    got = g.radial_transform(p)
+    assert got[0] == pytest.approx(ref[0], rel=1e-13)
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
