@@ -57,12 +57,10 @@ from .propagators import (
     propagator_gap,
 )
 from .quasifree import (
-    AxialMode,
     BoseWeightTable,
     ConstantMode,
     GridMode,
     HomogeneousState,
-    LinearMode,
     QuasifreeState,
     RadialFunction3D,
     field_resolvent_expectation,

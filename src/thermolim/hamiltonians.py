@@ -99,12 +99,6 @@ class TridiagonalOperator:
         out[1:] += self.off_diagonal * v[:-1]
         return out
 
-    def gershgorin_lower_bound(self) -> float:
-        rad = np.zeros(self.size)
-        rad[:-1] += np.abs(self.off_diagonal)
-        rad[1:] += np.abs(self.off_diagonal)
-        return float((self.diagonal - rad).min())
-
 
 @dataclass(frozen=True)
 class SpectralDecomposition:

@@ -3,15 +3,18 @@
 # Experiment runner: maps each verified claim to a reproducible named
 # experiment with explicit validity gates and machine-readable reports.
 #
-# Config format is flat `key = value` text (lists comma-separated); every
-# report echoes the fully resolved config so a run is reproducible from its
-# own output.  CSV columns are fixed per experiment; a JSON summary mirrors
-# the verdicts for CI consumption.  Exit codes: 0 all verdicts pass,
-# 1 verdict failure, 2 gate/config error.
+# Config format is flat `key = value` text (lists comma-separated).  Each
+# experiment's defaults table fixes its keys and their types; unknown keys
+# and values that do not fit the type are config errors.  Every report
+# echoes the resolved config so a run is reproducible from its own output.
+# CSV columns are fixed per experiment; a JSON summary mirrors the verdicts
+# for CI consumption.  Exit codes: 0 all verdicts pass, 1 verdict failure,
+# 2 gate/config error.
 
 from __future__ import annotations
 
 import json
+import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
@@ -30,6 +33,7 @@ from .propagators import (
     evolve_spectral,
     gap_decay_scan,
     gated_gap,
+    observable_gap_bound,
 )
 
 
@@ -66,8 +70,42 @@ def _parse_scalar(s: str):
     return s
 
 
-def _as_list(v):
-    return list(v) if isinstance(v, (list, tuple)) else [v]
+def _resolve(defaults: dict, config: dict) -> dict:
+    """
+    The defaults overridden by config, each value cast to its default's type
+    (a list to the type of its first element).  A scalar for a list key
+    becomes a one-element list; tuples and 1-D arrays count as lists.
+    """
+    unknown = sorted(set(config) - set(defaults))
+    if unknown:
+        raise ConfigError(f"unknown key(s) {unknown}; valid keys are {sorted(defaults)}")
+    cfg = dict(defaults)
+    for key, value in config.items():
+        default = defaults[key]
+        if not isinstance(default, list):
+            cfg[key] = _cast(key, type(default), value)
+            continue
+        if isinstance(value, np.ndarray) and value.ndim == 1:
+            value = value.tolist()
+        items = value if isinstance(value, (list, tuple)) else [value]
+        cfg[key] = [_cast(key, type(default[0]), v) for v in items]
+    return cfg
+
+
+def _cast(key: str, kind: type, value):
+    # bools are refused although Python counts them as ints
+    if isinstance(value, (str, numbers.Real)) and not isinstance(value, bool):
+        if kind is str:
+            return str(value)
+        if kind is int and isinstance(value, numbers.Integral):
+            return int(value)
+        try:
+            number = float(value)
+        except (ValueError, OverflowError):
+            number = None
+        if number is not None and (kind is float or number.is_integer()):
+            return kind(number)
+    raise ConfigError(f"{key}: expected {kind.__name__}, got {value!r}")
 
 
 @dataclass
@@ -141,14 +179,23 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _coupling_rule(rule) -> "callable":
-    if rule in (1, 1.0, "1", "constant"):
-        return lambda R: 1.0
-    if rule == "R":
-        return lambda R: float(R)
-    if isinstance(rule, (int, float)):
-        return lambda R: float(rule)
-    raise ConfigError(f"unknown coupling rule {rule!r}")
+def _rule(key: str, rule: str, symbol: str, of_R) -> "callable":
+    """of_R for the symbolic rule, else R -> the finite number the rule names."""
+    if rule == symbol:
+        return of_R
+    try:
+        value = float(rule)
+    except ValueError:
+        value = float("nan")
+    if not np.isfinite(value):
+        raise ConfigError(f"{key}: expected {symbol!r} or a number, got {rule!r}")
+    return lambda R: value
+
+
+def _spectator_coeffs(rng) -> np.ndarray:
+    # random complex coefficients on modes 1-2 of a 3-mode space; mode 3 is
+    # the untouched spectator (see run_sector_norms)
+    return np.append(rng.normal(size=2) + 1j * rng.normal(size=2), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +208,7 @@ def run_propagator_scan(config: dict) -> Report:
     Trapped-vs-free propagator gaps over a radius scan, with the integral
     bound checked on every point.  One scan per (coupling rule, time).
     """
-    cfg = {
+    cfg = _resolve({
         "radius_list": [6.0, 8.0, 10.0, 12.0, 14.0],
         "t_list": [0.25, 0.5, 1.0],
         "c_rules": ["1", "R"],
@@ -172,17 +219,15 @@ def run_propagator_scan(config: dict) -> Report:
         "margin": 16.0,
         "bound_slack": 1e-8,
         "threads": 1,
-    }
-    cfg.update(config)
-    radii = [float(R) for R in _as_list(cfg["radius_list"])]
+    }, config)
+    radii, ts, rules = cfg["radius_list"], cfg["t_list"], cfg["c_rules"]
     # gap_decay_scan needs these too; checked here, before any eigensolve
     if len(radii) < 4:
         raise ConfigError(f"radius_list needs at least 4 radii, got {len(radii)}")
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ConfigError(f"radius_list must be strictly ascending, got {radii}")
-    ts = [float(t) for t in _as_list(cfg["t_list"])]
-    rules = [str(r) for r in _as_list(cfg["c_rules"])]
-    n = int(cfg["n_points"])
+    coupling = {rule: _rule("c_rules", rule, "R", lambda R: R) for rule in rules}
+    box_L = _rule("box_rule", cfg["box_rule"], "2R+16", lambda R: 2.0 * R + 16.0)
 
     rep = Report(
         "propagator_scan",
@@ -190,34 +235,26 @@ def run_propagator_scan(config: dict) -> Report:
         columns=["c_rule", "t", "R", "gap", "duhamel_bound", "slope", "verdict"],
     )
 
-    def box_L(R: float) -> float:
-        if cfg["box_rule"] == "2R+16":
-            return 2.0 * R + 16.0
-        return float(cfg["box_rule"])
-
-    margin = float(cfg["margin"])
-
     def scan_radius(job):
         # one (rule, R) decomposition, used for every time and then dropped,
         # so a pool thread holds at most one n x n eigenvector matrix
         rule_name, R = job
-        grid = make_grid(box_L(R), n)
-        decomp = diagonalize(assemble(grid, soft_wall_trap(R, _coupling_rule(rule_name)(R))))
-        f = bump(float(cfg["bump_center"]), float(cfg["bump_radius"]), grid)
+        grid = make_grid(box_L(R), cfg["n_points"])
+        decomp = diagonalize(assemble(grid, soft_wall_trap(R, coupling[rule_name](R))))
+        f = bump(cfg["bump_center"], cfg["bump_radius"], grid)
         gaps = []
         for t, trapped in zip(ts, evolve_spectral(decomp, f, ts)):
             try:
-                gaps.append(gated_gap(f, trapped, t, R, margin=margin))
+                gaps.append(gated_gap(f, trapped, t, R, margin=cfg["margin"]))
             except ValidityGateError as exc:
                 gaps.append(exc)
         return f, gaps
 
     jobs = [(rule, R) for rule in rules for R in radii]
-    with ThreadPoolExecutor(max_workers=max(1, int(cfg["threads"]))) as pool:
+    with ThreadPoolExecutor(max_workers=max(1, cfg["threads"])) as pool:
         scanned = dict(zip(jobs, pool.map(scan_radius, jobs)))
 
     for rule_name in rules:
-        c_of_R = _coupling_rule(rule_name)
         for k, t in enumerate(ts):
             gaps = [scanned[(rule_name, R)][1][k] for R in radii]
             failed = [(R, g) for R, g in zip(radii, gaps) if isinstance(g, ValidityGateError)]
@@ -232,13 +269,11 @@ def run_propagator_scan(config: dict) -> Report:
             scan = gap_decay_scan(t, radii, gaps)
             rep.gates[f"box[{rule_name},t={t}]"] = True
             bounds = [
-                duhamel_bound(scanned[(rule_name, R)][0], t, R, coupling=c_of_R(R))
+                duhamel_bound(scanned[(rule_name, R)][0], t, R, coupling=coupling[rule_name](R))
                 for R in radii
             ]
             decreasing = bool(np.all(np.diff(scan.gaps) < 0))
-            bound_ok = all(
-                g <= b + float(cfg["bound_slack"]) for g, b in zip(scan.gaps, bounds)
-            )
+            bound_ok = all(g <= b + cfg["bound_slack"] for g, b in zip(scan.gaps, bounds))
             rep.verdicts[f"scan[{rule_name},t={t}]"] = scan.verdict
             rep.verdicts[f"decrease[{rule_name},t={t}]"] = decreasing
             rep.verdicts[f"bound[{rule_name},t={t}]"] = bound_ok
@@ -254,7 +289,7 @@ def run_sector_norms(config: dict) -> Report:
     2 n ||f|| gap bound, plus seeded monotonicity trials for random
     two-term products of number resolvents.
     """
-    cfg = {
+    cfg = _resolve({
         "n_list": [1, 2, 3],
         "lam": 1.0,
         "t": 0.25,
@@ -264,29 +299,32 @@ def run_sector_norms(config: dict) -> Report:
         "trials": 20,
         "seed": 20240817,
         "bound_slack": 1e-10,
-    }
-    cfg.update(config)
+    }, config)
+    # the gap bound and the exact sector norm need these; checked before any eigensolve
+    if not all(1 <= n <= 12 for n in cfg["n_list"]):
+        raise ConfigError(f"n_list entries must lie in 1..12, got {cfg['n_list']}")
+    if cfg["lam"] <= 0:
+        raise ConfigError(f"lam must be positive, got {cfg['lam']}")
     rep = Report(
         "sector_norms",
         cfg,
         columns=["n", "R", "gap", "exact_norm", "bound", "bound_ok"],
     )
-    lam = float(cfg["lam"])
-    t = float(cfg["t"])
+    lam, t = cfg["lam"], cfg["t"]
     norms = []
-    for n_sec in [int(n) for n in _as_list(cfg["n_list"])]:
-        R = n_sec + float(cfg["radius_offset"])
-        grid = make_grid(2.0 * R + 16.0, int(cfg["n_points"]))
+    for n_sec in cfg["n_list"]:
+        R = n_sec + cfg["radius_offset"]
+        grid = make_grid(2.0 * R + 16.0, cfg["n_points"])
         decomp = diagonalize(assemble(grid, soft_wall_trap(R, 1.0)))
-        f = bump(0.0, float(cfg["bump_radius"]), grid)
+        f = bump(0.0, cfg["bump_radius"], grid)
         g1 = evolve_spectral(decomp, f, t)
         g2 = evolve_free(f, t)
         exact = fock.evolved_resolvent_sector_norm(lam, g1, g2, n_sec, inner)
         gap = np.sqrt(inner(
             g1.with_values(g1.values - g2.values), g1.with_values(g1.values - g2.values)
         ).real)
-        bnd = 2.0 * n_sec * lam**-2 * f.norm() * gap
-        ok = exact <= bnd + float(cfg["bound_slack"])
+        bnd = observable_gap_bound(n_sec, lam, f, gap)
+        ok = exact <= bnd + cfg["bound_slack"]
         rep.rows.append((n_sec, R, float(gap), exact, bnd, ok))
         norms.append(exact)
     rep.verdicts["bound"] = all(r[5] for r in rep.rows)
@@ -296,19 +334,16 @@ def run_sector_norms(config: dict) -> Report:
     # in modes 1-2: the untouched spectator mode plays the role of the rest
     # of the infinite-dimensional one-particle space, without which an added
     # particle could not avoid the observed modes and monotonicity fails
-    rng = np.random.default_rng(int(cfg["seed"]))
+    rng = np.random.default_rng(cfg["seed"])
     space = fock.build_fock(3, 6, 6)
     mono_ok = True
-    for _ in range(int(cfg["trials"])):
-        coeffs1 = np.append(rng.normal(size=2) + 1j * rng.normal(size=2), 0.0)
-        coeffs2 = np.append(rng.normal(size=2) + 1j * rng.normal(size=2), 0.0)
+    for _ in range(cfg["trials"]):
+        c1, c2 = _spectator_coeffs(rng), _spectator_coeffs(rng)
         lam1, lam2 = rng.uniform(0.5, 2.0, size=2)
-        a1 = space.annihilator_of(coeffs1)
-        a2 = space.annihilator_of(coeffs2)
-        A1 = np.linalg.inv(lam1 * np.eye(space.dimension) + a1.conj().T @ a1)
-        A2 = np.linalg.inv(lam2 * np.eye(space.dimension) + a2.conj().T @ a2)
-        blocks = fock.sector_blocks(space, A1 @ A2)
-        ok, _, _ = fock.sector_norm_monotonicity(blocks[:4])
+        A1 = fock.number_resolvent_matrix(space, lam1, c1)
+        A2 = fock.number_resolvent_matrix(space, lam2, c2)
+        products = [fock.SectorOperator(a.sector, a.matrix @ b.matrix) for a, b in zip(A1, A2)]
+        ok, _, _ = fock.sector_norm_monotonicity(products[:4])
         mono_ok = mono_ok and ok
     rep.verdicts["sector_monotonicity"] = mono_ok
     return rep
@@ -316,7 +351,7 @@ def run_sector_norms(config: dict) -> Report:
 
 def run_thermal_convergence(config: dict) -> Report:
     """Interior density of the trapped thermal state against the homogeneous value."""
-    cfg = {
+    cfg = _resolve({
         "radius_list": [20.0, 40.0, 80.0],
         "beta": 1.0,
         "mu": -1.0,
@@ -324,29 +359,28 @@ def run_thermal_convergence(config: dict) -> Report:
         "rel_tol": 0.01,
         "dx_start": 0.125,
         "edge_gate": 1e-10,
-    }
-    cfg.update(config)
+    }, config)
     rep = Report(
         "thermal_convergence",
         cfg,
         columns=["R", "n_points", "density", "homogeneous", "rel_deviation"],
     )
-    beta, mu = float(cfg["beta"]), float(cfg["mu"])
+    beta, mu = cfg["beta"], cfg["mu"]
     hom = qf.homogeneous_density(beta, mu, 1)
     devs = []
     # grids refine with R: at these parameters the finite-trap correction is
     # exponentially below the dx floor, so the deviation tracks refinement
-    for i, R in enumerate([float(r) for r in _as_list(cfg["radius_list"])]):
-        dx_target = float(cfg["dx_start"]) / 2**i
+    for i, R in enumerate(cfg["radius_list"]):
+        dx_target = cfg["dx_start"] / 2**i
         decomp = trap_decomposition(R, dx_target=dx_target, n_cap=2**14)
         state = qf.QuasifreeState(beta=beta, mu=mu, decomposition=decomp)
         edge = qf.thermal_edge_weight(state)
-        rep.gates[f"edge[R={R}]"] = edge <= float(cfg["edge_gate"])
-        dens = qf.position_density(state, float(cfg["x_probe"]))
+        rep.gates[f"edge[R={R}]"] = edge <= cfg["edge_gate"]
+        dens = qf.position_density(state, cfg["x_probe"])
         dev = abs(dens - hom) / hom
         devs.append(dev)
         rep.rows.append((R, decomp.grid.n_points, dens, hom, dev))
-    rep.verdicts["final_within_tol"] = devs[-1] <= float(cfg["rel_tol"])
+    rep.verdicts["final_within_tol"] = devs[-1] <= cfg["rel_tol"]
     rep.verdicts["deviation_monotone"] = bool(np.all(np.diff(devs) < 0))
     return rep
 
@@ -359,7 +393,7 @@ def run_resolvent_oracle(config: dict) -> Report:
     """
     from scipy.special import erfcx
 
-    cfg = {
+    cfg = _resolve({
         "energies": [0.5, 1.5],
         "beta": 1.0,
         "mu": -0.2,
@@ -368,18 +402,16 @@ def run_resolvent_oracle(config: dict) -> Report:
         "n_total": 44,
         "match_tol": 1e-8,
         "field_n_total": 60,
-    }
-    cfg.update(config)
+    }, config)
     rep = Report(
         "resolvent_oracle",
         cfg,
         columns=["lam", "series_value", "gibbs_value", "oracle_delta",
                  "field_quad", "field_closed", "field_oracle_delta", "field_gibbs_delta"],
     )
-    energies = [float(e) for e in _as_list(cfg["energies"])]
-    beta, mu = float(cfg["beta"]), float(cfg["mu"])
-    coeffs = np.array([float(c) for c in _as_list(cfg["coeffs"])])
-    space = fock.build_fock(len(energies), int(cfg["n_total"]), int(cfg["n_total"]))
+    energies, beta, mu = cfg["energies"], cfg["beta"], cfg["mu"]
+    coeffs = np.array(cfg["coeffs"])
+    space = fock.build_fock(len(energies), cfg["n_total"], cfg["n_total"])
     rep.gates["truncation"] = fock.truncation_weight(space, energies, beta, mu) <= 1e-10
 
     occ = qf.bose_occupation(np.array(energies), beta, mu)
@@ -388,11 +420,11 @@ def run_resolvent_oracle(config: dict) -> Report:
     sigma_sq = float((np.abs(coeffs) ** 2 * occ).sum())
 
     # field resolvent on a single effective mode with the same weight
-    space_f = fock.build_fock(1, int(cfg["field_n_total"]), int(cfg["field_n_total"]))
+    space_f = fock.build_fock(1, cfg["field_n_total"], cfg["field_n_total"])
     eps_eff = float(np.log1p(1.0 / (sigma_sq / norm_sq)) / beta) + mu
 
     ok = True
-    for lam in [float(x) for x in _as_list(cfg["lam_list"])]:
+    for lam in cfg["lam_list"]:
         series = qf.geometric_resolvent_series(nbar, norm_sq, lam)
         gibbs = fock.gibbs_number_resolvent(space, lam, coeffs, energies, beta, mu)
         delta = abs(series - gibbs)
@@ -406,7 +438,7 @@ def run_resolvent_oracle(config: dict) -> Report:
             (lam, series, gibbs, delta, field_quad, field_closed,
              abs(field_quad - field_closed), abs(field_quad - fg))
         )
-        ok = ok and delta <= float(cfg["match_tol"]) and abs(field_quad - field_closed) <= float(cfg["match_tol"])
+        ok = ok and delta <= cfg["match_tol"] and abs(field_quad - field_closed) <= cfg["match_tol"]
     rep.verdicts["oracle_match"] = ok
     rep.notes.append(
         "field_gibbs_delta is reported only: the quadrature formula omits the "
@@ -421,7 +453,7 @@ def run_condensate_1d(config: dict) -> Report:
     1D condensate structure: smeared-mode limits, density offsets against
     the flat/linear limit profiles, and particle-count growth exponents.
     """
-    cfg = {
+    cfg = _resolve({
         "radius_list_profiles": [20.0, 40.0, 80.0],
         "radius_list_counts": [20.0, 40.0, 80.0, 160.0],
         "kappa": 0.5,
@@ -431,30 +463,25 @@ def run_condensate_1d(config: dict) -> Report:
         "slope_tol": 0.3,
         "count_tol": 0.1,
         "dx_target": 0.03125,
-    }
-    cfg.update(config)
+    }, config)
     rep = Report(
         "condensate_1d",
         cfg,
         columns=["parity", "R", "x", "offset", "limit", "rel_deviation", "within_tol"],
     )
-    kappa = float(cfg["kappa"])
-    radii = [float(r) for r in _as_list(cfg["radius_list_profiles"])]
-    probes = [float(x) for x in _as_list(cfg["x_probes"])]
-    tol = float(cfg["profile_tol"])
-    min_R = float(cfg["profile_min_R"])
+    kappa, radii, dx_target = cfg["kappa"], cfg["radius_list_profiles"], cfg["dx_target"]
 
     profiles_ok = True
     for parity in ("even", "odd"):
         for R in radii:
-            eps, h = cond.trap_mode(R, parity, dx_target=float(cfg["dx_target"]))
-            for xv in probes:
+            eps, h = cond.trap_mode(R, parity, dx_target=dx_target)
+            for xv in cfg["x_probes"]:
                 j = h.grid.index_of(xv)
                 offset = kappa**2 * float(h.values[j].real ** 2)
                 limit = kappa**2 * (1.0 if parity == "even" else xv**2)
                 dev = abs(offset - limit) / limit
-                checked = R >= min_R
-                ok = dev <= tol
+                checked = R >= cfg["profile_min_R"]
+                ok = dev <= cfg["profile_tol"]
                 rep.rows.append((parity, R, xv, offset, limit, dev, ok if checked else "n/a"))
                 if checked:
                     profiles_ok = profiles_ok and ok
@@ -465,27 +492,26 @@ def run_condensate_1d(config: dict) -> Report:
         return bump(3.0, 1.0, grid)
 
     for parity, limit_name in (("even", "integral"), ("odd", "first_moment")):
-        asym = cond.smeared_mode_limit(parity, f_factory, radii, dx_target=float(cfg["dx_target"]))
+        asym = cond.smeared_mode_limit(parity, f_factory, radii, dx_target=dx_target)
         rep.verdicts[f"pairing_slope[{parity}]"] = (
-            np.isfinite(asym.slope) and asym.slope <= -2.0 + float(cfg["slope_tol"])
+            np.isfinite(asym.slope) and asym.slope <= -2.0 + cfg["slope_tol"]
         )
         rep.notes.append(
             f"{parity} pairings -> {asym.limit:.6f} ({limit_name}), slope {asym.slope:.3f}"
         )
 
-    count_radii = [float(r) for r in _as_list(cfg["radius_list_counts"])]
     for parity, target in (("even", 1.0), ("odd", 3.0)):
         expo, counts = cond.condensate_count_scaling(
-            parity, kappa, count_radii, dx_target=float(cfg["dx_target"])
+            parity, kappa, cfg["radius_list_counts"], dx_target=dx_target
         )
-        rep.verdicts[f"count_exponent[{parity}]"] = abs(expo - target) <= float(cfg["count_tol"])
+        rep.verdicts[f"count_exponent[{parity}]"] = abs(expo - target) <= cfg["count_tol"]
         rep.notes.append(f"{parity} count exponent {expo:.4f} (target {target})")
     return rep
 
 
 def run_mu_limit(config: dict) -> Report:
     """Saturation scan of number resolvents as the chemical potential rises to 0."""
-    cfg = {
+    cfg = _resolve({
         "lam": 1.0,
         "beta": 0.05,
         "mu_list": [-0.1, -0.03, -0.01, -3e-3, -1e-3, -6e-4, -4e-4, -2.5e-4, -1.6e-4, -1e-4],
@@ -494,23 +520,20 @@ def run_mu_limit(config: dict) -> Report:
         "mean_one_radius": 8.0,
         "box": 20.0,
         "n_points": 4096,
-    }
-    cfg.update(config)
+    }, config)
     rep = Report(
         "mu_limit",
         cfg,
         columns=["function", "mu", "value", "verdict"],
     )
-    grid = make_grid(float(cfg["box"]), int(cfg["n_points"]))
-    lam, beta = float(cfg["lam"]), float(cfg["beta"])
-    mus = [float(m) for m in _as_list(cfg["mu_list"])]
+    grid = make_grid(cfg["box"], cfg["n_points"])
+    lam, beta, mus = cfg["lam"], cfg["beta"], cfg["mu_list"]
 
     # unit-mean bump: sensitive to saturation
-    f1 = bump(0.0, float(cfg["mean_one_radius"]), grid)
+    f1 = bump(0.0, cfg["mean_one_radius"], grid)
     f1 = f1.with_values(f1.values / f1.integral().real)
     v1, vals1 = qf.mu_limit_scan(lam, f1, beta, mus,
-                                 cauchy_tol=float(cfg["cauchy_tol"]),
-                                 vanish_ratio=float(cfg["drop_ratio"]))
+                                 cauchy_tol=cfg["cauchy_tol"], vanish_ratio=cfg["drop_ratio"])
     for mu, val in zip(mus, vals1):
         rep.rows.append(("mean_one", mu, float(val), v1))
     rep.verdicts["mean_one"] = v1 == "vanishes"
@@ -522,44 +545,41 @@ def run_mu_limit(config: dict) -> Report:
     f0 = WaveFunction(grid, bp + bm - 2.0 * b0)
     f0 = f0.with_values(f0.values / f0.norm())
     v0, vals0 = qf.mu_limit_scan(lam, f0, beta, mus,
-                                 cauchy_tol=float(cfg["cauchy_tol"]),
-                                 vanish_ratio=float(cfg["drop_ratio"]))
+                                 cauchy_tol=cfg["cauchy_tol"], vanish_ratio=cfg["drop_ratio"])
     for mu, val in zip(mus, vals0):
         rep.rows.append(("zero_mean", mu, float(val), v0))
     rep.verdicts["zero_mean"] = v0 == "converges-positive"
-    rep.verdicts["drop"] = bool(vals1[-1] <= float(cfg["drop_ratio"]) * vals1[0])
+    rep.verdicts["drop"] = bool(vals1[-1] <= cfg["drop_ratio"] * vals1[0])
     return rep
 
 
 def run_condensate_3d(config: dict) -> Report:
     """Axial (l = 1) condensate profile: deviation bound, pairings, mode energy."""
-    cfg = {
+    cfg = _resolve({
         "radius_list": [20.0, 40.0, 80.0],
         "constant_factor": 2.0,
         "slope_max": -1.7,
         "k_factor": 1.1,
         "f_center": 3.0,
         "f_radius": 2.0,
-    }
-    cfg.update(config)
+    }, config)
     rep = Report(
         "condensate_3d",
         cfg,
         columns=["R", "k", "k_bound", "bound_constant", "pairing", "limit"],
     )
-    radii = [float(r) for r in _as_list(cfg["radius_list"])]
     rg = RadialGrid(10.0, 2048)
-    phi1 = bump_profile((rg.r - float(cfg["f_center"])) / float(cfg["f_radius"]))
+    phi1 = bump_profile((rg.r - cfg["f_center"]) / cfg["f_radius"])
     f = qf.RadialFunction3D(rg, np.zeros_like(rg.r), phi1)
-    res = cond.l1_profile_check(radii, f)
+    res = cond.l1_profile_check(cfg["radius_list"], f)
     k_ok, c_list = True, res["bound_constants"]
     for R, k, c, pair in zip(res["radii"], res["k"], c_list, res["pairings"]):
-        kb = 3.0 * np.pi / (2.0 * R) * float(cfg["k_factor"])
+        kb = 3.0 * np.pi / (2.0 * R) * cfg["k_factor"]
         k_ok = k_ok and k <= kb
         rep.rows.append((R, k, kb, c, pair, res["limit"]))
     rep.verdicts["k_bound"] = k_ok
-    rep.verdicts["constant_stable"] = max(c_list) <= float(cfg["constant_factor"]) * min(c_list)
-    rep.verdicts["pairing_slope"] = res["deviation_slope"] <= float(cfg["slope_max"])
+    rep.verdicts["constant_stable"] = max(c_list) <= cfg["constant_factor"] * min(c_list)
+    rep.verdicts["pairing_slope"] = res["deviation_slope"] <= cfg["slope_max"]
     rep.notes.append(f"pairing limit {res['limit']:.6f}, slope {res['deviation_slope']:.3f}")
     return rep
 
@@ -569,25 +589,23 @@ def run_memory(config: dict) -> Report:
     Temporal correlations of the 3D limit state at zero chemical potential:
     the thermal part decays while the condensate plateau persists exactly.
     """
-    cfg = {
+    cfg = _resolve({
         "beta": 1.0,
         "kappa": 0.5,
         "t_list": [5.0, 20.0, 80.0, 320.0, 1280.0, 2600.0],
         "decay_threshold": 1e-3,
         "plateau_tol": 1e-10,
         "f_radius": 4.0,
-    }
-    cfg.update(config)
+    }, config)
     rep = Report(
         "memory",
         cfg,
         columns=["t", "thermal_abs", "total_minus_thermal", "plateau_error"],
     )
-    beta, kappa = float(cfg["beta"]), float(cfg["kappa"])
-    ts = [float(t) for t in _as_list(cfg["t_list"])]
+    beta, kappa, ts = cfg["beta"], cfg["kappa"], cfg["t_list"]
 
-    rg = RadialGrid(float(cfg["f_radius"]), 2048)
-    phi0 = bump_profile(rg.r / float(cfg["f_radius"]))
+    rg = RadialGrid(cfg["f_radius"], 2048)
+    phi0 = bump_profile(rg.r / cfg["f_radius"])
     f = qf.RadialFunction3D(rg, phi0)
     f = qf.RadialFunction3D(rg, phi0 / f.integral_3d())  # unit 3D integral
 
@@ -602,11 +620,11 @@ def run_memory(config: dict) -> Report:
     mags, plateau_ok = [], True
     for t, thermal, total in zip(ts, thermals, totals):
         err = abs((total - thermal) - plateau)
-        plateau_ok = plateau_ok and err <= float(cfg["plateau_tol"])
+        plateau_ok = plateau_ok and err <= cfg["plateau_tol"]
         mags.append(abs(thermal))
         rep.rows.append((t, abs(thermal), abs(total - thermal), err))
     rep.verdicts["thermal_decay"] = bool(np.all(np.diff(mags) < 0))
-    rep.verdicts["thermal_below_threshold"] = mags[-1] <= float(cfg["decay_threshold"])
+    rep.verdicts["thermal_below_threshold"] = mags[-1] <= cfg["decay_threshold"]
     if kappa > 0:
         rep.verdicts["plateau"] = plateau_ok
     else:
@@ -616,8 +634,7 @@ def run_memory(config: dict) -> Report:
 
 def run_oracle_selftest(config: dict) -> Report:
     """Fock-space self-tests: commutators, resolvent spectra, monotone norms."""
-    cfg = {"seed": 20240817, "trials": 20}
-    cfg.update(config)
+    cfg = _resolve({"seed": 20240817, "trials": 20}, config)
     rep = Report("oracle_selftest", cfg, columns=["check", "value", "ok"])
     sp = fock.build_fock(2, 5, 5)
     ccr = fock.ccr_defect(sp)
@@ -628,18 +645,17 @@ def run_oracle_selftest(config: dict) -> Report:
     rep.rows.append(("resolvent_sector_norm_1_over_lam", 1.0, norm_ok))
 
     # spectator mode (see run_sector_norms) so monotonicity can hold
-    rng = np.random.default_rng(int(cfg["seed"]))
+    rng = np.random.default_rng(cfg["seed"])
     sp3 = fock.build_fock(3, 5, 5)
     mono_all = True
-    for _ in range(int(cfg["trials"])):
-        c1 = np.append(rng.normal(size=2) + 1j * rng.normal(size=2), 0.0)
-        c2 = np.append(rng.normal(size=2) + 1j * rng.normal(size=2), 0.0)
-        a1, a2 = sp3.annihilator_of(c1), sp3.annihilator_of(c2)
-        A = np.linalg.inv(np.eye(sp3.dimension) + a1.conj().T @ a1)
-        B = np.linalg.inv(np.eye(sp3.dimension) + a2.conj().T @ a2)
-        ok, _, _ = fock.sector_norm_monotonicity(fock.sector_blocks(sp3, A - B)[:4])
+    for _ in range(cfg["trials"]):
+        c1, c2 = _spectator_coeffs(rng), _spectator_coeffs(rng)
+        A = fock.number_resolvent_matrix(sp3, 1.0, c1)
+        B = fock.number_resolvent_matrix(sp3, 1.0, c2)
+        differences = [fock.SectorOperator(a.sector, a.matrix - b.matrix) for a, b in zip(A, B)]
+        ok, _, _ = fock.sector_norm_monotonicity(differences[:4])
         mono_all = mono_all and ok
-    rep.rows.append(("difference_monotonicity_trials", int(cfg["trials"]), mono_all))
+    rep.rows.append(("difference_monotonicity_trials", cfg["trials"], mono_all))
     rep.verdicts["all"] = all(bool(r[2]) for r in rep.rows)
     return rep
 
@@ -663,7 +679,7 @@ def run(subcommand: str, config: dict) -> Report:
         raise ConfigError(
             f"unknown experiment {subcommand!r}; choose from {sorted(EXPERIMENTS)}"
         )
-    return EXPERIMENTS[subcommand](dict(config))
+    return EXPERIMENTS[subcommand](config)
 
 
 def spectrum_rows(decomp) -> list[tuple]:

@@ -96,26 +96,7 @@ class ConstantMode:
         return 1.0
 
 
-@dataclass(frozen=True)
-class LinearMode:
-    """Zero-energy limit mode h = x: pairs to the first moment of f."""
-
-    def pairing(self, f: WaveFunction) -> complex:
-        return f.moment(1)
-
-    def density_value(self, x: float) -> float:
-        return x * x
-
-
-@dataclass(frozen=True)
-class AxialMode:
-    """3D limit mode h = z: pairs to the z-weighted integral of f."""
-
-    def pairing(self, f) -> complex:
-        return f.axial_moment()
-
-
-CondensateMode = Union[GridMode, ConstantMode, LinearMode, AxialMode]
+CondensateMode = Union[GridMode, ConstantMode]
 
 
 # ---------------------------------------------------------------------------
@@ -581,19 +562,13 @@ def temporal_correlation(state: HomogeneousState, f, g, t):
 
 def _thermal_correlation_1d(state: HomogeneousState, f, g, t: float) -> complex:
     # <g, T e^(itH) f> by adaptive quadrature of the real and imaginary parts
-    def integrand_re(p):
+    def integrand(p):
         fh = fourier_at(f, p)[0]
         gh = fourier_at(g, p)[0]
         w = np.conj(gh) * fh / np.expm1(state.beta * (p * p - state.mu))
-        return (w * np.exp(-1j * t * p * p)).real
-
-    def integrand_im(p):
-        fh = fourier_at(f, p)[0]
-        gh = fourier_at(g, p)[0]
-        w = np.conj(gh) * fh / np.expm1(state.beta * (p * p - state.mu))
-        return (w * np.exp(-1j * t * p * p)).imag
+        return w * np.exp(-1j * t * p * p)
 
     p_cut = np.sqrt((600.0 + state.beta * max(-state.mu, 0.0)) / state.beta)
-    re, _ = quad(integrand_re, -p_cut, p_cut, limit=800, epsabs=1e-12, epsrel=1e-10)
-    im, _ = quad(integrand_im, -p_cut, p_cut, limit=800, epsabs=1e-12, epsrel=1e-10)
-    return complex(re, im)
+    val, _ = quad(integrand, -p_cut, p_cut, limit=800, epsabs=1e-12, epsrel=1e-10,
+                  complex_func=True)
+    return complex(val)

@@ -8,8 +8,14 @@ from thermolim import lab
 from thermolim.cli import main
 from thermolim.grids import bump, make_grid
 from thermolim.lab import ConfigError, parse_config, run, spectrum_rows, write_spectrum_csv
-from thermolim.hamiltonians import trap_decomposition
-from thermolim.propagators import QuadratureCapError, ValidityGateError, check_box_gate, evolve_free
+from thermolim.hamiltonians import soft_wall_trap, trap_decomposition
+from thermolim.propagators import (
+    QuadratureCapError,
+    ValidityGateError,
+    check_box_gate,
+    duhamel_bound,
+    evolve_free,
+)
 
 
 def test_parse_config_types_and_lists():
@@ -119,17 +125,85 @@ def test_cli_exits_2_when_a_quadrature_hits_its_cap(monkeypatch, tmp_path, capsy
     assert not (tmp_path / "r").exists()
 
 
-@pytest.mark.parametrize("radii", ["6, 8, 10", "6, 10, 8, 12"])
-def test_cli_rejects_a_bad_radius_list_before_solving(radii, monkeypatch, tmp_path, capsys):
+LEMMA31_SMALL = {"radius_list": "6, 8, 10, 12", "t_list": "0.25", "c_rules": "1", "n_points": "256"}
+
+
+@pytest.mark.parametrize(
+    "experiment, bad, expect",
+    [
+        pytest.param("lemma31", {"radius_list": "6, 8, 10"}, "radius_list", id="6, 8, 10"),
+        pytest.param("lemma31", {"radius_list": "6, 10, 8, 12"}, "radius_list", id="6, 10, 8, 12"),
+        pytest.param("oracle", {"trails": "1"}, "['trails']; valid keys are ['seed', 'trials']",
+                     id="unknown key"),
+        pytest.param("lemma31", {"n_points": "4096.7"}, "n_points", id="non-integral int"),
+        pytest.param("thermal", {"beta": "warm"}, "beta", id="non-numeric float"),
+        pytest.param("lemma31", {"box_rule": "abc"}, "box_rule", id="box_rule"),
+        pytest.param("lemma31", {"c_rules": "1, Q"}, "c_rules", id="c_rules"),
+        pytest.param("lemma33", {"n_list": "0, 1"}, "n_list", id="n_list"),
+        pytest.param("lemma33", {"lam": "0"}, "lam", id="lam"),
+    ],
+)
+def test_cli_rejects_a_bad_radius_list_before_solving(experiment, bad, expect, monkeypatch, tmp_path,
+                                                      capsys):
     def no_solve(*args, **kwargs):
-        raise AssertionError("eigensolve started before the radius list was checked")
+        raise AssertionError("eigensolve started before the config was checked")
 
     monkeypatch.setattr(lab, "diagonalize", no_solve)
-    cfg = tmp_path / "scan.cfg"
-    cfg.write_text(f"radius_list = {radii}\nt_list = 0.25\nc_rules = 1\nn_points = 256\n")
-    assert main(["lemma31", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
-    assert "radius_list" in capsys.readouterr().err
+    config = dict(LEMMA31_SMALL, **bad) if experiment == "lemma31" else bad
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in config.items()))
+    assert main([experiment, "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+    assert expect in capsys.readouterr().err
     assert not (tmp_path / "r").exists()
+
+
+def test_cli_echoes_the_config_that_ran(monkeypatch, tmp_path):
+    # a numeric coupling rule is a constant coupling, in the trap and in the bound
+    couplings = []
+
+    def trap(R, c):
+        couplings.append(c)
+        return soft_wall_trap(R, c)
+
+    def bound(*args, coupling):
+        couplings.append(coupling)
+        return duhamel_bound(*args, coupling=coupling)
+
+    monkeypatch.setattr(lab, "soft_wall_trap", trap)
+    monkeypatch.setattr(lab, "duhamel_bound", bound)
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text("radius_list = 6, 8, 10, 12\nt_list = 0.25\nc_rules = 2.5\nn_points = 256\n")
+    assert main(["lemma31", "--config", str(cfg), "--out", str(tmp_path / "r")]) in (0, 1)
+    assert couplings == [2.5] * 8
+    config = json.loads((tmp_path / "r" / "propagator_scan.json").read_text())["config"]
+    assert config["radius_list"] == [6.0, 8.0, 10.0, 12.0]
+    assert config["t_list"] == [0.25]
+    assert config["c_rules"] == ["2.5"]
+    header = (tmp_path / "r" / "propagator_scan.csv").read_text().splitlines()
+    assert "# t_list = [0.25]" in header
+    assert "# radius_list = [6.0, 8.0, 10.0, 12.0]" in header
+
+
+@pytest.mark.parametrize("argv, key", [(["oracle", "--threads", "2"], "threads"),
+                                       (["thermal", "--seed", "3"], "seed")], ids=["threads", "seed"])
+def test_cli_rejects_a_flag_the_experiment_has_no_key_for(argv, key, tmp_path, capsys):
+    assert main(argv + ["--out", str(tmp_path / "r")]) == 2
+    assert f"unknown key(s) ['{key}']" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+def test_resolve_casts_to_the_default_types():
+    defaults = {"n": 4, "x": 0.5, "xs": [1.0, 2.0], "rule": "R"}
+    cfg = lab._resolve(defaults, {"n": 4096.0, "x": "2", "xs": np.array([3, 4]), "rule": 1})
+    assert cfg == {"n": 4096, "x": 2.0, "xs": [3.0, 4.0], "rule": "1"}
+    assert [type(v) for v in (cfg["n"], cfg["x"], *cfg["xs"])] == [int, float, float, float]
+    assert lab._resolve(defaults, {"xs": (5, 6.5)})["xs"] == [5.0, 6.5]
+    assert lab._resolve(defaults, {"xs": np.float64(7.0)})["xs"] == [7.0]
+    assert lab._resolve(defaults, {}) == defaults
+    for bad in ({"n": True}, {"x": False}, {"n": 2.5}, {"n": "many"}, {"x": "warm"},
+                {"x": np.zeros(2)}, {"xs": [1.0, None]}, {"n": float("inf")}, {"x": 10**400}):
+        with pytest.raises(ConfigError, match=next(iter(bad))):
+            lab._resolve(defaults, bad)
 
 
 def test_cli_roundtrip(tmp_path):
