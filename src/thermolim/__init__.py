@@ -33,7 +33,6 @@ from .grids import (
     inner,
     make_grid,
     to_momentum,
-    to_position,
 )
 from .hamiltonians import (
     PotentialSpec,
@@ -42,7 +41,6 @@ from .hamiltonians import (
     assemble,
     diagonalize,
     free_potential,
-    ground_pair,
     radial_assemble,
     soft_wall_trap,
     trap_decomposition,
@@ -57,7 +55,6 @@ from .propagators import (
     propagator_gap,
 )
 from .quasifree import (
-    BoseWeightTable,
     ConstantMode,
     GridMode,
     HomogeneousState,

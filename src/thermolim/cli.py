@@ -2,15 +2,20 @@
 #
 # thermolim <subcommand> --config <path> --out <dir> [--threads N] [--seed S]
 #
-# Exit codes: 0 all verdicts pass, 1 verdict failure, 2 gate/config error or
-# a quadrature that reached its node cap without meeting its tolerance.
+# Exit codes: 0 all verdicts pass, 1 verdict failure, 2 a failed gate or an
+# input error.  Input errors are the config errors and every ValueError the
+# library raises (each one is a range or shape check on its input), a Fock
+# truncation that discards too much Gibbs weight, and a quadrature that
+# reached its node cap without meeting its tolerance.  These print one line;
+# anything else (an eigensolver failure, say) keeps its traceback.
 
 from __future__ import annotations
 
 import argparse
 import sys
 
-from .lab import EXPERIMENTS, ConfigError, parse_config, run
+from .fock import TruncationError
+from .lab import EXPERIMENTS, parse_config, run
 from .propagators import QuadratureCapError, ValidityGateError
 
 
@@ -31,7 +36,7 @@ def main(argv=None) -> int:
         try:
             with open(args.config) as fh:
                 config = parse_config(fh.read())
-        except OSError as exc:
+        except (OSError, ValueError) as exc:  # unreadable, undecodable or malformed
             print(f"config error: {exc}", file=sys.stderr)
             return 2
     if args.threads is not None:
@@ -41,7 +46,7 @@ def main(argv=None) -> int:
 
     try:
         report = run(args.subcommand, config)
-    except (ConfigError, ValidityGateError, QuadratureCapError) as exc:
+    except (ValueError, ValidityGateError, QuadratureCapError, TruncationError) as exc:
         print(f"{args.subcommand}: {exc}", file=sys.stderr)
         return 2
 

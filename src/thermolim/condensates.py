@@ -2,7 +2,8 @@
 #
 # Spatial structure of condensate modes in the large-trap limit.
 #
-# Inside the soft-wall trap the potential vanishes, so the lowest modes are
+# The trap is the soft wall with coupling c = 1 throughout.  Inside it the
+# potential vanishes, so the lowest modes are
 # trigonometric: the even ground mode is cos(sqrt(eps) x), the first odd
 # mode sin(sqrt(eps) x)/sqrt(eps), with eps -> 0 like 1/R^2.  Renormalized
 # to unit value (even) or unit slope (odd) at the origin, they converge to
@@ -85,14 +86,14 @@ def mode_renormalize(psi: WaveFunction, parity: str) -> WaveFunction:
     return WaveFunction(psi.grid, v / scale)
 
 
-def trap_mode(R: float, parity: str, coupling: float = 1.0, dx_target: float = 0.03125):
+def trap_mode(R: float, parity: str, dx_target: float = 0.03125):
     """
     Lowest even or odd mode of the soft-wall trap, renormalized.
 
     Returns (eps, h) with eps the measured eigenvalue and h the renormalized
     mode on its grid.
     """
-    decomp = trap_decomposition(R, coupling=coupling, dx_target=dx_target, n_modes=2)
+    decomp = trap_decomposition(R, dx_target=dx_target, n_modes=2)
     idx = 0 if parity == "even" else 1
     eps = float(decomp.eigenvalues[idx])
     h = mode_renormalize(decomp.mode(idx), parity)
@@ -116,7 +117,6 @@ def smeared_mode_limit(
     parity: str,
     f,
     R_list,
-    coupling: float = 1.0,
     dx_target: float = 0.03125,
 ) -> ModeAsymptotics:
     """
@@ -130,7 +130,7 @@ def smeared_mode_limit(
     eigenvalues, pairings = [], []
     limit = None
     for R in radii:
-        eps, h = trap_mode(R, parity, coupling=coupling, dx_target=dx_target)
+        eps, h = trap_mode(R, parity, dx_target=dx_target)
         fR = f(h.grid)
         support = np.abs(fR.values) > 0
         if np.abs(h.grid.x[support]).max() > 0.5 * R:
@@ -150,9 +150,7 @@ def condensate_count_scaling(
     parity: str,
     kappa: float,
     R_list,
-    coupling: float = 1.0,
     dx_target: float = 0.03125,
-    n_cap: int = 8192,
 ):
     """
     Particle count of the condensate inside [-R, R],
@@ -164,7 +162,7 @@ def condensate_count_scaling(
     radii = sorted(R_list)
     counts = []
     for R in radii:
-        decomp = trap_decomposition(R, coupling=coupling, dx_target=dx_target, n_modes=2, n_cap=n_cap)
+        decomp = trap_decomposition(R, dx_target=dx_target, n_modes=2, n_cap=8192)
         idx = 0 if parity == "even" else 1
         h = mode_renormalize(decomp.mode(idx), parity)
         m = np.abs(h.grid.x) <= R
@@ -196,21 +194,20 @@ class RadialProfile:
         return float(((1.0 - s) * self.trap_radius**2 / radii**2).max())
 
 
-def axial_trap_mode(R: float, coupling: float = 1.0, dr_target: float = 0.02) -> RadialProfile:
+def axial_trap_mode(R: float) -> RadialProfile:
     """Lowest l = 1 mode of the 3D soft-wall trap from the radial eigensolver."""
     r_max = R + 16.0
-    n = int(round(r_max / dr_target))
-    grid = RadialGrid(r_max, n)
-    H = radial_assemble(grid, 1, soft_wall_trap(R, coupling))
+    grid = RadialGrid(r_max, int(round(r_max / 0.02)))
+    H = radial_assemble(grid, 1, soft_wall_trap(R))
     decomp = diagonalize(H, n_modes=1)
     return RadialProfile(k=float(np.sqrt(decomp.eigenvalues[0])), trap_radius=R)
 
 
-def l1_profile_check(R_list, f, coupling: float = 1.0, n_radii: int = 16):
+def l1_profile_check(R_list, f):
     """
     Scan the axial-mode family over trap radii:
 
-    (a) the sup constant of |h(x) - z| R^2 / (|z| |x|^2) over log-spaced
+    (a) the sup constant of |h(x) - z| R^2 / (|z| |x|^2) over 16 log-spaced
         evaluation radii, per R (bounded and stable across the scan);
     (b) smeared pairings Integral h_R f -> Integral z f with the fitted
         log-log deviation slope;
@@ -222,8 +219,8 @@ def l1_profile_check(R_list, f, coupling: float = 1.0, n_radii: int = 16):
     constants, pairings, ks = [], [], []
     limit = f.axial_moment()
     for R in radii:
-        prof = axial_trap_mode(R, coupling=coupling)
-        eval_r = np.geomspace(R * 1e-3, R, n_radii)
+        prof = axial_trap_mode(R)
+        eval_r = np.geomspace(R * 1e-3, R, 16)
         constants.append(prof.deviation_constant(eval_r))
         ks.append(prof.k)
         if f.phi1 is not None:

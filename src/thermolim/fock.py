@@ -17,10 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import product
+from math import comb
 
 import numpy as np
 
-DIMENSION_CAP = 200_000
+DIMENSION_CAP = 4096  # one dense complex D x D matrix is 268 MB at the cap
 TRUNCATION_TOL = 1e-10  # largest Gibbs weight a trace may discard
 
 
@@ -49,15 +50,14 @@ class FockSpace:
             raise FockConfigError(f"n_modes must be 1, 2 or 3, got {self.n_modes}")
         if self.n_max < 0 or self.n_total < 0:
             raise FockConfigError("occupation caps must be nonnegative")
+        dimension = _basis_size(self.n_modes, self.n_max, self.n_total)
+        if dimension > DIMENSION_CAP:
+            raise FockConfigError(f"basis dimension {dimension} exceeds cap {DIMENSION_CAP}")
         basis = tuple(
             occ
             for occ in product(range(self.n_max + 1), repeat=self.n_modes)
             if sum(occ) <= self.n_total
         )
-        if len(basis) > DIMENSION_CAP:
-            raise FockConfigError(
-                f"basis dimension {len(basis)} exceeds cap {DIMENSION_CAP}"
-            )
         index = {occ: i for i, occ in enumerate(basis)}
         sectors: dict[int, list[int]] = {}
         for i, occ in enumerate(basis):
@@ -106,6 +106,16 @@ class FockSpace:
                 for occ in self.basis
             ]
         )
+
+
+def _basis_size(m: int, n_max: int, n_total: int) -> int:
+    # m-tuples in [0, n_max] with sum <= n_total, by inclusion-exclusion over
+    # the modes forced above n_max: C(n_total + m, m) tuples have no upper cap
+    return sum(
+        (-1) ** j * comb(m, j) * comb(n_total - j * (n_max + 1) + m, m)
+        for j in range(m + 1)
+        if j * (n_max + 1) <= n_total
+    )
 
 
 def build_fock(n_modes: int, n_max: int, n_total: int) -> FockSpace:
@@ -197,16 +207,16 @@ def _number_sector_blocks(space: FockSpace, coeffs):
         yield n, a.conj().T @ a
 
 
-def sector_norm_monotonicity(blocks: list[SectorOperator], tol: float = 1e-12):
+def sector_norm_monotonicity(blocks: list[SectorOperator]):
     """
     Check that sector norms are nondecreasing in the particle number.
 
-    Returns (verdict, norms) where verdict is True when
-    ||A||_k <= ||A||_{k+1} + tol for all consecutive sectors, and norms lists
-    max_{j<=k} ||A||_j alongside the raw per-sector values.
+    Returns (verdict, norms, running_max) where verdict is True when
+    ||A||_k <= ||A||_{k+1} + 1e-12 for all consecutive sectors, norms lists
+    the per-sector values and running_max their max_{j<=k} ||A||_j.
     """
     norms = [b.norm() for b in blocks]
-    ok = all(a <= b + tol for a, b in zip(norms, norms[1:]))
+    ok = all(a <= b + 1e-12 for a, b in zip(norms, norms[1:]))
     running_max = np.maximum.accumulate(norms).tolist()
     return ok, norms, running_max
 
@@ -314,24 +324,23 @@ def gibbs_trace_expectation(
     energies,
     beta: float,
     mu: float,
-    truncation_tol: float = TRUNCATION_TOL,
 ) -> float:
     """
     Grand-canonical expectation Tr(e^(-beta H) op) / Tr(e^(-beta H)) with
     H = sum_i (eps_i - mu) N_i on the truncated space.
     """
-    w = _checked_gibbs_weights(space, energies, beta, mu, truncation_tol)
+    w = _checked_gibbs_weights(space, energies, beta, mu)
     val = (w * np.diag(op).real).sum() / w.sum()
     return float(val)
 
 
-def _checked_gibbs_weights(space, energies, beta, mu, truncation_tol) -> np.ndarray:
+def _checked_gibbs_weights(space, energies, beta, mu) -> np.ndarray:
     # Boltzmann weights of the basis states, refused when the truncation
-    # discards more than truncation_tol of the Gibbs weight
+    # discards more than TRUNCATION_TOL of the Gibbs weight
     drop = truncation_weight(space, energies, beta, mu)
-    if drop > truncation_tol:
+    if drop > TRUNCATION_TOL:
         raise TruncationError(
-            f"truncation weight {drop:.2e} above {truncation_tol:.0e}; raise the caps"
+            f"truncation weight {drop:.2e} above {TRUNCATION_TOL:.0e}; raise the caps"
         )
     return _gibbs_weights(space, energies, beta, mu)
 
@@ -350,7 +359,7 @@ def gibbs_number_resolvent(
     The operator conserves particle number, so each sector block is inverted
     on its own and only the diagonals of the inverses are weighted.
     """
-    w = _checked_gibbs_weights(space, energies, beta, mu, TRUNCATION_TOL)
+    w = _checked_gibbs_weights(space, energies, beta, mu)
     val = 0.0
     for n, X in _number_sector_blocks(space, coeffs):
         inv = np.linalg.inv(lam * np.eye(len(X)) + X)

@@ -4,7 +4,7 @@
 # and Fourier transforms. Everything downstream builds on these.
 #
 # Conventions (fixed once, used everywhere):
-# - Units: hbar = 1 and 2m = 1, so a free particle has dispersion E = p^2.
+# - Units: hbar = 1 and 2m = 1, so a free particle has energy E = p^2.
 # - A 1D box [-L, L] is sampled at x_j = -L + j*dx, j = 0..n-1, dx = 2L/n.
 #   The point x = 0 is on the grid (j = n/2); +L is not. Reflection about 0
 #   maps index j to (n - j) mod n, the standard FFT-grid convention.
@@ -210,14 +210,6 @@ def to_momentum(f: WaveFunction) -> MomentumFunction:
     # phase factor accounts for the grid starting at x = -L rather than 0
     fh = np.fft.fft(f.values) * g.dx * np.exp(1j * p * g.half_width) / np.sqrt(2.0 * np.pi)
     return MomentumFunction(g, fh)
-
-
-def to_position(fh: MomentumFunction) -> WaveFunction:
-    """Inverse of to_momentum."""
-    g = fh.grid
-    p = g.momenta()
-    v = np.fft.ifft(fh.values * np.exp(-1j * p * g.half_width)) * np.sqrt(2.0 * np.pi) / g.dx
-    return WaveFunction(g, v)
 
 
 def fourier_at(f: WaveFunction, p: np.ndarray) -> np.ndarray:

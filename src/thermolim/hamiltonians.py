@@ -10,7 +10,7 @@
 #
 # The soft-wall trap confines particles to |x| <= R by the truncated
 # harmonic potential c^2 * max(x^2 - R^2, 0): free inside the ball, growing
-# quadratically outside.  "free" means V = 0 everywhere.
+# quadratically outside.  The free particle is the trap with c = 0.
 
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .grids import Grid1D, GridConfigError, GridMismatchError, RadialGrid, WaveFunction
+from .grids import Grid1D, GridConfigError, RadialGrid, WaveFunction
 
 
 class EigensolverError(RuntimeError):
@@ -29,45 +29,25 @@ class EigensolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class PotentialSpec:
-    """
-    Potential family: free, soft-wall trap, or a general sampled potential.
+    """Soft-wall trap V(x) = c^2 * max(x^2 - R^2, 0); c = 0 is the free particle."""
 
-    kind = "free":                V(x) = 0
-    kind = "truncated_harmonic":  V(x) = c^2 * max(x^2 - R^2, 0)
-    kind = "general":             V(x) = c^2 x^2 + U(x) + shift
-    """
-
-    kind: str
-    radius: float = 0.0
-    coupling: float = 1.0
-    shift: float = 0.0
-    sampled: Optional[np.ndarray] = None
+    radius: float
+    coupling: float
 
     def __post_init__(self):
-        if self.kind not in ("free", "truncated_harmonic", "general"):
-            raise GridConfigError(f"unknown potential kind {self.kind!r}")
-        if self.kind == "truncated_harmonic" and self.radius < 0:
+        if self.radius < 0:
             raise GridConfigError("confinement radius must be >= 0")
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
-        if self.kind == "free":
-            return np.zeros_like(x)
-        if self.kind == "truncated_harmonic":
-            return self.coupling**2 * np.maximum(x * x - self.radius**2, 0.0)
-        v = self.coupling**2 * x * x + self.shift
-        if self.sampled is not None:
-            if self.sampled.shape != x.shape:
-                raise GridMismatchError("sampled potential does not match the grid")
-            v = v + self.sampled
-        return v
+        return self.coupling**2 * np.maximum(x * x - self.radius**2, 0.0)
 
 
 def free_potential() -> PotentialSpec:
-    return PotentialSpec("free")
+    return PotentialSpec(0.0, 0.0)
 
 
 def soft_wall_trap(radius: float, coupling: float = 1.0) -> PotentialSpec:
-    return PotentialSpec("truncated_harmonic", radius=radius, coupling=coupling)
+    return PotentialSpec(radius, coupling)
 
 
 @dataclass(frozen=True)
@@ -214,48 +194,31 @@ def residual_norms(H: TridiagonalOperator, decomp: SpectralDecomposition) -> np.
     return np.sqrt((r * r).sum(axis=0) * dx)
 
 
-def parity_of(psi: WaveFunction, tol: float = 1e-6) -> str:
+def parity_of(psi: WaveFunction) -> str:
     """Classify a grid function as 'even', 'odd' or 'none' under x -> -x."""
     refl = psi.reflected().values
     nrm = psi.norm()
     if nrm == 0:
         return "none"
-    dx = psi.grid.dx
-    even_mis = np.sqrt((np.abs(psi.values - refl) ** 2).sum() * dx) / nrm
-    odd_mis = np.sqrt((np.abs(psi.values + refl) ** 2).sum() * dx) / nrm
-    if even_mis <= tol:
-        return "even"
-    if odd_mis <= tol:
-        return "odd"
+    # relative L2 mismatch against the reflection, up to sign
+    for tag, mirror in (("even", -refl), ("odd", refl)):
+        if np.sqrt((np.abs(psi.values + mirror) ** 2).sum() * psi.grid.dx) / nrm <= 1e-6:
+            return tag
     return "none"
-
-
-def ground_pair(decomp: SpectralDecomposition, index: int = 0):
-    """
-    Return (eigenvalue, eigenfunction, parity tag) for the given mode index.
-    """
-    if index >= decomp.n_modes:
-        raise GridConfigError(
-            f"mode index {index} out of range ({decomp.n_modes} modes computed)"
-        )
-    psi = decomp.mode(index)
-    return float(decomp.eigenvalues[index]), psi, parity_of(psi)
 
 
 def trap_decomposition(
     R: float,
-    coupling: float = 1.0,
-    box_margin: float = 16.0,
     dx_target: float = 0.03125,
     n_modes: Optional[int] = None,
     n_cap: int = 16384,
 ) -> SpectralDecomposition:
     """
-    Convenience: diagonalize the soft-wall trap of radius R in a box
-    L = R + box_margin with spacing ~dx_target rounded to a commensurate
+    Convenience: diagonalize the soft-wall trap of radius R (c = 1) in a box
+    L = R + 16 with spacing ~dx_target rounded to a commensurate
     power of two (so that integer positions are exact grid points).
     """
-    L = R + box_margin
+    L = R + 16.0
     # dx = 2^-k <= dx_target keeps integers on the grid
     k = int(np.ceil(-np.log2(dx_target)))
     n = int(round(2 * L * 2**k))
@@ -265,5 +228,5 @@ def trap_decomposition(
         k -= 1
         n = int(round(2 * L * 2**k))
     grid = Grid1D(L, n)
-    H = assemble(grid, soft_wall_trap(R, coupling))
+    H = assemble(grid, soft_wall_trap(R))
     return diagonalize(H, n_modes=n_modes)

@@ -8,8 +8,9 @@
 # and values that do not fit the type are config errors.  Every report
 # echoes the resolved config so a run is reproducible from its own output.
 # CSV columns are fixed per experiment; a JSON summary mirrors the verdicts
-# for CI consumption.  Exit codes: 0 all verdicts pass, 1 verdict failure,
-# 2 gate/config error.
+# for CI consumption.  Report.exit_code is 0 when all verdicts pass, 1 on a
+# verdict failure and 2 on a gate failure; an input the library rejects
+# (any ValueError, including ConfigError) exits 2 through cli.py.
 
 from __future__ import annotations
 
@@ -240,8 +241,8 @@ def run_propagator_scan(config: dict) -> Report:
         # so a pool thread holds at most one n x n eigenvector matrix
         rule_name, R = job
         grid = make_grid(box_L(R), cfg["n_points"])
-        decomp = diagonalize(assemble(grid, soft_wall_trap(R, coupling[rule_name](R))))
         f = bump(cfg["bump_center"], cfg["bump_radius"], grid)
+        decomp = diagonalize(assemble(grid, soft_wall_trap(R, coupling[rule_name](R))))
         gaps = []
         for t, trapped in zip(ts, evolve_spectral(decomp, f, ts)):
             try:
@@ -315,8 +316,8 @@ def run_sector_norms(config: dict) -> Report:
     for n_sec in cfg["n_list"]:
         R = n_sec + cfg["radius_offset"]
         grid = make_grid(2.0 * R + 16.0, cfg["n_points"])
-        decomp = diagonalize(assemble(grid, soft_wall_trap(R, 1.0)))
         f = bump(0.0, cfg["bump_radius"], grid)
+        decomp = diagonalize(assemble(grid, soft_wall_trap(R, 1.0)))
         g1 = evolve_spectral(decomp, f, t)
         g2 = evolve_free(f, t)
         exact = fock.evolved_resolvent_sector_norm(lam, g1, g2, n_sec, inner)
@@ -680,21 +681,3 @@ def run(subcommand: str, config: dict) -> Report:
             f"unknown experiment {subcommand!r}; choose from {sorted(EXPERIMENTS)}"
         )
     return EXPERIMENTS[subcommand](config)
-
-
-def spectrum_rows(decomp) -> list[tuple]:
-    """(index, eigenvalue, parity) rows for CSV export of a decomposition."""
-    from .hamiltonians import parity_of
-
-    rows = []
-    for k in range(decomp.n_modes):
-        rows.append((k, float(decomp.eigenvalues[k]), parity_of(decomp.mode(k))))
-    return rows
-
-
-def write_spectrum_csv(decomp, path: str) -> None:
-    """Export a decomposition as CSV with columns index, eigenvalue, parity."""
-    with open(path, "w") as fh:
-        fh.write("index,eigenvalue,parity\n")
-        for row in spectrum_rows(decomp):
-            fh.write(",".join(_fmt(v) for v in row) + "\n")

@@ -8,15 +8,12 @@
 #   one time or a sequence of times: the eigen-coefficients are computed
 #   once, and all times are evolved together in real arithmetic, so the
 #   real eigenvector matrix is never copied to complex;
-# - evolve_free: the free propagator as a Fourier multiplier.
-#
-# evolve_free supports two dispersion relations.  dispersion="grid" uses
-# 2(1 - cos(p dx))/dx^2, the exact dispersion of the three-point Laplacian,
-# so that gap measurements against evolve_spectral isolate the effect of
-# the confining potential instead of the O(dx^2) dispersion mismatch (which
-# would otherwise floor the gap near 1e-3 on desk-scale grids).
-# dispersion="continuum" uses p^2, the continuum multiplier, for
-# continuum-limit cross-checks.
+# - evolve_free: the free propagator as the Fourier multiplier
+#   e^(-it omega(p)) with omega(p) = 2(1 - cos(p dx))/dx^2, the exact symbol
+#   of the three-point Laplacian.  Gap measurements against evolve_spectral then
+#   isolate the effect of the confining potential instead of the O(dx^2)
+#   mismatch to the continuum p^2 (which would floor the gap near 1e-3 on
+#   desk-scale grids).
 
 from __future__ import annotations
 
@@ -28,6 +25,7 @@ from .grids import Grid1D, GridMismatchError, WaveFunction
 from .hamiltonians import SpectralDecomposition
 
 GAP_FLOOR = 1e-14
+EDGE_GATE = 5e-3  # largest relative edge amplitude an evolved packet may keep
 DUHAMEL_MAX_INTERVALS = 4096
 
 
@@ -66,24 +64,18 @@ def evolve_spectral(decomp: SpectralDecomposition, f: WaveFunction, t):
     return evolved if times.ndim else evolved[0]
 
 
-def evolve_free(f: WaveFunction, t: float, dispersion: str = "grid") -> WaveFunction:
-    """Free evolution as a Fourier multiplier e^(-it omega(p))."""
+def evolve_free(f: WaveFunction, t: float) -> WaveFunction:
+    """Free evolution as the Fourier multiplier e^(-it omega(p)) of the grid Laplacian."""
     g = f.grid
-    p = g.momenta()
-    if dispersion == "grid":
-        omega = (2.0 - 2.0 * np.cos(p * g.dx)) / g.dx**2
-    elif dispersion == "continuum":
-        omega = p * p
-    else:
-        raise ValueError(f"unknown dispersion {dispersion!r}")
+    omega = (2.0 - 2.0 * np.cos(g.momenta() * g.dx)) / g.dx**2
     out = np.fft.ifft(np.fft.fft(f.values) * np.exp(-1j * t * omega))
     return WaveFunction(g, out)
 
 
-def edge_amplitude(f: WaveFunction, zone: float = 4.0) -> float:
-    """Largest |f| within `zone` length units of the box edge, relative to max |f|."""
+def edge_amplitude(f: WaveFunction) -> float:
+    """Largest |f| within 4 length units of the box edge, relative to max |f|."""
     g = f.grid
-    m = np.abs(g.x) >= g.half_width - zone
+    m = np.abs(g.x) >= g.half_width - 4.0
     peak = np.abs(f.values).max()
     if peak == 0:
         return 0.0
@@ -95,14 +87,13 @@ def check_box_gate(
     R: float,
     margin: float = 16.0,
     evolved: WaveFunction | None = None,
-    edge_tol: float = 5e-3,
 ) -> None:
     """
     Validity gate for trapped-vs-free experiments.
 
     Static part: the box must extend at least `margin` beyond the trap
     radius.  Dynamic part (when an evolved packet is supplied): its relative
-    amplitude near the box edge must stay below edge_tol, so wall reflection
+    amplitude near the box edge must stay below EDGE_GATE, so wall reflection
     and wrap-around stay far below the measured gaps.
     """
     if grid.half_width < R + margin:
@@ -111,27 +102,21 @@ def check_box_gate(
         )
     if evolved is not None:
         amp = edge_amplitude(evolved)
-        if amp > edge_tol:
+        if amp > EDGE_GATE:
             raise ValidityGateError(
-                f"evolved packet edge amplitude {amp:.2e} exceeds gate {edge_tol:.0e}"
+                f"evolved packet edge amplitude {amp:.2e} exceeds gate {EDGE_GATE:.0e}"
             )
 
 
-def propagator_gap(
-    decomp: SpectralDecomposition,
-    f: WaveFunction,
-    t: float,
-    R: float,
-    margin: float = 16.0,
-) -> float:
+def propagator_gap(decomp: SpectralDecomposition, f: WaveFunction, t: float, R: float) -> float:
     """
     L2 distance between trapped and free evolution of f at time t.
 
-    The free side uses the grid dispersion so both propagators act on the
-    same discretized model; the gap then measures the confinement effect
-    down to the roundoff floor.
+    The free side uses the grid Laplacian's symbol, so both propagators act
+    on the same discretized model; the gap then measures the confinement
+    effect down to the roundoff floor.
     """
-    return gated_gap(f, evolve_spectral(decomp, f, t), t, R, margin=margin)
+    return gated_gap(f, evolve_spectral(decomp, f, t), t, R)
 
 
 def gated_gap(
@@ -145,7 +130,7 @@ def gated_gap(
     L2 distance between `trapped`, the trapped evolution of f at time t, and
     the free evolution of f, after the box gate on both packets (free first).
     """
-    g_free = evolve_free(f, t, dispersion="grid")
+    g_free = evolve_free(f, t)
     check_box_gate(f.grid, R, margin=margin, evolved=g_free)
     check_box_gate(f.grid, R, margin=margin, evolved=trapped)
     diff = trapped.values - g_free.values
@@ -163,15 +148,14 @@ def duhamel_bound(
     R: float,
     coupling: float = 1.0,
     rel_tol: float = 1e-6,
-    min_nodes: int = 33,
 ) -> float:
     """
     Integral bound on the propagator gap:
 
         Integral_0^t du  c^2 * sqrt( Integral_{|x|>=R} (x^2-R^2)^2 |f_u(x)|^2 dx )
 
-    with f_u the freely evolved packet.  Composite Simpson in u with node
-    doubling until the relative change drops below rel_tol.  At 4096
+    with f_u the freely evolved packet.  Composite Simpson in u from 32
+    intervals, doubling until the relative change drops below rel_tol.  At 4096
     intervals a last change within the integral of the integrand's roundoff
     floor (machine epsilon times max |f| per sample, weighted as above) is
     accepted, since no refinement can beat it; any larger change raises
@@ -185,12 +169,10 @@ def duhamel_bound(
     dx = f.grid.dx
 
     def integrand(u: float) -> float:
-        psi = evolve_free(f, u, dispersion="grid")
+        psi = evolve_free(f, u)
         return float(np.sqrt((wgt * np.abs(psi.values) ** 2).sum() * dx))
 
-    n = min_nodes - 1  # number of intervals, even
-    if n % 2:
-        n += 1
+    n = 32  # number of intervals, even
     us = np.linspace(0.0, t, n + 1)
     vals = np.array([integrand(u) for u in us])
 

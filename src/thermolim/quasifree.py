@@ -49,21 +49,6 @@ def bose_occupation(eps, beta: float, mu: float):
     return out
 
 
-@dataclass(frozen=True)
-class BoseWeightTable:
-    """Per-eigenvalue occupations of a spectral decomposition."""
-
-    beta: float
-    mu: float
-    eigenvalues: np.ndarray
-    occupations: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        occ = bose_occupation(self.eigenvalues, self.beta, self.mu)
-        occ.flags.writeable = False
-        object.__setattr__(self, "occupations", occ)
-
-
 # ---------------------------------------------------------------------------
 # Condensate modes
 # ---------------------------------------------------------------------------
@@ -113,7 +98,7 @@ class QuasifreeState:
     decomposition: SpectralDecomposition
     kappa: float = 0.0
     mode: Optional[CondensateMode] = None
-    weights: BoseWeightTable = field(init=False, repr=False)
+    occupations: np.ndarray = field(init=False, repr=False)  # per eigenvalue, read-only
 
     def __post_init__(self):
         if self.beta <= 0:
@@ -127,11 +112,9 @@ class QuasifreeState:
             raise DomainError("kappa must be >= 0")
         if self.kappa > 0 and self.mode is None:
             raise DomainError("condensate with kappa > 0 needs a mode")
-        object.__setattr__(
-            self,
-            "weights",
-            BoseWeightTable(self.beta, self.mu, self.decomposition.eigenvalues),
-        )
+        occ = bose_occupation(self.decomposition.eigenvalues, self.beta, self.mu)
+        occ.flags.writeable = False
+        object.__setattr__(self, "occupations", occ)
 
     def mode_overlaps(self, f: WaveFunction) -> np.ndarray:
         """<psi_k, f> for every eigenmode."""
@@ -170,7 +153,7 @@ def two_point(state: QuasifreeState, f: WaveFunction, g: WaveFunction) -> comple
     """
     cf = state.mode_overlaps(f)
     cg = state.mode_overlaps(g)
-    val = complex((state.weights.occupations * np.conj(cg) * cf).sum())
+    val = complex((state.occupations * np.conj(cg) * cf).sum())
     if state.kappa > 0:
         hf = state.mode.pairing(f)
         hg = state.mode.pairing(g)
@@ -187,7 +170,7 @@ def kms_defect(state: QuasifreeState, f: WaveFunction, g: WaveFunction) -> float
     """
     cf = state.mode_overlaps(f)
     cg = state.mode_overlaps(g)
-    n = state.weights.occupations
+    n = state.occupations
     boltz = np.exp(-state.beta * (state.decomposition.eigenvalues - state.mu))
     n_dual = boltz * (1.0 + n)
     a = complex((n * np.conj(cg) * cf).sum())
@@ -198,7 +181,7 @@ def kms_defect(state: QuasifreeState, f: WaveFunction, g: WaveFunction) -> float
 def position_density(state: QuasifreeState, x: float) -> float:
     """Diagonal of the density matrix: sum_k n_k |psi_k(x)|^2 + kappa^2 |h(x)|^2."""
     j = state.decomposition.grid.index_of(x)
-    dens = float((state.weights.occupations * state.decomposition.eigenvectors[j, :] ** 2).sum())
+    dens = float((state.occupations * state.decomposition.eigenvectors[j, :] ** 2).sum())
     if state.kappa > 0:
         if isinstance(state.mode, GridMode):
             dens += state.kappa**2 * state.mode.density_at(j)
@@ -215,7 +198,7 @@ def local_particle_number(state: QuasifreeState, a: float, b: float) -> float:
     if a < -grid.half_width or b > grid.half_width:
         raise DomainError("region outside the grid")
     m = (grid.x >= a) & (grid.x < b)
-    dens = (state.weights.occupations[None, :] * state.decomposition.eigenvectors[m, :] ** 2).sum()
+    dens = (state.occupations[None, :] * state.decomposition.eigenvectors[m, :] ** 2).sum()
     if state.kappa > 0:
         if isinstance(state.mode, GridMode):
             dens += state.kappa**2 * (np.abs(state.mode.wavefunction.values[m]) ** 2).sum()
@@ -232,7 +215,7 @@ def thermal_edge_weight(state: QuasifreeState, zone: float = 4.0) -> float:
     grid = state.decomposition.grid
     m = np.abs(grid.x) >= grid.half_width - zone
     v = state.decomposition.eigenvectors
-    n = state.weights.occupations
+    n = state.occupations
     # per-row density sum_k n_k psi_k(x)^2, squared in row blocks so no
     # temporary grows to the size of the eigenvector matrix
     density = np.empty(v.shape[0])
@@ -259,6 +242,8 @@ def homogeneous_density(beta: float, mu: float, s: int) -> float:
     """
     if s not in (1, 2, 3):
         raise DomainError(f"dimension must be 1, 2 or 3, got {s}")
+    if beta <= 0:
+        raise DomainError("beta must be positive")
     if s in (1, 2) and mu >= 0:
         raise DivergenceError(f"density diverges for mu >= 0 in dimension {s}")
     if s == 3 and mu > 0:
@@ -279,9 +264,7 @@ def homogeneous_density(beta: float, mu: float, s: int) -> float:
     return float(val / (2.0 * np.pi) ** s)
 
 
-def momentum_weight(
-    f: WaveFunction, beta: float, mu: float, rel_tol: float = 1e-10
-) -> float:
+def momentum_weight(f: WaveFunction, beta: float, mu: float) -> float:
     """
     <f, T f> in the homogeneous 1D state: Integral |fhat(p)|^2 n(p^2) dp,
     with fhat from direct quadrature (continuum-quality near p = 0).
@@ -297,7 +280,7 @@ def momentum_weight(
     p_cut = np.sqrt((600.0 + beta * max(-mu, 0.0)) / beta)
     cuts = [c for c in (sq, 10 * sq, 1.0) if 0 < c < p_cut]
     val, _ = quad(
-        integrand, 0.0, p_cut, points=sorted(set(cuts)), limit=400, epsabs=0.0, epsrel=rel_tol
+        integrand, 0.0, p_cut, points=sorted(set(cuts)), limit=400, epsabs=0.0, epsrel=1e-10
     )
     return float(2.0 * val)  # integrand is even in p
 
@@ -343,7 +326,7 @@ def field_resolvent_expectation(state, lam: float, f: WaveFunction) -> float:
 def _thermal_weight_of(state, f: WaveFunction) -> float:
     if isinstance(state, QuasifreeState):
         c = state.mode_overlaps(f)
-        return float((state.weights.occupations * np.abs(c) ** 2).sum())
+        return float((state.occupations * np.abs(c) ** 2).sum())
     if isinstance(state, HomogeneousState):
         if state.dimension != 1:
             raise DomainError("grid test functions pair with the 1D homogeneous state")
@@ -351,10 +334,10 @@ def _thermal_weight_of(state, f: WaveFunction) -> float:
     raise TypeError(f"unsupported state {type(state)!r}")
 
 
-def geometric_resolvent_series(nbar: float, norm_sq: float, lam: float, tol: float = 1e-12) -> float:
+def geometric_resolvent_series(nbar: float, norm_sq: float, lam: float) -> float:
     """
     sum_{n>=0} nbar^n (1+nbar)^(-(n+1)) (lam + n ||f||^2)^(-1), summed until
-    the geometric tail bound drops below tol / lam.
+    the geometric tail bound drops below 1e-12 / lam.
     """
     if nbar < 0:
         raise DomainError("occupation must be >= 0")
@@ -367,7 +350,7 @@ def geometric_resolvent_series(nbar: float, norm_sq: float, lam: float, tol: flo
         total += p_n / (lam + n * norm_sq)
         p_n *= q
         n += 1
-        if p_n / lam < tol and n > 8:
+        if p_n / lam < 1e-12 and n > 8:
             return float(total)
 
 

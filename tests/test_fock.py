@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 
 import numpy as np
@@ -33,6 +34,16 @@ def test_mode_count_validation():
 def test_dimension_cap():
     with pytest.raises(FockConfigError):
         build_fock(3, 100, 300)
+    with pytest.raises(FockConfigError, match="100001"):
+        build_fock(1, 10**5, 10**5)
+
+
+def test_dimension_cap_is_checked_before_enumerating_the_basis():
+    # 1.7e17 basis states: enumerating them would not finish
+    start = time.perf_counter()
+    with pytest.raises(FockConfigError):
+        build_fock(3, 10**6, 10**6)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_ccr_exact_on_interior():

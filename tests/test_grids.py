@@ -11,7 +11,6 @@ from thermolim.grids import (
     inner,
     make_grid,
     to_momentum,
-    to_position,
 )
 
 
@@ -107,12 +106,6 @@ def test_momentum_zero_component(fine_grid):
 def test_plancherel(fine_grid):
     f = bump(1.0, 2.0, fine_grid)
     assert abs(to_momentum(f).norm() - f.norm()) < 1e-10
-
-
-def test_momentum_roundtrip(fine_grid):
-    f = bump(0.5, 2.0, fine_grid)
-    back = to_position(to_momentum(f))
-    assert np.abs(back.values - f.values).max() < 1e-10
 
 
 def test_translation_leaves_magnitude(fine_grid):

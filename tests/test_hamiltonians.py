@@ -3,16 +3,15 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from thermolim.grids import GridConfigError, RadialGrid, make_grid
+from thermolim.grids import GridConfigError, RadialGrid, bump, make_grid
 from thermolim.hamiltonians import (
-    PotentialSpec,
     SpectralDecomposition,
     TridiagonalOperator,
     _fix_signs,
     assemble,
     diagonalize,
     free_potential,
-    ground_pair,
+    parity_of,
     radial_assemble,
     residual_norms,
     soft_wall_trap,
@@ -54,7 +53,7 @@ def test_particle_in_box_spectrum():
 def test_harmonic_spectrum():
     # full harmonic well: levels 2k+1 for H = -d2/dx2 + x^2
     g = make_grid(12.0, 2048)
-    d = diagonalize(assemble(g, PotentialSpec("truncated_harmonic", radius=0.0)), n_modes=6)
+    d = diagonalize(assemble(g, soft_wall_trap(0.0)), n_modes=6)
     for k in range(6):
         exact = 2 * k + 1
         assert abs(d.eigenvalues[k] - exact) / exact < 0.01
@@ -147,25 +146,19 @@ def test_sign_convention_deterministic():
 
 
 def test_ground_pair_parities():
+    # the trap's lowest two modes
     d = trap_decomposition(8.0, dx_target=0.0625, n_modes=2, n_cap=2048)
-    _, _, par0 = ground_pair(d, 0)
-    _, _, par1 = ground_pair(d, 1)
-    assert par0 == "even"
-    assert par1 == "odd"
+    assert [parity_of(d.mode(k)) for k in (0, 1)] == ["even", "odd"]
 
 
 def test_asymmetric_potential_has_no_parity():
     g = make_grid(12.0, 1024)
-    tilt = PotentialSpec("general", coupling=0.5, sampled=0.3 * np.exp(-((g.x - 1.0) ** 2)))
-    d = diagonalize(assemble(g, tilt), n_modes=1)
-    _, _, par = ground_pair(d, 0)
-    assert par == "none"
-
-
-def test_ground_pair_index_bounds():
-    d = trap_decomposition(6.0, dx_target=0.125, n_modes=2, n_cap=1024)
-    with pytest.raises(GridConfigError):
-        ground_pair(d, 5)
+    assert parity_of(bump(1.0, 2.0, g)) == "none"
+    assert parity_of(bump(0.0, 2.0, g)) == "even"
+    # the full well 0.25 x^2 tilted by an off-centre Gaussian
+    H = assemble(g, soft_wall_trap(0.0, 0.5))
+    tilt = TridiagonalOperator(H.diagonal + 0.3 * np.exp(-((g.x - 1.0) ** 2)), H.off_diagonal, g)
+    assert parity_of(diagonalize(tilt, n_modes=1).mode(0)) == "none"
 
 
 def test_eigenvalues_decrease_with_radius():

@@ -7,8 +7,8 @@ import pytest
 from thermolim import lab
 from thermolim.cli import main
 from thermolim.grids import bump, make_grid
-from thermolim.lab import ConfigError, parse_config, run, spectrum_rows, write_spectrum_csv
-from thermolim.hamiltonians import soft_wall_trap, trap_decomposition
+from thermolim.lab import ConfigError, parse_config, run
+from thermolim.hamiltonians import soft_wall_trap
 from thermolim.propagators import (
     QuadratureCapError,
     ValidityGateError,
@@ -141,6 +141,16 @@ LEMMA31_SMALL = {"radius_list": "6, 8, 10, 12", "t_list": "0.25", "c_rules": "1"
         pytest.param("lemma31", {"c_rules": "1, Q"}, "c_rules", id="c_rules"),
         pytest.param("lemma33", {"n_list": "0, 1"}, "n_list", id="n_list"),
         pytest.param("lemma33", {"lam": "0"}, "lam", id="lam"),
+        # range errors the library raises itself (ValueError subclasses and
+        # the Fock truncation guard), not the config resolver
+        pytest.param("lemma31", {"n_points": "15"}, "n_points must be even", id="n_points = 15"),
+        pytest.param("thermal", {"mu": "0.5"}, "diverges", id="mu = 0.5"),
+        pytest.param("thermal", {"beta": "-1"}, "beta must be positive", id="beta = -1"),
+        pytest.param("resolvent", {"n_total": "5"}, "truncation weight", id="n_total = 5"),
+        pytest.param("mulimit", {"mu_list": "-0.1, 0.2"}, "mu_list", id="mu_list = -0.1, 0.2"),
+        pytest.param("memory", {"beta": "0"}, "beta must be positive", id="beta = 0"),
+        pytest.param("lemma33", {"bump_radius": "-1"}, "radius must be positive", id="bump_radius = -1"),
+        pytest.param("condensate1d", {"x_probes": "1.03"}, "not a grid point", id="x_probes = 1.03"),
     ],
 )
 def test_cli_rejects_a_bad_radius_list_before_solving(experiment, bad, expect, monkeypatch, tmp_path,
@@ -153,7 +163,9 @@ def test_cli_rejects_a_bad_radius_list_before_solving(experiment, bad, expect, m
     cfg = tmp_path / "run.cfg"
     cfg.write_text("".join(f"{k} = {v}\n" for k, v in config.items()))
     assert main([experiment, "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
-    assert expect in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert expect in err
+    assert "Traceback" not in err
     assert not (tmp_path / "r").exists()
 
 
@@ -230,6 +242,16 @@ def test_cli_missing_config_is_exit_2(tmp_path):
     assert main(["oracle", "--config", str(tmp_path / "nope.cfg")]) == 2
 
 
+@pytest.mark.parametrize("content", [b"not a key value line\n", b"\xff\xfe = 1\n"],
+                         ids=["malformed", "undecodable"])
+def test_cli_unparsable_config_is_exit_2(content, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(content)
+    assert main(["oracle", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not (tmp_path / "r").exists()
+
+
 def test_report_csv_plain_floats(tmp_path):
     rep = run("lemma33", {"n_list": [1], "n_points": 1024, "trials": 2})
     rep.write(tmp_path)
@@ -244,15 +266,3 @@ def test_memory_without_condensate_is_decay_only():
     assert rep.verdicts["thermal_decay"] is True
     assert any("decay-only" in n for n in rep.notes)
 
-
-def test_spectrum_export_rows(tmp_path):
-    decomp = trap_decomposition(8.0, dx_target=0.125, n_modes=3, n_cap=1024)
-    rows = spectrum_rows(decomp)
-    assert [r[0] for r in rows] == [0, 1, 2]
-    assert rows[0][2] == "even" and rows[1][2] == "odd"
-    assert rows[0][1] < rows[1][1] < rows[2][1]
-    out = tmp_path / "spectrum.csv"
-    write_spectrum_csv(decomp, str(out))
-    lines = out.read_text().splitlines()
-    assert lines[0] == "index,eigenvalue,parity"
-    assert len(lines) == 4

@@ -83,8 +83,7 @@ def test_spectral_evolution_does_not_copy_the_eigenvectors():
 def test_free_identity_and_unitarity(trap_setup):
     _, _, _, f = trap_setup
     assert l2_diff(evolve_free(f, 0.0), f) < 1e-13
-    for disp in ("grid", "continuum"):
-        assert abs(evolve_free(f, 1.3, dispersion=disp).norm() - 1.0) < 1e-10
+    assert abs(evolve_free(f, 1.3).norm() - 1.0) < 1e-10
 
 
 def test_free_cross_check_against_spectral():
@@ -94,8 +93,6 @@ def test_free_cross_check_against_spectral():
     decomp = diagonalize(assemble(grid, free_potential()))
     spectral = evolve_spectral(decomp, f, 1.0)
     assert l2_diff(evolve_free(f, 1.0), spectral) < 1e-6
-    # the continuum multiplier differs from the discretized model at O(dx^2)
-    assert l2_diff(evolve_free(f, 1.0, dispersion="continuum"), spectral) < 1e-4
 
 
 def test_gap_zero_at_t0(trap_setup):

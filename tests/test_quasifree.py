@@ -8,7 +8,6 @@ from thermolim.grids import RadialGrid, bump, bump_profile, make_grid
 from thermolim.hamiltonians import assemble, diagonalize, soft_wall_trap, trap_decomposition
 from thermolim.propagators import evolve_spectral
 from thermolim.quasifree import (
-    BoseWeightTable,
     ConstantMode,
     DivergenceError,
     DomainError,
@@ -42,10 +41,15 @@ def trap_state():
 
 def test_bose_occupation_monotone():
     eps = np.array([0.1, 0.5, 2.0, 10.0])
-    table = BoseWeightTable(1.0, -0.5, eps)
-    occ = table.occupations
+    occ = bose_occupation(eps, 1.0, -0.5)
     assert np.all(occ > 0)
     assert np.all(np.diff(occ) < 0)
+
+
+def test_state_occupations_are_read_only(trap_state):
+    occ = trap_state.occupations
+    assert np.array_equal(occ, bose_occupation(trap_state.decomposition.eigenvalues, 1.0, -1.0))
+    assert not occ.flags.writeable
 
 
 def test_bose_occupation_needs_gap():
@@ -176,7 +180,7 @@ def box_state():
 def test_thermal_edge_weight_matches_the_full_sum(box_state):
     grid = box_state.decomposition.grid
     v = box_state.decomposition.eigenvectors
-    n = box_state.weights.occupations
+    n = box_state.occupations
     for zone in (1.0, 4.0):
         m = np.abs(grid.x) >= grid.half_width - zone
         expected = (n[None, :] * v[m, :] ** 2).sum() / (n[None, :] * v**2).sum()
