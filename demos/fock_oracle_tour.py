@@ -20,7 +20,7 @@ print(f"commutator defect on interior states: {ccr_defect(space):.2e}")
 print()
 print("number-resolvent sector norms are 1/lam in every sector:")
 blocks = number_resolvent_matrix(space, 2.0, np.array([0.6, 0.8]))
-print("  norms:", ["%.6f" % b.norm() for b in blocks])
+print("  norms:", ["%.6f" % np.linalg.norm(b, 2) for b in blocks])
 
 print()
 print("norms of evolved-resolvent differences, exactly, per sector:")

@@ -31,7 +31,7 @@ for R in radii:
     decomp = diagonalize(assemble(grid, soft_wall_trap(R, coupling=1.0)))
     f = bump(0.0, 2.0, grid)
     gap = propagator_gap(decomp, f, t, R)
-    bound = duhamel_bound(f, t, R, coupling=1.0)
+    bound = duhamel_bound(f, t, R)  # at c = 1; c^2 times this for coupling c
     slope = (
         (np.log(gap) - np.log(gaps[-1])) / (np.log(R) - np.log(radii[len(gaps) - 1]))
         if gaps

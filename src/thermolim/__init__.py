@@ -73,7 +73,6 @@ from .quasifree import (
 )
 from .fock import (
     FockSpace,
-    SectorOperator,
     build_fock,
     gibbs_number_resolvent,
     gibbs_trace_expectation,

@@ -138,7 +138,7 @@ def smeared_mode_limit(
         pairings.append(float((h.values.real * fR.values.real).sum() * h.grid.dx))
         eigenvalues.append(eps)
         if limit is None:
-            limit = float(fR.integral().real if parity == "even" else fR.moment(1).real)
+            limit = float(fR.integral().real if parity == "even" else fR.moment().real)
     devs = [abs(p - limit) for p in pairings]
     out = ModeAsymptotics(parity, radii, eigenvalues, pairings, limit, devs)
     if all(d > 0 for d in devs):

@@ -6,12 +6,15 @@
 # The basis consists of occupation tuples (n_1, ..., n_m) with n_i <= n_max
 # and sum n_i <= N_total.  Creation/annihilation matrix elements are exact;
 # truncation only removes states, so commutation relations hold exactly on
-# every state with headroom.  The number resolvent (lam + a*(f) a(f))^(-1)
-# conserves particle number, so it is built, inverted and traced one
-# sector at a time from the exact sector-to-sector annihilator blocks; no
-# D x D matrix is formed for it.  The field resolvent (phi(f) changes the
-# particle number) and the self-tests (commutators, annihilator matrices)
-# stay dense: the oracle must be obviously correct, not fast.
+# every state with headroom.  a(f) is built two ways: the dense dict-loop
+# matrix (the obviously correct reference, used by the self-tests and the
+# field resolvent) and its vectorised sector-to-sector blocks.  The number
+# resolvent (lam + a*(f) a(f))^(-1) conserves particle number, so it is
+# built, inverted and traced one sector at a time from those blocks, as a
+# list of plain arrays indexed by the particle number; no D x D matrix is
+# formed for it.  The pair norms of evolved resolvents run on the same
+# blocks over two modes.  The field resolvent (phi(f) changes the particle
+# number) stays dense and reads the diagonal of one inverse.
 
 from __future__ import annotations
 
@@ -141,44 +144,25 @@ def ccr_defect(space: FockSpace) -> float:
     return worst
 
 
-@dataclass(frozen=True)
-class SectorOperator:
-    """Dense block of an operator restricted to a total-number sector."""
-
-    sector: int
-    matrix: np.ndarray
-
-    def norm(self) -> float:
-        if self.matrix.size == 0:
-            return 0.0
-        return float(np.linalg.svd(self.matrix, compute_uv=False)[0])
+def sector_blocks(space: FockSpace, op: np.ndarray) -> list[np.ndarray]:
+    """Split a number-conserving operator into its sector blocks, indexed by particle number."""
+    return [op[np.ix_(space.sectors[n], space.sectors[n])] for n in sorted(space.sectors)]
 
 
-def sector_blocks(space: FockSpace, op: np.ndarray) -> list[SectorOperator]:
-    """Split a number-conserving operator into its sector blocks."""
-    out = []
-    for n in sorted(space.sectors):
-        idx = space.sectors[n]
-        out.append(SectorOperator(n, op[np.ix_(idx, idx)]))
-    return out
-
-
-def number_resolvent_matrix(space: FockSpace, lam: float, coeffs: np.ndarray) -> list[SectorOperator]:
+def number_resolvent_matrix(space: FockSpace, lam: float, coeffs: np.ndarray) -> list[np.ndarray]:
     """
-    Exact (lam + a*(f) a(f))^(-1), blockwise per particle-number sector.
+    Exact (lam + a*(f) a(f))^(-1), blockwise: entry n is its block on the
+    n-particle sector.
     """
     if lam <= 0:
         raise FockConfigError(f"lambda must be positive, got {lam}")
-    return [
-        SectorOperator(n, np.linalg.inv(lam * np.eye(len(X)) + X))
-        for n, X in _number_sector_blocks(space, coeffs)
-    ]
+    return [np.linalg.inv(lam * np.eye(len(X)) + X) for X in _number_sector_blocks(space, coeffs)]
 
 
 def _number_sector_blocks(space: FockSpace, coeffs):
     """
-    Yield (n, X_n) for every particle-number sector n in ascending order,
-    where X_n is the block of a*(f) a(f) on sector n in basis order.
+    Yield X_n for every particle-number sector n in ascending order, where
+    X_n is the block of a*(f) a(f) on sector n in basis order.
 
     X_n = A_n^* A_n with A_n the block of a(f) from sector n to sector
     n - 1; a(f) maps sector n into sector n - 1 only, so these are exactly
@@ -195,7 +179,7 @@ def _number_sector_blocks(space: FockSpace, coeffs):
     for n in sorted(space.sectors):
         idx = space.sectors[n]
         if n == 0:
-            yield n, np.zeros((1, 1), dtype=complex)
+            yield np.zeros((1, 1), dtype=complex)
             continue
         lower = keys[space.sectors[n - 1]]
         a = np.zeros((len(lower), len(idx)), dtype=complex)
@@ -204,18 +188,19 @@ def _number_sector_blocks(space: FockSpace, coeffs):
             cols = np.flatnonzero(occ_m)
             rows = np.searchsorted(lower, keys[idx[cols]] - radix[m])
             a[rows, cols] = np.conj(c) * np.sqrt(occ_m[cols])
-        yield n, a.conj().T @ a
+        yield a.conj().T @ a
 
 
-def sector_norm_monotonicity(blocks: list[SectorOperator]):
+def sector_norm_monotonicity(blocks: list[np.ndarray]):
     """
     Check that sector norms are nondecreasing in the particle number.
 
-    Returns (verdict, norms, running_max) where verdict is True when
+    blocks[k] is the operator's block on the k-particle sector.  Returns
+    (verdict, norms, running_max) where verdict is True when
     ||A||_k <= ||A||_{k+1} + 1e-12 for all consecutive sectors, norms lists
     the per-sector values and running_max their max_{j<=k} ||A||_j.
     """
-    norms = [b.norm() for b in blocks]
+    norms = [float(np.linalg.norm(b, 2)) for b in blocks]
     ok = all(a <= b + 1e-12 for a, b in zip(norms, norms[1:]))
     running_max = np.maximum.accumulate(norms).tolist()
     return ok, norms, running_max
@@ -224,19 +209,6 @@ def sector_norm_monotonicity(blocks: list[SectorOperator]):
 # ---------------------------------------------------------------------------
 # Exact sector norms for pairs of evolved resolvents
 # ---------------------------------------------------------------------------
-
-
-def _pair_annihilators(k: int):
-    # a_1, a_2 : Sym^k(C^2) -> Sym^(k-1)(C^2), states indexed by the count
-    # of mode 1 (target index is its mode-1 count; rows padded to k+1)
-    a1 = np.zeros((k + 1, k + 1))
-    a2 = np.zeros((k + 1, k + 1))
-    for j in range(k + 1):
-        if j >= 1:
-            a1[j - 1, j] = np.sqrt(j)
-        if k - j >= 1:
-            a2[j, j] = np.sqrt(k - j)
-    return a1, a2
 
 
 def _span_coordinates(norm1: float, norm2: float, overlap: complex):
@@ -263,23 +235,16 @@ def resolvent_pair_sector_norm(
 
     The difference acts nontrivially only on the two-dimensional span of
     g1, g2; on the n-particle sector it decomposes over the occupation k of
-    that span into (k+1)-dimensional blocks, and the norm is the max block
-    norm over k <= n.  Linearly dependent g1, g2 reduce to the k-dim case
-    automatically (perpendicular coordinate 0).
+    that span into the k-particle sector blocks of the two-mode number
+    resolvents, and the norm is the max block norm over k <= n.  Linearly
+    dependent g1, g2 reduce to the one-mode case automatically
+    (perpendicular coordinate 0).
     """
-    if lam <= 0:
-        raise FockConfigError(f"lambda must be positive, got {lam}")
     g1c, g2c = _span_coordinates(norm1, norm2, overlap)
-    worst = 0.0
-    for k in range(n + 1):
-        a1, a2 = _pair_annihilators(k)
-        mats = []
-        for g in (g1c, g2c):
-            ag = np.conj(g[0]) * a1 + np.conj(g[1]) * a2
-            X = ag.conj().T @ ag
-            mats.append(np.linalg.inv(lam * np.eye(k + 1) + X))
-        worst = max(worst, np.abs(np.linalg.eigvalsh(mats[0] - mats[1])).max())
-    return worst
+    space = build_fock(2, n, n)
+    A = number_resolvent_matrix(space, lam, g1c)
+    B = number_resolvent_matrix(space, lam, g2c)
+    return max(float(np.abs(np.linalg.eigvalsh(a - b)).max()) for a, b in zip(A, B))
 
 
 def evolved_resolvent_sector_norm(lam: float, g1, g2, n: int, inner_product) -> float:
@@ -311,11 +276,14 @@ def _gibbs_weights(space: FockSpace, energies, beta: float, mu: float) -> np.nda
 
 def truncation_weight(space: FockSpace, energies, beta: float, mu: float) -> float:
     """Relative Gibbs weight of the discarded occupation states."""
-    energies = np.asarray(energies, dtype=float)
-    q = np.exp(-beta * (energies - mu))
+    return _discarded_weight(_gibbs_weights(space, energies, beta, mu), energies, beta, mu)
+
+
+def _discarded_weight(w: np.ndarray, energies, beta: float, mu: float) -> float:
+    # 1 - (truncated partition sum of the weights w) / (untruncated product form)
+    q = np.exp(-beta * (np.asarray(energies, dtype=float) - mu))
     z_full = np.prod(1.0 / (1.0 - q))
-    z_trunc = _gibbs_weights(space, energies, beta, mu).sum()
-    return float(1.0 - z_trunc / z_full)
+    return float(1.0 - w.sum() / z_full)
 
 
 def gibbs_trace_expectation(
@@ -337,12 +305,13 @@ def gibbs_trace_expectation(
 def _checked_gibbs_weights(space, energies, beta, mu) -> np.ndarray:
     # Boltzmann weights of the basis states, refused when the truncation
     # discards more than TRUNCATION_TOL of the Gibbs weight
-    drop = truncation_weight(space, energies, beta, mu)
+    w = _gibbs_weights(space, energies, beta, mu)
+    drop = _discarded_weight(w, energies, beta, mu)
     if drop > TRUNCATION_TOL:
         raise TruncationError(
             f"truncation weight {drop:.2e} above {TRUNCATION_TOL:.0e}; raise the caps"
         )
-    return _gibbs_weights(space, energies, beta, mu)
+    return w
 
 
 def gibbs_number_resolvent(
@@ -360,10 +329,8 @@ def gibbs_number_resolvent(
     on its own and only the diagonals of the inverses are weighted.
     """
     w = _checked_gibbs_weights(space, energies, beta, mu)
-    val = 0.0
-    for n, X in _number_sector_blocks(space, coeffs):
-        inv = np.linalg.inv(lam * np.eye(len(X)) + X)
-        val += (w[space.sectors[n]] * np.diag(inv).real).sum()
+    blocks = number_resolvent_matrix(space, lam, coeffs)
+    val = sum((w[space.sectors[n]] * np.diag(b).real).sum() for n, b in enumerate(blocks))
     return float(val / w.sum())
 
 
@@ -383,9 +350,12 @@ def gibbs_field_resolvent(
     field operator itself has real spectrum, so a real offset would be
     singular).  Reported alongside the Gaussian quadrature formula as a
     diagnostic; the truncation bites harder for field operators, so this is
-    not an oracle equality.
+    not an oracle equality.  The trace reads only the real part of the
+    diagonal, so the inverse is passed as it is.
     """
     af = space.annihilator_of(np.asarray(coeffs, dtype=complex))
-    phi = af + af.conj().T
-    Rm = np.linalg.inv(lam * np.eye(space.dimension) + 1j * phi)
-    return gibbs_trace_expectation(space, 0.5 * (Rm + Rm.conj().T), energies, beta, mu)
+    M = af + af.conj().T
+    del af  # the inverse then peaks at three complex D x D matrices, with M
+    M *= 1j
+    M[np.diag_indices_from(M)] += lam
+    return gibbs_trace_expectation(space, np.linalg.inv(M), energies, beta, mu)

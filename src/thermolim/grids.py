@@ -119,9 +119,9 @@ class WaveFunction:
         """Riemann sum of the samples (the pairing with the constant 1)."""
         return complex(self.values.sum() * self.grid.dx)
 
-    def moment(self, k: int = 1) -> complex:
-        """Riemann sum of x^k f(x)."""
-        return complex((self.grid.x**k * self.values).sum() * self.grid.dx)
+    def moment(self) -> complex:
+        """Riemann sum of x f(x) (the pairing with the linear mode x)."""
+        return complex((self.grid.x * self.values).sum() * self.grid.dx)
 
     def reflected(self) -> "WaveFunction":
         """Reflection x -> -x (index j -> (n-j) mod n)."""

@@ -246,7 +246,7 @@ def run_propagator_scan(config: dict) -> Report:
         gaps = []
         for t, trapped in zip(ts, evolve_spectral(decomp, f, ts)):
             try:
-                gaps.append(gated_gap(f, trapped, t, R, margin=cfg["margin"]))
+                gaps.append(gated_gap(evolve_free(f, t), trapped, R, margin=cfg["margin"]))
             except ValidityGateError as exc:
                 gaps.append(exc)
         return f, gaps
@@ -254,6 +254,16 @@ def run_propagator_scan(config: dict) -> Report:
     jobs = [(rule, R) for rule in rules for R in radii]
     with ThreadPoolExecutor(max_workers=max(1, cfg["threads"])) as pool:
         scanned = dict(zip(jobs, pool.map(scan_radius, jobs)))
+
+    # the Duhamel bound is c^2 times its c = 1 integral, which depends on
+    # (t, R) alone (the packet does not depend on the rule): computed once,
+    # on the first branch whose box gate passed
+    unit_bounds = {}
+
+    def bound(rule_name, t, R):
+        if (t, R) not in unit_bounds:
+            unit_bounds[(t, R)] = duhamel_bound(scanned[(rule_name, R)][0], t, R)
+        return coupling[rule_name](R) ** 2 * unit_bounds[(t, R)]
 
     for rule_name in rules:
         for k, t in enumerate(ts):
@@ -269,10 +279,7 @@ def run_propagator_scan(config: dict) -> Report:
                 continue
             scan = gap_decay_scan(t, radii, gaps)
             rep.gates[f"box[{rule_name},t={t}]"] = True
-            bounds = [
-                duhamel_bound(scanned[(rule_name, R)][0], t, R, coupling=coupling[rule_name](R))
-                for R in radii
-            ]
+            bounds = [bound(rule_name, t, R) for R in radii]
             decreasing = bool(np.all(np.diff(scan.gaps) < 0))
             bound_ok = all(g <= b + cfg["bound_slack"] for g, b in zip(scan.gaps, bounds))
             rep.verdicts[f"scan[{rule_name},t={t}]"] = scan.verdict
@@ -288,7 +295,8 @@ def run_sector_norms(config: dict) -> Report:
     """
     Exact sector norms of evolved-resolvent differences against the
     2 n ||f|| gap bound, plus seeded monotonicity trials for random
-    two-term products of number resolvents.
+    two-term products of number resolvents.  Each gap passes the box gate
+    first; a failure raises ValidityGateError.
     """
     cfg = _resolve({
         "n_list": [1, 2, 3],
@@ -320,13 +328,11 @@ def run_sector_norms(config: dict) -> Report:
         decomp = diagonalize(assemble(grid, soft_wall_trap(R, 1.0)))
         g1 = evolve_spectral(decomp, f, t)
         g2 = evolve_free(f, t)
+        gap = gated_gap(g2, g1, R)  # the box gate of every trapped-vs-free experiment
         exact = fock.evolved_resolvent_sector_norm(lam, g1, g2, n_sec, inner)
-        gap = np.sqrt(inner(
-            g1.with_values(g1.values - g2.values), g1.with_values(g1.values - g2.values)
-        ).real)
         bnd = observable_gap_bound(n_sec, lam, f, gap)
         ok = exact <= bnd + cfg["bound_slack"]
-        rep.rows.append((n_sec, R, float(gap), exact, bnd, ok))
+        rep.rows.append((n_sec, R, gap, exact, bnd, ok))
         norms.append(exact)
     rep.verdicts["bound"] = all(r[5] for r in rep.rows)
     rep.verdicts["decreasing"] = bool(np.all(np.diff(norms) < 0))
@@ -343,8 +349,7 @@ def run_sector_norms(config: dict) -> Report:
         lam1, lam2 = rng.uniform(0.5, 2.0, size=2)
         A1 = fock.number_resolvent_matrix(space, lam1, c1)
         A2 = fock.number_resolvent_matrix(space, lam2, c2)
-        products = [fock.SectorOperator(a.sector, a.matrix @ b.matrix) for a, b in zip(A1, A2)]
-        ok, _, _ = fock.sector_norm_monotonicity(products[:4])
+        ok, _, _ = fock.sector_norm_monotonicity([a @ b for a, b in zip(A1[:4], A2[:4])])
         mono_ok = mono_ok and ok
     rep.verdicts["sector_monotonicity"] = mono_ok
     return rep
@@ -642,7 +647,7 @@ def run_oracle_selftest(config: dict) -> Report:
     rep.rows.append(("ccr_defect", ccr, ccr < 1e-12))
 
     blocks = fock.number_resolvent_matrix(sp, 1.0, np.array([0.6, 0.8]))
-    norm_ok = all(abs(b.norm() - 1.0) < 1e-12 for b in blocks)
+    norm_ok = all(abs(np.linalg.norm(b, 2) - 1.0) < 1e-12 for b in blocks)
     rep.rows.append(("resolvent_sector_norm_1_over_lam", 1.0, norm_ok))
 
     # spectator mode (see run_sector_norms) so monotonicity can hold
@@ -653,8 +658,7 @@ def run_oracle_selftest(config: dict) -> Report:
         c1, c2 = _spectator_coeffs(rng), _spectator_coeffs(rng)
         A = fock.number_resolvent_matrix(sp3, 1.0, c1)
         B = fock.number_resolvent_matrix(sp3, 1.0, c2)
-        differences = [fock.SectorOperator(a.sector, a.matrix - b.matrix) for a, b in zip(A, B)]
-        ok, _, _ = fock.sector_norm_monotonicity(differences[:4])
+        ok, _, _ = fock.sector_norm_monotonicity([a - b for a, b in zip(A[:4], B[:4])])
         mono_all = mono_all and ok
     rep.rows.append(("difference_monotonicity_trials", cfg["trials"], mono_all))
     rep.verdicts["all"] = all(bool(r[2]) for r in rep.rows)

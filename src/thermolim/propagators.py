@@ -116,56 +116,42 @@ def propagator_gap(decomp: SpectralDecomposition, f: WaveFunction, t: float, R: 
     on the same discretized model; the gap then measures the confinement
     effect down to the roundoff floor.
     """
-    return gated_gap(f, evolve_spectral(decomp, f, t), t, R)
+    return gated_gap(evolve_free(f, t), evolve_spectral(decomp, f, t), R)
 
 
-def gated_gap(
-    f: WaveFunction,
-    trapped: WaveFunction,
-    t: float,
-    R: float,
-    margin: float = 16.0,
-) -> float:
+def gated_gap(free: WaveFunction, trapped: WaveFunction, R: float, margin: float = 16.0) -> float:
     """
-    L2 distance between `trapped`, the trapped evolution of f at time t, and
-    the free evolution of f, after the box gate on both packets (free first).
+    L2 distance between the free and the trapped evolution of one packet to
+    one time, after the box gate on both packets (free first).
     """
-    g_free = evolve_free(f, t)
-    check_box_gate(f.grid, R, margin=margin, evolved=g_free)
-    check_box_gate(f.grid, R, margin=margin, evolved=trapped)
-    diff = trapped.values - g_free.values
-    return float(np.sqrt((np.abs(diff) ** 2).sum() * f.grid.dx))
+    check_box_gate(free.grid, R, margin=margin, evolved=free)
+    check_box_gate(free.grid, R, margin=margin, evolved=trapped)
+    diff = trapped.values - free.values
+    return float(np.sqrt((np.abs(diff) ** 2).sum() * free.grid.dx))
 
 
-def _tail_weight(grid: Grid1D, R: float, coupling: float) -> np.ndarray:
+def _tail_weight(grid: Grid1D, R: float) -> np.ndarray:
     w = np.maximum(grid.x**2 - R**2, 0.0)
-    return coupling**4 * w * w
+    return w * w
 
 
-def duhamel_bound(
-    f: WaveFunction,
-    t: float,
-    R: float,
-    coupling: float = 1.0,
-    rel_tol: float = 1e-6,
-) -> float:
+def duhamel_bound(f: WaveFunction, t: float, R: float, rel_tol: float = 1e-6) -> float:
     """
-    Integral bound on the propagator gap:
+    Integral bound on the propagator gap at unit wall coupling:
 
-        Integral_0^t du  c^2 * sqrt( Integral_{|x|>=R} (x^2-R^2)^2 |f_u(x)|^2 dx )
+        Integral_0^t du  sqrt( Integral_{|x|>=R} (x^2-R^2)^2 |f_u(x)|^2 dx )
 
-    with f_u the freely evolved packet.  Composite Simpson in u from 32
-    intervals, doubling until the relative change drops below rel_tol.  At 4096
-    intervals a last change within the integral of the integrand's roundoff
-    floor (machine epsilon times max |f| per sample, weighted as above) is
-    accepted, since no refinement can beat it; any larger change raises
-    QuadratureCapError.
+    with f_u the freely evolved packet.  The bound is linear in the wall's
+    c^2, so for coupling c it is c^2 times this value.  Composite Simpson in
+    u from 32 intervals, doubling until the relative change drops below
+    rel_tol.  At 4096 intervals a last change within the integral of the
+    integrand's roundoff floor (machine epsilon times max |f| per sample,
+    weighted as above) is accepted, since no refinement can beat it; any
+    larger change raises QuadratureCapError.
     """
     if t == 0:
         return 0.0
-    if coupling == 0:
-        return 0.0
-    wgt = _tail_weight(f.grid, R, coupling)
+    wgt = _tail_weight(f.grid, R)
     dx = f.grid.dx
 
     def integrand(u: float) -> float:

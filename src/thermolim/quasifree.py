@@ -59,7 +59,6 @@ class GridMode:
     """Condensate mode given as an eigenfunction on the grid."""
 
     wavefunction: WaveFunction
-    energy: float = 0.0
 
     def pairing(self, f: WaveFunction) -> complex:
         return inner(self.wavefunction, f)

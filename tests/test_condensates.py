@@ -92,7 +92,7 @@ def test_smeared_limits_and_rates():
     assert even.limit == pytest.approx(make_f(grid_probe).integral().real, rel=1e-12)
     odd = smeared_mode_limit("odd", make_f, radii, dx_target=0.0625)
     assert odd.slope <= -2.0 + 0.3
-    assert odd.limit == pytest.approx(make_f(grid_probe).moment(1).real, rel=1e-12)
+    assert odd.limit == pytest.approx(make_f(grid_probe).moment().real, rel=1e-12)
 
 
 def test_smeared_odd_mode_kills_symmetric_function():

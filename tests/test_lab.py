@@ -170,30 +170,44 @@ def test_cli_rejects_a_bad_radius_list_before_solving(experiment, bad, expect, m
 
 
 def test_cli_echoes_the_config_that_ran(monkeypatch, tmp_path):
-    # a numeric coupling rule is a constant coupling, in the trap and in the bound
+    # a numeric coupling rule is a constant coupling, in the trap and in the
+    # bound, which is c^2 times the unit-coupling Duhamel integral
     couplings = []
 
     def trap(R, c):
         couplings.append(c)
         return soft_wall_trap(R, c)
 
-    def bound(*args, coupling):
-        couplings.append(coupling)
-        return duhamel_bound(*args, coupling=coupling)
-
     monkeypatch.setattr(lab, "soft_wall_trap", trap)
-    monkeypatch.setattr(lab, "duhamel_bound", bound)
     cfg = tmp_path / "scan.cfg"
     cfg.write_text("radius_list = 6, 8, 10, 12\nt_list = 0.25\nc_rules = 2.5\nn_points = 256\n")
     assert main(["lemma31", "--config", str(cfg), "--out", str(tmp_path / "r")]) in (0, 1)
-    assert couplings == [2.5] * 8
+    assert couplings == [2.5] * 4
+    lines = (tmp_path / "r" / "propagator_scan.csv").read_text().splitlines()
+    columns, *rows = [line.split(",") for line in lines if not line.startswith("#")]
+    assert [float(row[columns.index("R")]) for row in rows] == [6.0, 8.0, 10.0, 12.0]
+    for row in rows:
+        R = float(row[columns.index("R")])
+        f = bump(0.0, 2.0, make_grid(2 * R + 16.0, 256))
+        assert float(row[columns.index("duhamel_bound")]) == 2.5**2 * duhamel_bound(f, 0.25, R)
     config = json.loads((tmp_path / "r" / "propagator_scan.json").read_text())["config"]
     assert config["radius_list"] == [6.0, 8.0, 10.0, 12.0]
     assert config["t_list"] == [0.25]
     assert config["c_rules"] == ["2.5"]
-    header = (tmp_path / "r" / "propagator_scan.csv").read_text().splitlines()
-    assert "# t_list = [0.25]" in header
-    assert "# radius_list = [6.0, 8.0, 10.0, 12.0]" in header
+    assert "# t_list = [0.25]" in lines
+    assert "# radius_list = [6.0, 8.0, 10.0, 12.0]" in lines
+
+
+def test_cli_lemma33_exits_2_on_the_edge_gate(tmp_path, capsys):
+    # a bump of radius 27 in the [-28, 28] box of R = 6: the free packet
+    # reaches the box edge, so its gap is not a trapped-vs-free gap
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("bump_radius = 27\nn_list = 1\n")
+    assert main(["lemma33", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert "edge amplitude" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "r").exists()
 
 
 @pytest.mark.parametrize("argv, key", [(["oracle", "--threads", "2"], "threads"),

@@ -122,7 +122,7 @@ def test_gap_decreases_with_radius():
 def test_duhamel_zero_cases(trap_setup):
     R, _, _, f = trap_setup
     assert duhamel_bound(f, 0.0, R) == 0.0
-    assert duhamel_bound(f, 1.0, R, coupling=0.0) == 0.0
+    assert duhamel_bound(f.with_values(np.zeros_like(f.values)), 1.0, R) == 0.0
 
 
 def test_duhamel_dominates_gap(trap_setup):

@@ -123,7 +123,7 @@ def test_perturbed_state_stationarity(trap_state):
     decomp = trap_state.decomposition
     state = QuasifreeState(
         beta=1.0, mu=-1.0, decomposition=decomp,
-        kappa=0.7, mode=GridMode(decomp.mode(0), float(decomp.eigenvalues[0])),
+        kappa=0.7, mode=GridMode(decomp.mode(0)),
     )
     f = bump(-1.0, 1.0, decomp.grid)
     g = bump(1.5, 1.0, decomp.grid)
