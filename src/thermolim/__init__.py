@@ -43,7 +43,7 @@ from .hamiltonians import (
     free_potential,
     radial_assemble,
     soft_wall_trap,
-    trap_decomposition,
+    trap_operator,
 )
 from .propagators import (
     DecayReport,
@@ -69,6 +69,7 @@ from .quasifree import (
     number_resolvent_expectation,
     position_density,
     temporal_correlation,
+    thermal_decomposition,
     two_point,
 )
 from .fock import (

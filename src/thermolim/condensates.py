@@ -27,7 +27,7 @@ from .hamiltonians import (
     parity_of,
     radial_assemble,
     soft_wall_trap,
-    trap_decomposition,
+    trap_operator,
 )
 
 
@@ -93,7 +93,7 @@ def trap_mode(R: float, parity: str, dx_target: float = 0.03125):
     Returns (eps, h) with eps the measured eigenvalue and h the renormalized
     mode on its grid.
     """
-    decomp = trap_decomposition(R, dx_target=dx_target, n_modes=2)
+    decomp = diagonalize(trap_operator(R, dx_target=dx_target), n_modes=2)
     idx = 0 if parity == "even" else 1
     eps = float(decomp.eigenvalues[idx])
     h = mode_renormalize(decomp.mode(idx), parity)
@@ -162,7 +162,7 @@ def condensate_count_scaling(
     radii = sorted(R_list)
     counts = []
     for R in radii:
-        decomp = trap_decomposition(R, dx_target=dx_target, n_modes=2, n_cap=8192)
+        decomp = diagonalize(trap_operator(R, dx_target=dx_target, n_cap=8192), n_modes=2)
         idx = 0 if parity == "even" else 1
         h = mode_renormalize(decomp.mode(idx), parity)
         m = np.abs(h.grid.x) <= R

@@ -26,7 +26,7 @@ from . import condensates as cond
 from . import fock
 from . import quasifree as qf
 from .grids import RadialGrid, WaveFunction, bump, bump_profile, inner, make_grid
-from .hamiltonians import assemble, diagonalize, soft_wall_trap, trap_decomposition
+from .hamiltonians import assemble, diagonalize, soft_wall_trap, trap_operator
 from .propagators import (
     ValidityGateError,
     duhamel_bound,
@@ -378,7 +378,8 @@ def run_thermal_convergence(config: dict) -> Report:
     # exponentially below the dx floor, so the deviation tracks refinement
     for i, R in enumerate(cfg["radius_list"]):
         dx_target = cfg["dx_start"] / 2**i
-        decomp = trap_decomposition(R, dx_target=dx_target, n_cap=2**14)
+        H = trap_operator(R, dx_target=dx_target, n_cap=2**14)
+        decomp = qf.thermal_decomposition(H, beta, mu)
         state = qf.QuasifreeState(beta=beta, mu=mu, decomposition=decomp)
         edge = qf.thermal_edge_weight(state)
         rep.gates[f"edge[R={R}]"] = edge <= cfg["edge_gate"]

@@ -10,8 +10,17 @@
 #     omega(a*(f) a(g)) = <g, T f> + kappa^2 <h, f> <g, h>
 #
 # with T = (e^(beta(H - mu)) - 1)^(-1).  Finite traps use the spectral
-# decomposition of H; thermodynamic-limit states use the momentum-space
-# multiplier n(p^2) = (e^(beta(p^2 - mu)) - 1)^(-1).  Limit condensate modes
+# decomposition of H, cut at a Bose energy cap: thermal_decomposition keeps
+# the lowest modes up to the first one above E = mu + log1p(2/(tol dx))/beta,
+# with tol = DISCARD_TOL.  Every discarded mode lies above the top kept
+# level eps_max, and the squares of all n modes sum to 1/dx at each grid
+# point, so the discarded density is at most n_B(eps_max)/dx <= tol/2
+# everywhere.  QuasifreeState checks that bound for every incomplete
+# decomposition (a complete one has bound 0); diagonalize decides whether
+# the window or the full solve is cheaper.
+#
+# Thermodynamic-limit states use the momentum-space multiplier
+# n(p^2) = (e^(beta(p^2 - mu)) - 1)^(-1).  Limit condensate modes
 # are distributions (constant, x, or z); they never live on a grid and are
 # represented by their pairings with test functions only.
 
@@ -25,9 +34,17 @@ from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
 from .grids import RadialGrid, WaveFunction, fourier_at, inner
-from .hamiltonians import SpectralDecomposition
+from .hamiltonians import (
+    SpectralDecomposition,
+    TridiagonalOperator,
+    diagonalize,
+    eigenvalue_count,
+)
 
 MU_SAFETY = 1e-6
+# largest density a thermal state may leave out with its discarded modes,
+# three orders below the absolute tolerance on reported densities
+DISCARD_TOL = 1e-16
 
 
 class DomainError(ValueError):
@@ -90,7 +107,14 @@ CondensateMode = Union[GridMode, ConstantMode]
 
 @dataclass(frozen=True)
 class QuasifreeState:
-    """Thermal state of a finite trap, optionally with a coherent condensate."""
+    """
+    Thermal state of a finite trap, optionally with a coherent condensate.
+
+    The decomposition may hold only the lowest modes (see diagonalize);
+    discard_bound is then the largest density the missing modes can carry
+    at a grid point, n_B(eps_max)/dx, and a state whose bound exceeds
+    DISCARD_TOL is rejected.
+    """
 
     beta: float
     mu: float
@@ -98,6 +122,7 @@ class QuasifreeState:
     kappa: float = 0.0
     mode: Optional[CondensateMode] = None
     occupations: np.ndarray = field(init=False, repr=False)  # per eigenvalue, read-only
+    discard_bound: float = field(init=False)
 
     def __post_init__(self):
         if self.beta <= 0:
@@ -114,10 +139,33 @@ class QuasifreeState:
         occ = bose_occupation(self.decomposition.eigenvalues, self.beta, self.mu)
         occ.flags.writeable = False
         object.__setattr__(self, "occupations", occ)
+        bound = 0.0
+        decomp = self.decomposition
+        if decomp.n_modes < decomp.eigenvectors.shape[0]:
+            bound = float(occ.min()) / decomp.grid.dx
+            if bound > DISCARD_TOL:
+                raise DomainError(
+                    f"the {decomp.eigenvectors.shape[0] - decomp.n_modes} modes missing from "
+                    f"the decomposition may carry a density of {bound:.2e}, "
+                    f"above {DISCARD_TOL:.0e}"
+                )
+        object.__setattr__(self, "discard_bound", bound)
 
     def mode_overlaps(self, f: WaveFunction) -> np.ndarray:
         """<psi_k, f> for every eigenmode."""
         return (self.decomposition.eigenvectors.T @ f.values) * f.grid.dx
+
+
+def thermal_decomposition(H: TridiagonalOperator, beta: float, mu: float) -> SpectralDecomposition:
+    """
+    The modes of H that a thermal state at (beta, mu) needs: the lowest ones
+    up to the first above the Bose energy cap (module header), whose
+    discard bound is at most DISCARD_TOL / 2.
+    """
+    if beta <= 0:
+        raise DomainError("beta must be positive")
+    cap = mu + np.log1p(2.0 / (DISCARD_TOL * H.grid.dx)) / beta
+    return diagonalize(H, n_modes=eigenvalue_count(H, cap) + 1)
 
 
 @dataclass(frozen=True)
@@ -210,6 +258,8 @@ def thermal_edge_weight(state: QuasifreeState, zone: float = 4.0) -> float:
     """
     Occupation-weighted density near the box edge relative to the total:
     the validity gate for trusting a finite box as a stand-in for the trap.
+    The edge sum takes the state's discard bound at each of its points, so
+    the ratio stays an upper bound when the decomposition is a window.
     """
     grid = state.decomposition.grid
     m = np.abs(grid.x) >= grid.half_width - zone
@@ -221,7 +271,7 @@ def thermal_edge_weight(state: QuasifreeState, zone: float = 4.0) -> float:
     step = 256
     for i in range(0, len(density), step):
         density[i : i + step] = (v[i : i + step] ** 2) @ n
-    edge = density[m].sum()
+    edge = density[m].sum() + m.sum() * state.discard_bound
     total = density.sum()
     return float(edge / total) if total > 0 else 0.0
 
@@ -335,22 +385,24 @@ def _thermal_weight_of(state, f: WaveFunction) -> float:
 
 def geometric_resolvent_series(nbar: float, norm_sq: float, lam: float) -> float:
     """
-    sum_{n>=0} nbar^n (1+nbar)^(-(n+1)) (lam + n ||f||^2)^(-1), summed until
-    the geometric tail bound drops below 1e-12 / lam.
+    sum_{n>=0} p_n (lam + n ||f||^2)^(-1) with p_n = nbar^n (1+nbar)^(-(n+1)).
+
+    The terms after p_n sum to at most (1 + nbar) p_n / lam (a geometric
+    tail); the sum keeps the terms before the first n where that bound
+    drops below 1e-12, in vectorised chunks.
     """
     if nbar < 0:
         raise DomainError("occupation must be >= 0")
     if nbar == 0:
         return 1.0 / lam
-    q = nbar / (1.0 + nbar)
-    p_n = 1.0 / (1.0 + nbar)
-    total, n = 0.0, 0
-    while True:
-        total += p_n / (lam + n * norm_sq)
-        p_n *= q
-        n += 1
-        if p_n / lam < 1e-12 and n > 8:
-            return float(total)
+    log_q = -np.log1p(1.0 / nbar)  # log(nbar / (1 + nbar))
+    # (1 + nbar) p_n / lam = q^n / lam < 1e-12 for every n >= n_terms
+    n_terms = max(int(np.log(1e-12 * lam) / log_q) + 1, 1)
+    total, step = 0.0, 2**16
+    for start in range(0, n_terms, step):
+        n = np.arange(start, min(start + step, n_terms), dtype=float)
+        total += (np.exp(n * log_q) / (lam + n * norm_sq)).sum()
+    return float(total / (1.0 + nbar))
 
 
 def number_resolvent_expectation(state, lam: float, f: WaveFunction) -> float:

@@ -11,10 +11,10 @@ from thermolim.condensates import (
     l1_profile_check,
     mode_renormalize,
     smeared_mode_limit,
-    trap_decomposition,
     trap_mode,
 )
 from thermolim.grids import RadialGrid, bump, bump_profile
+from thermolim.hamiltonians import diagonalize, trap_operator
 from thermolim.quasifree import RadialFunction3D
 
 
@@ -30,7 +30,7 @@ def test_axial_shape_matches_bessel():
 
 
 def test_renormalization_fixed_points():
-    decomp = trap_decomposition(20.0, dx_target=0.0625, n_modes=2, n_cap=4096)
+    decomp = diagonalize(trap_operator(20.0, dx_target=0.0625, n_cap=4096), n_modes=2)
     h0 = mode_renormalize(decomp.mode(0), "even")
     j0 = h0.grid.index_origin
     assert h0.values[j0].real == pytest.approx(1.0, abs=1e-6)
@@ -40,7 +40,7 @@ def test_renormalization_fixed_points():
 
 
 def test_renormalization_scale_invariant():
-    decomp = trap_decomposition(12.0, dx_target=0.0625, n_modes=1, n_cap=2048)
+    decomp = diagonalize(trap_operator(12.0, dx_target=0.0625, n_cap=2048), n_modes=1)
     psi = decomp.mode(0)
     a = mode_renormalize(psi, "even")
     b = mode_renormalize(psi.with_values(7.0 * psi.values), "even")
@@ -48,7 +48,7 @@ def test_renormalization_scale_invariant():
 
 
 def test_renormalization_parity_guard():
-    decomp = trap_decomposition(12.0, dx_target=0.0625, n_modes=2, n_cap=2048)
+    decomp = diagonalize(trap_operator(12.0, dx_target=0.0625, n_cap=2048), n_modes=2)
     with pytest.raises(ParityError):
         mode_renormalize(decomp.mode(0), "odd")
 

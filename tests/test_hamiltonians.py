@@ -10,12 +10,13 @@ from thermolim.hamiltonians import (
     _fix_signs,
     assemble,
     diagonalize,
+    eigenvalue_count,
     free_potential,
     parity_of,
     radial_assemble,
     residual_norms,
     soft_wall_trap,
-    trap_decomposition,
+    trap_operator,
 )
 from thermolim.condensates import fit_loglog_slope
 
@@ -147,7 +148,7 @@ def test_sign_convention_deterministic():
 
 def test_ground_pair_parities():
     # the trap's lowest two modes
-    d = trap_decomposition(8.0, dx_target=0.0625, n_modes=2, n_cap=2048)
+    d = diagonalize(trap_operator(8.0, dx_target=0.0625, n_cap=2048), n_modes=2)
     assert [parity_of(d.mode(k)) for k in (0, 1)] == ["even", "odd"]
 
 
@@ -162,7 +163,7 @@ def test_asymmetric_potential_has_no_parity():
 
 
 def test_eigenvalues_decrease_with_radius():
-    eps = [trap_decomposition(R, dx_target=0.0625, n_modes=2, n_cap=4096).eigenvalues
+    eps = [diagonalize(trap_operator(R, dx_target=0.0625, n_cap=4096), n_modes=2).eigenvalues
            for R in (10.0, 20.0, 40.0)]
     for k in range(2):
         vals = [e[k] for e in eps]
@@ -173,7 +174,7 @@ def test_trap_levels_scale_like_inverse_square_radius():
     radii = [10.0, 20.0, 40.0, 80.0]
     eps0, eps1 = [], []
     for R in radii:
-        d = trap_decomposition(R, dx_target=0.0625, n_modes=2, n_cap=8192)
+        d = diagonalize(trap_operator(R, dx_target=0.0625, n_cap=8192), n_modes=2)
         eps0.append(d.eigenvalues[0])
         eps1.append(d.eigenvalues[1])
     assert abs(fit_loglog_slope(radii, eps0) + 2.0) < 0.15
@@ -215,3 +216,23 @@ def test_apply_matches_dense_action():
     v = rng.normal(size=g.n_points)
     dense = np.diag(H.diagonal) + np.diag(H.off_diagonal, 1) + np.diag(H.off_diagonal, -1)
     assert np.allclose(H.apply(v), dense @ v, atol=1e-12)
+
+
+def test_eigenvalue_count_is_a_sturm_count():
+    H = trap_operator(8.0, dx_target=0.125)
+    eps = diagonalize(H).eigenvalues
+    for energy in (-1.0, eps[0] / 2, 0.5 * (eps[9] + eps[10]), 40.0, 1e9):
+        assert eigenvalue_count(H, energy) == np.count_nonzero(eps < energy)
+
+
+def test_low_modes_match_the_full_solve_on_either_path():
+    H = trap_operator(20.0, dx_target=0.03125)
+    full = diagonalize(H)
+    # 40 modes take the stebz window at n = 2304; 2000 take the full solve, cut
+    for m in (40, 2000):
+        d = diagonalize(H, n_modes=m)
+        assert d.eigenvectors.shape == (H.size, m)
+        assert np.allclose(d.eigenvalues, full.eigenvalues[:m], rtol=0, atol=1e-11)
+        overlap = np.abs((d.eigenvectors * full.eigenvectors[:, :m]).sum(axis=0) * H.grid.dx)
+        assert np.allclose(overlap, 1.0, atol=1e-9)
+    assert np.array_equal(d.eigenvalues, full.eigenvalues[:2000])

@@ -11,7 +11,7 @@ import pathlib
 
 import thermolim
 
-OPTIONS = 31
+OPTIONS = 30
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:

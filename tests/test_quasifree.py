@@ -2,12 +2,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import mpmath
 from scipy.special import erfcx, zeta
 
 from thermolim.grids import RadialGrid, bump, bump_profile, make_grid
-from thermolim.hamiltonians import assemble, diagonalize, soft_wall_trap, trap_decomposition
+from thermolim.hamiltonians import assemble, diagonalize, soft_wall_trap, trap_operator
 from thermolim.propagators import evolve_spectral
 from thermolim.quasifree import (
+    DISCARD_TOL,
     ConstantMode,
     DivergenceError,
     DomainError,
@@ -27,6 +29,7 @@ from thermolim.quasifree import (
     number_resolvent_expectation,
     position_density,
     temporal_correlation,
+    thermal_decomposition,
     thermal_edge_weight,
     two_point,
 )
@@ -35,7 +38,7 @@ from thermolim.fock import build_fock, gibbs_number_resolvent
 
 @pytest.fixture(scope="module")
 def trap_state():
-    decomp = trap_decomposition(8.0, dx_target=0.0625, n_cap=2048)
+    decomp = diagonalize(trap_operator(8.0, dx_target=0.0625, n_cap=2048))
     return QuasifreeState(beta=1.0, mu=-1.0, decomposition=decomp)
 
 
@@ -257,6 +260,19 @@ def test_number_resolvent_vacuum_and_bounds(trap_state):
     assert 0 < val <= 1.0
 
 
+def test_geometric_series_matches_lerch_phi_at_large_occupation():
+    # sum_n q^n / ((1 + nbar)(lam + n s)) = Phi(q, 1, lam / s) / ((1 + nbar) s)
+    nbar, norm_sq = 1e5, 0.7
+    for lam in (0.5, 2.0):
+        q = mpmath.mpf(nbar) / (1 + nbar)
+        exact = mpmath.lerchphi(q, 1, lam / mpmath.mpf(norm_sq)) / ((1 + nbar) * norm_sq)
+        value = geometric_resolvent_series(nbar, norm_sq, lam)
+        # the tail bound is absolute (1e-12); the value is about 1.5e-4, and a cut
+        # at p_n / lam < 1e-12 instead misses 2e-10 to 1e-9 of it
+        assert abs(value - float(exact)) < 1e-12
+        assert value == pytest.approx(float(exact), rel=1e-10, abs=0)
+
+
 def test_number_resolvent_monotone_in_occupation():
     vals = [geometric_resolvent_series(nbar, 1.0, 1.0) for nbar in (0.0, 0.5, 1.0, 2.0, 5.0)]
     assert all(a > b for a, b in zip(vals, vals[1:]))
@@ -296,7 +312,7 @@ def test_local_count_of_pure_condensate():
     from thermolim.condensates import mode_renormalize
 
     R = 12.0
-    decomp = trap_decomposition(R, dx_target=0.0625, n_cap=2048)
+    decomp = diagonalize(trap_operator(R, dx_target=0.0625, n_cap=2048))
     h = mode_renormalize(decomp.mode(0), "even")
     state = QuasifreeState(
         beta=200.0, mu=-1.0, decomposition=decomp, kappa=0.5, mode=GridMode(h)
@@ -441,3 +457,65 @@ def test_radial_transform_matches_the_sinc_kernel():
     got = g.radial_transform(p)
     assert got[0] == pytest.approx(ref[0], rel=1e-13)
     assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+@pytest.fixture(scope="module")
+def windowed_and_full():
+    # n = 2304: the Bose window (84 modes at beta = 1) is the stebz path
+    H = trap_operator(20.0, dx_target=0.03125)
+    window = thermal_decomposition(H, 1.0, -1.0)
+    full = diagonalize(H)
+    assert window.n_modes < 100
+    return H, window, full
+
+
+def test_thermal_window_matches_the_full_solve(windowed_and_full):
+    H, window, full = windowed_and_full
+    m = window.n_modes
+    assert np.allclose(window.eigenvalues, full.eigenvalues[:m], rtol=0, atol=1e-11)
+    sw = QuasifreeState(beta=1.0, mu=-1.0, decomposition=window)
+    sf = QuasifreeState(beta=1.0, mu=-1.0, decomposition=full)
+    assert sf.discard_bound == 0.0
+    assert 0 < sw.discard_bound <= DISCARD_TOL / 2
+    assert abs(position_density(sw, 0.0) - position_density(sf, 0.0)) < 1e-12
+    edge = thermal_edge_weight(sw)
+    assert thermal_edge_weight(sf) <= edge < thermal_edge_weight(sf) + 1e-12
+
+
+def test_discard_bound_dominates_the_discarded_density(windowed_and_full):
+    H, window, full = windowed_and_full
+    m = window.n_modes
+    state = QuasifreeState(beta=1.0, mu=-1.0, decomposition=window)
+    occ = bose_occupation(full.eigenvalues[m:], 1.0, -1.0)
+    discarded = (full.eigenvectors[:, m:] ** 2) @ occ
+    assert np.all(discarded <= state.discard_bound)
+
+
+def test_hot_state_takes_the_full_solve(windowed_and_full):
+    H, _, full = windowed_and_full
+    hot = thermal_decomposition(H, 0.05, -1.0)
+    # the cut full solve reproduces the full eigenvalues bit for bit
+    assert np.array_equal(hot.eigenvalues, full.eigenvalues[: hot.n_modes])
+    state = QuasifreeState(beta=0.05, mu=-1.0, decomposition=hot)
+    reference = QuasifreeState(beta=0.05, mu=-1.0, decomposition=full)
+    assert position_density(state, 0.0) == pytest.approx(position_density(reference, 0.0), abs=1e-12)
+
+
+def test_state_rejects_a_window_that_discards_weight():
+    decomp = diagonalize(trap_operator(8.0, dx_target=0.0625, n_cap=2048), n_modes=2)
+    with pytest.raises(DomainError, match="missing"):
+        QuasifreeState(beta=1.0, mu=-1.0, decomposition=decomp)
+    # frozen out, the same two modes carry everything
+    assert QuasifreeState(beta=200.0, mu=-1.0, decomposition=decomp).discard_bound < DISCARD_TOL
+
+
+def test_thermal_window_stays_below_one_dense_matrix():
+    H = trap_operator(40.0, dx_target=0.0625)  # n = 1792, as in `thermal`
+    tracemalloc.start()
+    try:
+        decomp = thermal_decomposition(H, 1.0, -1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert decomp.n_modes < H.size
+    assert peak < H.size**2 * 8
