@@ -56,7 +56,6 @@ from .propagators import (
 )
 from .quasifree import (
     ConstantMode,
-    GridMode,
     HomogeneousState,
     QuasifreeState,
     RadialFunction3D,
@@ -85,6 +84,7 @@ from .fock import (
 from .condensates import (
     ModeAsymptotics,
     RadialProfile,
+    TrapModes,
     axial_shape,
     axial_trap_mode,
     condensate_count_scaling,

@@ -9,6 +9,9 @@
 # to unit value (even) or unit slope (odd) at the origin, they converge to
 # the constant 1 and to x respectively; their pairings with a fixed test
 # function approach Integral(f) resp. Integral(x f) at rate 1/R^2.
+# trap_mode solves each trap once for both modes; the pairing and count
+# scans only read the solved TrapModes, so a radius that several scans
+# share costs one eigensolve.
 #
 # In 3D the lowest axial (l = 1) mode approaches z with the radial shape
 # s(u) = 3 j1(u)/u, normalized so s(0) = 1; the deviation |h(x) - z| is
@@ -86,18 +89,28 @@ def mode_renormalize(psi: WaveFunction, parity: str) -> WaveFunction:
     return WaveFunction(psi.grid, v / scale)
 
 
-def trap_mode(R: float, parity: str, dx_target: float = 0.03125):
+@dataclass(frozen=True)
+class TrapModes:
     """
-    Lowest even or odd mode of the soft-wall trap, renormalized.
+    The lowest even and odd modes of the soft-wall trap of radius R, from
+    one two-mode solve: measured eigenvalues and renormalized modes, both
+    keyed by parity.
+    """
 
-    Returns (eps, h) with eps the measured eigenvalue and h the renormalized
-    mode on its grid.
-    """
+    R: float
+    eigenvalues: dict[str, float]
+    modes: dict[str, WaveFunction]
+
+
+def trap_mode(R: float, dx_target: float = 0.03125) -> TrapModes:
+    """Solve the trap of radius R (trap_operator's grid) for its two lowest modes."""
     decomp = diagonalize(trap_operator(R, dx_target=dx_target), n_modes=2)
-    idx = 0 if parity == "even" else 1
-    eps = float(decomp.eigenvalues[idx])
-    h = mode_renormalize(decomp.mode(idx), parity)
-    return eps, h
+    parities = ("even", "odd")
+    return TrapModes(
+        R,
+        {p: float(decomp.eigenvalues[i]) for i, p in enumerate(parities)},
+        {p: mode_renormalize(decomp.mode(i), p) for i, p in enumerate(parities)},
+    )
 
 
 @dataclass
@@ -113,32 +126,29 @@ class ModeAsymptotics:
     slope: float = float("nan")
 
 
-def smeared_mode_limit(
-    parity: str,
-    f,
-    R_list,
-    dx_target: float = 0.03125,
-) -> ModeAsymptotics:
+def smeared_mode_limit(parity: str, f, scan) -> ModeAsymptotics:
     """
     Pairings <h_R, f> of renormalized modes against a fixed test function,
     versus the limit pairing (Integral f for even, Integral x f for odd).
 
-    f is a factory grid -> WaveFunction so the same function can be sampled
-    on each scan grid; its support must sit well inside min(R_list).
+    scan holds one TrapModes per radius.  f is a factory grid ->
+    WaveFunction so the same function can be sampled on each trap's grid;
+    its support must sit well inside the smallest radius.
     """
-    radii = sorted(R_list)
-    eigenvalues, pairings = [], []
+    scan = sorted(scan, key=lambda t: t.R)
+    pairings = []
     limit = None
-    for R in radii:
-        eps, h = trap_mode(R, parity, dx_target=dx_target)
+    for t in scan:
+        h = t.modes[parity]
         fR = f(h.grid)
         support = np.abs(fR.values) > 0
-        if np.abs(h.grid.x[support]).max() > 0.5 * R:
+        if np.abs(h.grid.x[support]).max() > 0.5 * t.R:
             raise GridConfigError("test function support must stay well inside the trap")
         pairings.append(float((h.values.real * fR.values.real).sum() * h.grid.dx))
-        eigenvalues.append(eps)
         if limit is None:
             limit = float(fR.integral().real if parity == "even" else fR.moment().real)
+    radii = [t.R for t in scan]
+    eigenvalues = [t.eigenvalues[parity] for t in scan]
     devs = [abs(p - limit) for p in pairings]
     out = ModeAsymptotics(parity, radii, eigenvalues, pairings, limit, devs)
     if all(d > 0 for d in devs):
@@ -146,30 +156,21 @@ def smeared_mode_limit(
     return out
 
 
-def condensate_count_scaling(
-    parity: str,
-    kappa: float,
-    R_list,
-    dx_target: float = 0.03125,
-):
+def condensate_count_scaling(parity: str, kappa: float, scan):
     """
     Particle count of the condensate inside [-R, R],
-    kappa^2 Integral_{-R}^{R} h_R(x)^2 dx, and its fitted growth exponent.
-
-    The eigenvalue entering the odd-mode amplitude is the measured one from
-    the same decomposition as the mode.
+    kappa^2 Integral_{-R}^{R} h_R(x)^2 dx, for each TrapModes in scan, and
+    its fitted growth exponent.
     """
-    radii = sorted(R_list)
+    scan = sorted(scan, key=lambda t: t.R)
     counts = []
-    for R in radii:
-        decomp = diagonalize(trap_operator(R, dx_target=dx_target, n_cap=8192), n_modes=2)
-        idx = 0 if parity == "even" else 1
-        h = mode_renormalize(decomp.mode(idx), parity)
-        m = np.abs(h.grid.x) <= R
+    for t in scan:
+        h = t.modes[parity]
+        m = np.abs(h.grid.x) <= t.R
         counts.append(kappa**2 * float((h.values.real[m] ** 2).sum() * h.grid.dx))
     if kappa == 0:
         return 0.0, counts
-    return fit_loglog_slope(radii, counts), counts
+    return fit_loglog_slope([t.R for t in scan], counts), counts
 
 
 # ---------------------------------------------------------------------------

@@ -476,12 +476,14 @@ def run_condensate_1d(config: dict) -> Report:
         cfg,
         columns=["parity", "R", "x", "offset", "limit", "rel_deviation", "within_tol"],
     )
-    kappa, radii, dx_target = cfg["kappa"], cfg["radius_list_profiles"], cfg["dx_target"]
+    kappa, radii, counted = cfg["kappa"], cfg["radius_list_profiles"], cfg["radius_list_counts"]
+    # one two-mode solve per distinct radius serves every scan below
+    solved = {R: cond.trap_mode(R, cfg["dx_target"]) for R in sorted({*radii, *counted})}
 
     profiles_ok = True
     for parity in ("even", "odd"):
         for R in radii:
-            eps, h = cond.trap_mode(R, parity, dx_target=dx_target)
+            h = solved[R].modes[parity]
             for xv in cfg["x_probes"]:
                 j = h.grid.index_of(xv)
                 offset = kappa**2 * float(h.values[j].real ** 2)
@@ -499,7 +501,7 @@ def run_condensate_1d(config: dict) -> Report:
         return bump(3.0, 1.0, grid)
 
     for parity, limit_name in (("even", "integral"), ("odd", "first_moment")):
-        asym = cond.smeared_mode_limit(parity, f_factory, radii, dx_target=dx_target)
+        asym = cond.smeared_mode_limit(parity, f_factory, [solved[R] for R in radii])
         rep.verdicts[f"pairing_slope[{parity}]"] = (
             np.isfinite(asym.slope) and asym.slope <= -2.0 + cfg["slope_tol"]
         )
@@ -508,9 +510,7 @@ def run_condensate_1d(config: dict) -> Report:
         )
 
     for parity, target in (("even", 1.0), ("odd", 3.0)):
-        expo, counts = cond.condensate_count_scaling(
-            parity, kappa, cfg["radius_list_counts"], dx_target=dx_target
-        )
+        expo, counts = cond.condensate_count_scaling(parity, kappa, [solved[R] for R in counted])
         rep.verdicts[f"count_exponent[{parity}]"] = abs(expo - target) <= cfg["count_tol"]
         rep.notes.append(f"{parity} count exponent {expo:.4f} (target {target})")
     return rep

@@ -1,23 +1,23 @@
 # quasifree.py
 #
 # Gauge-invariant quasifree states: thermal one-particle density matrices,
-# optional coherent condensate, resolvent expectation values, saturation of
-# the chemical potential, and temporal correlations.
+# resolvent expectation values, saturation of the chemical potential, and
+# temporal correlations.
 #
-# A state is fixed by its one-particle density matrix T plus a gauge
-# invariant product of one-point functions:
+# A state is fixed by its one-particle density matrix
+# T = (e^(beta(H - mu)) - 1)^(-1): omega(a*(f) a(g)) = <g, T f>.  Only the
+# thermodynamic-limit state adds a coherent condensate, a gauge invariant
+# product of one-point functions kappa^2 <h, f> <g, h>; the finite-trap
+# condensate modes and their counts live in the condensates module.
 #
-#     omega(a*(f) a(g)) = <g, T f> + kappa^2 <h, f> <g, h>
-#
-# with T = (e^(beta(H - mu)) - 1)^(-1).  Finite traps use the spectral
-# decomposition of H, cut at a Bose energy cap: thermal_decomposition keeps
-# the lowest modes up to the first one above E = mu + log1p(2/(tol dx))/beta,
-# with tol = DISCARD_TOL.  Every discarded mode lies above the top kept
-# level eps_max, and the squares of all n modes sum to 1/dx at each grid
-# point, so the discarded density is at most n_B(eps_max)/dx <= tol/2
-# everywhere.  QuasifreeState checks that bound for every incomplete
-# decomposition (a complete one has bound 0); diagonalize decides whether
-# the window or the full solve is cheaper.
+# Finite traps use the spectral decomposition of H, cut at a Bose energy
+# cap: thermal_decomposition keeps the lowest modes up to the first one
+# above E = mu + log1p(2/(tol dx))/beta, with tol = DISCARD_TOL.  Every
+# discarded mode lies above the top kept level eps_max, and the squares of
+# all n modes sum to 1/dx at each grid point, so the discarded density is
+# at most n_B(eps_max)/dx <= tol/2 everywhere.  QuasifreeState checks that
+# bound for every incomplete decomposition (a complete one has bound 0);
+# diagonalize decides whether the window or the full solve is cheaper.
 #
 # Thermodynamic-limit states use the momentum-space multiplier
 # n(p^2) = (e^(beta(p^2 - mu)) - 1)^(-1).  Limit condensate modes
@@ -27,7 +27,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 from scipy.integrate import quad
@@ -72,19 +72,6 @@ def bose_occupation(eps, beta: float, mu: float):
 
 
 @dataclass(frozen=True)
-class GridMode:
-    """Condensate mode given as an eigenfunction on the grid."""
-
-    wavefunction: WaveFunction
-
-    def pairing(self, f: WaveFunction) -> complex:
-        return inner(self.wavefunction, f)
-
-    def density_at(self, j: int) -> float:
-        return float(np.abs(self.wavefunction.values[j]) ** 2)
-
-
-@dataclass(frozen=True)
 class ConstantMode:
     """Zero-energy limit mode h = 1: pairs to the plain integral of f."""
 
@@ -92,12 +79,6 @@ class ConstantMode:
         if isinstance(f, WaveFunction):
             return f.integral()
         return f.integral_3d()
-
-    def density_value(self, x: float) -> float:
-        return 1.0
-
-
-CondensateMode = Union[GridMode, ConstantMode]
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +89,7 @@ CondensateMode = Union[GridMode, ConstantMode]
 @dataclass(frozen=True)
 class QuasifreeState:
     """
-    Thermal state of a finite trap, optionally with a coherent condensate.
+    Thermal state of a finite trap.
 
     The decomposition may hold only the lowest modes (see diagonalize);
     discard_bound is then the largest density the missing modes can carry
@@ -119,8 +100,6 @@ class QuasifreeState:
     beta: float
     mu: float
     decomposition: SpectralDecomposition
-    kappa: float = 0.0
-    mode: Optional[CondensateMode] = None
     occupations: np.ndarray = field(init=False, repr=False)  # per eigenvalue, read-only
     discard_bound: float = field(init=False)
 
@@ -132,10 +111,6 @@ class QuasifreeState:
             raise DomainError(
                 f"mu = {self.mu} too close to the bottom of the spectrum ({eps0})"
             )
-        if self.kappa < 0:
-            raise DomainError("kappa must be >= 0")
-        if self.kappa > 0 and self.mode is None:
-            raise DomainError("condensate with kappa > 0 needs a mode")
         occ = bose_occupation(self.decomposition.eigenvalues, self.beta, self.mu)
         occ.flags.writeable = False
         object.__setattr__(self, "occupations", occ)
@@ -176,7 +151,7 @@ class HomogeneousState:
     mu: float
     dimension: int = 1
     kappa: float = 0.0
-    mode: Optional[CondensateMode] = None
+    mode: Optional[ConstantMode] = None
 
     def __post_init__(self):
         if self.beta <= 0:
@@ -195,17 +170,10 @@ class HomogeneousState:
 
 
 def two_point(state: QuasifreeState, f: WaveFunction, g: WaveFunction) -> complex:
-    """
-    omega(a*(f) a(g)) = sum_k n_k <g, psi_k><psi_k, f> + kappa^2 <h, f><g, h>.
-    """
+    """omega(a*(f) a(g)) = sum_k n_k <g, psi_k><psi_k, f>."""
     cf = state.mode_overlaps(f)
     cg = state.mode_overlaps(g)
-    val = complex((state.occupations * np.conj(cg) * cf).sum())
-    if state.kappa > 0:
-        hf = state.mode.pairing(f)
-        hg = state.mode.pairing(g)
-        val += state.kappa**2 * hf * np.conj(hg)
-    return val
+    return complex((state.occupations * np.conj(cg) * cf).sum())
 
 
 def kms_defect(state: QuasifreeState, f: WaveFunction, g: WaveFunction) -> float:
@@ -226,15 +194,9 @@ def kms_defect(state: QuasifreeState, f: WaveFunction, g: WaveFunction) -> float
 
 
 def position_density(state: QuasifreeState, x: float) -> float:
-    """Diagonal of the density matrix: sum_k n_k |psi_k(x)|^2 + kappa^2 |h(x)|^2."""
+    """Diagonal of the density matrix: sum_k n_k |psi_k(x)|^2."""
     j = state.decomposition.grid.index_of(x)
-    dens = float((state.occupations * state.decomposition.eigenvectors[j, :] ** 2).sum())
-    if state.kappa > 0:
-        if isinstance(state.mode, GridMode):
-            dens += state.kappa**2 * state.mode.density_at(j)
-        else:
-            dens += state.kappa**2 * state.mode.density_value(x)
-    return dens
+    return float((state.occupations * state.decomposition.eigenvectors[j, :] ** 2).sum())
 
 
 def local_particle_number(state: QuasifreeState, a: float, b: float) -> float:
@@ -246,11 +208,6 @@ def local_particle_number(state: QuasifreeState, a: float, b: float) -> float:
         raise DomainError("region outside the grid")
     m = (grid.x >= a) & (grid.x < b)
     dens = (state.occupations[None, :] * state.decomposition.eigenvectors[m, :] ** 2).sum()
-    if state.kappa > 0:
-        if isinstance(state.mode, GridMode):
-            dens += state.kappa**2 * (np.abs(state.mode.wavefunction.values[m]) ** 2).sum()
-        else:
-            dens += state.kappa**2 * sum(state.mode.density_value(x) for x in grid.x[m])
     return float(dens * grid.dx)
 
 
@@ -317,12 +274,17 @@ def momentum_weight(f: WaveFunction, beta: float, mu: float) -> float:
     """
     <f, T f> in the homogeneous 1D state: Integral |fhat(p)|^2 n(p^2) dp,
     with fhat from direct quadrature (continuum-quality near p = 0).
+
+    T is real, so the weight of f is the weight of Re f plus that of Im f;
+    a real function has |fhat(-p)| = |fhat(p)|, so each part folds onto
+    p >= 0 at twice its half-line integral.
     """
     if mu >= 0:
         raise DivergenceError("homogeneous 1D weight needs mu < 0")
+    parts = [f.with_values(v) for v in (f.values.real, f.values.imag) if v.any()]
 
     def integrand(p):
-        fh2 = np.abs(fourier_at(f, p)[0]) ** 2
+        fh2 = sum(np.abs(fourier_at(g, p)[0]) ** 2 for g in parts)
         return fh2 / np.expm1(beta * (p * p - mu))
 
     sq = np.sqrt(-mu)
@@ -331,7 +293,7 @@ def momentum_weight(f: WaveFunction, beta: float, mu: float) -> float:
     val, _ = quad(
         integrand, 0.0, p_cut, points=sorted(set(cuts)), limit=400, epsabs=0.0, epsrel=1e-10
     )
-    return float(2.0 * val)  # integrand is even in p
+    return float(2.0 * val)
 
 
 # ---------------------------------------------------------------------------
@@ -339,24 +301,34 @@ def momentum_weight(f: WaveFunction, beta: float, mu: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _laplace_transform(g, lam: float) -> float:
+    """
+    Integral_0^inf du e^(-u lam) g(u) for lam > 0 and a smooth g that
+    falls from g(0) = 1 and stays in (0, 1].  Adaptive quadrature in
+    v = ln u covers [a, 800/lam] with a = 1e-18/lam.  The piece below a is
+    taken as a, off by at most (lam + |g'(0)|) a^2 / 2; the piece above is
+    under e^(-800)/lam.
+    """
+    lo = 1e-18 / lam
+
+    def integrand(v):
+        u = np.exp(v)
+        return u * np.exp(-u * lam) * g(u)
+
+    val, _ = quad(integrand, np.log(lo), np.log(800.0 / lam), epsabs=0.0, epsrel=1e-12, limit=400)
+    return float(val + lo)
+
+
 def field_resolvent_value(lam: float, sigma_sq: float) -> float:
     """
-    Integral_0^inf du e^(-u lam) e^(-(u^2/2) sigma_sq) by mapped adaptive
-    quadrature; equals 1/lam at sigma_sq = 0 and decreases with sigma_sq.
+    Integral_0^inf du e^(-u lam) e^(-(u^2/2) sigma_sq); equals 1/lam at
+    sigma_sq = 0 and decreases with sigma_sq.
     """
     if lam <= 0:
         raise DomainError(f"lambda must be positive, got {lam}")
     if sigma_sq < 0:
         raise DomainError("variance must be >= 0")
-    val, _ = quad(
-        lambda u: np.exp(-u * lam - 0.5 * u * u * sigma_sq),
-        0.0,
-        np.inf,
-        epsabs=0.0,
-        epsrel=1e-12,
-        limit=400,
-    )
-    return float(val)
+    return _laplace_transform(lambda u: np.exp(-0.5 * u * u * sigma_sq), lam)
 
 
 def field_resolvent_expectation(state, lam: float, f: WaveFunction) -> float:
@@ -387,29 +359,26 @@ def geometric_resolvent_series(nbar: float, norm_sq: float, lam: float) -> float
     """
     sum_{n>=0} p_n (lam + n ||f||^2)^(-1) with p_n = nbar^n (1+nbar)^(-(n+1)).
 
-    The terms after p_n sum to at most (1 + nbar) p_n / lam (a geometric
-    tail); the sum keeps the terms before the first n where that bound
-    drops below 1e-12, in vectorised chunks.
+    Evaluated in its Laplace form: writing (lam + n s)^(-1) as
+    Integral_0^inf e^(-u (lam + n s)) du and summing the geometric
+    weights under the integral gives
+
+        Integral_0^inf du e^(-u lam) / (1 - nbar expm1(-u s)),
+
+    one quadrature whose cost does not grow with nbar.
     """
     if nbar < 0:
         raise DomainError("occupation must be >= 0")
     if nbar == 0:
         return 1.0 / lam
-    log_q = -np.log1p(1.0 / nbar)  # log(nbar / (1 + nbar))
-    # (1 + nbar) p_n / lam = q^n / lam < 1e-12 for every n >= n_terms
-    n_terms = max(int(np.log(1e-12 * lam) / log_q) + 1, 1)
-    total, step = 0.0, 2**16
-    for start in range(0, n_terms, step):
-        n = np.arange(start, min(start + step, n_terms), dtype=float)
-        total += (np.exp(n * log_q) / (lam + n * norm_sq)).sum()
-    return float(total / (1.0 + nbar))
+    return _laplace_transform(lambda u: 1.0 / (1.0 - nbar * np.expm1(-u * norm_sq)), lam)
 
 
 def number_resolvent_expectation(state, lam: float, f: WaveFunction) -> float:
     """
     Expectation of (lam + a*(f) a(f))^(-1) in a gauge-invariant quasifree
     state: the single mode f/||f|| is geometrically occupied with mean
-    <f, T f>/||f||^2, giving a rapidly convergent series.
+    <f, T f>/||f||^2 (see geometric_resolvent_series).
 
     Validated against the exact truncated-space Gibbs trace (see the
     fock module and the oracle tests) before use anywhere else.  A
@@ -549,7 +518,7 @@ def _oscillatory_thermal_integral(fh_spline, beta: float, mu: float, t: float, p
 
 def temporal_correlation(state: HomogeneousState, f, g, t):
     """
-    omega(alpha_t(a*(f)) a(g)) in the limit state:
+    omega(alpha_t(a*(f)) a(g)) in the 3D limit state:
 
         <g, T e^(itH) f> + kappa^2 <h, e^(itH) f> <g, h>,
 
@@ -557,52 +526,30 @@ def temporal_correlation(state: HomogeneousState, f, g, t):
     time independent.  The thermal term is a momentum-space quadrature.
 
     t is one time, giving a complex number, or a 1-D sequence of times,
-    giving a list in the same order.  In 3D the radial transforms and their
+    giving a list in the same order.  The radial transforms and their
     spline are built once for all times.
     """
     times = np.asarray(t, dtype=float)
     if times.ndim > 1:
         raise ValueError(f"t must be a scalar or a 1-D sequence, got shape {times.shape}")
-    if state.mu == 0.0 and state.dimension < 3:
-        raise DomainError("mu = 0 temporal correlations need dimension >= 3")
-
-    if state.dimension == 3:
-        if not isinstance(f, RadialFunction3D) or not isinstance(g, RadialFunction3D):
-            raise DomainError("3D correlations take RadialFunction3D arguments")
-        # e^(-48) occupation tail is negligible against the 1e-10 accuracy
-        # goal and keeps the oscillation-resolving grid short at large t
-        p_cut = np.sqrt((48.0 + state.beta * max(-state.mu, 0.0)) / state.beta)
-        p_coarse = np.linspace(0.0, p_cut, 8193)
-        fh = f.radial_transform(p_coarse)
-        gh = fh if g is f else g.radial_transform(p_coarse)
-        spline = CubicSpline(p_coarse, fh * gh)
-        # spherical measure already folded into the integral helper
-        vals = [
-            _oscillatory_thermal_integral(spline, state.beta, state.mu, s, p_cut)
-            for s in times.ravel()
-        ]
-    elif state.dimension == 1:
-        if state.mu >= 0:
-            raise DomainError("1D correlations need mu < 0")
-        vals = [_thermal_correlation_1d(state, f, g, s) for s in times.ravel()]
-    else:
-        raise DomainError("temporal correlations implemented for s = 1 and s = 3")
+    if state.dimension != 3:
+        raise DomainError("temporal correlations implemented for s = 3")
+    if not isinstance(f, RadialFunction3D) or not isinstance(g, RadialFunction3D):
+        raise DomainError("3D correlations take RadialFunction3D arguments")
+    # e^(-48) occupation tail is negligible against the 1e-10 accuracy
+    # goal and keeps the oscillation-resolving grid short at large t
+    p_cut = np.sqrt((48.0 + state.beta * max(-state.mu, 0.0)) / state.beta)
+    p_coarse = np.linspace(0.0, p_cut, 8193)
+    fh = f.radial_transform(p_coarse)
+    gh = fh if g is f else g.radial_transform(p_coarse)
+    spline = CubicSpline(p_coarse, fh * gh)
+    # spherical measure already folded into the integral helper
+    vals = [
+        _oscillatory_thermal_integral(spline, state.beta, state.mu, s, p_cut)
+        for s in times.ravel()
+    ]
 
     if state.kappa > 0:
         plateau = state.kappa**2 * state.mode.pairing(f) * np.conj(state.mode.pairing(g))
         vals = [val + plateau for val in vals]
     return vals if times.ndim else vals[0]
-
-
-def _thermal_correlation_1d(state: HomogeneousState, f, g, t: float) -> complex:
-    # <g, T e^(itH) f> by adaptive quadrature of the real and imaginary parts
-    def integrand(p):
-        fh = fourier_at(f, p)[0]
-        gh = fourier_at(g, p)[0]
-        w = np.conj(gh) * fh / np.expm1(state.beta * (p * p - state.mu))
-        return w * np.exp(-1j * t * p * p)
-
-    p_cut = np.sqrt((600.0 + state.beta * max(-state.mu, 0.0)) / state.beta)
-    val, _ = quad(integrand, -p_cut, p_cut, limit=800, epsabs=1e-12, epsrel=1e-10,
-                  complex_func=True)
-    return complex(val)

@@ -13,7 +13,7 @@ from thermolim.condensates import (
     smeared_mode_limit,
     trap_mode,
 )
-from thermolim.grids import RadialGrid, bump, bump_profile
+from thermolim.grids import GridConfigError, RadialGrid, bump, bump_profile
 from thermolim.hamiltonians import diagonalize, trap_operator
 from thermolim.quasifree import RadialFunction3D
 
@@ -55,7 +55,8 @@ def test_renormalization_parity_guard():
 
 def test_even_mode_matches_interior_cosine():
     R = 40.0
-    eps, h = trap_mode(R, "even")
+    t = trap_mode(R)
+    eps, h = t.eigenvalues["even"], t.modes["even"]
     x = h.grid.x
     win = np.abs(x) <= R / 2
     exact = np.cos(np.sqrt(eps) * x[win])
@@ -64,7 +65,8 @@ def test_even_mode_matches_interior_cosine():
 
 def test_odd_mode_matches_interior_sine():
     R = 40.0
-    eps, h = trap_mode(R, "odd")
+    t = trap_mode(R)
+    eps, h = t.eigenvalues["odd"], t.modes["odd"]
     x = h.grid.x
     win = np.abs(x) <= R / 2
     exact = np.sin(np.sqrt(eps) * x[win]) / np.sqrt(eps)
@@ -73,8 +75,8 @@ def test_odd_mode_matches_interior_sine():
 
 def test_pairing_reflection_symmetry():
     R = 16.0
-    _, h_even = trap_mode(R, "even", dx_target=0.0625)
-    _, h_odd = trap_mode(R, "odd", dx_target=0.0625)
+    t = trap_mode(R, dx_target=0.0625)
+    h_even, h_odd = t.modes["even"], t.modes["odd"]
     f = bump(3.0, 1.0, h_even.grid)
     fr = f.reflected()
     dx = h_even.grid.dx
@@ -83,40 +85,60 @@ def test_pairing_reflection_symmetry():
     assert pair(h_odd, f) == pytest.approx(-pair(h_odd, fr), rel=1e-13)
 
 
-def test_smeared_limits_and_rates():
-    radii = [16.0, 32.0, 64.0]
+@pytest.fixture(scope="module")
+def coarse_scan():
+    # listed out of order: the scans sort by radius
+    return [trap_mode(R, dx_target=0.0625) for R in (32.0, 16.0, 64.0)]
+
+
+def test_trap_mode_solves_both_parities_at_once(coarse_scan):
+    t = coarse_scan[1]
+    decomp = diagonalize(trap_operator(16.0, dx_target=0.0625), n_modes=2)
+    assert t.R == 16.0
+    assert [t.eigenvalues["even"], t.eigenvalues["odd"]] == list(decomp.eigenvalues)
+    assert np.array_equal(t.modes["even"].values, mode_renormalize(decomp.mode(0), "even").values)
+    assert np.array_equal(t.modes["odd"].values, mode_renormalize(decomp.mode(1), "odd").values)
+
+
+def test_smeared_limits_and_rates(coarse_scan):
     make_f = lambda grid: bump(3.0, 1.0, grid)
-    even = smeared_mode_limit("even", make_f, radii, dx_target=0.0625)
+    even = smeared_mode_limit("even", make_f, coarse_scan)
+    assert even.radii == [16.0, 32.0, 64.0]
+    assert even.eigenvalues == [t.eigenvalues["even"] for t in sorted(coarse_scan, key=lambda t: t.R)]
     assert even.slope <= -2.0 + 0.3
-    grid_probe = trap_mode(radii[0], "even", dx_target=0.0625)[1].grid
+    grid_probe = coarse_scan[0].modes["even"].grid
     assert even.limit == pytest.approx(make_f(grid_probe).integral().real, rel=1e-12)
-    odd = smeared_mode_limit("odd", make_f, radii, dx_target=0.0625)
+    odd = smeared_mode_limit("odd", make_f, coarse_scan)
     assert odd.slope <= -2.0 + 0.3
     assert odd.limit == pytest.approx(make_f(grid_probe).moment().real, rel=1e-12)
 
 
-def test_smeared_odd_mode_kills_symmetric_function():
-    radii = [16.0, 32.0, 64.0]
+def test_smeared_odd_mode_kills_symmetric_function(coarse_scan):
     make_f = lambda grid: bump(0.0, 1.0, grid)
-    odd = smeared_mode_limit("odd", make_f, radii, dx_target=0.0625)
+    odd = smeared_mode_limit("odd", make_f, coarse_scan)
     assert abs(odd.limit) < 1e-14
     assert max(abs(p) for p in odd.pairings) < 1e-12
 
 
 def test_smeared_support_guard():
     make_f = lambda grid: bump(0.0, 10.0, grid)
-    with pytest.raises(Exception):
-        smeared_mode_limit("even", make_f, [12.0, 16.0, 20.0, 24.0])
+    scan = [trap_mode(R, dx_target=0.0625) for R in (12.0, 16.0, 20.0, 24.0)]
+    with pytest.raises(GridConfigError):
+        smeared_mode_limit("even", make_f, scan)
 
 
 def test_count_scaling_exponents():
     radii = [20.0, 40.0, 80.0]
-    expo_even, counts_even = condensate_count_scaling("even", 0.5, radii, dx_target=0.0625)
-    expo_odd, counts_odd = condensate_count_scaling("odd", 0.5, radii, dx_target=0.0625)
+    scan = [trap_mode(R, dx_target=0.0625) for R in radii]
+    expo_even, counts_even = condensate_count_scaling("even", 0.5, scan)
+    expo_odd, counts_odd = condensate_count_scaling("odd", 0.5, scan)
     assert abs(expo_even - 1.0) <= 0.1
     assert abs(expo_odd - 3.0) <= 0.1
     assert all(np.diff(counts_even) > 0) and all(np.diff(counts_odd) > 0)
-    expo_zero, counts_zero = condensate_count_scaling("even", 0.0, radii, dx_target=0.0625)
+    # the ground mode is a half cosine across the trap, so cos^2 averages
+    # to 1/2 and the count comes out near kappa^2 R
+    assert counts_even == pytest.approx([0.25 * R for R in radii], rel=0.05)
+    expo_zero, counts_zero = condensate_count_scaling("even", 0.0, scan)
     assert expo_zero == 0.0 and all(c == 0 for c in counts_zero)
 
 

@@ -4,11 +4,11 @@ import os
 import numpy as np
 import pytest
 
-from thermolim import lab
+from thermolim import condensates, lab
 from thermolim.cli import main
 from thermolim.grids import bump, make_grid
 from thermolim.lab import ConfigError, parse_config, run
-from thermolim.hamiltonians import soft_wall_trap
+from thermolim.hamiltonians import diagonalize, soft_wall_trap
 from thermolim.propagators import (
     QuadratureCapError,
     ValidityGateError,
@@ -280,3 +280,16 @@ def test_memory_without_condensate_is_decay_only():
     assert rep.verdicts["thermal_decay"] is True
     assert any("decay-only" in n for n in rep.notes)
 
+
+def test_condensate1d_solves_each_radius_once(monkeypatch):
+    # the profile, pairing and count scans share radii 20, 40 and 80
+    sizes = []
+
+    def counting(H, n_modes=None):
+        sizes.append(H.size)
+        return diagonalize(H, n_modes)
+
+    monkeypatch.setattr(condensates, "diagonalize", counting)
+    rep = run("condensate1d", {})
+    assert len(sizes) == len(set(sizes)) == 4
+    assert rep.verdicts["count_exponent[odd]"] is True

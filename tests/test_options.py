@@ -11,7 +11,7 @@ import pathlib
 
 import thermolim
 
-OPTIONS = 30
+OPTIONS = 26
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:

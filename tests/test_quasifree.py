@@ -1,11 +1,13 @@
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 import mpmath
+from scipy.integrate import quad
 from scipy.special import erfcx, zeta
 
-from thermolim.grids import RadialGrid, bump, bump_profile, make_grid
+from thermolim.grids import RadialGrid, bump, bump_profile, fourier_at, make_grid
 from thermolim.hamiltonians import assemble, diagonalize, soft_wall_trap, trap_operator
 from thermolim.propagators import evolve_spectral
 from thermolim.quasifree import (
@@ -13,7 +15,6 @@ from thermolim.quasifree import (
     ConstantMode,
     DivergenceError,
     DomainError,
-    GridMode,
     HomogeneousState,
     QuasifreeState,
     RadialFunction3D,
@@ -72,19 +73,6 @@ def test_two_point_vacuum_limit(trap_state):
     assert abs(two_point(cold, f, f)) < 1e-8
 
 
-def test_two_point_condensate_projection(trap_state):
-    grid = trap_state.decomposition.grid
-    h = bump(0.0, 1.0, grid)
-    cold = QuasifreeState(
-        beta=200.0, mu=-1.0, decomposition=trap_state.decomposition,
-        kappa=0.5, mode=GridMode(h),
-    )
-    assert two_point(cold, h, h).real == pytest.approx(0.25, abs=1e-8)
-    # disjoint support: the condensate term vanishes identically
-    far = bump(5.0, 1.0, grid)
-    assert abs(two_point(cold, far, far)) < 1e-8
-
-
 def test_two_point_hermitian(trap_state):
     grid = trap_state.decomposition.grid
     f = bump(-1.0, 1.5, grid)
@@ -122,19 +110,16 @@ def test_kms_identity(trap_state):
 
 
 def test_perturbed_state_stationarity(trap_state):
-    # condensate built on an eigenmode: evolving both arguments is a no-op
+    # T is a function of H: evolving both arguments is a no-op
     decomp = trap_state.decomposition
-    state = QuasifreeState(
-        beta=1.0, mu=-1.0, decomposition=decomp,
-        kappa=0.7, mode=GridMode(decomp.mode(0)),
-    )
     f = bump(-1.0, 1.0, decomp.grid)
     g = bump(1.5, 1.0, decomp.grid)
-    ref = two_point(state, f, g)
+    ref = two_point(trap_state, f, g)
+    assert abs(ref) > 1e-3
     for t in (0.5, 1.0):
         ft = evolve_spectral(decomp, f, t)
         gt = evolve_spectral(decomp, g, t)
-        assert two_point(state, ft, gt) == pytest.approx(ref, abs=1e-8)
+        assert two_point(trap_state, ft, gt) == pytest.approx(ref, abs=1e-12)
 
 
 def test_position_density_nonnegative_and_consistent(trap_state):
@@ -260,17 +245,30 @@ def test_number_resolvent_vacuum_and_bounds(trap_state):
     assert 0 < val <= 1.0
 
 
+def _lerch_series(nbar, norm_sq, lam):
+    # sum_n q^n / ((1 + nbar)(lam + n s)) = Phi(q, 1, lam / s) / ((1 + nbar) s),
+    # at 30 digits: q is within 1/nbar of 1
+    with mpmath.workdps(30):
+        q = mpmath.mpf(nbar) / (1 + nbar)
+        return float(mpmath.lerchphi(q, 1, lam / mpmath.mpf(norm_sq)) / ((1 + nbar) * norm_sq))
+
+
 def test_geometric_series_matches_lerch_phi_at_large_occupation():
-    # sum_n q^n / ((1 + nbar)(lam + n s)) = Phi(q, 1, lam / s) / ((1 + nbar) s)
     nbar, norm_sq = 1e5, 0.7
     for lam in (0.5, 2.0):
-        q = mpmath.mpf(nbar) / (1 + nbar)
-        exact = mpmath.lerchphi(q, 1, lam / mpmath.mpf(norm_sq)) / ((1 + nbar) * norm_sq)
         value = geometric_resolvent_series(nbar, norm_sq, lam)
-        # the tail bound is absolute (1e-12); the value is about 1.5e-4, and a cut
-        # at p_n / lam < 1e-12 instead misses 2e-10 to 1e-9 of it
-        assert abs(value - float(exact)) < 1e-12
-        assert value == pytest.approx(float(exact), rel=1e-10, abs=0)
+        # the value is about 1.5e-4: a series cut at p_n / lam < 1e-12
+        # would miss 2e-10 to 1e-9 of it
+        assert value == pytest.approx(_lerch_series(nbar, norm_sq, lam), rel=1e-12, abs=0)
+
+
+def test_geometric_series_cost_does_not_grow_with_occupation():
+    # a summed series would need about nbar ln(1e12 / lam) = 3e9 terms here
+    nbar, norm_sq, lam = 1e8, 0.7, 0.5
+    start = time.perf_counter()
+    value = geometric_resolvent_series(nbar, norm_sq, lam)
+    assert time.perf_counter() - start < 0.1
+    assert value == pytest.approx(_lerch_series(nbar, norm_sq, lam), rel=1e-12, abs=0)
 
 
 def test_number_resolvent_monotone_in_occupation():
@@ -293,38 +291,41 @@ def test_number_resolvent_matches_fock_oracle(trap_state):
         assert value == pytest.approx(oracle, abs=1e-8)
 
 
-def test_number_resolvent_condensate_orthogonality(trap_state):
-    grid = trap_state.decomposition.grid
-    h = bump(-4.0, 1.0, grid)
-    f = bump(2.0, 1.0, grid)  # disjoint from h
-    plain = number_resolvent_expectation(trap_state, 1.0, f)
-    shifted = QuasifreeState(
-        beta=1.0, mu=-1.0, decomposition=trap_state.decomposition,
-        kappa=0.5, mode=GridMode(h),
+def test_number_resolvent_condensate_orthogonality():
+    # the constant limit mode pairs with f through its integral
+    grid = make_grid(16.0, 1024)
+    b = bump(0.0, 1.0, grid)
+    f = b.with_values(bump(2.0, 1.0, grid).values - bump(-2.0, 1.0, grid).values)
+    assert abs(f.integral()) < 1e-14
+    plain = HomogeneousState(beta=1.0, mu=-0.5, dimension=1)
+    shifted = HomogeneousState(beta=1.0, mu=-0.5, dimension=1, kappa=0.5, mode=ConstantMode())
+    assert number_resolvent_expectation(shifted, 1.0, f) == number_resolvent_expectation(
+        plain, 1.0, f
     )
-    assert number_resolvent_expectation(shifted, 1.0, f) == plain
     with pytest.raises(DomainError):
-        number_resolvent_expectation(shifted, 1.0, h)
+        number_resolvent_expectation(shifted, 1.0, b)
 
 
 def test_local_count_of_pure_condensate():
     # thermal part frozen out: the count in [-R, R] is kappa^2 * Int h^2
-    from thermolim.condensates import mode_renormalize
+    from thermolim.condensates import condensate_count_scaling, trap_mode
 
-    R = 12.0
-    decomp = diagonalize(trap_operator(R, dx_target=0.0625, n_cap=2048))
-    h = mode_renormalize(decomp.mode(0), "even")
-    state = QuasifreeState(
-        beta=200.0, mu=-1.0, decomposition=decomp, kappa=0.5, mode=GridMode(h)
-    )
-    grid = decomp.grid
-    m = np.abs(grid.x) <= R
-    expected = 0.25 * float((h.values.real[m] ** 2).sum() * grid.dx)
-    measured = local_particle_number(state, -R, R + grid.dx / 2)
-    assert measured == pytest.approx(expected, rel=1e-6)
-    # the ground mode is a half cosine across the trap, so cos^2 averages
-    # to 1/2 and the count comes out near kappa^2 * R
-    assert expected == pytest.approx(0.25 * R, rel=0.05)
+    radii = [12.0, 24.0]
+    scan = [trap_mode(R, dx_target=0.0625) for R in radii]
+    _, counts = condensate_count_scaling("even", 0.5, scan)
+    for R, modes, condensate in zip(radii, scan, counts):
+        h = modes.modes["even"]
+        grid = h.grid
+        cold = QuasifreeState(
+            beta=200.0, mu=-1.0, decomposition=diagonalize(trap_operator(R, dx_target=0.0625))
+        )
+        m = np.abs(grid.x) <= R
+        expected = 0.25 * float((h.values.real[m] ** 2).sum() * grid.dx)
+        measured = local_particle_number(cold, -R, R + grid.dx / 2) + condensate
+        assert measured == pytest.approx(expected, rel=1e-6)
+        # the ground mode is a half cosine across the trap, so cos^2 averages
+        # to 1/2 and the count comes out near kappa^2 * R
+        assert expected == pytest.approx(0.25 * R, rel=0.05)
 
 
 def test_mu_scan_antisymmetrized_bump_converges():
@@ -356,13 +357,21 @@ def test_momentum_weight_positive():
     assert w > 0
 
 
-def test_temporal_correlation_t0_matches_weight():
+def test_momentum_weight_of_a_boosted_packet():
+    # e^(1.5 i x) moves |fhat|^2 off p = 0, so it is not even in p
     grid = make_grid(16.0, 1024)
     f = bump(0.0, 2.0, grid)
-    state = HomogeneousState(beta=1.0, mu=-0.5, dimension=1)
-    corr0 = temporal_correlation(state, f, f, 0.0)
-    assert corr0.real == pytest.approx(momentum_weight(f, 1.0, -0.5), rel=1e-8)
-    assert abs(corr0.imag) < 1e-10
+    boosted = f.with_values(f.values * np.exp(1.5j * grid.x))
+    p_cut = np.sqrt(600.5)
+
+    def integrand(p):
+        return np.abs(fourier_at(boosted, p)[0]) ** 2 / np.expm1(p * p + 0.5)
+
+    full_line, _ = quad(
+        integrand, -p_cut, p_cut, points=[-1.5, 0.0, 1.5], limit=400, epsabs=0.0, epsrel=1e-11
+    )
+    assert full_line == pytest.approx(0.2644, abs=1e-4)
+    assert momentum_weight(boosted, 1.0, -0.5) == pytest.approx(full_line, rel=1e-9)
 
 
 def test_temporal_correlation_domain_guards():
@@ -370,9 +379,10 @@ def test_temporal_correlation_domain_guards():
         HomogeneousState(beta=1.0, mu=0.0, dimension=1)
     grid = make_grid(10.0, 512)
     f = bump(0.0, 1.0, grid)
-    state = HomogeneousState(beta=1.0, mu=-0.5, dimension=2)
-    with pytest.raises(DomainError):
-        temporal_correlation(state, f, f, 1.0)
+    for dimension in (1, 2):
+        state = HomogeneousState(beta=1.0, mu=-0.5, dimension=dimension)
+        with pytest.raises(DomainError):
+            temporal_correlation(state, f, f, 1.0)
 
 
 def test_condensate_plateau_time_independent():
@@ -436,14 +446,6 @@ def test_temporal_correlation_batch_3d_distinct_g():
     state = HomogeneousState(beta=1.0, mu=-0.3, dimension=3)
     _assert_batch_matches_scalar_calls(state, f, g, [0.5, 4.0])
     assert len(temporal_correlation(state, f, g, np.array([2.0]))) == 1
-
-
-def test_temporal_correlation_batch_1d():
-    grid = make_grid(16.0, 512)
-    f = bump(0.0, 2.0, grid)
-    g = bump(1.0, 1.5, grid)
-    state = HomogeneousState(beta=1.0, mu=-0.5, dimension=1)
-    _assert_batch_matches_scalar_calls(state, f, g, [0.0, 1.5])
     with pytest.raises(ValueError):
         temporal_correlation(state, f, g, [[0.0, 1.0]])
 
