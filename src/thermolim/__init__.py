@@ -75,7 +75,6 @@ from .fock import (
     FockSpace,
     build_fock,
     gibbs_number_resolvent,
-    gibbs_trace_expectation,
     evolved_resolvent_sector_norm,
     number_resolvent_matrix,
     resolvent_pair_sector_norm,

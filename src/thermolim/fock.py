@@ -6,15 +6,16 @@
 # The basis consists of occupation tuples (n_1, ..., n_m) with n_i <= n_max
 # and sum n_i <= N_total.  Creation/annihilation matrix elements are exact;
 # truncation only removes states, so commutation relations hold exactly on
-# every state with headroom.  a(f) is built two ways: the dense dict-loop
-# matrix (the obviously correct reference, used by the self-tests and the
-# field resolvent) and its vectorised sector-to-sector blocks.  The number
-# resolvent (lam + a*(f) a(f))^(-1) conserves particle number, so it is
-# built, inverted and traced one sector at a time from those blocks, as a
-# list of plain arrays indexed by the particle number; no D x D matrix is
-# formed for it.  The pair norms of evolved resolvents run on the same
-# blocks over two modes.  The field resolvent (phi(f) changes the particle
-# number) stays dense and reads the diagonal of one inverse.
+# every state with headroom.  a(f) lowers the particle number by one, so it
+# is held as its sector-to-sector blocks A_n (sector n to sector n - 1),
+# built in one place, _annihilator_blocks; the commutator self-test, both
+# resolvents and the pair norms all run on these blocks, and no D x D matrix
+# is formed.  The number resolvent (lam + a*(f) a(f))^(-1) conserves
+# particle number, so it is inverted one sector at a time.  The field
+# resolvent (lam + i phi(f))^(-1), phi(f) = a(f) + a*(f), is block
+# tridiagonal over the sectors; the diagonal blocks of its inverse come from
+# the Schur complements from below and from above (the recursive Green's
+# function recursion).
 
 from __future__ import annotations
 
@@ -24,7 +25,8 @@ from math import comb
 
 import numpy as np
 
-DIMENSION_CAP = 4096  # one dense complex D x D matrix is 268 MB at the cap
+# bounds the basis enumeration and the sector blocks; no D x D matrix is formed
+DIMENSION_CAP = 4096
 TRUNCATION_TOL = 1e-10  # largest Gibbs weight a trace may discard
 
 
@@ -43,8 +45,6 @@ class FockSpace:
     n_modes: int
     n_max: int
     n_total: int
-    basis: tuple = field(init=False)
-    index: dict = field(init=False, repr=False)
     sectors: dict = field(init=False, repr=False)
     occupations: np.ndarray = field(init=False, repr=False)
 
@@ -56,59 +56,24 @@ class FockSpace:
         dimension = _basis_size(self.n_modes, self.n_max, self.n_total)
         if dimension > DIMENSION_CAP:
             raise FockConfigError(f"basis dimension {dimension} exceeds cap {DIMENSION_CAP}")
-        basis = tuple(
-            occ
-            for occ in product(range(self.n_max + 1), repeat=self.n_modes)
-            if sum(occ) <= self.n_total
-        )
-        index = {occ: i for i, occ in enumerate(basis)}
-        sectors: dict[int, list[int]] = {}
-        for i, occ in enumerate(basis):
-            sectors.setdefault(sum(occ), []).append(i)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "sectors", {k: np.array(v) for k, v in sectors.items()})
-        occupations = np.array(basis).reshape(len(basis), self.n_modes)
+        # occupation tuples in lexicographic order; none exceeds min(n_max, n_total)
+        radix = min(self.n_max, self.n_total) + 1
+        grid = np.indices((radix,) * self.n_modes).reshape(self.n_modes, -1).T
+        occupations = grid[grid.sum(axis=1) <= self.n_total]
         occupations.flags.writeable = False
         object.__setattr__(self, "occupations", occupations)
+        counts = occupations.sum(axis=1)
+        sectors = {n: np.flatnonzero(counts == n) for n in range(counts.max() + 1)}
+        object.__setattr__(self, "sectors", sectors)
 
     @property
     def dimension(self) -> int:
-        return len(self.basis)
-
-    def annihilator(self, mode: int) -> np.ndarray:
-        """Dense matrix of a_mode: a|..., n, ...> = sqrt(n) |..., n-1, ...>."""
-        D = self.dimension
-        a = np.zeros((D, D))
-        for occ, i in self.index.items():
-            n = occ[mode]
-            if n >= 1:
-                tgt = occ[:mode] + (n - 1,) + occ[mode + 1 :]
-                a[self.index[tgt], i] = np.sqrt(n)
-        return a
-
-    def annihilator_of(self, coeffs: np.ndarray) -> np.ndarray:
-        """a(f) = sum_i conj(c_i) a_i for f = sum_i c_i e_i."""
-        coeffs = np.asarray(coeffs, dtype=complex)
-        if coeffs.shape != (self.n_modes,):
-            raise FockConfigError("coefficient vector does not match the mode count")
-        out = np.zeros((self.dimension, self.dimension), dtype=complex)
-        for m, c in enumerate(coeffs):
-            if c != 0:
-                out += np.conj(c) * self.annihilator(m)
-        return out
-
-    def number_operator(self, mode: int) -> np.ndarray:
-        return np.diag([float(occ[mode]) for occ in self.basis])
+        return len(self.occupations)
 
     def interior_mask(self) -> np.ndarray:
         """States where one more quantum in any mode stays inside the truncation."""
-        return np.array(
-            [
-                sum(occ) + 1 <= self.n_total and all(n + 1 <= self.n_max for n in occ)
-                for occ in self.basis
-            ]
-        )
+        occ = self.occupations
+        return (occ.sum(axis=1) < self.n_total) & (occ < self.n_max).all(axis=1)
 
 
 def _basis_size(m: int, n_max: int, n_total: int) -> int:
@@ -126,61 +91,23 @@ def build_fock(n_modes: int, n_max: int, n_total: int) -> FockSpace:
     return FockSpace(n_modes, n_max, n_total)
 
 
-def ccr_defect(space: FockSpace) -> float:
+def _annihilator_blocks(space: FockSpace, coeffs) -> list[np.ndarray]:
     """
-    Max deviation of [a_i, a*_j] - delta_ij from zero on interior states.
-
-    Zero up to roundoff by construction; exposed as a self-test.
-    """
-    mask = space.interior_mask()
-    worst = 0.0
-    for i in range(space.n_modes):
-        ai = space.annihilator(i)
-        for j in range(space.n_modes):
-            aj = space.annihilator(j)
-            comm = ai @ aj.T - aj.T @ ai
-            expect = np.eye(space.dimension) if i == j else 0.0
-            worst = max(worst, np.abs((comm - expect)[:, mask]).max())
-    return worst
-
-
-def sector_blocks(space: FockSpace, op: np.ndarray) -> list[np.ndarray]:
-    """Split a number-conserving operator into its sector blocks, indexed by particle number."""
-    return [op[np.ix_(space.sectors[n], space.sectors[n])] for n in sorted(space.sectors)]
-
-
-def number_resolvent_matrix(space: FockSpace, lam: float, coeffs: np.ndarray) -> list[np.ndarray]:
-    """
-    Exact (lam + a*(f) a(f))^(-1), blockwise: entry n is its block on the
-    n-particle sector.
-    """
-    if lam <= 0:
-        raise FockConfigError(f"lambda must be positive, got {lam}")
-    return [np.linalg.inv(lam * np.eye(len(X)) + X) for X in _number_sector_blocks(space, coeffs)]
-
-
-def _number_sector_blocks(space: FockSpace, coeffs):
-    """
-    Yield X_n for every particle-number sector n in ascending order, where
-    X_n is the block of a*(f) a(f) on sector n in basis order.
-
-    X_n = A_n^* A_n with A_n the block of a(f) from sector n to sector
-    n - 1; a(f) maps sector n into sector n - 1 only, so these are exactly
-    the diagonal blocks of the dense product.
+    a(f) = sum_i conj(c_i) a_i for f = sum_i c_i e_i, blockwise: entry n is
+    A_n, its block from sector n to sector n - 1 in basis order (A_0 has no
+    rows).  a(f) maps sector n into sector n - 1 only, so these blocks are
+    all of it.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
     if coeffs.shape != (space.n_modes,):
         raise FockConfigError("coefficient vector does not match the mode count")
     occ = space.occupations
     # mixed-radix key of each occupation tuple, ascending in basis order
-    # (itertools.product order); occupations never exceed min(n_max, n_total)
     radix = (min(space.n_max, space.n_total) + 1) ** np.arange(space.n_modes - 1, -1, -1)
     keys = occ @ radix
-    for n in sorted(space.sectors):
+    blocks = [np.zeros((0, 1), dtype=complex)]
+    for n in range(1, len(space.sectors)):
         idx = space.sectors[n]
-        if n == 0:
-            yield np.zeros((1, 1), dtype=complex)
-            continue
         lower = keys[space.sectors[n - 1]]
         a = np.zeros((len(lower), len(idx)), dtype=complex)
         for m, c in enumerate(coeffs):
@@ -188,7 +115,42 @@ def _number_sector_blocks(space: FockSpace, coeffs):
             cols = np.flatnonzero(occ_m)
             rows = np.searchsorted(lower, keys[idx[cols]] - radix[m])
             a[rows, cols] = np.conj(c) * np.sqrt(occ_m[cols])
-        yield a.conj().T @ a
+        blocks.append(a)
+    return blocks
+
+
+def ccr_defect(space: FockSpace) -> float:
+    """
+    Max deviation of [a_i, a*_j] - delta_ij from zero on interior states.
+
+    Checked sector by sector on the blocks every resolvent runs on: on
+    sector n the commutator is A^i_(n+1) A^j_(n+1)^* - A^j_n^* A^i_n.  The
+    top sector holds no interior state.  Zero up to roundoff by
+    construction; exposed as a self-test.
+    """
+    mask = space.interior_mask()
+    modes = [_annihilator_blocks(space, e) for e in np.eye(space.n_modes)]
+    worst = 0.0
+    for n in range(len(space.sectors) - 1):
+        cols = mask[space.sectors[n]]
+        for (i, ai), (j, aj) in product(enumerate(modes), repeat=2):
+            comm = ai[n + 1] @ aj[n + 1].conj().T - aj[n].conj().T @ ai[n]
+            comm -= (i == j) * np.eye(len(cols))
+            worst = max(worst, np.abs(comm[:, cols]).max(initial=0.0))
+    return worst
+
+
+def number_resolvent_matrix(space: FockSpace, lam: float, coeffs: np.ndarray) -> list[np.ndarray]:
+    """
+    Exact (lam + a*(f) a(f))^(-1), blockwise: entry n is its block on the
+    n-particle sector, inv(lam + A_n^* A_n).
+    """
+    if lam <= 0:
+        raise FockConfigError(f"lambda must be positive, got {lam}")
+    return [
+        np.linalg.inv(lam * np.eye(a.shape[1]) + a.conj().T @ a)
+        for a in _annihilator_blocks(space, coeffs)
+    ]
 
 
 def sector_norm_monotonicity(blocks: list[np.ndarray]):
@@ -286,22 +248,6 @@ def _discarded_weight(w: np.ndarray, energies, beta: float, mu: float) -> float:
     return float(1.0 - w.sum() / z_full)
 
 
-def gibbs_trace_expectation(
-    space: FockSpace,
-    op: np.ndarray,
-    energies,
-    beta: float,
-    mu: float,
-) -> float:
-    """
-    Grand-canonical expectation Tr(e^(-beta H) op) / Tr(e^(-beta H)) with
-    H = sum_i (eps_i - mu) N_i on the truncated space.
-    """
-    w = _checked_gibbs_weights(space, energies, beta, mu)
-    val = (w * np.diag(op).real).sum() / w.sum()
-    return float(val)
-
-
 def _checked_gibbs_weights(space, energies, beta, mu) -> np.ndarray:
     # Boltzmann weights of the basis states, refused when the truncation
     # discards more than TRUNCATION_TOL of the Gibbs weight
@@ -312,6 +258,13 @@ def _checked_gibbs_weights(space, energies, beta, mu) -> np.ndarray:
             f"truncation weight {drop:.2e} above {TRUNCATION_TOL:.0e}; raise the caps"
         )
     return w
+
+
+def _sector_trace(space: FockSpace, w: np.ndarray, blocks) -> float:
+    # Tr(e^(-beta H) op) / Tr(e^(-beta H)) for a number-conserving op given
+    # by its sector blocks, from the Boltzmann weights w of the basis states
+    val = sum((w[space.sectors[n]] * np.diag(b).real).sum() for n, b in enumerate(blocks))
+    return float(val / w.sum())
 
 
 def gibbs_number_resolvent(
@@ -325,13 +278,12 @@ def gibbs_number_resolvent(
     """
     Gibbs trace of (lam + a*(f) a(f))^(-1): the oracle for the series formula.
 
-    The operator conserves particle number, so each sector block is inverted
-    on its own and only the diagonals of the inverses are weighted.
+    H = sum_i (eps_i - mu) N_i on the truncated space.  The operator
+    conserves particle number, so each sector block is inverted on its own
+    and only the diagonals of the inverses are weighted.
     """
     w = _checked_gibbs_weights(space, energies, beta, mu)
-    blocks = number_resolvent_matrix(space, lam, coeffs)
-    val = sum((w[space.sectors[n]] * np.diag(b).real).sum() for n, b in enumerate(blocks))
-    return float(val / w.sum())
+    return _sector_trace(space, w, number_resolvent_matrix(space, lam, coeffs))
 
 
 def gibbs_field_resolvent(
@@ -350,12 +302,24 @@ def gibbs_field_resolvent(
     field operator itself has real spectrum, so a real offset would be
     singular).  Reported alongside the Gaussian quadrature formula as a
     diagnostic; the truncation bites harder for field operators, so this is
-    not an oracle equality.  The trace reads only the real part of the
-    diagonal, so the inverse is passed as it is.
+    not an oracle equality.
+
+    lam + i phi(f) has diagonal blocks lam and off-diagonal blocks i A_n,
+    i A_n^*, so the Schur complements from below, S_n = lam + A_n^*
+    S_(n-1)^(-1) A_n, and from above, T_n = lam + A_(n+1) T_(n+1)^(-1)
+    A_(n+1)^*, are Hermitian positive definite, and the diagonal block of
+    the inverse on sector n is (S_n + T_n - lam)^(-1), whose diagonal is real.
     """
-    af = space.annihilator_of(np.asarray(coeffs, dtype=complex))
-    M = af + af.conj().T
-    del af  # the inverse then peaks at three complex D x D matrices, with M
-    M *= 1j
-    M[np.diag_indices_from(M)] += lam
-    return gibbs_trace_expectation(space, np.linalg.inv(M), energies, beta, mu)
+    w = _checked_gibbs_weights(space, energies, beta, mu)
+    A = _annihilator_blocks(space, coeffs)
+    eye = [np.eye(a.shape[1]) for a in A]
+    below = [lam * eye[0]]  # S_n
+    for n in range(1, len(A)):
+        below.append(lam * eye[n] + A[n].conj().T @ np.linalg.solve(below[-1], A[n]))
+    above = lam * eye[-1]  # T_n
+    diagonal = []
+    for n in reversed(range(len(A))):
+        diagonal.append(np.linalg.inv(below[n] + above - lam * eye[n]))
+        if n:
+            above = lam * eye[n - 1] + A[n] @ np.linalg.solve(above, A[n].conj().T)
+    return _sector_trace(space, w, diagonal[::-1])

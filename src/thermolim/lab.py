@@ -477,6 +477,10 @@ def run_condensate_1d(config: dict) -> Report:
         columns=["parity", "R", "x", "offset", "limit", "rel_deviation", "within_tol"],
     )
     kappa, radii, counted = cfg["kappa"], cfg["radius_list_profiles"], cfg["radius_list_counts"]
+    for R in radii:  # every probe must be a point of every profile grid, before any solve
+        grid = trap_operator(R, cfg["dx_target"]).grid
+        for xv in cfg["x_probes"]:
+            grid.index_of(xv)
     # one two-mode solve per distinct radius serves every scan below
     solved = {R: cond.trap_mode(R, cfg["dx_target"]) for R in sorted({*radii, *counted})}
 

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from thermolim import fock
 from thermolim.fock import (
     FockConfigError,
     TruncationError,
@@ -11,11 +12,9 @@ from thermolim.fock import (
     ccr_defect,
     gibbs_field_resolvent,
     gibbs_number_resolvent,
-    gibbs_trace_expectation,
     evolved_resolvent_sector_norm,
     number_resolvent_matrix,
     resolvent_pair_sector_norm,
-    sector_blocks,
     sector_norm_monotonicity,
     truncation_weight,
 )
@@ -47,17 +46,77 @@ def test_dimension_cap_is_checked_before_enumerating_the_basis():
     assert time.perf_counter() - start < 0.1
 
 
+# Independent reference: a(f) as a dense matrix from a dict loop over the
+# occupation tuples, with its own index, and a sector split by particle
+# number.  Neither touches the sector blocks the library runs on.
+
+
+def _dense_annihilator(space, coeffs):
+    occs = [tuple(occ) for occ in space.occupations.tolist()]
+    index = {occ: k for k, occ in enumerate(occs)}
+    a = np.zeros((len(occs), len(occs)), dtype=complex)
+    for k, occ in enumerate(occs):
+        for m, c in enumerate(coeffs):
+            if occ[m] >= 1:
+                lowered = occ[:m] + (occ[m] - 1,) + occ[m + 1 :]
+                a[index[lowered], k] += np.conj(c) * np.sqrt(occ[m])
+    return a
+
+
+def _split_sectors(space, op):
+    counts = space.occupations.sum(axis=1)
+    return [op[np.ix_(counts == n, counts == n)] for n in range(counts.max() + 1)]
+
+
+def _dense_number_resolvent(space, lam, coeffs):
+    af = _dense_annihilator(space, coeffs)
+    return np.linalg.inv(lam * np.eye(space.dimension) + af.conj().T @ af)
+
+
+def _dense_gibbs_trace(space, op, energies, beta, mu):
+    w = np.exp(-beta * space.occupations @ (np.array(energies) - mu))
+    return (w * np.diag(op).real).sum() / w.sum()
+
+
 def test_ccr_exact_on_interior():
     assert ccr_defect(build_fock(2, 5, 5)) < 1e-12
     assert ccr_defect(build_fock(3, 3, 3)) < 1e-12
 
 
+def test_ccr_defect_checks_the_blocks_the_resolvents_run_on(monkeypatch):
+    blocks = fock._annihilator_blocks
+
+    def perturbed(space, coeffs):
+        out = blocks(space, coeffs)
+        out[1][0, 0] += 1e-6  # <vacuum| a(f) |first one-particle state>
+        return out
+
+    monkeypatch.setattr(fock, "_annihilator_blocks", perturbed)
+    assert ccr_defect(build_fock(2, 5, 5)) > 1e-9
+
+
 def test_creation_matrix_elements():
     sp = build_fock(1, 4, 4)
-    a = sp.annihilator(0)
-    ad = a.T
+    ad = _dense_annihilator(sp, np.array([1.0])).T
+    blocks = fock._annihilator_blocks(sp, np.array([1.0]))
     for n in range(4):
-        assert ad[sp.index[(n + 1,)], sp.index[(n,)]] == pytest.approx(np.sqrt(n + 1))
+        # basis state k holds k quanta; sector n + 1 is that one state
+        assert ad[n + 1, n] == pytest.approx(np.sqrt(n + 1))
+        assert blocks[n + 1][0, 0] == pytest.approx(np.sqrt(n + 1))
+
+
+def test_annihilator_blocks_match_dense_reference():
+    rng = np.random.default_rng(7)
+    for shape in ((1, 6, 6), (2, 5, 7), (3, 4, 5)):
+        sp = build_fock(*shape)
+        coeffs = rng.normal(size=shape[0]) + 1j * rng.normal(size=shape[0])
+        dense = _dense_annihilator(sp, coeffs)
+        counts = sp.occupations.sum(axis=1)
+        blocks = fock._annihilator_blocks(sp, coeffs)
+        assert len(blocks) == counts.max() + 1
+        for n, a in enumerate(blocks):
+            assert a.shape == ((counts == n - 1).sum(), (counts == n).sum())
+            assert np.array_equal(a, dense[np.ix_(counts == n - 1, counts == n)])
 
 
 def test_vacuum_sector_scalar():
@@ -106,8 +165,8 @@ def test_pair_norm_matches_dense_oracle():
     for g1, g2 in cases:
         n_sec = 3
         sp = build_fock(2, n_sec, n_sec)
-        A1 = sector_blocks(sp, _dense_number_resolvent(sp, lam, g1))
-        A2 = sector_blocks(sp, _dense_number_resolvent(sp, lam, g2))
+        A1 = _split_sectors(sp, _dense_number_resolvent(sp, lam, g1))
+        A2 = _split_sectors(sp, _dense_number_resolvent(sp, lam, g2))
         dense = max(np.abs(np.linalg.eigvalsh(a - b)).max() for a, b in zip(A1, A2))
         gram = lambda a, b: np.vdot(a, b)
         exact = resolvent_pair_sector_norm(
@@ -173,11 +232,9 @@ def test_monotonicity_difference_with_spectator_mode():
     # orthogonal f, g living in modes 1-2; mode 3 gives room for the added
     # particle, as the infinite-dimensional one-particle space would
     sp = build_fock(3, 3, 3)
-    a1 = sp.annihilator_of(np.array([1.0, 0.0, 0.0]))
-    a2 = sp.annihilator_of(np.array([0.0, 1.0, 0.0]))
-    A = np.linalg.inv(np.eye(sp.dimension) + a1.conj().T @ a1)
-    B = np.linalg.inv(np.eye(sp.dimension) + a2.conj().T @ a2)
-    ok, norms, _ = sector_norm_monotonicity(sector_blocks(sp, A - B))
+    A = _dense_number_resolvent(sp, 1.0, np.array([1.0, 0.0, 0.0]))
+    B = _dense_number_resolvent(sp, 1.0, np.array([0.0, 1.0, 0.0]))
+    ok, norms, _ = sector_norm_monotonicity(_split_sectors(sp, A - B))
     assert ok
     assert norms[1] <= norms[2] <= norms[3]
 
@@ -189,26 +246,32 @@ def test_monotonicity_random_products_seeded():
         c1 = np.append(rng.normal(size=2) + 1j * rng.normal(size=2), 0.0)
         c2 = np.append(rng.normal(size=2) + 1j * rng.normal(size=2), 0.0)
         lam1, lam2 = rng.uniform(0.5, 2.0, size=2)
-        a1, a2 = sp.annihilator_of(c1), sp.annihilator_of(c2)
-        A = np.linalg.inv(lam1 * np.eye(sp.dimension) + a1.conj().T @ a1)
-        B = np.linalg.inv(lam2 * np.eye(sp.dimension) + a2.conj().T @ a2)
-        ok, _, _ = sector_norm_monotonicity(sector_blocks(sp, A @ B)[:4])
+        A = _dense_number_resolvent(sp, lam1, c1)
+        B = _dense_number_resolvent(sp, lam2, c2)
+        ok, _, _ = sector_norm_monotonicity(_split_sectors(sp, A @ B)[:4])
         assert ok
 
 
 def test_gibbs_identity():
+    # f = 0 leaves lam^(-1) times the identity, whose Gibbs trace is 1/lam
     sp = build_fock(2, 44, 44)
-    val = gibbs_trace_expectation(sp, np.eye(sp.dimension), [0.5, 1.5], 1.0, -0.2)
-    assert val == pytest.approx(1.0, abs=1e-12)
+    for trace in (gibbs_number_resolvent, gibbs_field_resolvent):
+        val = trace(sp, 2.0, [0.0, 0.0], [0.5, 1.5], 1.0, -0.2)
+        assert val == pytest.approx(0.5, abs=1e-12)
 
 
 def test_gibbs_single_mode_occupation():
+    # a*(e_0) a(e_0) = N_0, whose Gibbs law is geometric with the Bose
+    # occupation as its mean: P(N_0 = k) = (1 - q) q^k, q = nbar / (1 + nbar)
     sp = build_fock(2, 40, 40)
     beta, mu, eps = 1.0, -0.2, [0.5, 1.5]
-    n_op = sp.number_operator(0)
-    val = gibbs_trace_expectation(sp, n_op, eps, beta, mu)
-    expected = bose_occupation(np.array([eps[0]]), beta, mu)[0]
-    assert val == pytest.approx(expected, abs=1e-10)
+    nbar = bose_occupation(np.array([eps[0]]), beta, mu)[0]
+    q = nbar / (1 + nbar)
+    k = np.arange(400)
+    for lam in (0.5, 1.0, 2.0):
+        val = gibbs_number_resolvent(sp, lam, [1.0, 0.0], eps, beta, mu)
+        expected = ((1 - q) * q**k / (lam + k)).sum()
+        assert val == pytest.approx(expected, abs=1e-10)
 
 
 def test_gibbs_matches_geometric_series():
@@ -236,21 +299,16 @@ def test_gibbs_gauge_invariance():
 def test_truncation_guard():
     small = build_fock(2, 6, 6)
     assert truncation_weight(small, [0.5, 1.5], 1.0, -0.2) > 1e-10
-    with pytest.raises(TruncationError):
-        gibbs_trace_expectation(small, np.eye(small.dimension), [0.5, 1.5], 1.0, -0.2)
-    with pytest.raises(TruncationError):
-        gibbs_number_resolvent(small, 1.0, [0.8, 0.6], [0.5, 1.5], 1.0, -0.2)
+    for trace in (gibbs_number_resolvent, gibbs_field_resolvent):
+        with pytest.raises(TruncationError):
+            trace(small, 1.0, [0.8, 0.6], [0.5, 1.5], 1.0, -0.2)
 
 
 def test_gibbs_rejects_mu_above_spectrum():
     sp = build_fock(2, 10, 10)
-    with pytest.raises(FockConfigError):
-        gibbs_trace_expectation(sp, np.eye(sp.dimension), [0.5, 1.5], 1.0, 0.6)
-
-
-def _dense_number_resolvent(space, lam, coeffs):
-    af = space.annihilator_of(coeffs)
-    return np.linalg.inv(lam * np.eye(space.dimension) + af.conj().T @ af)
+    for trace in (gibbs_number_resolvent, gibbs_field_resolvent):
+        with pytest.raises(FockConfigError, match="chemical potential"):
+            trace(sp, 1.0, [0.8, 0.6], [0.5, 1.5], 1.0, 0.6)
 
 
 @pytest.mark.parametrize(
@@ -260,13 +318,10 @@ def _dense_number_resolvent(space, lam, coeffs):
 def test_gibbs_number_resolvent_matches_dense_trace(shape, energies, beta, mu):
     sp = build_fock(*shape)
     assert truncation_weight(sp, energies, beta, mu) <= 1e-10
-    occ = np.array(sp.basis)
-    w = np.exp(-beta * occ @ (np.array(energies) - mu))
     rng = np.random.default_rng(shape[0])
     coeffs = rng.normal(size=shape[0]) + 1j * rng.normal(size=shape[0])
     for lam in (0.3, 1.0, 2.5):
-        A = _dense_number_resolvent(sp, lam, coeffs)
-        dense = (w * np.diag(A).real).sum() / w.sum()
+        dense = _dense_gibbs_trace(sp, _dense_number_resolvent(sp, lam, coeffs), energies, beta, mu)
         got = gibbs_number_resolvent(sp, lam, coeffs, energies, beta, mu)
         assert got == pytest.approx(dense, rel=1e-12, abs=1e-12)
 
@@ -276,7 +331,7 @@ def test_number_resolvent_blocks_match_dense_blocks():
     for shape in ((1, 6, 6), (2, 5, 7), (3, 4, 5)):
         sp = build_fock(*shape)
         coeffs = rng.normal(size=shape[0]) + 1j * rng.normal(size=shape[0])
-        dense = sector_blocks(sp, _dense_number_resolvent(sp, 0.8, coeffs))
+        dense = _split_sectors(sp, _dense_number_resolvent(sp, 0.8, coeffs))
         blocks = number_resolvent_matrix(sp, 0.8, coeffs)
         assert [b.shape for b in blocks] == [d.shape for d in dense]
         for b, d in zip(blocks, dense):
@@ -295,18 +350,35 @@ def test_gibbs_number_resolvent_stays_below_one_dense_matrix():
     assert peak < dense_bytes
 
 
-def test_gibbs_field_resolvent_inverts_once_and_reads_its_diagonal():
-    # the trace reads Re diag, so passing the inverse itself gives the value
-    # of its Hermitian part bit for bit, within three complex D x D matrices
-    sp = build_fock(1, 511, 511)
-    lam, coeffs, eps, beta, mu = 1.0, np.array([1.0]), [1.3], 1.0, -0.2
+@pytest.mark.parametrize(
+    "shape, energies, beta, mu",
+    [
+        ((1, 40, 40), [1.3], 1.0, -0.2),
+        ((2, 12, 12), [2.0, 3.0], 2.5, -0.3),
+        ((3, 6, 6), [1.0, 2.0, 2.5], 4.0, -0.3),
+    ],
+)
+def test_gibbs_field_resolvent_matches_dense_trace(shape, energies, beta, mu):
+    sp = build_fock(*shape)
+    assert truncation_weight(sp, energies, beta, mu) <= 1e-10
+    rng = np.random.default_rng(40 + shape[0])
+    coeffs = rng.normal(size=shape[0]) + 1j * rng.normal(size=shape[0])
+    af = _dense_annihilator(sp, coeffs)
+    for lam in (0.3, 1.0, 2.5):
+        R = np.linalg.inv(lam * np.eye(sp.dimension) + 1j * (af + af.conj().T))
+        dense = _dense_gibbs_trace(sp, R, energies, beta, mu)
+        got = gibbs_field_resolvent(sp, lam, coeffs, energies, beta, mu)
+        assert got == pytest.approx(dense, rel=1e-12)
+
+
+def test_gibbs_field_resolvent_forms_no_dense_matrix():
+    # D = 2048: the sector recursion stays below 1/16 of one complex D x D matrix
+    sp = build_fock(1, 2047, 2047)
+    dense_bytes = sp.dimension**2 * 16
     tracemalloc.start()
     try:
-        got = gibbs_field_resolvent(sp, lam, coeffs, eps, beta, mu)
+        gibbs_field_resolvent(sp, 1.0, np.array([1.0]), [1.3], 1.0, -0.2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3.1 * sp.dimension**2 * 16
-    af = sp.annihilator_of(coeffs)
-    Rm = np.linalg.inv(lam * np.eye(sp.dimension) + 1j * (af + af.conj().T))
-    assert got == gibbs_trace_expectation(sp, 0.5 * (Rm + Rm.conj().T), eps, beta, mu)
+    assert peak < dense_bytes / 16

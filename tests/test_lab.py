@@ -159,6 +159,7 @@ def test_cli_rejects_a_bad_radius_list_before_solving(experiment, bad, expect, m
         raise AssertionError("eigensolve started before the config was checked")
 
     monkeypatch.setattr(lab, "diagonalize", no_solve)
+    monkeypatch.setattr(condensates, "diagonalize", no_solve)
     config = dict(LEMMA31_SMALL, **bad) if experiment == "lemma31" else bad
     cfg = tmp_path / "run.cfg"
     cfg.write_text("".join(f"{k} = {v}\n" for k, v in config.items()))
