@@ -22,7 +22,7 @@ from thermolim import (
 from thermolim.grids import WaveFunction, bump_profile
 
 grid = make_grid(20.0, 4096)
-mus = [-0.1, -0.01, -1e-3, -1e-4]
+mus = [-0.1, -0.03, -0.01, -3e-3, -1e-3, -6e-4, -4e-4, -2.5e-4, -1.6e-4, -1e-4]
 
 f1 = bump(0.0, 8.0, grid)
 f1 = f1.with_values(f1.values / f1.integral().real)  # unit mean

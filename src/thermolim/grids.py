@@ -218,16 +218,53 @@ def fourier_at(f: WaveFunction, p: np.ndarray) -> np.ndarray:
 
     For smooth compactly supported f the Riemann sum converges faster than
     any power of dx, so this serves as a continuum-quality transform where
-    the FFT grid is too coarse (e.g. near a Bose singularity).
+    the FFT grid is too coarse (e.g. near a Bose singularity).  The sum
+    runs over the support span of f by the phase recurrence of
+    _phase_sums: e^(-ipx_j) = e^(-ipx_0) (e^(-ip dx))^k for x_j = x_0 + k dx.
     """
     p = np.atleast_1d(np.asarray(p, dtype=float))
-    sup = np.abs(f.values) > 0
-    x = f.grid.x[sup]
-    v = f.values[sup]
-    out = np.empty(p.shape, dtype=complex)
-    # chunked to bound the phase-matrix size
-    step = 4096
-    for i in range(0, len(p), step):
-        ph = np.exp(-1j * np.outer(p[i : i + step], x))
-        out[i : i + step] = ph @ v
+    span = _support_span(f.values)
+    out = np.exp(-1j * p * f.grid.x[span.start]) * _phase_sums(f.values[span], -p * f.grid.dx)
     return out * f.grid.dx / np.sqrt(2.0 * np.pi)
+
+
+def _support_span(values: np.ndarray) -> slice:
+    """
+    Slice from the first to the last nonzero sample.  Interior zeros stay
+    in it: the phase recurrence needs consecutive grid points.
+    """
+    nz = np.flatnonzero(values)
+    return slice(nz[0], nz[-1] + 1) if nz.size else slice(0, 0)
+
+
+def _phase_sums(c: np.ndarray, theta) -> np.ndarray:
+    """
+    sum_k c_k e^(i k theta) for each angle theta (any shape).
+
+    Every power of w = e^(i theta) comes from the previous one by one
+    multiplication, never from its own exp.  The loop runs over the shorter
+    axis: with more angles than coefficients it is Horner's scheme over k,
+    vectorised over the angles; otherwise, one angle at a time, the phases
+    w^k are a cumulative product over k, dotted with c.  Cost: one complex
+    multiply-add per (angle, coefficient) pair and O(K + len(theta))
+    memory.  Roundoff is about 2K eps sum_k |c_k| for Horner at |w| = 1
+    (Higham, Accuracy and Stability of Numerical Algorithms, sec. 5.1),
+    and a small multiple of that for the cumulative product.
+    """
+    w = np.exp(1j * np.asarray(theta, dtype=float))
+    if c.size == 0:
+        return np.zeros(w.shape, dtype=complex)
+    if w.size > c.size:
+        acc = np.full(w.shape, c[-1], dtype=complex)
+        for ck in c[-2::-1]:
+            acc *= w
+            acc += ck
+        return acc
+    out = np.empty(w.shape, dtype=complex)
+    phases = np.empty(c.size, dtype=complex)
+    for i, wi in np.ndenumerate(w):
+        phases[0] = 1.0
+        phases[1:] = wi
+        np.cumprod(phases, out=phases)
+        out[i] = phases @ c
+    return out

@@ -23,6 +23,14 @@
 # n(p^2) = (e^(beta(p^2 - mu)) - 1)^(-1).  Limit condensate modes
 # are distributions (constant, x, or z); they never live on a grid and are
 # represented by their pairings with test functions only.
+#
+# The direct momentum transforms (momentum_weight's |fhat(p)|^2 and
+# RadialFunction3D.radial_transform) are phase sums over consecutive grid
+# points (grids._phase_sums): each power of the phase comes from the
+# previous one by one multiplication, so N samples at M momenta cost
+# O(N M) multiply-adds and O(N + M) memory, with roundoff of about
+# 2 N eps sum |c|.  Every adaptive quadrature goes through _quad, which
+# raises QuadratureCapError when QUADPACK reports no convergence.
 
 from __future__ import annotations
 
@@ -33,13 +41,14 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
-from .grids import RadialGrid, WaveFunction, fourier_at, inner
+from .grids import RadialGrid, WaveFunction, _phase_sums, _support_span, inner
 from .hamiltonians import (
     SpectralDecomposition,
     TridiagonalOperator,
     diagonalize,
     eigenvalue_count,
 )
+from .propagators import QuadratureCapError
 
 MU_SAFETY = 1e-6
 # largest density a thermal state may leave out with its discarded modes,
@@ -53,6 +62,20 @@ class DomainError(ValueError):
 
 class DivergenceError(ValueError):
     """Requested quantity diverges (Bose saturation in low dimension)."""
+
+
+def _quad(integrand, a: float, b: float, **kwargs) -> float:
+    """
+    scipy's adaptive quad that fails loudly: where QUADPACK reports
+    ier != 0 (subdivision cap, roundoff, divergence) it raises
+    QuadratureCapError instead of warning and returning its best guess.
+    """
+    out = quad(integrand, a, b, full_output=1, **kwargs)
+    if len(out) > 3:  # the convergence message is returned only for ier != 0
+        raise QuadratureCapError(
+            f"quadrature on [{a:.6g}, {b:.6g}] did not converge: {out[3].splitlines()[0].strip()}"
+        )
+    return out[0]
 
 
 def bose_occupation(eps, beta: float, mu: float):
@@ -266,31 +289,38 @@ def homogeneous_density(beta: float, mu: float, s: int) -> float:
         pts = [p for p in pts if 0 < p < p_cut]
     else:
         pts = [min(1.0, p_cut / 2)]
-    val, _ = quad(integrand, 0.0, p_cut, points=pts, limit=400, epsabs=0.0, epsrel=1e-11)
+    val = _quad(integrand, 0.0, p_cut, points=pts, limit=400, epsabs=0.0, epsrel=1e-11)
     return float(val / (2.0 * np.pi) ** s)
 
 
 def momentum_weight(f: WaveFunction, beta: float, mu: float) -> float:
     """
     <f, T f> in the homogeneous 1D state: Integral |fhat(p)|^2 n(p^2) dp,
-    with fhat from direct quadrature (continuum-quality near p = 0).
+    with fhat the direct Riemann sum of grids.fourier_at (continuum-quality
+    near p = 0).
 
     T is real, so the weight of f is the weight of Re f plus that of Im f;
     a real function has |fhat(-p)| = |fhat(p)|, so each part folds onto
-    p >= 0 at twice its half-line integral.
+    p >= 0 at twice its half-line integral.  Each part's support span is
+    taken once per call; at every quad node |fhat(p)| is its phase sum
+    over that span, the phases e^(-ipk dx) built by a cumulative product
+    (the span's offset phase e^(-ipx_0) drops out of the modulus).
     """
     if mu >= 0:
         raise DivergenceError("homogeneous 1D weight needs mu < 0")
-    parts = [f.with_values(v) for v in (f.values.real, f.values.imag) if v.any()]
+    dx = f.grid.dx
+    # complex coefficients, so the dot at each node needs no cast
+    parts = [v[_support_span(v)].astype(complex) for v in (f.values.real, f.values.imag) if v.any()]
+    scale = dx * dx / (2.0 * np.pi)
 
     def integrand(p):
-        fh2 = sum(np.abs(fourier_at(g, p)[0]) ** 2 for g in parts)
-        return fh2 / np.expm1(beta * (p * p - mu))
+        fh2 = sum(np.abs(_phase_sums(c, -p * dx)) ** 2 for c in parts)
+        return float(fh2) * scale / np.expm1(beta * (p * p - mu))
 
     sq = np.sqrt(-mu)
     p_cut = np.sqrt((600.0 + beta * max(-mu, 0.0)) / beta)
     cuts = [c for c in (sq, 10 * sq, 1.0) if 0 < c < p_cut]
-    val, _ = quad(
+    val = _quad(
         integrand, 0.0, p_cut, points=sorted(set(cuts)), limit=400, epsabs=0.0, epsrel=1e-10
     )
     return float(2.0 * val)
@@ -315,7 +345,7 @@ def _laplace_transform(g, lam: float) -> float:
         u = np.exp(v)
         return u * np.exp(-u * lam) * g(u)
 
-    val, _ = quad(integrand, np.log(lo), np.log(800.0 / lam), epsabs=0.0, epsrel=1e-12, limit=400)
+    val = _quad(integrand, np.log(lo), np.log(800.0 / lam), epsabs=0.0, epsrel=1e-12, limit=400)
     return float(val + lo)
 
 
@@ -477,20 +507,23 @@ class RadialFunction3D:
         return float(4.0 * np.pi / 3.0 * (r**3 * self.phi1).sum() * dr)
 
     def radial_transform(self, p: np.ndarray) -> np.ndarray:
-        """fhat(p) of the spherically symmetric part, unitary convention."""
+        """
+        fhat(p) of the spherically symmetric part, unitary convention:
+        (2 pi)^(-3/2) 4 pi dr sum_j r_j^2 phi0_j sin(p r_j) / (p r_j).
+
+        With r_j = j dr the sum is (1/p) Im sum_j (r_j phi0_j) z^j,
+        z = e^(i p dr): Horner's scheme over the radii, vectorised over p
+        (grids._phase_sums), with no kernel matrix and no sin call per
+        pair.  At p = 0 it is sum_j r_j^2 phi0_j.
+        """
         p = np.atleast_1d(np.asarray(p, dtype=float))
         r, dr = self.grid.r, self.grid.dr
-        out = np.empty(p.shape)
-        step = 2048
-        w = r * r * self.phi0
-        for i in range(0, len(p), step):
-            x = np.outer(p[i : i + step], r)
-            zero = x == 0
-            k = np.sin(x)
-            np.divide(k, x, out=k, where=~zero)
-            k[zero] = 1.0  # sin(x)/x -> 1
-            out[i : i + step] = (k @ w) * dr
-        return out * 4.0 * np.pi / (2.0 * np.pi) ** 1.5
+        c = np.concatenate(([0.0], r * self.phi0))  # c_j = r_j phi0_j, c_0 = 0
+        s = _phase_sums(c, p * dr).imag
+        zero = p == 0
+        out = np.divide(s, p, out=np.empty(p.shape), where=~zero)
+        out[zero] = (r * r * self.phi0).sum()
+        return out * dr * 4.0 * np.pi / (2.0 * np.pi) ** 1.5
 
 
 def _oscillatory_thermal_integral(fh_spline, beta: float, mu: float, t: float, p_cut: float) -> complex:

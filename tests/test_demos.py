@@ -16,7 +16,7 @@ DEMO_DIR = pathlib.Path(__file__).resolve().parent.parent / "demos"
 # demo -> the line (or part of it) that states its result
 EXPECTED = {
     "condensate_profiles_1d": "growth exponent 2.974 (limit 3)",
-    "saturation_and_memory": "unit mean -> vanishes",
+    "saturation_and_memory": "verdicts: unit mean -> vanishes;  zero mean -> converges-positive",
     "fock_oracle_tour": "monotone: True",
     "thermal_equilibrium_limit": "R =    80: density(0) = 0.14275584",
 }

@@ -124,10 +124,13 @@ def test_momentum_grid_convention(fine_grid):
 
 def test_fourier_at_matches_fft(fine_grid):
     f = bump(1.0, 2.0, fine_grid)
-    fh = to_momentum(f)
-    p_query = fh.p[[0, 3, 17, 200]]
-    direct = fourier_at(f, p_query)
-    assert np.abs(direct - fh.values[[0, 3, 17, 200]]).max() < 1e-10
+    # exact zeros between two bumps, inside the span the phase recurrence runs over
+    gapped = f.with_values(bump(-3.0, 1.0, fine_grid).values + bump(3.0, 1.0, fine_grid).values)
+    for g in (f, gapped):
+        fh = to_momentum(g)
+        p_query = fh.p[[0, 3, 17, 200]]
+        direct = fourier_at(g, p_query)
+        assert np.abs(direct - fh.values[[0, 3, 17, 200]]).max() < 1e-10
 
 
 def test_dx_halving_gate():

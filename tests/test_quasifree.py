@@ -7,9 +7,9 @@ import mpmath
 from scipy.integrate import quad
 from scipy.special import erfcx, zeta
 
-from thermolim.grids import RadialGrid, bump, bump_profile, fourier_at, make_grid
+from thermolim.grids import RadialGrid, WaveFunction, bump, bump_profile, fourier_at, make_grid
 from thermolim.hamiltonians import assemble, diagonalize, soft_wall_trap, trap_operator
-from thermolim.propagators import evolve_spectral
+from thermolim.propagators import QuadratureCapError, evolve_spectral
 from thermolim.quasifree import (
     DISCARD_TOL,
     ConstantMode,
@@ -35,6 +35,7 @@ from thermolim.quasifree import (
     two_point,
 )
 from thermolim.fock import build_fock, gibbs_number_resolvent
+import thermolim.quasifree as qf
 
 
 @pytest.fixture(scope="module")
@@ -374,6 +375,59 @@ def test_momentum_weight_of_a_boosted_packet():
     assert momentum_weight(boosted, 1.0, -0.5) == pytest.approx(full_line, rel=1e-9)
 
 
+def _mulimit_functions():
+    grid = make_grid(20.0, 4096)
+    f1 = bump(0.0, 8.0, grid)
+    f1 = f1.with_values(f1.values / f1.integral().real)
+    b0 = bump(0.0, 1.0, grid).values
+    f0 = WaveFunction(grid, bump(2.0, 1.0, grid).values + bump(-2.0, 1.0, grid).values - 2 * b0)
+    f0 = f0.with_values(f0.values / f0.norm())
+    # Im of the boosted bump is exactly zero at x = 0, inside its support span
+    boosted = f1.with_values(f1.values * np.exp(1.5j * grid.x))
+    assert boosted.values.imag[grid.index_origin] == 0.0
+    return {"mean_one": f1, "zero_mean": f0, "boosted": boosted}
+
+
+@pytest.mark.parametrize("mu", [-0.1, -1e-4])
+@pytest.mark.parametrize("name", ["mean_one", "zero_mean", "boosted"])
+def test_momentum_weight_equals_its_definition(name, mu):
+    # 2 Integral_0^p_cut sum over Re f, Im f of |fhat(p)|^2 n(p^2), with fhat
+    # from fourier_at and the same breakpoints, so quad sees the same nodes
+    f, beta = _mulimit_functions()[name], 0.05
+    parts = [f.with_values(v) for v in (f.values.real, f.values.imag) if v.any()]
+
+    def integrand(p):
+        fh2 = sum(np.abs(fourier_at(g, p)[0]) ** 2 for g in parts)
+        return fh2 / np.expm1(beta * (p * p - mu))
+
+    sq = np.sqrt(-mu)
+    p_cut = np.sqrt((600.0 + beta * -mu) / beta)
+    cuts = sorted({c for c in (sq, 10 * sq, 1.0) if 0 < c < p_cut})
+    ref, _ = quad(integrand, 0.0, p_cut, points=cuts, limit=400, epsabs=0.0, epsrel=1e-10)
+    assert momentum_weight(f, beta, mu) == pytest.approx(2.0 * ref, rel=1e-12, abs=0)
+
+
+def _not_converged(*args, **kwargs):
+    # what scipy's quad returns with full_output=1 when QUADPACK reports ier = 1
+    return 1.0, 1.0, {}, "The maximum number of subdivisions (400) has been achieved.\n  More"
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: homogeneous_density(1.0, -1.0, 1),
+        lambda: momentum_weight(bump(0.0, 2.0, make_grid(16.0, 1024)), 1.0, -0.5),
+        lambda: field_resolvent_value(1.0, 0.5),
+        lambda: geometric_resolvent_series(2.0, 1.0, 1.0),
+    ],
+    ids=["homogeneous_density", "momentum_weight", "field_resolvent", "number_resolvent"],
+)
+def test_quadrature_failure_is_not_silent(monkeypatch, call):
+    monkeypatch.setattr(qf, "quad", _not_converged)
+    with pytest.raises(QuadratureCapError, match="did not converge: The maximum number"):
+        call()
+
+
 def test_temporal_correlation_domain_guards():
     with pytest.raises(DomainError):
         HomogeneousState(beta=1.0, mu=0.0, dimension=1)
@@ -453,7 +507,7 @@ def test_temporal_correlation_batch_3d_distinct_g():
 def test_radial_transform_matches_the_sinc_kernel():
     _, g = _radial_pair()
     r, dr = g.grid.r, g.grid.dr
-    p = np.concatenate([[0.0], np.linspace(0.01, 12.0, 2500)])  # two kernel blocks
+    p = np.concatenate([[0.0], np.linspace(0.01, 12.0, 2500)])
     ref = (np.sinc(np.outer(p, r) / np.pi) * (r * r * g.phi0)).sum(axis=1) * dr
     ref *= 4.0 * np.pi / (2.0 * np.pi) ** 1.5
     got = g.radial_transform(p)
@@ -521,3 +575,23 @@ def test_thermal_window_stays_below_one_dense_matrix():
         tracemalloc.stop()
     assert decomp.n_modes < H.size
     assert peak < H.size**2 * 8
+
+
+def test_radial_transform_at_production_size():
+    # memory's test function and momenta: 2048 radii, 8193 momenta
+    rg = RadialGrid(4.0, 2048)
+    f = RadialFunction3D(rg, bump_profile(rg.r / 4.0))
+    p = np.linspace(0.0, np.sqrt(48.0), 8193)
+    r, w = rg.r, rg.r * rg.r * f.phi0
+    ref = np.concatenate(
+        [np.sinc(np.outer(p[i : i + 512], r) / np.pi) @ w for i in range(0, len(p), 512)]
+    )
+    ref *= rg.dr * 4.0 * np.pi / (2.0 * np.pi) ** 1.5
+    tracemalloc.start()
+    try:
+        got = f.radial_transform(p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+    assert peak < 4 * 2**20  # one 2048 x 2048 kernel block alone is 32 MiB
