@@ -12,22 +12,31 @@
 # harmonic potential c^2 * max(x^2 - R^2, 0): free inside the ball, growing
 # quadratically outside.  The free particle is the trap with c = 0.
 #
-# diagonalize(H, n_modes=m) returns the lowest m modes only.  It takes them
-# from bisection and inverse iteration (LAPACK stebz + stein, O(n m) memory)
-# when that is cheaper than the full solve, and cuts the full solve to m
-# modes otherwise.  stein reorthogonalises the whole window, so its cost
-# grows like n m (m + 160) against about 0.9 n^2.5 for the full solve in
-# the same units (fitted on a 2-vCPU Xeon); the window is taken below that
-# crossover.  eigenvalue_count(H, E) is the O(n) Sturm count that turns an
-# energy cap into a mode count.
+# diagonalize(H, n_modes=m) returns the lowest m modes only.  For m < n/4
+# it takes them from LAPACK dstemr (MRRR, RANGE = 'I'; Dhillon & Parlett,
+# Linear Algebra Appl. 387, 1 (2004)), which writes the m eigenvectors into
+# an n x m block (NZC = m) and needs no reorthogonalisation, so time and
+# memory grow like n m even when every low trap mode sits in one cluster.
+# scipy's own dstemr wrappers allocate an n x n Z, so _mrrr_window calls the
+# routine from scipy's Cython LAPACK table.  Measured on a 2-vCPU Xeon, the
+# window takes about 3.5e-7 n m s, and the divide-and-conquer full solve
+# 0.075 s at n = 1152, 0.40 s at 2304, 1.5 s at 4096 and 6.3 s at 6144; they
+# cross at m = n/6, n/4.3, n/3.7 and above n/3 there.  The rule m < n/4
+# errs to the window only where both take under 0.5 s.  Without n_modes,
+# and above the crossover, diagonalize keeps divide and conquer (stevd),
+# which beat a full MRRR solve at n = 4096 (0.5 s against 10 s for a stiff
+# wall, 1.7 s against 4.8 s for a soft one).
+# eigenvalue_count(H, E) is the O(n) Sturm count that turns an energy cap
+# into a mode count.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import cython_lapack, eigh_tridiagonal
 
 from .grids import Grid1D, GridConfigError, RadialGrid, WaveFunction
 
@@ -175,6 +184,50 @@ def eigenvalue_count(H: TridiagonalOperator, energy: float) -> int:
     return count
 
 
+def _lapack_handle(name: str, *argtypes):
+    """A ctypes handle on one routine of scipy's Cython LAPACK table."""
+    capsule = cython_lapack.__pyx_capi__[name]
+    api = ctypes.pythonapi
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", api))
+    return ctypes.CFUNCTYPE(None, *argtypes)(get_pointer(capsule, get_name(capsule)))
+
+
+_C, _I, _D = ctypes.c_char_p, ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_double)
+# dstemr(JOBZ, RANGE, N, D, E, VL, VU, IL, IU, M, W, Z, LDZ, NZC, ISUPPZ,
+#        TRYRAC, WORK, LWORK, IWORK, LIWORK, INFO)
+_DSTEMR = _lapack_handle(
+    "dstemr", _C, _C, _I, _D, _D, _D, _D, _I, _I, _I, _D, _D, _I, _I, _I, _I, _D, _I, _I, _I, _I)
+
+
+def _mrrr_window(d: np.ndarray, e: np.ndarray, m: int):
+    """
+    Lowest m eigenpairs of the symmetric tridiagonal (d, e) from dstemr,
+    with the eigenvectors in an n x m Fortran block; ValueError on NaN or
+    inf input (as eigh_tridiagonal), EigensolverError when dstemr fails.
+    """
+    n = d.size
+    d = np.asarray_chkfinite(d, dtype=float).copy()  # dstemr overwrites d and e,
+    e = np.append(np.asarray_chkfinite(e, dtype=float), 0.0)  # and e has length n
+    w, z = np.empty(n), np.empty((n, m), order="F")
+    isuppz = np.empty(2 * m, dtype=np.intc)
+    work, iwork = np.empty(18 * n), np.empty(10 * n, dtype=np.intc)  # the documented minima
+    ints = [ctypes.pointer(ctypes.c_int(k)) for k in (n, 1, m, 0, n, m, 1, work.size, iwork.size, 0)]
+    n_, il, iu, found, ldz, nzc, tryrac, lwork, liwork, info = ints
+    bound = ctypes.pointer(ctypes.c_double(0.0))  # VL and VU, unused for RANGE = 'I'
+
+    def ptr(a):
+        return a.ctypes.data_as(_I if a.dtype == np.intc else _D)
+
+    _DSTEMR(b"V", b"I", n_, ptr(d), ptr(e), bound, bound, il, iu, found, ptr(w), ptr(z),
+            ldz, nzc, ptr(isuppz), tryrac, ptr(work), lwork, ptr(iwork), liwork, info)
+    if info[0] != 0 or found[0] != m:
+        raise EigensolverError(
+            f"dstemr failed: INFO = {info[0]}, {found[0]} of {m} eigenpairs returned")
+    return w[:m].copy(), z
+
+
 def diagonalize(
     H: TridiagonalOperator,
     n_modes: Optional[int] = None,
@@ -182,23 +235,17 @@ def diagonalize(
     """
     Diagonalize a tridiagonal operator (LAPACK symmetric tridiagonal solver).
 
-    n_modes restricts the output to the lowest n_modes eigenpairs.  They come
-    from the stebz window when the cost model of the module header rates it
-    cheaper than the full solve, and from the full solve cut to n_modes
-    otherwise; only the full solve holds an n x n eigenvector matrix.
+    n_modes restricts the output to the lowest n_modes eigenpairs.  Below
+    the crossover n_modes < n/4 of the module header they come from the
+    MRRR window, which holds only the n x n_modes eigenvector block; above
+    it, and without n_modes, from the divide-and-conquer full solve (an
+    n x n eigenvector matrix), cut to n_modes.  NaN or inf entries raise
+    ValueError on both paths.
     """
     dx = getattr(H.grid, "dx", None) or H.grid.dr
-    # the cost model of the module header
-    window = n_modes is not None and n_modes * (n_modes + 160) < 0.9 * H.size**1.5
     try:
-        if window:
-            w, v = eigh_tridiagonal(
-                H.diagonal,
-                H.off_diagonal,
-                select="i",
-                select_range=(0, n_modes - 1),
-                lapack_driver="stebz",
-            )
+        if n_modes is not None and 4 * n_modes < H.size:
+            w, v = _mrrr_window(H.diagonal, H.off_diagonal, n_modes)
         else:
             w, v = eigh_tridiagonal(H.diagonal, H.off_diagonal)
     except np.linalg.LinAlgError as exc:  # pragma: no cover

@@ -16,8 +16,9 @@
 # discarded mode lies above the top kept level eps_max, and the squares of
 # all n modes sum to 1/dx at each grid point, so the discarded density is
 # at most n_B(eps_max)/dx <= tol/2 everywhere.  QuasifreeState checks that
-# bound for every incomplete decomposition (a complete one has bound 0);
-# diagonalize decides whether the window or the full solve is cheaper.
+# bound for every incomplete decomposition (a complete one has bound 0).
+# diagonalize takes a window of m < n/4 modes by MRRR in O(n m) time and
+# memory, and a larger one from the full solve, cut.
 #
 # Thermodynamic-limit states use the momentum-space multiplier
 # n(p^2) = (e^(beta(p^2 - mu)) - 1)^(-1).  Limit condensate modes

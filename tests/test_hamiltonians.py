@@ -1,10 +1,15 @@
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
+
+from thermolim import hamiltonians
 
 from thermolim.grids import GridConfigError, RadialGrid, bump, make_grid
 from thermolim.hamiltonians import (
+    EigensolverError,
     SpectralDecomposition,
     TridiagonalOperator,
     _fix_signs,
@@ -228,7 +233,7 @@ def test_eigenvalue_count_is_a_sturm_count():
 def test_low_modes_match_the_full_solve_on_either_path():
     H = trap_operator(20.0, dx_target=0.03125)
     full = diagonalize(H)
-    # 40 modes take the stebz window at n = 2304; 2000 take the full solve, cut
+    # 40 modes take the MRRR window at n = 2304 (below n/4); 2000 take the full solve, cut
     for m in (40, 2000):
         d = diagonalize(H, n_modes=m)
         assert d.eigenvectors.shape == (H.size, m)
@@ -236,3 +241,57 @@ def test_low_modes_match_the_full_solve_on_either_path():
         overlap = np.abs((d.eigenvectors * full.eigenvectors[:, :m]).sum(axis=0) * H.grid.dx)
         assert np.allclose(overlap, 1.0, atol=1e-9)
     assert np.array_equal(d.eigenvalues, full.eigenvalues[:2000])
+
+
+def test_window_at_thermal_production_size():
+    # `thermal`'s R = 80 grid and Bose window: n = 6144, 324 modes
+    H = trap_operator(80.0, dx_target=0.03125)
+    n, m = H.size, 324
+    assert n == 6144
+    tracemalloc.start()
+    try:
+        d = diagonalize(H, n_modes=m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # an n x n eigenvector matrix (scipy's own dstemr wrappers) would be 19 such blocks
+    assert peak < 4 * n * m * 8
+    w, v = eigh_tridiagonal(H.diagonal, H.off_diagonal, select="i", select_range=(0, m - 1),
+                            lapack_driver="stebz")
+    assert np.abs(d.eigenvalues - w).max() <= 1e-11
+    overlap = np.abs((d.eigenvectors * v).sum(axis=0)) * np.sqrt(H.grid.dx)
+    assert np.abs(overlap - 1.0).max() <= 1e-9
+    assert residual_norms(H, d).max() <= 1e-10
+    gram = d.eigenvectors.T @ d.eigenvectors * H.grid.dx
+    assert np.abs(gram - np.eye(m)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("where", ["diagonal", "off_diagonal"])
+def test_non_finite_operator_is_rejected_on_both_paths(bad, where):
+    H = trap_operator(8.0, dx_target=0.0625, n_cap=2048)
+    parts = {"diagonal": H.diagonal.copy(), "off_diagonal": H.off_diagonal.copy()}
+    parts[where][17] = bad
+    broken = TridiagonalOperator(parts["diagonal"], parts["off_diagonal"], H.grid)
+    for n_modes in (2, None):  # the window and the full solve
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            diagonalize(broken, n_modes=n_modes)
+
+
+def test_window_failure_is_not_silent(monkeypatch):
+    H = trap_operator(8.0, dx_target=0.0625, n_cap=2048)
+    real = hamiltonians._DSTEMR
+
+    def fails(*args):
+        args[-1][0] = 1  # INFO = 1: an internal error in dlarrv
+
+    def loses_a_pair(*args):
+        real(*args)
+        args[9][0] -= 1  # M = m - 1
+
+    for fake, message in ((fails, "INFO = 1"), (loses_a_pair, "1 of 2 eigenpairs")):
+        monkeypatch.setattr(hamiltonians, "_DSTEMR", fake)
+        with pytest.raises(EigensolverError, match=message):
+            diagonalize(H, n_modes=2)
+    monkeypatch.setattr(hamiltonians, "_DSTEMR", real)
+    assert diagonalize(H, n_modes=2).n_modes == 2

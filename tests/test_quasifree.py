@@ -517,7 +517,7 @@ def test_radial_transform_matches_the_sinc_kernel():
 
 @pytest.fixture(scope="module")
 def windowed_and_full():
-    # n = 2304: the Bose window (84 modes at beta = 1) is the stebz path
+    # n = 2304: the Bose window (84 modes at beta = 1) is the MRRR window (below n/4)
     H = trap_operator(20.0, dx_target=0.03125)
     window = thermal_decomposition(H, 1.0, -1.0)
     full = diagonalize(H)
@@ -549,11 +549,13 @@ def test_discard_bound_dominates_the_discarded_density(windowed_and_full):
 
 def test_hot_state_takes_the_full_solve(windowed_and_full):
     H, _, full = windowed_and_full
-    hot = thermal_decomposition(H, 0.05, -1.0)
+    hot = thermal_decomposition(H, 0.03, -1.0)
+    # 829 of 2304 modes, above the n/4 crossover to the full solve
+    assert 4 * hot.n_modes > H.size
     # the cut full solve reproduces the full eigenvalues bit for bit
     assert np.array_equal(hot.eigenvalues, full.eigenvalues[: hot.n_modes])
-    state = QuasifreeState(beta=0.05, mu=-1.0, decomposition=hot)
-    reference = QuasifreeState(beta=0.05, mu=-1.0, decomposition=full)
+    state = QuasifreeState(beta=0.03, mu=-1.0, decomposition=hot)
+    reference = QuasifreeState(beta=0.03, mu=-1.0, decomposition=full)
     assert position_density(state, 0.0) == pytest.approx(position_density(reference, 0.0), abs=1e-12)
 
 
