@@ -9,7 +9,7 @@
 from thermolim import bump, condensate_count_scaling, smeared_mode_limit, trap_mode
 
 kappa = 0.5
-solved = {R: trap_mode(R) for R in (20.0, 40.0, 80.0, 160.0)}
+solved = {R: trap_mode(R, 0.03125) for R in (20.0, 40.0, 80.0, 160.0)}  # dx = 1/32
 profile_scan = [solved[R] for R in (20.0, 40.0, 80.0)]
 
 print("renormalized mode values against the limit profiles:")

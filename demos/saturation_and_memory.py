@@ -10,7 +10,6 @@
 # amplitude kappa leaves the constant plateau kappa^2 forever.
 
 from thermolim import (
-    ConstantMode,
     HomogeneousState,
     RadialFunction3D,
     RadialGrid,
@@ -26,12 +25,12 @@ mus = [-0.1, -0.03, -0.01, -3e-3, -1e-3, -6e-4, -4e-4, -2.5e-4, -1.6e-4, -1e-4]
 
 f1 = bump(0.0, 8.0, grid)
 f1 = f1.with_values(f1.values / f1.integral().real)  # unit mean
-verdict1, vals1 = mu_limit_scan(1.0, f1, 0.05, mus)
+verdict1, vals1 = mu_limit_scan(1.0, f1, 0.05, mus, cauchy_tol=1e-4, vanish_ratio=0.05)
 
 b0 = bump(0.0, 1.0, grid).values
 f0 = WaveFunction(grid, bump(2.0, 1.0, grid).values + bump(-2.0, 1.0, grid).values - 2 * b0)
 f0 = f0.with_values(f0.values / f0.norm())  # zero mean and zero dipole
-verdict0, vals0 = mu_limit_scan(1.0, f0, 0.05, mus)
+verdict0, vals0 = mu_limit_scan(1.0, f0, 0.05, mus, cauchy_tol=1e-4, vanish_ratio=0.05)
 
 print("number resolvent omega(A(1, f)) as mu -> 0 (beta = 0.05):")
 print(f"{'mu':>10} {'unit mean':>12} {'zero mean':>12}")
@@ -46,7 +45,7 @@ f3 = RadialFunction3D(rg, phi0)
 f3 = RadialFunction3D(rg, phi0 / f3.integral_3d())  # unit 3D integral
 kappa = 0.5
 cloud = HomogeneousState(beta=1.0, mu=0.0, dimension=3)
-mixed = HomogeneousState(beta=1.0, mu=0.0, dimension=3, kappa=kappa, mode=ConstantMode())
+mixed = HomogeneousState(beta=1.0, mu=0.0, dimension=3, kappa=kappa)
 
 print(f"temporal correlations at mu = 0, s = 3, kappa = {kappa}:")
 print(f"{'t':>6} {'|thermal|':>12} {'total - thermal':>16}")

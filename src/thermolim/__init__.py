@@ -55,7 +55,6 @@ from .propagators import (
     propagator_gap,
 )
 from .quasifree import (
-    ConstantMode,
     HomogeneousState,
     QuasifreeState,
     RadialFunction3D,
@@ -75,7 +74,6 @@ from .fock import (
     FockSpace,
     build_fock,
     gibbs_number_resolvent,
-    evolved_resolvent_sector_norm,
     number_resolvent_matrix,
     resolvent_pair_sector_norm,
     sector_norm_monotonicity,

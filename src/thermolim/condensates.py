@@ -19,7 +19,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import spherical_jn
@@ -102,9 +102,9 @@ class TrapModes:
     modes: dict[str, WaveFunction]
 
 
-def trap_mode(R: float, dx_target: float = 0.03125) -> TrapModes:
+def trap_mode(R: float, dx_target: float) -> TrapModes:
     """Solve the trap of radius R (trap_operator's grid) for its two lowest modes."""
-    decomp = diagonalize(trap_operator(R, dx_target=dx_target), n_modes=2)
+    decomp = diagonalize(trap_operator(R, dx_target), n_modes=2)
     parities = ("even", "odd")
     return TrapModes(
         R,
@@ -122,8 +122,8 @@ class ModeAsymptotics:
     eigenvalues: list[float]
     pairings: list[float]
     limit: float
-    deviations: list[float] = field(default_factory=list)
-    slope: float = float("nan")
+    deviations: list[float]
+    slope: float  # nan when a deviation is exactly 0
 
 
 def smeared_mode_limit(parity: str, f, scan) -> ModeAsymptotics:
@@ -150,10 +150,8 @@ def smeared_mode_limit(parity: str, f, scan) -> ModeAsymptotics:
     radii = [t.R for t in scan]
     eigenvalues = [t.eigenvalues[parity] for t in scan]
     devs = [abs(p - limit) for p in pairings]
-    out = ModeAsymptotics(parity, radii, eigenvalues, pairings, limit, devs)
-    if all(d > 0 for d in devs):
-        out.slope = fit_loglog_slope(radii, devs)
-    return out
+    slope = fit_loglog_slope(radii, devs) if all(d > 0 for d in devs) else float("nan")
+    return ModeAsymptotics(parity, radii, eigenvalues, pairings, limit, devs, slope)
 
 
 def condensate_count_scaling(parity: str, kappa: float, scan):

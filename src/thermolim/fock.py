@@ -193,7 +193,9 @@ def resolvent_pair_sector_norm(
     n: int,
 ) -> float:
     """
-    Exact ||A(lam, g1) - A(lam, g2)||_n from the Gram data of (g1, g2).
+    Exact ||A(lam, g1) - A(lam, g2)||_n from the Gram data of (g1, g2):
+    their norms and overlap <g1, g2>, conjugate-linear in g1.  The sector
+    index n is capped at 12 (desk scale).
 
     The difference acts nontrivially only on the two-dimensional span of
     g1, g2; on the n-particle sector it decomposes over the occupation k of
@@ -202,24 +204,13 @@ def resolvent_pair_sector_norm(
     dependent g1, g2 reduce to the one-mode case automatically
     (perpendicular coordinate 0).
     """
+    if n > 12:
+        raise FockConfigError("sector index capped at 12 (desk scale)")
     g1c, g2c = _span_coordinates(norm1, norm2, overlap)
     space = build_fock(2, n, n)
     A = number_resolvent_matrix(space, lam, g1c)
     B = number_resolvent_matrix(space, lam, g2c)
     return max(float(np.abs(np.linalg.eigvalsh(a - b)).max()) for a, b in zip(A, B))
-
-
-def evolved_resolvent_sector_norm(lam: float, g1, g2, n: int, inner_product) -> float:
-    """
-    Exact n-sector norm of A(lam, g1) - A(lam, g2) for concrete vectors,
-    with inner_product(a, b) conjugate-linear in a.
-    """
-    if n > 12:
-        raise FockConfigError("sector index capped at 12 (desk scale)")
-    n1 = np.sqrt(inner_product(g1, g1).real)
-    n2 = np.sqrt(inner_product(g2, g2).real)
-    ov = inner_product(g1, g2)
-    return resolvent_pair_sector_norm(lam, n1, n2, ov, n)
 
 
 # ---------------------------------------------------------------------------

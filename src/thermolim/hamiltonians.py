@@ -12,20 +12,17 @@
 # harmonic potential c^2 * max(x^2 - R^2, 0): free inside the ball, growing
 # quadratically outside.  The free particle is the trap with c = 0.
 #
-# diagonalize(H, n_modes=m) returns the lowest m modes only.  For m < n/4
-# it takes them from LAPACK dstemr (MRRR, RANGE = 'I'; Dhillon & Parlett,
-# Linear Algebra Appl. 387, 1 (2004)), which writes the m eigenvectors into
-# an n x m block (NZC = m) and needs no reorthogonalisation, so time and
-# memory grow like n m even when every low trap mode sits in one cluster.
-# scipy's own dstemr wrappers allocate an n x n Z, so _mrrr_window calls the
-# routine from scipy's Cython LAPACK table.  Measured on a 2-vCPU Xeon, the
-# window takes about 3.5e-7 n m s, and the divide-and-conquer full solve
-# 0.075 s at n = 1152, 0.40 s at 2304, 1.5 s at 4096 and 6.3 s at 6144; they
-# cross at m = n/6, n/4.3, n/3.7 and above n/3 there.  The rule m < n/4
-# errs to the window only where both take under 0.5 s.  Without n_modes,
-# and above the crossover, diagonalize keeps divide and conquer (stevd),
-# which beat a full MRRR solve at n = 4096 (0.5 s against 10 s for a stiff
-# wall, 1.7 s against 4.8 s for a soft one).
+# diagonalize(H) is the divide-and-conquer full solve (LAPACK stevd).
+# diagonalize(H, n_modes=m) with m < n returns the lowest m modes only,
+# from LAPACK dstemr (MRRR, RANGE = 'I'; Dhillon, Parlett & Voemel, ACM
+# TOMS 32, 533 (2006)), which writes the m eigenvectors into an n x m block
+# (NZC = m) and needs no reorthogonalisation, so time and memory grow like
+# n m even when every low trap mode sits in one cluster.  scipy's own dstemr
+# wrappers allocate an n x n Z, so _mrrr_window calls the routine from
+# scipy's Cython LAPACK table.  A request for m >= n modes keeps every mode
+# and takes the full solve, which dstemr cannot stand in for: it returns at
+# most n modes, and divide and conquer beat a full MRRR solve at n = 4096
+# (0.5 s against 10 s for a stiff wall, 1.7 s against 4.8 s for a soft one).
 # eigenvalue_count(H, E) is the O(n) Sturm count that turns an energy cap
 # into a mode count.
 
@@ -235,16 +232,15 @@ def diagonalize(
     """
     Diagonalize a tridiagonal operator (LAPACK symmetric tridiagonal solver).
 
-    n_modes restricts the output to the lowest n_modes eigenpairs.  Below
-    the crossover n_modes < n/4 of the module header they come from the
-    MRRR window, which holds only the n x n_modes eigenvector block; above
-    it, and without n_modes, from the divide-and-conquer full solve (an
-    n x n eigenvector matrix), cut to n_modes.  NaN or inf entries raise
-    ValueError on both paths.
+    With n_modes < n, the lowest n_modes eigenpairs come from the MRRR
+    window of the module header, which holds only the n x n_modes
+    eigenvector block.  Without n_modes, or with n_modes >= n, every mode
+    comes from the divide-and-conquer full solve (an n x n eigenvector
+    matrix).  NaN or inf entries raise ValueError on both paths.
     """
     dx = getattr(H.grid, "dx", None) or H.grid.dr
     try:
-        if n_modes is not None and 4 * n_modes < H.size:
+        if n_modes is not None and n_modes < H.size:
             w, v = _mrrr_window(H.diagonal, H.off_diagonal, n_modes)
         else:
             w, v = eigh_tridiagonal(H.diagonal, H.off_diagonal)
@@ -253,8 +249,6 @@ def diagonalize(
     if np.any(w[1:] < w[:-1]):
         order = np.argsort(w)
         w, v = w[order], v[:, order]
-    if n_modes is not None and n_modes < w.size:
-        w, v = w[:n_modes].copy(), v[:, :n_modes].copy()
     v = _fix_signs(v, dx)
     w.flags.writeable = False
     v.flags.writeable = False
@@ -286,15 +280,15 @@ def parity_of(psi: WaveFunction) -> str:
     return "none"
 
 
-def trap_operator(
-    R: float,
-    dx_target: float = 0.03125,
-    n_cap: int = 16384,
-) -> TridiagonalOperator:
+# largest trap_operator grid; its eigenvector matrix is 2 GiB
+TRAP_N_CAP = 16384
+
+
+def trap_operator(R: float, dx_target: float) -> TridiagonalOperator:
     """
     The soft-wall trap of radius R (c = 1) in a box L = R + 16, with spacing
     ~dx_target rounded to a commensurate power of two (so that integer
-    positions are exact grid points), coarsened until n <= n_cap.
+    positions are exact grid points), coarsened until n <= TRAP_N_CAP.
     """
     L = R + 16.0
     # dx = 2^-k <= dx_target keeps integers on the grid
@@ -302,7 +296,7 @@ def trap_operator(
     n = int(round(2 * L * 2**k))
     if n % 2:
         n += 1
-    while n > n_cap and 2 * L * 2 ** (k - 1) >= 16:
+    while n > TRAP_N_CAP and 2 * L * 2 ** (k - 1) >= 16:
         k -= 1
         n = int(round(2 * L * 2**k))
     grid = Grid1D(L, n)

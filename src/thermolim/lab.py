@@ -116,10 +116,10 @@ class Report:
     experiment: str
     config: dict
     columns: list[str]
-    rows: list[tuple] = dc_field(default_factory=list)
-    verdicts: dict = dc_field(default_factory=dict)
-    gates: dict = dc_field(default_factory=dict)
-    notes: list[str] = dc_field(default_factory=list)
+    rows: list[tuple] = dc_field(default_factory=list, init=False)
+    verdicts: dict = dc_field(default_factory=dict, init=False)
+    gates: dict = dc_field(default_factory=dict, init=False)
+    notes: list[str] = dc_field(default_factory=list, init=False)
 
     @property
     def gate_failed(self) -> bool:
@@ -329,7 +329,8 @@ def run_sector_norms(config: dict) -> Report:
         g1 = evolve_spectral(decomp, f, t)
         g2 = evolve_free(f, t)
         gap = gated_gap(g2, g1, R)  # the box gate of every trapped-vs-free experiment
-        exact = fock.evolved_resolvent_sector_norm(lam, g1, g2, n_sec, inner)
+        n1, n2 = np.sqrt(inner(g1, g1).real), np.sqrt(inner(g2, g2).real)
+        exact = fock.resolvent_pair_sector_norm(lam, n1, n2, inner(g1, g2), n_sec)
         bnd = observable_gap_bound(n_sec, lam, f, gap)
         ok = exact <= bnd + cfg["bound_slack"]
         rep.rows.append((n_sec, R, gap, exact, bnd, ok))
@@ -378,7 +379,7 @@ def run_thermal_convergence(config: dict) -> Report:
     # exponentially below the dx floor, so the deviation tracks refinement
     for i, R in enumerate(cfg["radius_list"]):
         dx_target = cfg["dx_start"] / 2**i
-        H = trap_operator(R, dx_target=dx_target, n_cap=2**14)
+        H = trap_operator(R, dx_target)
         decomp = qf.thermal_decomposition(H, beta, mu)
         state = qf.QuasifreeState(beta=beta, mu=mu, decomposition=decomp)
         edge = qf.thermal_edge_weight(state)
@@ -621,9 +622,7 @@ def run_memory(config: dict) -> Report:
     f = qf.RadialFunction3D(rg, phi0 / f.integral_3d())  # unit 3D integral
 
     thermal_state = qf.HomogeneousState(beta=beta, mu=0.0, dimension=3)
-    state = qf.HomogeneousState(
-        beta=beta, mu=0.0, dimension=3, kappa=kappa, mode=qf.ConstantMode()
-    )
+    state = qf.HomogeneousState(beta=beta, mu=0.0, dimension=3, kappa=kappa)
     plateau = kappa**2 * f.integral_3d() ** 2
     # two independent calls, so the plateau check compares two computations
     thermals = qf.temporal_correlation(thermal_state, f, f, ts)

@@ -17,7 +17,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,32 +82,6 @@ def edge_amplitude(f: WaveFunction) -> float:
     return float(np.abs(f.values[m]).max() / peak)
 
 
-def check_box_gate(
-    grid: Grid1D,
-    R: float,
-    margin: float = 16.0,
-    evolved: WaveFunction | None = None,
-) -> None:
-    """
-    Validity gate for trapped-vs-free experiments.
-
-    Static part: the box must extend at least `margin` beyond the trap
-    radius.  Dynamic part (when an evolved packet is supplied): its relative
-    amplitude near the box edge must stay below EDGE_GATE, so wall reflection
-    and wrap-around stay far below the measured gaps.
-    """
-    if grid.half_width < R + margin:
-        raise ValidityGateError(
-            f"box half_width {grid.half_width} < R + margin = {R + margin}"
-        )
-    if evolved is not None:
-        amp = edge_amplitude(evolved)
-        if amp > EDGE_GATE:
-            raise ValidityGateError(
-                f"evolved packet edge amplitude {amp:.2e} exceeds gate {EDGE_GATE:.0e}"
-            )
-
-
 def propagator_gap(decomp: SpectralDecomposition, f: WaveFunction, t: float, R: float) -> float:
     """
     L2 distance between trapped and free evolution of f at time t.
@@ -122,10 +96,22 @@ def propagator_gap(decomp: SpectralDecomposition, f: WaveFunction, t: float, R: 
 def gated_gap(free: WaveFunction, trapped: WaveFunction, R: float, margin: float = 16.0) -> float:
     """
     L2 distance between the free and the trapped evolution of one packet to
-    one time, after the box gate on both packets (free first).
+    one time, behind the box gate of every trapped-vs-free experiment.
+
+    The box must extend at least `margin` beyond the trap radius, and each
+    evolved packet (free first) must keep its relative amplitude near the
+    box edge below EDGE_GATE, so wall reflection and wrap-around stay far
+    below the measured gap.  A failed gate raises ValidityGateError.
     """
-    check_box_gate(free.grid, R, margin=margin, evolved=free)
-    check_box_gate(free.grid, R, margin=margin, evolved=trapped)
+    half_width = free.grid.half_width
+    if half_width < R + margin:
+        raise ValidityGateError(f"box half_width {half_width} < R + margin = {R + margin}")
+    for packet in (free, trapped):
+        amp = edge_amplitude(packet)
+        if amp > EDGE_GATE:
+            raise ValidityGateError(
+                f"evolved packet edge amplitude {amp:.2e} exceeds gate {EDGE_GATE:.0e}"
+            )
     diff = trapped.values - free.values
     return float(np.sqrt((np.abs(diff) ** 2).sum() * free.grid.dx))
 
@@ -209,9 +195,9 @@ class DecayReport:
     t: float
     radii: list[float]
     gaps: list[float]
-    slopes: list[float] = field(default_factory=list)
-    floor_flags: list[bool] = field(default_factory=list)
-    verdict: str = ""
+    slopes: list[float]  # between consecutive radii; empty for "trivial" and "inconclusive-floor"
+    floor_flags: list[bool]
+    verdict: str
 
 
 def gap_decay_scan(t: float, radii: list[float], gaps: list[float]) -> DecayReport:
@@ -229,29 +215,23 @@ def gap_decay_scan(t: float, radii: list[float], gaps: list[float]) -> DecayRepo
         raise ValueError("radii must be strictly ascending")
 
     floor = [g <= GAP_FLOOR for g in gaps]
-    rep = DecayReport(t=t, radii=list(radii), gaps=list(gaps), floor_flags=floor)
-
-    if t == 0:
-        rep.verdict = "trivial"
-        return rep
-    if all(floor):
-        rep.verdict = "inconclusive-floor"
-        return rep
-
-    # slopes between consecutive radii, ignoring pairs at the floor
     slopes = []
-    for i in range(len(radii) - 1):
-        if floor[i] or floor[i + 1]:
-            slopes.append(float("nan"))
-        else:
-            slopes.append(
-                (np.log(gaps[i + 1]) - np.log(gaps[i]))
-                / (np.log(radii[i + 1]) - np.log(radii[i]))
-            )
-    rep.slopes = slopes
-
-    live = [s for s in slopes if np.isfinite(s)]
-    negative = all(s < 0 for s in live)
-    growing = all(abs(b) >= abs(a) for a, b in zip(live, live[1:]))
-    rep.verdict = "pass" if (negative and growing and live) else "fail"
-    return rep
+    if t == 0:
+        verdict = "trivial"
+    elif all(floor):
+        verdict = "inconclusive-floor"
+    else:
+        # slopes between consecutive radii, ignoring pairs at the floor
+        for i in range(len(radii) - 1):
+            if floor[i] or floor[i + 1]:
+                slopes.append(float("nan"))
+            else:
+                slopes.append(
+                    (np.log(gaps[i + 1]) - np.log(gaps[i]))
+                    / (np.log(radii[i + 1]) - np.log(radii[i]))
+                )
+        live = [s for s in slopes if np.isfinite(s)]
+        negative = all(s < 0 for s in live)
+        growing = all(abs(b) >= abs(a) for a, b in zip(live, live[1:]))
+        verdict = "pass" if (negative and growing and live) else "fail"
+    return DecayReport(t, list(radii), list(gaps), slopes, floor, verdict)

@@ -17,13 +17,13 @@
 # all n modes sum to 1/dx at each grid point, so the discarded density is
 # at most n_B(eps_max)/dx <= tol/2 everywhere.  QuasifreeState checks that
 # bound for every incomplete decomposition (a complete one has bound 0).
-# diagonalize takes a window of m < n/4 modes by MRRR in O(n m) time and
-# memory, and a larger one from the full solve, cut.
+# diagonalize takes any window of m < n modes by MRRR in O(n m) time and
+# memory; a cap above the whole spectrum (m = n + 1) takes the full solve.
 #
 # Thermodynamic-limit states use the momentum-space multiplier
-# n(p^2) = (e^(beta(p^2 - mu)) - 1)^(-1).  Limit condensate modes
-# are distributions (constant, x, or z); they never live on a grid and are
-# represented by their pairings with test functions only.
+# n(p^2) = (e^(beta(p^2 - mu)) - 1)^(-1).  Their condensate is the
+# zero-energy constant mode h = 1 with amplitude kappa: it never lives on a
+# grid, and pairs with a test function to its plain integral.
 #
 # The direct momentum transforms (momentum_weight's |fhat(p)|^2 and
 # RadialFunction3D.radial_transform) are phase sums over consecutive grid
@@ -91,21 +91,6 @@ def bose_occupation(eps, beta: float, mu: float):
 
 
 # ---------------------------------------------------------------------------
-# Condensate modes
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ConstantMode:
-    """Zero-energy limit mode h = 1: pairs to the plain integral of f."""
-
-    def pairing(self, f) -> complex:
-        if isinstance(f, WaveFunction):
-            return f.integral()
-        return f.integral_3d()
-
-
-# ---------------------------------------------------------------------------
 # States
 # ---------------------------------------------------------------------------
 
@@ -169,13 +154,15 @@ def thermal_decomposition(H: TridiagonalOperator, beta: float, mu: float) -> Spe
 
 @dataclass(frozen=True)
 class HomogeneousState:
-    """Thermodynamic-limit state: momentum-multiplier T, optional condensate."""
+    """
+    Thermodynamic-limit state: momentum-multiplier T, plus a condensate in
+    the constant mode with amplitude kappa (none at kappa = 0).
+    """
 
     beta: float
     mu: float
     dimension: int = 1
     kappa: float = 0.0
-    mode: Optional[ConstantMode] = None
 
     def __post_init__(self):
         if self.beta <= 0:
@@ -184,8 +171,8 @@ class HomogeneousState:
             raise DomainError("mu must be <= 0 for the homogeneous state")
         if self.mu == 0 and self.dimension < 3:
             raise DomainError("mu = 0 needs dimension >= 3 (integrable singularity)")
-        if self.kappa > 0 and self.mode is None:
-            raise DomainError("condensate with kappa > 0 needs a mode")
+        if self.kappa < 0:
+            raise DomainError(f"condensate amplitude kappa must be >= 0, got {self.kappa}")
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +400,8 @@ def number_resolvent_expectation(state, lam: float, f: WaveFunction) -> float:
 
     Validated against the exact truncated-space Gibbs trace (see the
     fock module and the oracle tests) before use anywhere else.  A
-    condensate is admitted only when its mode is orthogonal to f.
+    condensate is admitted only when its constant mode is orthogonal to f,
+    that is when f integrates to zero.
     """
     if lam <= 0:
         raise DomainError(f"lambda must be positive, got {lam}")
@@ -421,7 +409,7 @@ def number_resolvent_expectation(state, lam: float, f: WaveFunction) -> float:
     if norm_sq == 0:
         return 1.0 / lam
     if getattr(state, "kappa", 0.0) > 0:
-        pair = abs(state.mode.pairing(f))
+        pair = abs(f.integral())
         if pair > 1e-10 * np.sqrt(norm_sq):
             raise DomainError(
                 "displaced-state corrections are out of scope; "
@@ -436,8 +424,8 @@ def mu_limit_scan(
     f: WaveFunction,
     beta: float,
     mu_list,
-    cauchy_tol: float = 1e-4,
-    vanish_ratio: float = 0.05,
+    cauchy_tol: float,
+    vanish_ratio: float,
 ):
     """
     Scan number-resolvent expectations in the homogeneous state as mu rises
@@ -446,7 +434,8 @@ def mu_limit_scan(
     Verdict "vanishes": the last value fell below vanish_ratio of the first
     and the sequence decreases (Bose saturation visible to f).
     Verdict "converges-positive": consecutive changes over the second half
-    of the scan stay below cauchy_tol.
+    of the scan stay below cauchy_tol.  Verdict "inconclusive" otherwise,
+    and when that half holds no step to check (fewer than three mu values).
     """
     mu_list = list(mu_list)
     if any(m2 <= m1 for m1, m2 in zip(mu_list, mu_list[1:])) or mu_list[-1] >= 0:
@@ -462,7 +451,8 @@ def mu_limit_scan(
         verdict = "vanishes"
     else:
         tail = np.abs(np.diff(values))[len(values) // 2 :]
-        verdict = "converges-positive" if np.all(tail <= cauchy_tol) else "inconclusive"
+        converged = tail.size > 0 and np.all(tail <= cauchy_tol)
+        verdict = "converges-positive" if converged else "inconclusive"
     return verdict, values
 
 
@@ -556,8 +546,9 @@ def temporal_correlation(state: HomogeneousState, f, g, t):
 
         <g, T e^(itH) f> + kappa^2 <h, e^(itH) f> <g, h>,
 
-    where the condensate mode h carries zero energy, so its term is exactly
-    time independent.  The thermal term is a momentum-space quadrature.
+    where the condensate mode h = 1 carries zero energy, so its term is
+    exactly time independent: kappa^2 times the product of the integrals
+    of f and g.  The thermal term is a momentum-space quadrature.
 
     t is one time, giving a complex number, or a 1-D sequence of times,
     giving a list in the same order.  The radial transforms and their
@@ -584,6 +575,6 @@ def temporal_correlation(state: HomogeneousState, f, g, t):
     ]
 
     if state.kappa > 0:
-        plateau = state.kappa**2 * state.mode.pairing(f) * np.conj(state.mode.pairing(g))
+        plateau = state.kappa**2 * f.integral_3d() * g.integral_3d()
         vals = [val + plateau for val in vals]
     return vals if times.ndim else vals[0]

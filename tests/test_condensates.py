@@ -30,7 +30,7 @@ def test_axial_shape_matches_bessel():
 
 
 def test_renormalization_fixed_points():
-    decomp = diagonalize(trap_operator(20.0, dx_target=0.0625, n_cap=4096), n_modes=2)
+    decomp = diagonalize(trap_operator(20.0, dx_target=0.0625), n_modes=2)
     h0 = mode_renormalize(decomp.mode(0), "even")
     j0 = h0.grid.index_origin
     assert h0.values[j0].real == pytest.approx(1.0, abs=1e-6)
@@ -40,7 +40,7 @@ def test_renormalization_fixed_points():
 
 
 def test_renormalization_scale_invariant():
-    decomp = diagonalize(trap_operator(12.0, dx_target=0.0625, n_cap=2048), n_modes=1)
+    decomp = diagonalize(trap_operator(12.0, dx_target=0.0625), n_modes=1)
     psi = decomp.mode(0)
     a = mode_renormalize(psi, "even")
     b = mode_renormalize(psi.with_values(7.0 * psi.values), "even")
@@ -48,14 +48,14 @@ def test_renormalization_scale_invariant():
 
 
 def test_renormalization_parity_guard():
-    decomp = diagonalize(trap_operator(12.0, dx_target=0.0625, n_cap=2048), n_modes=2)
+    decomp = diagonalize(trap_operator(12.0, dx_target=0.0625), n_modes=2)
     with pytest.raises(ParityError):
         mode_renormalize(decomp.mode(0), "odd")
 
 
 def test_even_mode_matches_interior_cosine():
     R = 40.0
-    t = trap_mode(R)
+    t = trap_mode(R, dx_target=0.03125)
     eps, h = t.eigenvalues["even"], t.modes["even"]
     x = h.grid.x
     win = np.abs(x) <= R / 2
@@ -65,7 +65,7 @@ def test_even_mode_matches_interior_cosine():
 
 def test_odd_mode_matches_interior_sine():
     R = 40.0
-    t = trap_mode(R)
+    t = trap_mode(R, dx_target=0.03125)
     eps, h = t.eigenvalues["odd"], t.modes["odd"]
     x = h.grid.x
     win = np.abs(x) <= R / 2

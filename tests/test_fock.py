@@ -12,7 +12,6 @@ from thermolim.fock import (
     ccr_defect,
     gibbs_field_resolvent,
     gibbs_number_resolvent,
-    evolved_resolvent_sector_norm,
     number_resolvent_matrix,
     resolvent_pair_sector_norm,
     sector_norm_monotonicity,
@@ -208,7 +207,7 @@ def test_pair_norm_against_gap_bound():
 
 def test_lemma33_sector_cap():
     with pytest.raises(FockConfigError):
-        evolved_resolvent_sector_norm(1.0, np.ones(2), np.ones(2), 13, lambda a, b: np.vdot(a, b))
+        resolvent_pair_sector_norm(1.0, 1.0, 1.0, 1.0, 13)
 
 
 def test_linearly_dependent_pair():

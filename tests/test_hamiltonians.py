@@ -153,7 +153,7 @@ def test_sign_convention_deterministic():
 
 def test_ground_pair_parities():
     # the trap's lowest two modes
-    d = diagonalize(trap_operator(8.0, dx_target=0.0625, n_cap=2048), n_modes=2)
+    d = diagonalize(trap_operator(8.0, dx_target=0.0625), n_modes=2)
     assert [parity_of(d.mode(k)) for k in (0, 1)] == ["even", "odd"]
 
 
@@ -168,7 +168,7 @@ def test_asymmetric_potential_has_no_parity():
 
 
 def test_eigenvalues_decrease_with_radius():
-    eps = [diagonalize(trap_operator(R, dx_target=0.0625, n_cap=4096), n_modes=2).eigenvalues
+    eps = [diagonalize(trap_operator(R, dx_target=0.0625), n_modes=2).eigenvalues
            for R in (10.0, 20.0, 40.0)]
     for k in range(2):
         vals = [e[k] for e in eps]
@@ -179,7 +179,7 @@ def test_trap_levels_scale_like_inverse_square_radius():
     radii = [10.0, 20.0, 40.0, 80.0]
     eps0, eps1 = [], []
     for R in radii:
-        d = diagonalize(trap_operator(R, dx_target=0.0625, n_cap=8192), n_modes=2)
+        d = diagonalize(trap_operator(R, dx_target=0.0625), n_modes=2)
         eps0.append(d.eigenvalues[0])
         eps1.append(d.eigenvalues[1])
     assert abs(fit_loglog_slope(radii, eps0) + 2.0) < 0.15
@@ -233,14 +233,14 @@ def test_eigenvalue_count_is_a_sturm_count():
 def test_low_modes_match_the_full_solve_on_either_path():
     H = trap_operator(20.0, dx_target=0.03125)
     full = diagonalize(H)
-    # 40 modes take the MRRR window at n = 2304 (below n/4); 2000 take the full solve, cut
-    for m in (40, 2000):
+    # 40 and 2000 modes take the MRRR window at n = 2304; all n take the full solve
+    for m in (40, 2000, H.size):
         d = diagonalize(H, n_modes=m)
         assert d.eigenvectors.shape == (H.size, m)
         assert np.allclose(d.eigenvalues, full.eigenvalues[:m], rtol=0, atol=1e-11)
         overlap = np.abs((d.eigenvectors * full.eigenvectors[:, :m]).sum(axis=0) * H.grid.dx)
         assert np.allclose(overlap, 1.0, atol=1e-9)
-    assert np.array_equal(d.eigenvalues, full.eigenvalues[:2000])
+    assert np.array_equal(d.eigenvectors, full.eigenvectors)
 
 
 def test_window_at_thermal_production_size():
@@ -269,7 +269,7 @@ def test_window_at_thermal_production_size():
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("where", ["diagonal", "off_diagonal"])
 def test_non_finite_operator_is_rejected_on_both_paths(bad, where):
-    H = trap_operator(8.0, dx_target=0.0625, n_cap=2048)
+    H = trap_operator(8.0, dx_target=0.0625)
     parts = {"diagonal": H.diagonal.copy(), "off_diagonal": H.off_diagonal.copy()}
     parts[where][17] = bad
     broken = TridiagonalOperator(parts["diagonal"], parts["off_diagonal"], H.grid)
@@ -279,7 +279,7 @@ def test_non_finite_operator_is_rejected_on_both_paths(bad, where):
 
 
 def test_window_failure_is_not_silent(monkeypatch):
-    H = trap_operator(8.0, dx_target=0.0625, n_cap=2048)
+    H = trap_operator(8.0, dx_target=0.0625)
     real = hamiltonians._DSTEMR
 
     def fails(*args):

@@ -12,9 +12,9 @@ from thermolim.hamiltonians import diagonalize, soft_wall_trap
 from thermolim.propagators import (
     QuadratureCapError,
     ValidityGateError,
-    check_box_gate,
     duhamel_bound,
     evolve_free,
+    gated_gap,
 )
 
 
@@ -99,8 +99,9 @@ def test_gate_failure_is_isolated_to_its_time():
     assert rep.exit_code == 2
     # the note names the first failing radius and carries that radius's gate message
     grid = make_grid(2 * 6.0 + 16.0, 512)
+    free = evolve_free(bump(0.0, 2.0, grid), 2.0)
     with pytest.raises(ValidityGateError) as exc:
-        check_box_gate(grid, 6.0, evolved=evolve_free(bump(0.0, 2.0, grid), 2.0))
+        gated_gap(free, free, 6.0)
     assert rep.notes == [f"gate failure (1, t=2.0, R=6.0): {exc.value}"]
 
 
@@ -149,6 +150,7 @@ LEMMA31_SMALL = {"radius_list": "6, 8, 10, 12", "t_list": "0.25", "c_rules": "1"
         pytest.param("resolvent", {"n_total": "5"}, "truncation weight", id="n_total = 5"),
         pytest.param("mulimit", {"mu_list": "-0.1, 0.2"}, "mu_list", id="mu_list = -0.1, 0.2"),
         pytest.param("memory", {"beta": "0"}, "beta must be positive", id="beta = 0"),
+        pytest.param("memory", {"kappa": "-0.5"}, "kappa must be >= 0", id="kappa = -0.5"),
         pytest.param("lemma33", {"bump_radius": "-1"}, "radius must be positive", id="bump_radius = -1"),
         pytest.param("condensate1d", {"x_probes": "1.03"}, "not a grid point", id="x_probes = 1.03"),
     ],

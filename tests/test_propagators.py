@@ -8,11 +8,11 @@ from thermolim.hamiltonians import assemble, diagonalize, free_potential, soft_w
 from thermolim.propagators import (
     QuadratureCapError,
     ValidityGateError,
-    check_box_gate,
     duhamel_bound,
     evolve_free,
     evolve_spectral,
     gap_decay_scan,
+    gated_gap,
     observable_gap_bound,
     propagator_gap,
 )
@@ -154,15 +154,19 @@ def test_duhamel_accepts_the_roundoff_floor_at_the_cap():
 
 def test_box_margin_gate():
     grid = make_grid(18.0, 1024)
-    with pytest.raises(ValidityGateError):
-        check_box_gate(grid, R=6.0, margin=16.0)
+    f = bump(0.0, 2.0, grid)
+    with pytest.raises(ValidityGateError, match="R \\+ margin"):
+        gated_gap(f, f, R=6.0, margin=16.0)
 
 
 def test_edge_amplitude_gate():
     grid = make_grid(20.0, 1024)
     wide = bump(14.0, 4.0, grid)  # leaning on the box edge
-    with pytest.raises(ValidityGateError):
-        check_box_gate(grid, R=1.0, margin=16.0, evolved=wide)
+    calm = bump(0.0, 2.0, grid)
+    assert gated_gap(calm, calm, R=1.0, margin=16.0) == 0.0
+    for free, trapped in ((wide, calm), (calm, wide)):  # either packet trips the gate
+        with pytest.raises(ValidityGateError, match="edge amplitude"):
+            gated_gap(free, trapped, R=1.0, margin=16.0)
 
 
 def test_observable_gap_bound_scaling(trap_setup):

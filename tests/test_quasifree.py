@@ -8,11 +8,16 @@ from scipy.integrate import quad
 from scipy.special import erfcx, zeta
 
 from thermolim.grids import RadialGrid, WaveFunction, bump, bump_profile, fourier_at, make_grid
-from thermolim.hamiltonians import assemble, diagonalize, soft_wall_trap, trap_operator
+from thermolim.hamiltonians import (
+    assemble,
+    diagonalize,
+    eigenvalue_count,
+    soft_wall_trap,
+    trap_operator,
+)
 from thermolim.propagators import QuadratureCapError, evolve_spectral
 from thermolim.quasifree import (
     DISCARD_TOL,
-    ConstantMode,
     DivergenceError,
     DomainError,
     HomogeneousState,
@@ -40,7 +45,7 @@ import thermolim.quasifree as qf
 
 @pytest.fixture(scope="module")
 def trap_state():
-    decomp = diagonalize(trap_operator(8.0, dx_target=0.0625, n_cap=2048))
+    decomp = diagonalize(trap_operator(8.0, dx_target=0.0625))
     return QuasifreeState(beta=1.0, mu=-1.0, decomposition=decomp)
 
 
@@ -293,13 +298,13 @@ def test_number_resolvent_matches_fock_oracle(trap_state):
 
 
 def test_number_resolvent_condensate_orthogonality():
-    # the constant limit mode pairs with f through its integral
+    # the constant condensate mode pairs with f through its integral
     grid = make_grid(16.0, 1024)
     b = bump(0.0, 1.0, grid)
     f = b.with_values(bump(2.0, 1.0, grid).values - bump(-2.0, 1.0, grid).values)
     assert abs(f.integral()) < 1e-14
     plain = HomogeneousState(beta=1.0, mu=-0.5, dimension=1)
-    shifted = HomogeneousState(beta=1.0, mu=-0.5, dimension=1, kappa=0.5, mode=ConstantMode())
+    shifted = HomogeneousState(beta=1.0, mu=-0.5, dimension=1, kappa=0.5)
     assert number_resolvent_expectation(shifted, 1.0, f) == number_resolvent_expectation(
         plain, 1.0, f
     )
@@ -339,7 +344,7 @@ def test_mu_scan_antisymmetrized_bump_converges():
     f = f.with_values(f.values / f.norm())
     assert abs(f.integral()) < 1e-14
     mus = [-0.1, -0.03, -0.01, -3e-3, -1e-3, -6e-4, -4e-4, -2.5e-4, -1.6e-4, -1e-4]
-    verdict, values = mu_limit_scan(1.0, f, 1.0, mus)
+    verdict, values = mu_limit_scan(1.0, f, 1.0, mus, cauchy_tol=1e-4, vanish_ratio=0.05)
     assert verdict == "converges-positive"
     assert values[-1] > 0.05 * values[0]
 
@@ -348,7 +353,22 @@ def test_mu_scan_validation():
     grid = make_grid(10.0, 512)
     f = bump(0.0, 1.0, grid)
     with pytest.raises(DomainError):
-        mu_limit_scan(1.0, f, 1.0, [-0.1, -0.2, -0.3])
+        mu_limit_scan(1.0, f, 1.0, [-0.1, -0.2, -0.3], cauchy_tol=1e-4, vanish_ratio=0.05)
+
+
+def test_mu_scan_with_no_step_to_check_is_inconclusive():
+    # one or two mu values leave the second half of the scan without a
+    # step, and an empty Cauchy test proves nothing
+    grid = make_grid(10.0, 512)
+    b = bump(0.0, 1.0, grid).values
+    f = WaveFunction(grid, bump(2.0, 1.0, grid).values + bump(-2.0, 1.0, grid).values - 2.0 * b)
+    for mus in ([-0.1], [-0.1, -0.03]):
+        verdict, values = mu_limit_scan(1.0, f, 1.0, mus, cauchy_tol=1e-4, vanish_ratio=0.05)
+        assert verdict == "inconclusive"
+        assert len(values) == len(mus)
+    verdict, _ = mu_limit_scan(1.0, f, 1.0, [-0.1, -0.1 + 1e-9, -0.1 + 2e-9],
+                               cauchy_tol=1e-4, vanish_ratio=0.05)
+    assert verdict == "converges-positive"
 
 
 def test_momentum_weight_positive():
@@ -445,7 +465,7 @@ def test_condensate_plateau_time_independent():
     f = RadialFunction3D(rg, phi0)
     f = RadialFunction3D(rg, phi0 / f.integral_3d())
     thermal = HomogeneousState(beta=1.0, mu=0.0, dimension=3)
-    full = HomogeneousState(beta=1.0, mu=0.0, dimension=3, kappa=0.5, mode=ConstantMode())
+    full = HomogeneousState(beta=1.0, mu=0.0, dimension=3, kappa=0.5)
     plateaus = [
         temporal_correlation(full, f, f, t) - temporal_correlation(thermal, f, f, t)
         for t in (0.0, 3.0, 17.0)
@@ -483,7 +503,7 @@ def _assert_batch_matches_scalar_calls(state, f, g, times):
 
 def test_temporal_correlation_batch_3d_condensate(monkeypatch):
     f, _ = _radial_pair()
-    state = HomogeneousState(beta=1.0, mu=0.0, dimension=3, kappa=0.5, mode=ConstantMode())
+    state = HomogeneousState(beta=1.0, mu=0.0, dimension=3, kappa=0.5)
     _assert_batch_matches_scalar_calls(state, f, f, [0.0, 3.0, 17.0])
     # one transform serves every time when g is f
     calls = []
@@ -547,20 +567,34 @@ def test_discard_bound_dominates_the_discarded_density(windowed_and_full):
     assert np.all(discarded <= state.discard_bound)
 
 
-def test_hot_state_takes_the_full_solve(windowed_and_full):
+def test_hot_state_takes_a_wide_window(windowed_and_full):
     H, _, full = windowed_and_full
     hot = thermal_decomposition(H, 0.03, -1.0)
-    # 829 of 2304 modes, above the n/4 crossover to the full solve
-    assert 4 * hot.n_modes > H.size
-    # the cut full solve reproduces the full eigenvalues bit for bit
-    assert np.array_equal(hot.eigenvalues, full.eigenvalues[: hot.n_modes])
+    # 829 of 2304 modes, more than a third of the spectrum, still one window
+    assert hot.n_modes == 829 and hot.eigenvectors.shape == (H.size, 829)
+    assert np.allclose(hot.eigenvalues, full.eigenvalues[: hot.n_modes], rtol=0, atol=1e-11)
     state = QuasifreeState(beta=0.03, mu=-1.0, decomposition=hot)
     reference = QuasifreeState(beta=0.03, mu=-1.0, decomposition=full)
-    assert position_density(state, 0.0) == pytest.approx(position_density(reference, 0.0), abs=1e-12)
+    assert position_density(state, 0.0) == pytest.approx(position_density(reference, 0.0), rel=1e-12)
+
+
+def test_state_hotter_than_the_spectrum_takes_the_full_solve():
+    # the Bose cap lies above the top level, so the Sturm count keeps all
+    # n modes and thermal_decomposition asks for n + 1, which no window holds
+    H = trap_operator(4.0, 0.25)
+    assert H.size == 160
+    beta, mu = 1e-4, -1.0
+    assert eigenvalue_count(H, mu + np.log1p(2.0 / (DISCARD_TOL * H.grid.dx)) / beta) == H.size
+    decomp = thermal_decomposition(H, beta, mu)
+    full = diagonalize(H)
+    assert decomp.n_modes == H.size
+    assert np.array_equal(decomp.eigenvalues, full.eigenvalues)
+    assert np.array_equal(decomp.eigenvectors, full.eigenvectors)
+    assert QuasifreeState(beta=beta, mu=mu, decomposition=decomp).discard_bound == 0.0
 
 
 def test_state_rejects_a_window_that_discards_weight():
-    decomp = diagonalize(trap_operator(8.0, dx_target=0.0625, n_cap=2048), n_modes=2)
+    decomp = diagonalize(trap_operator(8.0, dx_target=0.0625), n_modes=2)
     with pytest.raises(DomainError, match="missing"):
         QuasifreeState(beta=1.0, mu=-1.0, decomposition=decomp)
     # frozen out, the same two modes carry everything
