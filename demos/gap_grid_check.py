@@ -2,10 +2,12 @@
 #
 # `thermolim lemma31` keeps n_points = 4096 on the box [-(2R+16), 2R+16],
 # so its grid spacing grows with R.  This script recomputes the same gaps
-# with the spacing held fixed, evolving the trapped side by a sparse
-# matrix exponential (scipy's expm_multiply) instead of a full eigensolve,
-# so fine grids stay within memory.  `--dx default` uses lemma31's own
-# grids and reproduces its gaps.
+# with the spacing held fixed, without a full eigensolve, so fine grids
+# stay within memory: the soft wall (c = 1) by the Chebyshev propagator,
+# whose degree a t is about 2 t/dx^2, the stiff wall (c = R), whose degree
+# grows like R^2 L^2, by a sparse matrix exponential (scipy's
+# expm_multiply).  `--dx default` uses lemma31's own grids and reproduces
+# its gaps.
 #
 # For each branch (coupling rule, time) it prints the gaps, the local
 # log-log slopes, and the margin (inner minus outer chord slope) at every
@@ -15,9 +17,9 @@
 #   python demos/gap_grid_check.py --dx 0.0137
 #   python demos/gap_grid_check.py --dx 0.0078 --branch R,1.0
 #
-# The stiff wall makes this slow: on 2 cores all six branches take about
-# 15 minutes at dx = 0.0137 and 25 minutes at dx = 0.0078, the t = 1.0
-# branches most of it.
+# On 2 cores the three c = 1 branches take 5 s at dx = 0.0137 and 14 s at
+# dx = 0.0078.  The stiff wall stays slow: the three c = R branches take
+# 9 minutes at dx = 0.0137, the t = 1.0 branch most of it.
 
 import argparse
 import math
@@ -26,7 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply
 
-from thermolim import assemble, bump, evolve_free, make_grid, soft_wall_trap
+from thermolim import assemble, bump, evolve_chebyshev, evolve_free, make_grid, soft_wall_trap
 
 radii = [6.0, 8.0, 10.0, 12.0, 14.0]
 
@@ -43,7 +45,7 @@ branches = [
 ] if args.branch else [(rule, t) for rule in ("1", "R") for t in (0.25, 0.5, 1.0)]
 
 
-def gap(R: float, coupling: float, t: float) -> float:
+def gap(R: float, rule: str, t: float) -> float:
     L = 2.0 * R + 16.0
     if args.dx == "default":
         n = 4096
@@ -51,10 +53,13 @@ def gap(R: float, coupling: float, t: float) -> float:
         n = int(round(2.0 * L / float(args.dx)))
         n += n % 2
     grid = make_grid(L, n)
-    H = assemble(grid, soft_wall_trap(R, coupling))
-    H = sp.diags([H.off_diagonal, H.diagonal, H.off_diagonal], [-1, 0, 1], format="csr")
+    H = assemble(grid, soft_wall_trap(R, 1.0 if rule == "1" else R))
     f = bump(0.0, 2.0, grid)
-    trapped = expm_multiply(-1j * t * H, f.values.astype(complex))
+    if rule == "1":
+        trapped = evolve_chebyshev(H, f, [t])[0][0].values
+    else:
+        H = sp.diags([H.off_diagonal, H.diagonal, H.off_diagonal], [-1, 0, 1], format="csr")
+        trapped = expm_multiply(-1j * t * H, f.values.astype(complex))
     free = evolve_free(f, t).values
     return float(np.sqrt((np.abs(trapped - free) ** 2).sum() * grid.dx))
 
@@ -65,7 +70,7 @@ def chord(gaps, i, j):
 
 print(f"dx = {args.dx}; radii {radii}")
 for rule, t in branches:
-    gaps = [gap(R, 1.0 if rule == "1" else R, t) for R in radii]
+    gaps = [gap(R, rule, t) for R in radii]
     local = [chord(gaps, i, i + 1) for i in range(len(radii) - 1)]
     margins = {
         radii[m]: chord(gaps, 0, m) - chord(gaps, m, len(radii) - 1)

@@ -48,6 +48,8 @@ from .hamiltonians import (
 from .propagators import (
     DecayReport,
     duhamel_bound,
+    evolve,
+    evolve_chebyshev,
     evolve_free,
     evolve_spectral,
     gap_decay_scan,

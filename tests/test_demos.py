@@ -1,8 +1,7 @@
 """Run the demos that exercise the library's public API, in process.
 
 Each demo runs as a script and must print the line that states its
-result.  `propagator_convergence.py` (about 12 s) and `gap_grid_check.py`
-stay manual runs.
+result.  `gap_grid_check.py` stays a manual run.
 """
 
 import pathlib
@@ -18,6 +17,7 @@ EXPECTED = {
     "condensate_profiles_1d": "growth exponent 2.974 (limit 3)",
     "saturation_and_memory": "verdicts: unit mean -> vanishes;  zero mean -> converges-positive",
     "fock_oracle_tour": "monotone: True",
+    "propagator_convergence": "  14   1.5522e-04   3.9858e-04   -5.007",
     "thermal_equilibrium_limit": "R =    80: density(0) = 0.14275584",
 }
 

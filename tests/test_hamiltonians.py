@@ -23,6 +23,7 @@ from thermolim.hamiltonians import (
     soft_wall_trap,
     trap_operator,
 )
+from thermolim.propagators import evolve, evolve_chebyshev
 from thermolim.condensates import fit_loglog_slope
 
 
@@ -276,6 +277,10 @@ def test_non_finite_operator_is_rejected_on_both_paths(bad, where):
     for n_modes in (2, None):  # the window and the full solve
         with pytest.raises(ValueError, match="infs or NaNs"):
             diagonalize(broken, n_modes=n_modes)
+    f = bump(0.0, 2.0, H.grid)
+    for propagate in (evolve_chebyshev, evolve):  # the series, and the route choice before it
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            propagate(broken, f, [0.25])
 
 
 def test_window_failure_is_not_silent(monkeypatch):

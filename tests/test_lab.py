@@ -8,7 +8,7 @@ from thermolim import condensates, lab
 from thermolim.cli import main
 from thermolim.grids import bump, make_grid
 from thermolim.lab import ConfigError, parse_config, run
-from thermolim.hamiltonians import diagonalize, soft_wall_trap
+from thermolim.hamiltonians import assemble, diagonalize, soft_wall_trap
 from thermolim.propagators import (
     QuadratureCapError,
     ValidityGateError,
@@ -153,6 +153,11 @@ LEMMA31_SMALL = {"radius_list": "6, 8, 10, 12", "t_list": "0.25", "c_rules": "1"
         pytest.param("memory", {"kappa": "-0.5"}, "kappa must be >= 0", id="kappa = -0.5"),
         pytest.param("lemma33", {"bump_radius": "-1"}, "radius must be positive", id="bump_radius = -1"),
         pytest.param("condensate1d", {"x_probes": "1.03"}, "not a grid point", id="x_probes = 1.03"),
+        # a list key set to "," parses to an empty list
+        pytest.param("mulimit", {"mu_list": ","}, "mu_list: expected at least one value",
+                     id="mu_list = ,"),
+        pytest.param("thermal", {"radius_list": ","}, "radius_list: expected at least one value",
+                     id="radius_list = ,"),
     ],
 )
 def test_cli_rejects_a_bad_radius_list_before_solving(experiment, bad, expect, monkeypatch, tmp_path,
@@ -160,7 +165,7 @@ def test_cli_rejects_a_bad_radius_list_before_solving(experiment, bad, expect, m
     def no_solve(*args, **kwargs):
         raise AssertionError("eigensolve started before the config was checked")
 
-    monkeypatch.setattr(lab, "diagonalize", no_solve)
+    monkeypatch.setattr(lab, "evolve", no_solve)
     monkeypatch.setattr(condensates, "diagonalize", no_solve)
     config = dict(LEMMA31_SMALL, **bad) if experiment == "lemma31" else bad
     cfg = tmp_path / "run.cfg"
@@ -282,6 +287,23 @@ def test_memory_without_condensate_is_decay_only():
     assert "plateau" not in rep.verdicts
     assert rep.verdicts["thermal_decay"] is True
     assert any("decay-only" in n for n in rep.notes)
+
+
+def test_lemma31_solves_only_its_stiff_wall_jobs(monkeypatch):
+    # the c = 1 jobs lie below the Chebyshev crossover, the c = R ones above it
+    import thermolim.propagators as propagators
+
+    solved = []
+
+    def counting(H, n_modes=None):
+        solved.append(H.diagonal.max())
+        return diagonalize(H, n_modes)
+
+    monkeypatch.setattr(propagators, "diagonalize", counting)
+    radii = [6.0, 8.0, 10.0, 12.0]
+    run("lemma31", {"radius_list": radii, "t_list": [0.25], "c_rules": ["1", "R"], "n_points": 512})
+    stiff = [assemble(make_grid(2 * R + 16.0, 512), soft_wall_trap(R, R)).diagonal.max() for R in radii]
+    assert solved == stiff
 
 
 def test_condensate1d_solves_each_radius_once(monkeypatch):

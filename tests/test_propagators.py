@@ -6,9 +6,14 @@ import pytest
 from thermolim.grids import bump, make_grid
 from thermolim.hamiltonians import assemble, diagonalize, free_potential, soft_wall_trap
 from thermolim.propagators import (
+    CHEBYSHEV_TAIL,
     QuadratureCapError,
     ValidityGateError,
+    _bessel_series,
+    _gershgorin,
     duhamel_bound,
+    evolve,
+    evolve_chebyshev,
     evolve_free,
     evolve_spectral,
     gap_decay_scan,
@@ -78,6 +83,86 @@ def test_spectral_evolution_does_not_copy_the_eigenvectors():
     finally:
         tracemalloc.stop()
     assert peak < decomp.eigenvectors.nbytes
+
+
+@pytest.fixture(scope="module")
+def lemma31_soft_wall():
+    # lemma31's c = 1 branch at R = 6 on half its grid: the highest degree
+    # of that branch per grid point (a t = 2.8 n at t = 1)
+    R, ts = 6.0, [0.25, 0.5, 1.0]
+    grid = make_grid(2 * R + 16.0, 2048)
+    H = assemble(grid, soft_wall_trap(R, 1.0))
+    f = bump(0.0, 2.0, grid)
+    return R, ts, H, f, evolve_spectral(diagonalize(H), f, ts)
+
+
+def test_chebyshev_matches_the_eigensolve(lemma31_soft_wall):
+    R, ts, H, f, spectral = lemma31_soft_wall
+    series, bounds = evolve_chebyshev(H, f, ts)
+    for t, a, b in zip(ts, series, spectral):
+        assert l2_diff(a, b) < 1e-11
+        free = evolve_free(f, t)
+        gap, ref = gated_gap(free, a, R), gated_gap(free, b, R)
+        assert abs(gap - ref) <= 1e-13 + 1e-9 * ref  # perfbench/reference.py's gap tolerance
+    assert all(0 <= b <= CHEBYSHEV_TAIL for b in bounds)
+
+
+def test_chebyshev_tail_bound_holds_for_any_packet_norm(lemma31_soft_wall):
+    # the tail scales with ||f||, so a larger packet needs a higher degree
+    _, ts, H, f, _ = lemma31_soft_wall
+    for scale in (1e-3, 1.0, 1e3):
+        g = f.with_values(scale * f.values)
+        assert all(0 <= b <= CHEBYSHEV_TAIL for b in evolve_chebyshev(H, g, ts)[1])
+    a, _ = _gershgorin(H)
+    degrees = [_bessel_series(a, norm)[0].size for norm in (1.0, 1e3)]
+    assert a < degrees[0] < degrees[1]
+
+
+def test_chebyshev_time_zero_negative_times_and_any_order(lemma31_soft_wall):
+    _, _, H, f, _ = lemma31_soft_wall
+    g = f.with_values(f.values * np.exp(0.9j * H.grid.x))  # both parts of the recurrence
+    assert np.array_equal(evolve_chebyshev(H, g, [0.0])[0][0].values, g.values)
+    times = [0.5, -0.25, 0.0, 0.1]
+    together = evolve_chebyshev(H, g, times)[0]
+    spectral = evolve_spectral(diagonalize(H), g, times)
+    for t, a, b in zip(times, together, spectral):
+        assert l2_diff(a, evolve_chebyshev(H, g, [t])[0][0]) < 1e-14
+        assert l2_diff(a, b) < 1e-11
+    # a real packet: e^(itH) f is the complex conjugate of e^(-itH) f
+    back, forth = evolve_chebyshev(H, f, [-0.5, 0.5])[0]
+    assert np.abs(back.values - np.conj(forth.values)).max() < 1e-13
+
+
+def test_bessel_coefficients_sum_to_one(lemma31_soft_wall):
+    # J_0(z) + 2 sum_k J_2k(z) = 1 at the largest argument of the series,
+    # and J_0 and J_1 agree with scipy there
+    from scipy.special import j0, j1
+
+    _, ts, H, _, _ = lemma31_soft_wall
+    z = _gershgorin(H)[0] * max(ts)
+    j, _ = _bessel_series(z, 1.0)
+    assert abs(j[0] + 2.0 * j[2::2].sum() - 1.0) < 1e-14
+    assert abs(j[0] - j0(z)) < 1e-14 and abs(j[1] - j1(z)) < 1e-14
+
+
+def test_route_takes_the_series_below_the_crossover(monkeypatch, lemma31_soft_wall):
+    import thermolim.propagators as propagators
+
+    _, ts, H, f, spectral = lemma31_soft_wall
+    solves = []
+
+    def counting(H, n_modes=None):
+        solves.append(H.size)
+        return diagonalize(H, n_modes)
+
+    monkeypatch.setattr(propagators, "diagonalize", counting)
+    for t, a, b in zip(ts, evolve(H, f, ts), spectral):
+        assert l2_diff(a, b) < 1e-11
+    assert solves == []
+    # a stiff wall of the same box is far above the crossover
+    stiff = assemble(H.grid, soft_wall_trap(6.0, 6.0))
+    evolve(stiff, f, ts)
+    assert solves == [H.size]
 
 
 def test_free_identity_and_unitarity(trap_setup):
