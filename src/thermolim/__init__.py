@@ -48,7 +48,6 @@ from .hamiltonians import (
 from .propagators import (
     DecayReport,
     duhamel_bound,
-    evolve,
     evolve_chebyshev,
     evolve_free,
     evolve_spectral,

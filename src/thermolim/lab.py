@@ -31,7 +31,7 @@ from .hamiltonians import diagonalize  # noqa: F401  (perfbench/selftest.py read
 from .propagators import (
     ValidityGateError,
     duhamel_bound,
-    evolve,
+    evolve_chebyshev,
     evolve_free,
     gap_decay_scan,
     gated_gap,
@@ -241,14 +241,14 @@ def run_propagator_scan(config: dict) -> Report:
     )
 
     def scan_radius(job):
-        # one (rule, R) evolution to every time; on the eigensolve route a
-        # pool thread holds at most one n x n eigenvector matrix
+        # one (rule, R) evolution to every time by the Chebyshev series on
+        # the packet's reachable block: a pool thread holds O(n), no n x n matrix
         rule_name, R = job
         grid = make_grid(box_L(R), cfg["n_points"])
         f = bump(cfg["bump_center"], cfg["bump_radius"], grid)
         H = assemble(grid, soft_wall_trap(R, coupling[rule_name](R)))
         gaps = []
-        for t, trapped in zip(ts, evolve(H, f, ts)):
+        for t, trapped in zip(ts, evolve_chebyshev(H, f, ts)[0]):
             try:
                 gaps.append(gated_gap(evolve_free(f, t), trapped, R, margin=cfg["margin"]))
             except ValidityGateError as exc:
@@ -329,7 +329,7 @@ def run_sector_norms(config: dict) -> Report:
         R = n_sec + cfg["radius_offset"]
         grid = make_grid(2.0 * R + 16.0, cfg["n_points"])
         f = bump(0.0, cfg["bump_radius"], grid)
-        g1 = evolve(assemble(grid, soft_wall_trap(R, 1.0)), f, [t])[0]
+        g1 = evolve_chebyshev(assemble(grid, soft_wall_trap(R, 1.0)), f, [t])[0][0]
         g2 = evolve_free(f, t)
         gap = gated_gap(g2, g1, R)  # the box gate of every trapped-vs-free experiment
         n1, n2 = np.sqrt(inner(g1, g1).real), np.sqrt(inner(g2, g2).real)

@@ -23,7 +23,7 @@ from thermolim.hamiltonians import (
     soft_wall_trap,
     trap_operator,
 )
-from thermolim.propagators import evolve, evolve_chebyshev
+from thermolim.propagators import _reachable_block, evolve_chebyshev
 from thermolim.condensates import fit_loglog_slope
 
 
@@ -270,17 +270,23 @@ def test_window_at_thermal_production_size():
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("where", ["diagonal", "off_diagonal"])
 def test_non_finite_operator_is_rejected_on_both_paths(bad, where):
+    def broken(op):
+        parts = {"diagonal": op.diagonal.copy(), "off_diagonal": op.off_diagonal.copy()}
+        parts[where][17] = bad
+        return TridiagonalOperator(parts["diagonal"], parts["off_diagonal"], op.grid)
+
     H = trap_operator(8.0, dx_target=0.0625)
-    parts = {"diagonal": H.diagonal.copy(), "off_diagonal": H.off_diagonal.copy()}
-    parts[where][17] = bad
-    broken = TridiagonalOperator(parts["diagonal"], parts["off_diagonal"], H.grid)
     for n_modes in (2, None):  # the window and the full solve
         with pytest.raises(ValueError, match="infs or NaNs"):
-            diagonalize(broken, n_modes=n_modes)
+            diagonalize(broken(H), n_modes=n_modes)
+    # the series checks the whole operator before it cuts out the packet's
+    # block: a stiff wall's block leaves row 17 out, the soft wall's keeps it
+    stiff = assemble(H.grid, soft_wall_trap(8.0, 8.0))
     f = bump(0.0, 2.0, H.grid)
-    for propagate in (evolve_chebyshev, evolve):  # the series, and the route choice before it
+    assert _reachable_block(stiff.diagonal, stiff.off_diagonal, f.values)[0] > 18
+    for op in (H, stiff):
         with pytest.raises(ValueError, match="infs or NaNs"):
-            propagate(broken, f, [0.25])
+            evolve_chebyshev(broken(op), f, [0.25])
 
 
 def test_window_failure_is_not_silent(monkeypatch):

@@ -1,5 +1,6 @@
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from thermolim import condensates, lab
 from thermolim.cli import main
 from thermolim.grids import bump, make_grid
 from thermolim.lab import ConfigError, parse_config, run
-from thermolim.hamiltonians import assemble, diagonalize, soft_wall_trap
+from thermolim.hamiltonians import diagonalize, soft_wall_trap
 from thermolim.propagators import (
     QuadratureCapError,
     ValidityGateError,
@@ -165,7 +166,7 @@ def test_cli_rejects_a_bad_radius_list_before_solving(experiment, bad, expect, m
     def no_solve(*args, **kwargs):
         raise AssertionError("eigensolve started before the config was checked")
 
-    monkeypatch.setattr(lab, "evolve", no_solve)
+    monkeypatch.setattr(lab, "evolve_chebyshev", no_solve)
     monkeypatch.setattr(condensates, "diagonalize", no_solve)
     config = dict(LEMMA31_SMALL, **bad) if experiment == "lemma31" else bad
     cfg = tmp_path / "run.cfg"
@@ -289,21 +290,21 @@ def test_memory_without_condensate_is_decay_only():
     assert any("decay-only" in n for n in rep.notes)
 
 
-def test_lemma31_solves_only_its_stiff_wall_jobs(monkeypatch):
-    # the c = 1 jobs lie below the Chebyshev crossover, the c = R ones above it
-    import thermolim.propagators as propagators
-
+def test_lemma31_makes_no_eigensolve(monkeypatch):
+    # every trapped packet, soft wall or stiff, goes through the series; the
+    # counter replaces diagonalize in every module that holds it
     solved = []
 
     def counting(H, n_modes=None):
-        solved.append(H.diagonal.max())
+        solved.append(H.size)
         return diagonalize(H, n_modes)
 
-    monkeypatch.setattr(propagators, "diagonalize", counting)
-    radii = [6.0, 8.0, 10.0, 12.0]
-    run("lemma31", {"radius_list": radii, "t_list": [0.25], "c_rules": ["1", "R"], "n_points": 512})
-    stiff = [assemble(make_grid(2 * R + 16.0, 512), soft_wall_trap(R, R)).diagonal.max() for R in radii]
-    assert solved == stiff
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "thermolim" and hasattr(module, "diagonalize"):
+            monkeypatch.setattr(module, "diagonalize", counting)
+    run("lemma31", {"radius_list": [6.0, 8.0, 10.0, 12.0], "t_list": [0.25], "c_rules": ["1", "R"],
+                    "n_points": 512})
+    assert solved == []
 
 
 def test_condensate1d_solves_each_radius_once(monkeypatch):

@@ -10,9 +10,10 @@ from thermolim.propagators import (
     QuadratureCapError,
     ValidityGateError,
     _bessel_series,
+    _chebyshev_block,
     _gershgorin,
+    _reachable_block,
     duhamel_bound,
-    evolve,
     evolve_chebyshev,
     evolve_free,
     evolve_spectral,
@@ -113,8 +114,8 @@ def test_chebyshev_tail_bound_holds_for_any_packet_norm(lemma31_soft_wall):
     for scale in (1e-3, 1.0, 1e3):
         g = f.with_values(scale * f.values)
         assert all(0 <= b <= CHEBYSHEV_TAIL for b in evolve_chebyshev(H, g, ts)[1])
-    a, _ = _gershgorin(H)
-    degrees = [_bessel_series(a, norm)[0].size for norm in (1.0, 1e3)]
+    a, _ = _gershgorin(H.diagonal, H.off_diagonal)
+    degrees = [np.argmax(_bessel_series(a, norm)[1] <= CHEBYSHEV_TAIL) + 1 for norm in (1.0, 1e3)]
     assert a < degrees[0] < degrees[1]
 
 
@@ -139,30 +140,56 @@ def test_bessel_coefficients_sum_to_one(lemma31_soft_wall):
     from scipy.special import j0, j1
 
     _, ts, H, _, _ = lemma31_soft_wall
-    z = _gershgorin(H)[0] * max(ts)
+    z = _gershgorin(H.diagonal, H.off_diagonal)[0] * max(ts)
     j, _ = _bessel_series(z, 1.0)
     assert abs(j[0] + 2.0 * j[2::2].sum() - 1.0) < 1e-14
     assert abs(j[0] - j0(z)) < 1e-14 and abs(j[1] - j1(z)) < 1e-14
 
 
-def test_route_takes_the_series_below_the_crossover(monkeypatch, lemma31_soft_wall):
-    import thermolim.propagators as propagators
+def test_soft_wall_series_runs_on_the_whole_box(lemma31_soft_wall):
+    # the soft wall's box edge stays below the cut level, so nothing is cut
+    # and the result is the uncut series, bit for bit
+    _, ts, H, f, _ = lemma31_soft_wall
+    d, e = H.diagonal, H.off_diagonal
+    assert _reachable_block(d, e, f.values) == (0, H.size)
+    evolved, bounds = evolve_chebyshev(H, f, ts)
+    whole, whole_bounds = _chebyshev_block(d, e, f, np.asarray(ts), 0, H.size)
+    assert all(np.array_equal(a.values, b.values) for a, b in zip(evolved, whole))
+    assert bounds == whole_bounds
 
-    _, ts, H, f, spectral = lemma31_soft_wall
-    solves = []
 
-    def counting(H, n_modes=None):
-        solves.append(H.size)
-        return diagonalize(H, n_modes)
+def test_stiff_wall_series_runs_on_the_reachable_block():
+    # lemma31's c = R branch at R = 6 on a quarter of its grid: the wall
+    # rises far above the packet's energies, so the series is cut to the
+    # block the packet can reach, and the bound covers tail and cut
+    R, ts = 6.0, [0.25, 0.5, 1.0]
+    grid = make_grid(2 * R + 16.0, 1024)
+    H = assemble(grid, soft_wall_trap(R, R))
+    f = bump(0.0, 2.0, grid)
+    lo, hi = _reachable_block(H.diagonal, H.off_diagonal, f.values)
+    assert 0 < lo and hi < H.size
+    evolved, bounds = evolve_chebyshev(H, f, ts)
+    for a, b, bound in zip(evolved, evolve_spectral(diagonalize(H), f, ts), bounds):
+        assert l2_diff(a, b) <= bound + 1e-11
+        assert not a.values[:lo].any() and not a.values[hi:].any()
+    assert all(0 <= b <= CHEBYSHEV_TAIL for b in bounds)
 
-    monkeypatch.setattr(propagators, "diagonalize", counting)
-    for t, a, b in zip(ts, evolve(H, f, ts), spectral):
-        assert l2_diff(a, b) < 1e-11
-    assert solves == []
-    # a stiff wall of the same box is far above the crossover
-    stiff = assemble(H.grid, soft_wall_trap(6.0, 6.0))
-    evolve(stiff, f, ts)
-    assert solves == [H.size]
+
+def test_a_leaky_cut_falls_back_to_the_whole_box():
+    # on this coarse grid the cut level 2 (4/dx^2) lies close to the wall,
+    # and by t = 1 the packet reaches the cut: the leak alone breaks
+    # CHEBYSHEV_TAIL, so the series runs on the whole box
+    R, ts = 10.0, np.array([1.0])
+    grid = make_grid(2 * R + 16.0, 1024)
+    H = assemble(grid, soft_wall_trap(R, R))
+    f = bump(0.0, 2.0, grid)
+    d, e = H.diagonal, H.off_diagonal
+    lo, hi = _reachable_block(d, e, f.values)
+    assert 0 < lo and hi < H.size
+    assert _chebyshev_block(d, e, f, ts, lo, hi) is None
+    evolved, bounds = evolve_chebyshev(H, f, ts)
+    whole, whole_bounds = _chebyshev_block(d, e, f, ts, 0, H.size)
+    assert np.array_equal(evolved[0].values, whole[0].values) and bounds == whole_bounds
 
 
 def test_free_identity_and_unitarity(trap_setup):
@@ -215,6 +242,24 @@ def test_duhamel_dominates_gap(trap_setup):
     for t in (0.25, 1.0):
         gap = propagator_gap(decomp, f, t, R)
         assert gap <= duhamel_bound(f, t, R) + 1e-8
+
+
+def test_duhamel_matches_its_evolve_free_reference(trap_setup):
+    # the batched integrand, phases by recurrence, against a plain loop over
+    # evolve_free with the same Simpson doubling: roundoff apart, equal
+    R, grid, _, f = trap_setup
+    wgt = np.maximum(grid.x**2 - R**2, 0.0) ** 2
+
+    def simpson(t, n):
+        v = np.array([np.sqrt((wgt * np.abs(evolve_free(f, u).values) ** 2).sum() * grid.dx)
+                      for u in np.linspace(0.0, t, n + 1)])
+        return t / n / 3.0 * (v[0] + v[-1] + 4.0 * v[1:-1:2].sum() + 2.0 * v[2:-2:2].sum())
+
+    for t in (0.25, 1.0):
+        n, est = 64, simpson(t, 64)
+        while abs(est - simpson(t, n // 2)) > 1e-6 * est:
+            n, est = 2 * n, simpson(t, 2 * n)
+        assert duhamel_bound(f, t, R) == pytest.approx(est, rel=1e-10, abs=0.0)
 
 
 def test_duhamel_cap_raises():
