@@ -290,9 +290,11 @@ def test_memory_without_condensate_is_decay_only():
     assert any("decay-only" in n for n in rep.notes)
 
 
-def test_lemma31_makes_no_eigensolve(monkeypatch):
-    # every trapped packet, soft wall or stiff, goes through the series; the
-    # counter replaces diagonalize in every module that holds it
+def test_lemma31_solves_only_its_stiff_wall_jobs(monkeypatch):
+    # the stiff-wall (c = R) jobs were once the only ones to diagonalize; now
+    # every trapped packet, soft wall or stiff, goes through the series, so
+    # no job does.  The counter replaces diagonalize in every module that
+    # holds it
     solved = []
 
     def counting(H, n_modes=None):

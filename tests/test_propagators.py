@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 
 import numpy as np
@@ -144,6 +145,32 @@ def test_bessel_coefficients_sum_to_one(lemma31_soft_wall):
     j, _ = _bessel_series(z, 1.0)
     assert abs(j[0] + 2.0 * j[2::2].sum() - 1.0) < 1e-14
     assert abs(j[0] - j0(z)) < 1e-14 and abs(j[1] - j1(z)) < 1e-14
+
+
+def test_route_takes_the_series_below_the_crossover(monkeypatch, lemma31_soft_wall):
+    # the old route sent a packet to the series while a max|t| <= 4 n and to
+    # a full eigensolve above; the soft wall lies below that crossover, the
+    # stiff wall of the same box far above it, and both now take the series.
+    # The counter replaces diagonalize in every module that holds it
+    _, ts, H, f, spectral = lemma31_soft_wall
+    solves = []
+
+    def counting(H, n_modes=None):
+        solves.append(H.size)
+        return diagonalize(H, n_modes)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "thermolim" and hasattr(module, "diagonalize"):
+            monkeypatch.setattr(module, "diagonalize", counting)
+    for a, b in zip(evolve_chebyshev(H, f, ts)[0], spectral):
+        assert l2_diff(a, b) < 1e-11
+    assert solves == []
+    stiff = assemble(H.grid, soft_wall_trap(6.0, 6.0))
+    assert _gershgorin(stiff.diagonal, stiff.off_diagonal)[0] * max(ts) > 4 * stiff.size
+    evolved, bounds = evolve_chebyshev(stiff, f, ts)
+    assert solves == []
+    for a, b, bound in zip(evolved, evolve_spectral(diagonalize(stiff), f, ts), bounds):
+        assert l2_diff(a, b) <= bound + 1e-11
 
 
 def test_soft_wall_series_runs_on_the_whole_box(lemma31_soft_wall):
