@@ -25,14 +25,12 @@ lab (experiment runner behind the `thermolim` command line).
 
 from .grids import (
     Grid1D,
-    MomentumFunction,
     RadialGrid,
     WaveFunction,
     bump,
     fourier_at,
     inner,
     make_grid,
-    to_momentum,
 )
 from .hamiltonians import (
     PotentialSpec,
@@ -40,7 +38,6 @@ from .hamiltonians import (
     TridiagonalOperator,
     assemble,
     diagonalize,
-    free_potential,
     radial_assemble,
     soft_wall_trap,
     trap_operator,
@@ -53,7 +50,6 @@ from .propagators import (
     evolve_spectral,
     gap_decay_scan,
     observable_gap_bound,
-    propagator_gap,
 )
 from .quasifree import (
     HomogeneousState,
@@ -62,14 +58,12 @@ from .quasifree import (
     field_resolvent_expectation,
     field_resolvent_value,
     homogeneous_density,
-    local_particle_number,
     momentum_weight,
     mu_limit_scan,
     number_resolvent_expectation,
     position_density,
     temporal_correlation,
     thermal_decomposition,
-    two_point,
 )
 from .fock import (
     FockSpace,

@@ -132,30 +132,6 @@ class WaveFunction:
         return WaveFunction(self.grid, values)
 
 
-@dataclass(frozen=True)
-class MomentumFunction:
-    """Fourier transform samples on the dual grid, FFT ordering."""
-
-    grid: Grid1D
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex)
-        if v.shape != (self.grid.n_points,):
-            raise GridMismatchError("momentum samples do not match grid size")
-        v = v.copy()
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
-
-    @property
-    def p(self) -> np.ndarray:
-        return self.grid.momenta()
-
-    def norm(self) -> float:
-        dp = np.pi / self.grid.half_width
-        return float(np.sqrt((np.abs(self.values) ** 2).sum() * dp))
-
-
 def make_grid(half_width: float, n_points: int) -> Grid1D:
     """Build a uniform 1D grid on [-L, L]; n_points must be even, >= 16."""
     return Grid1D(half_width, n_points)
@@ -196,20 +172,6 @@ def inner(f: WaveFunction, g: WaveFunction) -> complex:
     ):
         raise GridMismatchError("inner product between different grids")
     return complex((np.conj(f.values) * g.values).sum() * f.grid.dx)
-
-
-def to_momentum(f: WaveFunction) -> MomentumFunction:
-    """
-    Fourier transform with fhat(p) = (2 pi)^(-1/2) Integral f e^(-ipx) dx.
-
-    Exact discrete Plancherel: the momentum-side norm equals the position
-    norm up to roundoff.
-    """
-    g = f.grid
-    p = g.momenta()
-    # phase factor accounts for the grid starting at x = -L rather than 0
-    fh = np.fft.fft(f.values) * g.dx * np.exp(1j * p * g.half_width) / np.sqrt(2.0 * np.pi)
-    return MomentumFunction(g, fh)
 
 
 def fourier_at(f: WaveFunction, p: np.ndarray) -> np.ndarray:

@@ -57,10 +57,6 @@ class PotentialSpec:
         return self.coupling**2 * np.maximum(x * x - self.radius**2, 0.0)
 
 
-def free_potential() -> PotentialSpec:
-    return PotentialSpec(0.0, 0.0)
-
-
 def soft_wall_trap(radius: float, coupling: float = 1.0) -> PotentialSpec:
     return PotentialSpec(radius, coupling)
 
@@ -86,13 +82,6 @@ class TridiagonalOperator:
     @property
     def size(self) -> int:
         return self.diagonal.shape[0]
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        """Matrix-vector product in O(n)."""
-        out = self.diagonal * v
-        out[:-1] += self.off_diagonal * v[1:]
-        out[1:] += self.off_diagonal * v[:-1]
-        return out
 
 
 @dataclass(frozen=True)
@@ -253,18 +242,6 @@ def diagonalize(
     w.flags.writeable = False
     v.flags.writeable = False
     return SpectralDecomposition(H.grid, w, v)
-
-
-def residual_norms(H: TridiagonalOperator, decomp: SpectralDecomposition) -> np.ndarray:
-    """Per-mode ||H psi - eps psi||_2 on the grid (decomposition quality)."""
-    dx = getattr(H.grid, "dx", None) or H.grid.dr
-    v = decomp.eigenvectors
-    e = H.off_diagonal[:, None]
-    r = H.diagonal[:, None] * v
-    r[:-1] += e * v[1:]
-    r[1:] += e * v[:-1]
-    r -= decomp.eigenvalues * v
-    return np.sqrt((r * r).sum(axis=0) * dx)
 
 
 def parity_of(psi: WaveFunction) -> str:

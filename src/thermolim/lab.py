@@ -547,24 +547,18 @@ def run_mu_limit(config: dict) -> Report:
     # unit-mean bump: sensitive to saturation
     f1 = bump(0.0, cfg["mean_one_radius"], grid)
     f1 = f1.with_values(f1.values / f1.integral().real)
-    v1, vals1 = qf.mu_limit_scan(lam, f1, beta, mus,
-                                 cauchy_tol=cfg["cauchy_tol"], vanish_ratio=cfg["drop_ratio"])
-    for mu, val in zip(mus, vals1):
-        rep.rows.append(("mean_one", mu, float(val), v1))
-    rep.verdicts["mean_one"] = v1 == "vanishes"
-
     # zero-mean, zero-dipole second difference: blind to the condensate
-    b0 = bump(0.0, 1.0, grid).values
-    bp = bump(2.0, 1.0, grid).values
-    bm = bump(-2.0, 1.0, grid).values
-    f0 = WaveFunction(grid, bp + bm - 2.0 * b0)
+    f0 = WaveFunction(grid, bump(2.0, 1.0, grid).values + bump(-2.0, 1.0, grid).values
+                      - 2.0 * bump(0.0, 1.0, grid).values)
     f0 = f0.with_values(f0.values / f0.norm())
-    v0, vals0 = qf.mu_limit_scan(lam, f0, beta, mus,
-                                 cauchy_tol=cfg["cauchy_tol"], vanish_ratio=cfg["drop_ratio"])
-    for mu, val in zip(mus, vals0):
-        rep.rows.append(("zero_mean", mu, float(val), v0))
-    rep.verdicts["zero_mean"] = v0 == "converges-positive"
-    rep.verdicts["drop"] = bool(vals1[-1] <= cfg["drop_ratio"] * vals1[0])
+    scans = {}
+    for name, f, expected in (("mean_one", f1, "vanishes"), ("zero_mean", f0, "converges-positive")):
+        verdict, scans[name] = qf.mu_limit_scan(lam, f, beta, mus, cauchy_tol=cfg["cauchy_tol"],
+                                                vanish_ratio=cfg["drop_ratio"])
+        for mu, val in zip(mus, scans[name]):
+            rep.rows.append((name, mu, float(val), verdict))
+        rep.verdicts[name] = verdict == expected
+    rep.verdicts["drop"] = bool(scans["mean_one"][-1] <= cfg["drop_ratio"] * scans["mean_one"][0])
     return rep
 
 

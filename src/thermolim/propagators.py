@@ -2,13 +2,7 @@
 #
 # Time evolution and the convergence of trapped to free dynamics.
 #
-# Three propagators:
-# - evolve_spectral: e^(-itH) through the dense spectral decomposition of
-#   the tridiagonal Hamiltonian (exact within the discretization).  It takes
-#   one time or a sequence of times: the eigen-coefficients are computed
-#   once, and all times are evolved together in real arithmetic, so the
-#   real eigenvector matrix is never copied to complex.  Only tests and
-#   propagator_gap use it, as the reference for the series;
+# Two propagators run the experiments:
 # - evolve_chebyshev, the one path of every trapped packet: e^(-itH) f as a
 #   Chebyshev series in the Gershgorin-scaled operator H_s = (H - b)/a,
 #   e^(-itH) = e^(-itb) sum_k (2 - delta_k0) (-i)^k J_k(a t) T_k(H_s)
@@ -24,9 +18,13 @@
 # - evolve_free: the free propagator as the Fourier multiplier
 #   e^(-it omega(p)) with omega(p) = 2(1 - cos(p dx))/dx^2, the exact symbol
 #   of the three-point Laplacian.  Gap measurements against the trapped
-#   propagators then isolate the effect of the confining potential instead
+#   propagator then isolate the effect of the confining potential instead
 #   of the O(dx^2) mismatch to the continuum p^2 (which would floor the gap
 #   near 1e-3 on desk-scale grids).
+# evolve_spectral, e^(-itH) through the dense spectral decomposition (exact
+# within the discretization), is no experiment's path.  It stays as the
+# reference the tests hold the series to, and as a layer the benchmark
+# tracer wraps.
 #
 # The reachable block.  A stiff wall spends most of the box, and most of
 # a, on rows the packet never reaches.  The series therefore runs on the
@@ -41,11 +39,13 @@
 # using |(2 - delta_k0) J_k| <= 2 and, for K >= a|t|, a tail that grows
 # with s.  The boundary sums run along the recurrence, and each time stops
 # at the first K >= a|t| where tail plus leak is at most CHEBYSHEV_TAIL,
-# a few dozen terms past the tail alone.  When the leak sums alone exceed
-# CHEBYSHEV_TAIL the series runs on the whole box instead.  At lemma31's
-# stiff walls (n = 4096, c = R = 8..14) the blocks keep 3075 to 1571 rows,
-# the degree a t at t = 1 falls from 39k-175k to 25k-13k, and the leak is
-# at most 4e-18; R = 6 keeps the whole box (degree 24k at t = 1).
+# a few dozen terms past the tail alone; without a cut the leak is zero.
+# A time whose leak sums alone exceed CHEBYSHEV_TAIL drops out of the
+# block's series and is rerun on the whole box; the other times keep their
+# block results.  At lemma31's stiff walls (n = 4096, c = R = 8..14) the
+# blocks keep 3075 to 1571 rows, the degree a t at t = 1 falls from
+# 39k-175k to 25k-13k, and the leak is at most 4e-18; R = 6 keeps the
+# whole box (degree 24k at t = 1).
 
 from __future__ import annotations
 
@@ -60,6 +60,7 @@ from .hamiltonians import SpectralDecomposition, TridiagonalOperator
 GAP_FLOOR = 1e-14
 EDGE_GATE = 5e-3  # largest relative edge amplitude an evolved packet may keep
 DUHAMEL_MAX_INTERVALS = 4096
+DUHAMEL_REL_TOL = 1e-6  # relative change at which the Duhamel quadrature stops doubling
 CHEBYSHEV_TAIL = 1e-15  # L2 bound on the neglected series tail at every time
 _CHEBYSHEV_BLOCK = 64  # Chebyshev vectors summed per matrix product
 _DUHAMEL_BATCH = 64  # Duhamel nodes per batched inverse FFT
@@ -178,7 +179,8 @@ def evolve_chebyshev(H: TridiagonalOperator, f: WaveFunction, times):
     """
     e^(-itH) f at each time of a 1-D sequence, by the Chebyshev series on
     the packet's reachable block (module header), with an L2 error bound
-    per time that covers the series tail and the cut.
+    per time that covers the series tail and the cut.  Times whose cut
+    leaks are rerun on the whole box.
 
     Returns (evolved, bounds): lists in the order of `times`; every bound is
     at most CHEBYSHEV_TAIL.  NaN or inf operator entries raise ValueError.
@@ -189,26 +191,27 @@ def evolve_chebyshev(H: TridiagonalOperator, f: WaveFunction, times):
         raise ValueError(f"times must be a 1-D sequence, got shape {times.shape}")
     d = np.asarray_chkfinite(H.diagonal)
     e = np.asarray_chkfinite(H.off_diagonal)
-    lo, hi = _reachable_block(d, e, f.values)
-    if (lo, hi) != (0, d.size):
-        cut = _chebyshev_block(d, e, f, times, lo, hi)
-        if cut is not None:
-            return cut
-    return _chebyshev_block(d, e, f, times, 0, d.size)
+    evolved, bounds = _chebyshev_block(d, e, f, times, *_reachable_block(d, e, f.values))
+    leaky = [m for m, bound in enumerate(bounds) if bound is None]
+    if leaky:
+        for m, v, bound in zip(leaky, *_chebyshev_block(d, e, f, times[leaky], 0, d.size)):
+            evolved[m], bounds[m] = v, bound
+    return evolved, bounds
 
 
 def _chebyshev_block(d: np.ndarray, e: np.ndarray, f: WaveFunction, times: np.ndarray, lo: int, hi: int):
     """
     evolve_chebyshev on the block lo <= j < hi of the operator (d, e), with
-    f supported inside it; None when the cut alone leaks more than
-    CHEBYSHEV_TAIL.
+    f supported inside it.  A time whose cut alone leaks more than
+    CHEBYSHEV_TAIL gets None for its evolved packet and its bound; without
+    a cut no time leaks.
 
     The recurrence runs on the real and imaginary parts of f (the imaginary
     part only when it is nonzero), and each time sums its own coefficients
     of the same vectors, in blocks of _CHEBYSHEV_BLOCK by one matrix
-    product.  Without a cut each time's degree is fixed by its tail alone
-    before the recurrence starts; with one, by tail plus leak, whose
-    boundary sums are taken block by block as the recurrence runs.
+    product.  Each time's degree is fixed by tail plus leak, whose boundary
+    sums are taken block by block as the recurrence runs; a time that is
+    done, or leaks, has the rest of its coefficients zeroed.
     """
     n, size = hi - lo, d.size
     a, b = _gershgorin(d[lo:hi], e[lo : hi - 1])
@@ -217,17 +220,15 @@ def _chebyshev_block(d: np.ndarray, e: np.ndarray, f: WaveFunction, times: np.nd
     end_rows, couplings = [r for r, _ in ends], np.array([c for _, c in ends])
     # tails times 1 + |t| sum_end |e_end|: the series tail plus its term in the leak
     series = [_bessel_series(a * abs(t), f.norm() * (1.0 + abs(t) * couplings.sum())) for t in times]
-    pending = list(range(times.size)) if ends else []
-    degrees = [None if ends else int(np.argmax(tails <= CHEBYSHEV_TAIL)) + 1 for _, tails in series]
-    bounds = [None if K is None else float(tails[K - 1]) for K, (_, tails) in zip(degrees, series)]
+    pending = list(range(times.size))
+    degrees, bounds = [0] * times.size, [None] * times.size
     # c[m, k] = (2 - delta_k0) J_k(a|t_m|) times the real sign of (-i sgn t)^k;
     # even orders give the real part of the sum, odd orders the imaginary part
-    c = np.zeros((times.size, max(K or j.size for K, (j, _) in zip(degrees, series))))
-    for m, (t, K, (j, _)) in enumerate(zip(times, degrees, series)):
-        k = np.arange(K or j.size)
-        c[m, : k.size] = np.array([1.0, -np.sign(t), -1.0, np.sign(t)])[k % 4] * j[: k.size]
+    c = np.zeros((times.size, max(j.size for j, _ in series)))
+    for m, (t, (j, _)) in enumerate(zip(times, series)):
+        c[m, : j.size] = np.array([1.0, -np.sign(t), -1.0, np.sign(t)])[np.arange(j.size) % 4] * j
     c[:, 1:] *= 2.0
-    kmax = c.shape[1]  # the largest degree; with a cut, every Bessel order until fixed
+    kmax = c.shape[1]  # every Bessel order until each degree is fixed, then the largest degree
     leak_weight = 2.0 * np.sqrt(f.grid.dx) * np.abs(times)
     boundary = 0.0  # sum_end |e_end| sum_(k<done) |(T_k f)(end)|; leak = leak_weight * boundary
 
@@ -260,10 +261,10 @@ def _chebyshev_block(d: np.ndarray, e: np.ndarray, f: WaveFunction, times: np.nd
                     ok = np.flatnonzero((bound <= CHEBYSHEV_TAIL) & (K >= a * abs(times[m])))
                     if ok.size:
                         degrees[m], bounds[m] = int(K[ok[0]]), float(bound[ok[0]])
-                        c[m, degrees[m]:] = 0.0
-                        pending.remove(m)
-                    elif k1 >= j.size or leak_weight[m] * boundary > CHEBYSHEV_TAIL:
-                        return None
+                    elif k1 < j.size and leak_weight[m] * boundary <= CHEBYSHEV_TAIL:
+                        continue  # neither done nor leaking yet
+                    c[m, degrees[m]:] = 0.0  # a leaking time keeps degree 0 and bound None
+                    pending.remove(m)
                 if not pending:
                     kmax = max(degrees)
             even += c[:, done:k1:2] @ rows[0 : k1 - done : 2]
@@ -288,7 +289,7 @@ def _chebyshev_block(d: np.ndarray, e: np.ndarray, f: WaveFunction, times: np.nd
     for m, t in enumerate(times):
         v = (np.exp(-1j * b * t) * (even[m] + 1j * odd[m])).reshape(n, p)
         block = v[:, 0] + 1j * v[:, 1] if p == 2 else v[:, 0]
-        evolved.append(WaveFunction(f.grid, np.pad(block, (lo, size - hi))))
+        evolved.append(None if bounds[m] is None else WaveFunction(f.grid, np.pad(block, (lo, size - hi))))
     return evolved, bounds
 
 
@@ -311,17 +312,6 @@ def edge_amplitude(f: WaveFunction) -> float:
     if peak == 0:
         return 0.0
     return float(np.abs(f.values[m]).max() / peak)
-
-
-def propagator_gap(decomp: SpectralDecomposition, f: WaveFunction, t: float, R: float) -> float:
-    """
-    L2 distance between trapped and free evolution of f at time t.
-
-    The free side uses the grid Laplacian's symbol, so both propagators act
-    on the same discretized model; the gap then measures the confinement
-    effect down to the roundoff floor.
-    """
-    return gated_gap(evolve_free(f, t), evolve_spectral(decomp, f, t), R)
 
 
 def gated_gap(free: WaveFunction, trapped: WaveFunction, R: float, margin: float = 16.0) -> float:
@@ -352,7 +342,7 @@ def _tail_weight(grid: Grid1D, R: float) -> np.ndarray:
     return w * w
 
 
-def duhamel_bound(f: WaveFunction, t: float, R: float, rel_tol: float = 1e-6) -> float:
+def duhamel_bound(f: WaveFunction, t: float, R: float) -> float:
     """
     Integral bound on the propagator gap at unit wall coupling:
 
@@ -361,10 +351,10 @@ def duhamel_bound(f: WaveFunction, t: float, R: float, rel_tol: float = 1e-6) ->
     with f_u the freely evolved packet.  The bound is linear in the wall's
     c^2, so for coupling c it is c^2 times this value.  Composite Simpson in
     u from 32 intervals, doubling until the relative change drops below
-    rel_tol.  At 4096 intervals a last change within the integral of the
-    integrand's roundoff floor (machine epsilon times max |f| per sample,
-    weighted as above) is accepted, since no refinement can beat it; any
-    larger change raises QuadratureCapError.
+    DUHAMEL_REL_TOL.  At 4096 intervals a last change within the integral
+    of the integrand's roundoff floor (machine epsilon times max |f| per
+    sample, weighted as above) is accepted, since no refinement can beat
+    it; any larger change raises QuadratureCapError.
 
     The integrand is evolve_free's multiplier taken in batches: fft(f) and
     the symbol are formed once, and each level's new, equally spaced nodes
@@ -403,7 +393,7 @@ def duhamel_bound(f: WaveFunction, t: float, R: float, rel_tol: float = 1e-6) ->
         vals_new[1::2] = integrand(t / n, 2.0 * t / n, n // 2)
         est_new = simpson(vals_new, t / n)
         change = abs(est_new - est)
-        if change <= rel_tol * max(abs(est_new), 1e-300):
+        if change <= DUHAMEL_REL_TOL * max(abs(est_new), 1e-300):
             return float(est_new)
         if n >= DUHAMEL_MAX_INTERVALS:
             noise = abs(t) * np.finfo(float).eps * np.abs(f.values).max() * np.sqrt(wgt.sum() * g.dx)
@@ -412,7 +402,7 @@ def duhamel_bound(f: WaveFunction, t: float, R: float, rel_tol: float = 1e-6) ->
             raise QuadratureCapError(
                 f"Duhamel quadrature at t={t}, R={R}: relative change "
                 f"{change / max(abs(est_new), 1e-300):.2e} after "
-                f"{n} intervals exceeds rel_tol {rel_tol:.0e}"
+                f"{n} intervals exceeds DUHAMEL_REL_TOL {DUHAMEL_REL_TOL:.0e}"
             )
         est, vals = est_new, vals_new
 

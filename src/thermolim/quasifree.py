@@ -55,6 +55,7 @@ MU_SAFETY = 1e-6
 # largest density a thermal state may leave out with its discarded modes,
 # three orders below the absolute tolerance on reported densities
 DISCARD_TOL = 1e-16
+EDGE_ZONE = 4.0  # width of the edge strip thermal_edge_weight weighs
 
 
 class DomainError(ValueError):
@@ -176,32 +177,8 @@ class HomogeneousState:
 
 
 # ---------------------------------------------------------------------------
-# Two-point functions and densities (finite trap)
+# Densities and the edge gate (finite trap)
 # ---------------------------------------------------------------------------
-
-
-def two_point(state: QuasifreeState, f: WaveFunction, g: WaveFunction) -> complex:
-    """omega(a*(f) a(g)) = sum_k n_k <g, psi_k><psi_k, f>."""
-    cf = state.mode_overlaps(f)
-    cg = state.mode_overlaps(g)
-    return complex((state.occupations * np.conj(cg) * cf).sum())
-
-
-def kms_defect(state: QuasifreeState, f: WaveFunction, g: WaveFunction) -> float:
-    """
-    |two_point computed with T  -  two_point computed with e^(-beta(H-mu))(1+T)|.
-
-    The detailed-balance identity n = e^(-beta(eps-mu)) (1 + n) makes this
-    vanish; checked spectrally.
-    """
-    cf = state.mode_overlaps(f)
-    cg = state.mode_overlaps(g)
-    n = state.occupations
-    boltz = np.exp(-state.beta * (state.decomposition.eigenvalues - state.mu))
-    n_dual = boltz * (1.0 + n)
-    a = complex((n * np.conj(cg) * cf).sum())
-    b = complex((n_dual * np.conj(cg) * cf).sum())
-    return abs(a - b)
 
 
 def position_density(state: QuasifreeState, x: float) -> float:
@@ -210,27 +187,16 @@ def position_density(state: QuasifreeState, x: float) -> float:
     return float((state.occupations * state.decomposition.eigenvectors[j, :] ** 2).sum())
 
 
-def local_particle_number(state: QuasifreeState, a: float, b: float) -> float:
-    """Expected particle number in [a, b): Riemann integral of the density."""
-    grid = state.decomposition.grid
-    if a > b:
-        raise DomainError(f"empty-ordered region [{a}, {b}]")
-    if a < -grid.half_width or b > grid.half_width:
-        raise DomainError("region outside the grid")
-    m = (grid.x >= a) & (grid.x < b)
-    dens = (state.occupations[None, :] * state.decomposition.eigenvectors[m, :] ** 2).sum()
-    return float(dens * grid.dx)
-
-
-def thermal_edge_weight(state: QuasifreeState, zone: float = 4.0) -> float:
+def thermal_edge_weight(state: QuasifreeState) -> float:
     """
-    Occupation-weighted density near the box edge relative to the total:
-    the validity gate for trusting a finite box as a stand-in for the trap.
+    Occupation-weighted density within EDGE_ZONE of the box edge relative
+    to the total: the validity gate for trusting a finite box as a stand-in
+    for the trap.
     The edge sum takes the state's discard bound at each of its points, so
     the ratio stays an upper bound when the decomposition is a window.
     """
     grid = state.decomposition.grid
-    m = np.abs(grid.x) >= grid.half_width - zone
+    m = np.abs(grid.x) >= grid.half_width - EDGE_ZONE
     v = state.decomposition.eigenvectors
     n = state.occupations
     # per-row density sum_k n_k psi_k(x)^2, squared in row blocks so no

@@ -22,10 +22,12 @@ import pytest
 
 from thermolim import lab
 from thermolim.fock import build_fock, ccr_defect
-from thermolim.grids import bump, bump_profile, make_grid, to_momentum
+from thermolim.grids import bump, bump_profile, make_grid
 from thermolim.hamiltonians import assemble, diagonalize, soft_wall_trap
-from thermolim.propagators import evolve_free, evolve_spectral, propagator_gap
-from thermolim.quasifree import QuasifreeState, two_point
+from thermolim.propagators import evolve_free, evolve_spectral
+from thermolim.quasifree import QuasifreeState
+
+from references import propagator_gap, to_momentum, two_point
 
 
 def report(num: int, ok: bool, detail: str) -> bool:

@@ -10,8 +10,9 @@ from thermolim.grids import (
     fourier_at,
     inner,
     make_grid,
-    to_momentum,
 )
+
+from references import to_momentum
 
 
 @pytest.fixture(scope="module")

@@ -15,12 +15,10 @@ OPTIONS = [
     "cli.main(argv)",
     "hamiltonians.diagonalize(n_modes)",
     "hamiltonians.soft_wall_trap(coupling)",
-    "propagators.duhamel_bound(rel_tol)",
     "propagators.gated_gap(margin)",
     "quasifree.HomogeneousState.dimension",
     "quasifree.HomogeneousState.kappa",
     "quasifree.RadialFunction3D.phi1",
-    "quasifree.thermal_edge_weight(zone)",
 ]
 
 

@@ -4,8 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from thermolim import propagators
 from thermolim.grids import bump, make_grid
-from thermolim.hamiltonians import assemble, diagonalize, free_potential, soft_wall_trap
+from thermolim.hamiltonians import assemble, diagonalize, soft_wall_trap
 from thermolim.propagators import (
     CHEBYSHEV_TAIL,
     QuadratureCapError,
@@ -21,8 +22,9 @@ from thermolim.propagators import (
     gap_decay_scan,
     gated_gap,
     observable_gap_bound,
-    propagator_gap,
 )
+
+from references import propagator_gap
 
 
 @pytest.fixture(scope="module")
@@ -205,18 +207,24 @@ def test_stiff_wall_series_runs_on_the_reachable_block():
 def test_a_leaky_cut_falls_back_to_the_whole_box():
     # on this coarse grid the cut level 2 (4/dx^2) lies close to the wall,
     # and by t = 1 the packet reaches the cut: the leak alone breaks
-    # CHEBYSHEV_TAIL, so the series runs on the whole box
-    R, ts = 10.0, np.array([1.0])
+    # CHEBYSHEV_TAIL, so the block gives that time no result, and
+    # evolve_chebyshev reruns it, and it alone, on the whole box
+    R, ts = 10.0, [0.1, 1.0]
     grid = make_grid(2 * R + 16.0, 1024)
     H = assemble(grid, soft_wall_trap(R, R))
     f = bump(0.0, 2.0, grid)
     d, e = H.diagonal, H.off_diagonal
     lo, hi = _reachable_block(d, e, f.values)
     assert 0 < lo and hi < H.size
-    assert _chebyshev_block(d, e, f, ts, lo, hi) is None
-    evolved, bounds = evolve_chebyshev(H, f, ts)
-    whole, whole_bounds = _chebyshev_block(d, e, f, ts, 0, H.size)
-    assert np.array_equal(evolved[0].values, whole[0].values) and bounds == whole_bounds
+    assert _chebyshev_block(d, e, f, np.array([1.0]), lo, hi) == ([None], [None])
+    (short, long), bounds = evolve_chebyshev(H, f, ts)
+    whole, whole_bounds = _chebyshev_block(d, e, f, np.array([1.0]), 0, H.size)
+    assert np.array_equal(long.values, whole[0].values) and bounds[1:] == whole_bounds
+    # t = 0.1 stays inside the block and keeps the block result
+    assert not short.values[:lo].any() and not short.values[hi:].any()
+    for a, b, bound in zip((short, long), evolve_spectral(diagonalize(H), f, ts), bounds):
+        assert 0 <= bound <= CHEBYSHEV_TAIL
+        assert l2_diff(a, b) <= bound + 1e-11
 
 
 def test_free_identity_and_unitarity(trap_setup):
@@ -229,7 +237,7 @@ def test_free_cross_check_against_spectral():
     # mutual oracle: Fourier multiplier vs dense free eigenbasis at t = 1
     grid = make_grid(48.0, 4096)
     f = bump(0.0, 12.0, grid)
-    decomp = diagonalize(assemble(grid, free_potential()))
+    decomp = diagonalize(assemble(grid, soft_wall_trap(0.0, 0.0)))
     spectral = evolve_spectral(decomp, f, 1.0)
     assert l2_diff(evolve_free(f, 1.0), spectral) < 1e-6
 
@@ -289,14 +297,16 @@ def test_duhamel_matches_its_evolve_free_reference(trap_setup):
         assert duhamel_bound(f, t, R) == pytest.approx(est, rel=1e-10, abs=0.0)
 
 
-def test_duhamel_cap_raises():
+def test_duhamel_cap_raises(monkeypatch):
     # over t = 50 the integrand on this tiny grid oscillates at the grid's
     # top frequency 4/dx^2 = 64; 4096 intervals reach 6e-10 relative, far
     # above its roundoff floor, and not the asked 1e-12
     f = bump(0.0, 2.0, make_grid(8.0, 64))
+    monkeypatch.setattr(propagators, "DUHAMEL_REL_TOL", 1e-12)
     with pytest.raises(QuadratureCapError, match="4096 intervals"):
-        duhamel_bound(f, 50.0, 3.0, rel_tol=1e-12)
-    assert duhamel_bound(f, 50.0, 3.0, rel_tol=1e-8) > 0
+        duhamel_bound(f, 50.0, 3.0)
+    monkeypatch.setattr(propagators, "DUHAMEL_REL_TOL", 1e-8)
+    assert duhamel_bound(f, 50.0, 3.0) > 0
 
 
 def test_duhamel_accepts_the_roundoff_floor_at_the_cap():

@@ -28,8 +28,6 @@ from thermolim.quasifree import (
     field_resolvent_value,
     geometric_resolvent_series,
     homogeneous_density,
-    kms_defect,
-    local_particle_number,
     momentum_weight,
     mu_limit_scan,
     number_resolvent_expectation,
@@ -37,10 +35,11 @@ from thermolim.quasifree import (
     temporal_correlation,
     thermal_decomposition,
     thermal_edge_weight,
-    two_point,
 )
 from thermolim.fock import build_fock, gibbs_number_resolvent
 import thermolim.quasifree as qf
+
+from references import kms_defect, local_particle_number, two_point
 
 
 @pytest.fixture(scope="module")
@@ -171,14 +170,15 @@ def box_state():
     return QuasifreeState(beta=0.2, mu=-1.0, decomposition=decomp)
 
 
-def test_thermal_edge_weight_matches_the_full_sum(box_state):
+def test_thermal_edge_weight_matches_the_full_sum(box_state, monkeypatch):
     grid = box_state.decomposition.grid
     v = box_state.decomposition.eigenvectors
     n = box_state.occupations
     for zone in (1.0, 4.0):
+        monkeypatch.setattr(qf, "EDGE_ZONE", zone)
         m = np.abs(grid.x) >= grid.half_width - zone
         expected = (n[None, :] * v[m, :] ** 2).sum() / (n[None, :] * v**2).sum()
-        assert thermal_edge_weight(box_state, zone) == pytest.approx(expected, rel=1e-12)
+        assert thermal_edge_weight(box_state) == pytest.approx(expected, rel=1e-12)
         assert 0.0 < expected < 1.0
 
 
