@@ -13,7 +13,7 @@ from thermolim import (
 from thermolim.fock import ccr_defect
 from thermolim.quasifree import bose_occupation, geometric_resolvent_series
 
-space = build_fock(2, 6, 6)
+space = build_fock(2, 6)
 print(f"two modes, at most 6 quanta: {space.dimension} basis states")
 print(f"commutator defect on interior states: {ccr_defect(space):.2e}")
 
@@ -31,17 +31,17 @@ for n in (1, 2, 3):
 print()
 print("sector norms grow with the particle number for algebra elements")
 print("(third mode = spectator, standing in for the rest of the space):")
-sp3 = build_fock(3, 5, 5)
+sp3 = build_fock(3, 5)
 A = number_resolvent_matrix(sp3, 1.0, np.array([1.0, 0.0, 0.0]))
 B = number_resolvent_matrix(sp3, 1.0, np.array([0.0, 1.0, 0.0]))
-ok, norms, running = sector_norm_monotonicity([a - b for a, b in zip(A[:5], B[:5])])
+ok, norms = sector_norm_monotonicity([a - b for a, b in zip(A[:5], B[:5])])
 print("  norms:", ["%.6f" % v for v in norms], " monotone:", ok)
 
 print()
 print("Gibbs trace against the geometric-law series:")
 eps, beta, mu = [0.5, 1.5], 1.0, -0.2
 coeffs = np.array([0.8, 0.6])
-deep = build_fock(2, 44, 44)
+deep = build_fock(2, 44)
 occ = bose_occupation(np.array(eps), beta, mu)
 nbar = float((coeffs**2 * occ).sum())
 for lam in (0.5, 1.0, 2.0):

@@ -44,7 +44,7 @@ top = np.argsort(np.abs(overlaps))[-2:]
 coeffs = overlaps[top].real
 energies = [float(decomp.eigenvalues[k]) for k in top]
 f2 = f.with_values(decomp.eigenvectors[:, top] @ coeffs)
-space = build_fock(2, 48, 48)
+space = build_fock(2, 48)
 
 for lam in (0.5, 1.0, 2.0):
     series = number_resolvent_expectation(state, lam, f2)

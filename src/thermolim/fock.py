@@ -3,19 +3,18 @@
 # Exact second quantization on a truncated occupation-number basis: the
 # brute-force oracle for sector norms and thermal expectation values.
 #
-# The basis consists of occupation tuples (n_1, ..., n_m) with n_i <= n_max
-# and sum n_i <= N_total.  Creation/annihilation matrix elements are exact;
+# The basis consists of occupation tuples (n_1, ..., n_m) with
+# sum n_i <= N_total.  Creation/annihilation matrix elements are exact;
 # truncation only removes states, so commutation relations hold exactly on
 # every state with headroom.  a(f) lowers the particle number by one, so it
 # is held as its sector-to-sector blocks A_n (sector n to sector n - 1),
-# built in one place, _annihilator_blocks; the commutator self-test, both
-# resolvents and the pair norms all run on these blocks, and no D x D matrix
-# is formed.  The number resolvent (lam + a*(f) a(f))^(-1) conserves
-# particle number, so it is inverted one sector at a time.  The field
-# resolvent (lam + i phi(f))^(-1), phi(f) = a(f) + a*(f), is block
-# tridiagonal over the sectors; the diagonal blocks of its inverse come from
-# the Schur complements from below and from above (the recursive Green's
-# function recursion).
+# built in one place, _annihilator_blocks; the commutator self-test, the
+# number resolvent and the pair norms all run on these blocks, and no
+# D x D matrix is formed.  The number resolvent (lam + a*(f) a(f))^(-1)
+# conserves particle number, so it is inverted one sector at a time.  The
+# field resolvent (lam + i phi(f))^(-1), phi(f) = a(f) + a*(f), is traced
+# on one mode, where it is a tridiagonal matrix over the occupation number
+# and the diagonal of its inverse comes from two scalar continued fractions.
 
 from __future__ import annotations
 
@@ -40,10 +39,9 @@ class TruncationError(RuntimeError):
 
 @dataclass(frozen=True)
 class FockSpace:
-    """Occupation-truncated bosonic Fock space over m orthonormal modes."""
+    """Particle-number-truncated bosonic Fock space over m orthonormal modes."""
 
     n_modes: int
-    n_max: int
     n_total: int
     sectors: dict = field(init=False, repr=False)
     occupations: np.ndarray = field(init=False, repr=False)
@@ -51,14 +49,14 @@ class FockSpace:
     def __post_init__(self):
         if self.n_modes not in (1, 2, 3):
             raise FockConfigError(f"n_modes must be 1, 2 or 3, got {self.n_modes}")
-        if self.n_max < 0 or self.n_total < 0:
-            raise FockConfigError("occupation caps must be nonnegative")
-        dimension = _basis_size(self.n_modes, self.n_max, self.n_total)
+        if self.n_total < 0:
+            raise FockConfigError("the particle-number cap must be nonnegative")
+        # m-tuples of nonnegative integers with sum <= n_total
+        dimension = comb(self.n_total + self.n_modes, self.n_modes)
         if dimension > DIMENSION_CAP:
             raise FockConfigError(f"basis dimension {dimension} exceeds cap {DIMENSION_CAP}")
-        # occupation tuples in lexicographic order; none exceeds min(n_max, n_total)
-        radix = min(self.n_max, self.n_total) + 1
-        grid = np.indices((radix,) * self.n_modes).reshape(self.n_modes, -1).T
+        # occupation tuples in lexicographic order
+        grid = np.indices((self.n_total + 1,) * self.n_modes).reshape(self.n_modes, -1).T
         occupations = grid[grid.sum(axis=1) <= self.n_total]
         occupations.flags.writeable = False
         object.__setattr__(self, "occupations", occupations)
@@ -72,23 +70,12 @@ class FockSpace:
 
     def interior_mask(self) -> np.ndarray:
         """States where one more quantum in any mode stays inside the truncation."""
-        occ = self.occupations
-        return (occ.sum(axis=1) < self.n_total) & (occ < self.n_max).all(axis=1)
+        return self.occupations.sum(axis=1) < self.n_total
 
 
-def _basis_size(m: int, n_max: int, n_total: int) -> int:
-    # m-tuples in [0, n_max] with sum <= n_total, by inclusion-exclusion over
-    # the modes forced above n_max: C(n_total + m, m) tuples have no upper cap
-    return sum(
-        (-1) ** j * comb(m, j) * comb(n_total - j * (n_max + 1) + m, m)
-        for j in range(m + 1)
-        if j * (n_max + 1) <= n_total
-    )
-
-
-def build_fock(n_modes: int, n_max: int, n_total: int) -> FockSpace:
+def build_fock(n_modes: int, n_total: int) -> FockSpace:
     """Construct a truncated Fock space (dimension-capped)."""
-    return FockSpace(n_modes, n_max, n_total)
+    return FockSpace(n_modes, n_total)
 
 
 def _annihilator_blocks(space: FockSpace, coeffs) -> list[np.ndarray]:
@@ -103,7 +90,7 @@ def _annihilator_blocks(space: FockSpace, coeffs) -> list[np.ndarray]:
         raise FockConfigError("coefficient vector does not match the mode count")
     occ = space.occupations
     # mixed-radix key of each occupation tuple, ascending in basis order
-    radix = (min(space.n_max, space.n_total) + 1) ** np.arange(space.n_modes - 1, -1, -1)
+    radix = (space.n_total + 1) ** np.arange(space.n_modes - 1, -1, -1)
     keys = occ @ radix
     blocks = [np.zeros((0, 1), dtype=complex)]
     for n in range(1, len(space.sectors)):
@@ -158,14 +145,11 @@ def sector_norm_monotonicity(blocks: list[np.ndarray]):
     Check that sector norms are nondecreasing in the particle number.
 
     blocks[k] is the operator's block on the k-particle sector.  Returns
-    (verdict, norms, running_max) where verdict is True when
-    ||A||_k <= ||A||_{k+1} + 1e-12 for all consecutive sectors, norms lists
-    the per-sector values and running_max their max_{j<=k} ||A||_j.
+    (verdict, norms) where verdict is True when ||A||_k <= ||A||_{k+1} +
+    1e-12 for all consecutive sectors and norms lists the per-sector values.
     """
     norms = [float(np.linalg.norm(b, 2)) for b in blocks]
-    ok = all(a <= b + 1e-12 for a, b in zip(norms, norms[1:]))
-    running_max = np.maximum.accumulate(norms).tolist()
-    return ok, norms, running_max
+    return all(a <= b + 1e-12 for a, b in zip(norms, norms[1:])), norms
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +191,7 @@ def resolvent_pair_sector_norm(
     if n > 12:
         raise FockConfigError("sector index capped at 12 (desk scale)")
     g1c, g2c = _span_coordinates(norm1, norm2, overlap)
-    space = build_fock(2, n, n)
+    space = build_fock(2, n)
     A = number_resolvent_matrix(space, lam, g1c)
     B = number_resolvent_matrix(space, lam, g2c)
     return max(float(np.abs(np.linalg.eigvalsh(a - b)).max()) for a, b in zip(A, B))
@@ -218,35 +202,32 @@ def resolvent_pair_sector_norm(
 # ---------------------------------------------------------------------------
 
 
-def _gibbs_weights(space: FockSpace, energies, beta: float, mu: float) -> np.ndarray:
+def _gibbs_weights(occupations: np.ndarray, energies, beta: float, mu: float):
+    # Boltzmann weights of the occupation tuples (rows), and the relative
+    # Gibbs weight the truncation discards: 1 - (truncated partition sum) /
+    # (untruncated product form)
     energies = np.asarray(energies, dtype=float)
-    if energies.shape != (space.n_modes,):
+    if energies.shape != (occupations.shape[1],):
         raise FockConfigError("one energy per mode required")
     if mu >= energies.min():
         raise FockConfigError("chemical potential must lie below every mode energy")
-    return np.exp(-beta * (space.occupations @ (energies - mu)))
+    w = np.exp(-beta * (occupations @ (energies - mu)))
+    z_full = np.prod(1.0 / (1.0 - np.exp(-beta * (energies - mu))))
+    return w, float(1.0 - w.sum() / z_full)
 
 
 def truncation_weight(space: FockSpace, energies, beta: float, mu: float) -> float:
     """Relative Gibbs weight of the discarded occupation states."""
-    return _discarded_weight(_gibbs_weights(space, energies, beta, mu), energies, beta, mu)
+    return _gibbs_weights(space.occupations, energies, beta, mu)[1]
 
 
-def _discarded_weight(w: np.ndarray, energies, beta: float, mu: float) -> float:
-    # 1 - (truncated partition sum of the weights w) / (untruncated product form)
-    q = np.exp(-beta * (np.asarray(energies, dtype=float) - mu))
-    z_full = np.prod(1.0 / (1.0 - q))
-    return float(1.0 - w.sum() / z_full)
-
-
-def _checked_gibbs_weights(space, energies, beta, mu) -> np.ndarray:
-    # Boltzmann weights of the basis states, refused when the truncation
-    # discards more than TRUNCATION_TOL of the Gibbs weight
-    w = _gibbs_weights(space, energies, beta, mu)
-    drop = _discarded_weight(w, energies, beta, mu)
+def _checked_gibbs_weights(occupations, energies, beta, mu) -> np.ndarray:
+    # Boltzmann weights, refused when the truncation discards more than
+    # TRUNCATION_TOL of the Gibbs weight
+    w, drop = _gibbs_weights(occupations, energies, beta, mu)
     if drop > TRUNCATION_TOL:
         raise TruncationError(
-            f"truncation weight {drop:.2e} above {TRUNCATION_TOL:.0e}; raise the caps"
+            f"truncation weight {drop:.2e} above {TRUNCATION_TOL:.0e}; raise n_total"
         )
     return w
 
@@ -273,44 +254,43 @@ def gibbs_number_resolvent(
     conserves particle number, so each sector block is inverted on its own
     and only the diagonals of the inverses are weighted.
     """
-    w = _checked_gibbs_weights(space, energies, beta, mu)
+    w = _checked_gibbs_weights(space.occupations, energies, beta, mu)
     return _sector_trace(space, w, number_resolvent_matrix(space, lam, coeffs))
 
 
 def gibbs_field_resolvent(
-    space: FockSpace,
+    n_total: int,
     lam: float,
-    coeffs,
-    energies,
+    coeff: complex,
+    energy: float,
     beta: float,
     mu: float,
 ) -> float:
     """
-    Gibbs trace of Re (lam + i(a*(f) + a(f)))^(-1) on the truncated space.
+    Gibbs trace of Re (lam + i(a*(f) + a(f)))^(-1) for f = coeff e on one
+    mode e of energy `energy`, truncated at n_total quanta.
 
     This is the operator whose Laplace representation
     Integral_0^inf e^(-u lam) e^(-iu phi(f)) du converges for lam > 0 (the
     field operator itself has real spectrum, so a real offset would be
-    singular).  Reported alongside the Gaussian quadrature formula as a
-    diagnostic; the truncation bites harder for field operators, so this is
-    not an oracle equality.
+    singular).  The lab reports it next to the Gaussian quadrature formula.
 
-    lam + i phi(f) has diagonal blocks lam and off-diagonal blocks i A_n,
-    i A_n^*, so the Schur complements from below, S_n = lam + A_n^*
-    S_(n-1)^(-1) A_n, and from above, T_n = lam + A_(n+1) T_(n+1)^(-1)
-    A_(n+1)^*, are Hermitian positive definite, and the diagonal block of
-    the inverse on sector n is (S_n + T_n - lam)^(-1), whose diagonal is real.
+    On the occupation basis lam + i phi(f) is tridiagonal, with diagonal lam
+    and off-diagonal entries i c sqrt(n), |c| = |coeff|.  The Schur
+    complements from below, S_n = lam + |c|^2 n / S_(n-1), and from above,
+    T_n = lam + |c|^2 (n+1) / T_(n+1), are positive continued fractions, and
+    the diagonal entry of the inverse at occupation n is 1 / (S_n + T_n - lam).
     """
-    w = _checked_gibbs_weights(space, energies, beta, mu)
-    A = _annihilator_blocks(space, coeffs)
-    eye = [np.eye(a.shape[1]) for a in A]
-    below = [lam * eye[0]]  # S_n
-    for n in range(1, len(A)):
-        below.append(lam * eye[n] + A[n].conj().T @ np.linalg.solve(below[-1], A[n]))
-    above = lam * eye[-1]  # T_n
-    diagonal = []
-    for n in reversed(range(len(A))):
-        diagonal.append(np.linalg.inv(below[n] + above - lam * eye[n]))
-        if n:
-            above = lam * eye[n - 1] + A[n] @ np.linalg.solve(above, A[n].conj().T)
-    return _sector_trace(space, w, diagonal[::-1])
+    if n_total + 1 > DIMENSION_CAP:
+        raise FockConfigError(f"basis dimension {n_total + 1} exceeds cap {DIMENSION_CAP}")
+    w = _checked_gibbs_weights(np.arange(n_total + 1)[:, None], [energy], beta, mu)
+    c2 = abs(coeff) ** 2
+    below = [lam]  # S_n
+    for n in range(1, n_total + 1):
+        below.append(lam + c2 * n / below[-1])
+    above = lam  # T_n, from n = n_total down
+    diagonal = np.empty(n_total + 1)
+    for n in reversed(range(n_total + 1)):
+        diagonal[n] = 1.0 / (below[n] + above - lam)
+        above = lam + c2 * n / above
+    return float((w * diagonal).sum() / w.sum())

@@ -265,7 +265,8 @@ def trap_operator(R: float, dx_target: float) -> TridiagonalOperator:
     """
     The soft-wall trap of radius R (c = 1) in a box L = R + 16, with spacing
     ~dx_target rounded to a commensurate power of two (so that integer
-    positions are exact grid points), coarsened until n <= TRAP_N_CAP.
+    positions are exact grid points).  A grid above TRAP_N_CAP points is
+    refused.
     """
     L = R + 16.0
     # dx = 2^-k <= dx_target keeps integers on the grid
@@ -273,8 +274,7 @@ def trap_operator(R: float, dx_target: float) -> TridiagonalOperator:
     n = int(round(2 * L * 2**k))
     if n % 2:
         n += 1
-    while n > TRAP_N_CAP and 2 * L * 2 ** (k - 1) >= 16:
-        k -= 1
-        n = int(round(2 * L * 2**k))
+    if n > TRAP_N_CAP:
+        raise GridConfigError(f"R = {R} at dx = 2^-{k} needs {n} points, above cap {TRAP_N_CAP}")
     grid = Grid1D(L, n)
     return assemble(grid, soft_wall_trap(R))

@@ -226,7 +226,7 @@ def run_propagator_scan(config: dict) -> Report:
         "threads": 1,
     }, config)
     radii, ts, rules = cfg["radius_list"], cfg["t_list"], cfg["c_rules"]
-    # gap_decay_scan needs these too; checked here, before any eigensolve
+    # gap_decay_scan needs these too; checked here, before any evolution
     if len(radii) < 4:
         raise ConfigError(f"radius_list needs at least 4 radii, got {len(radii)}")
     if any(b <= a for a, b in zip(radii, radii[1:])):
@@ -313,7 +313,7 @@ def run_sector_norms(config: dict) -> Report:
         "seed": 20240817,
         "bound_slack": 1e-10,
     }, config)
-    # the gap bound and the exact sector norm need these; checked before any eigensolve
+    # the gap bound and the exact sector norm need these; checked before any evolution
     if not all(1 <= n <= 12 for n in cfg["n_list"]):
         raise ConfigError(f"n_list entries must lie in 1..12, got {cfg['n_list']}")
     if cfg["lam"] <= 0:
@@ -346,14 +346,14 @@ def run_sector_norms(config: dict) -> Report:
     # of the infinite-dimensional one-particle space, without which an added
     # particle could not avoid the observed modes and monotonicity fails
     rng = np.random.default_rng(cfg["seed"])
-    space = fock.build_fock(3, 6, 6)
+    space = fock.build_fock(3, 6)
     mono_ok = True
     for _ in range(cfg["trials"]):
         c1, c2 = _spectator_coeffs(rng), _spectator_coeffs(rng)
         lam1, lam2 = rng.uniform(0.5, 2.0, size=2)
         A1 = fock.number_resolvent_matrix(space, lam1, c1)
         A2 = fock.number_resolvent_matrix(space, lam2, c2)
-        ok, _, _ = fock.sector_norm_monotonicity([a @ b for a, b in zip(A1[:4], A2[:4])])
+        ok, _ = fock.sector_norm_monotonicity([a @ b for a, b in zip(A1[:4], A2[:4])])
         mono_ok = mono_ok and ok
     rep.verdicts["sector_monotonicity"] = mono_ok
     return rep
@@ -379,10 +379,10 @@ def run_thermal_convergence(config: dict) -> Report:
     hom = qf.homogeneous_density(beta, mu, 1)
     devs = []
     # grids refine with R: at these parameters the finite-trap correction is
-    # exponentially below the dx floor, so the deviation tracks refinement
-    for i, R in enumerate(cfg["radius_list"]):
-        dx_target = cfg["dx_start"] / 2**i
-        H = trap_operator(R, dx_target)
+    # exponentially below the dx floor, so the deviation tracks refinement.
+    # Every grid is built (and size-checked) before the first eigensolve.
+    ops = [trap_operator(R, cfg["dx_start"] / 2**i) for i, R in enumerate(cfg["radius_list"])]
+    for R, H in zip(cfg["radius_list"], ops):
         decomp = qf.thermal_decomposition(H, beta, mu)
         state = qf.QuasifreeState(beta=beta, mu=mu, decomposition=decomp)
         edge = qf.thermal_edge_weight(state)
@@ -422,8 +422,12 @@ def run_resolvent_oracle(config: dict) -> Report:
     )
     energies, beta, mu = cfg["energies"], cfg["beta"], cfg["mu"]
     coeffs = np.array(cfg["coeffs"])
-    space = fock.build_fock(len(energies), cfg["n_total"], cfg["n_total"])
-    rep.gates["truncation"] = fock.truncation_weight(space, energies, beta, mu) <= 1e-10
+    space = fock.build_fock(len(energies), cfg["n_total"])
+    drop = fock.truncation_weight(space, energies, beta, mu)
+    rep.gates["truncation"] = drop <= fock.TRUNCATION_TOL
+    if not rep.gates["truncation"]:  # both Gibbs traces would refuse this space
+        rep.notes.append(f"truncation weight {drop:.2e} above {fock.TRUNCATION_TOL:.0e}")
+        return rep
 
     occ = qf.bose_occupation(np.array(energies), beta, mu)
     norm_sq = float((np.abs(coeffs) ** 2).sum())
@@ -431,7 +435,6 @@ def run_resolvent_oracle(config: dict) -> Report:
     sigma_sq = float((np.abs(coeffs) ** 2 * occ).sum())
 
     # field resolvent on a single effective mode with the same weight
-    space_f = fock.build_fock(1, cfg["field_n_total"], cfg["field_n_total"])
     eps_eff = float(np.log1p(1.0 / (sigma_sq / norm_sq)) / beta) + mu
 
     ok = True
@@ -443,7 +446,7 @@ def run_resolvent_oracle(config: dict) -> Report:
         sig = np.sqrt(sigma_sq)
         field_closed = float(np.sqrt(np.pi / 2.0) / sig * erfcx(lam / (sig * np.sqrt(2.0))))
         fg = fock.gibbs_field_resolvent(
-            space_f, lam, np.array([np.sqrt(norm_sq)]), [eps_eff], beta, mu
+            cfg["field_n_total"], lam, np.sqrt(norm_sq), eps_eff, beta, mu
         )
         rep.rows.append(
             (lam, series, gibbs, delta, field_quad, field_closed,
@@ -643,7 +646,7 @@ def run_oracle_selftest(config: dict) -> Report:
     """Fock-space self-tests: commutators, resolvent spectra, monotone norms."""
     cfg = _resolve({"seed": 20240817, "trials": 20}, config)
     rep = Report("oracle_selftest", cfg, columns=["check", "value", "ok"])
-    sp = fock.build_fock(2, 5, 5)
+    sp = fock.build_fock(2, 5)
     ccr = fock.ccr_defect(sp)
     rep.rows.append(("ccr_defect", ccr, ccr < 1e-12))
 
@@ -653,13 +656,13 @@ def run_oracle_selftest(config: dict) -> Report:
 
     # spectator mode (see run_sector_norms) so monotonicity can hold
     rng = np.random.default_rng(cfg["seed"])
-    sp3 = fock.build_fock(3, 5, 5)
+    sp3 = fock.build_fock(3, 5)
     mono_all = True
     for _ in range(cfg["trials"]):
         c1, c2 = _spectator_coeffs(rng), _spectator_coeffs(rng)
         A = fock.number_resolvent_matrix(sp3, 1.0, c1)
         B = fock.number_resolvent_matrix(sp3, 1.0, c2)
-        ok, _, _ = fock.sector_norm_monotonicity([a - b for a, b in zip(A[:4], B[:4])])
+        ok, _ = fock.sector_norm_monotonicity([a - b for a, b in zip(A[:4], B[:4])])
         mono_all = mono_all and ok
     rep.rows.append(("difference_monotonicity_trials", cfg["trials"], mono_all))
     rep.verdicts["all"] = all(bool(r[2]) for r in rep.rows)

@@ -310,7 +310,7 @@ def test_criterion_11_numerical_hygiene():
         np.abs(M - M.conj().T).max() < 1e-12 and np.linalg.eigvalsh(M).min() > 0
     )
 
-    checks["ccr"] = ccr_defect(build_fock(2, 5, 5)) < 1e-12
+    checks["ccr"] = ccr_defect(build_fock(2, 5)) < 1e-12
 
     def raw_norm(n):
         g = make_grid(16.0, n)

@@ -148,7 +148,11 @@ LEMMA31_SMALL = {"radius_list": "6, 8, 10, 12", "t_list": "0.25", "c_rules": "1"
         pytest.param("lemma31", {"n_points": "15"}, "n_points must be even", id="n_points = 15"),
         pytest.param("thermal", {"mu": "0.5"}, "diverges", id="mu = 0.5"),
         pytest.param("thermal", {"beta": "-1"}, "beta must be positive", id="beta = -1"),
-        pytest.param("resolvent", {"n_total": "5"}, "truncation weight", id="n_total = 5"),
+        # R = 160 at dx = 1/64 is refused, not coarsened to dx = 1/32
+        pytest.param("thermal", {"radius_list": "20, 40, 80, 160"}, "needs 22528 points",
+                     id="radius_list = 20, 40, 80, 160"),
+        pytest.param("resolvent", {"field_n_total": "5"}, "truncation weight",
+                     id="field_n_total = 5"),
         pytest.param("mulimit", {"mu_list": "-0.1, 0.2"}, "mu_list", id="mu_list = -0.1, 0.2"),
         pytest.param("memory", {"beta": "0"}, "beta must be positive", id="beta = 0"),
         pytest.param("memory", {"kappa": "-0.5"}, "kappa must be >= 0", id="kappa = -0.5"),
@@ -168,6 +172,7 @@ def test_cli_rejects_a_bad_radius_list_before_solving(experiment, bad, expect, m
 
     monkeypatch.setattr(lab, "evolve_chebyshev", no_solve)
     monkeypatch.setattr(condensates, "diagonalize", no_solve)
+    monkeypatch.setattr(lab.qf, "thermal_decomposition", no_solve)
     config = dict(LEMMA31_SMALL, **bad) if experiment == "lemma31" else bad
     cfg = tmp_path / "run.cfg"
     cfg.write_text("".join(f"{k} = {v}\n" for k, v in config.items()))
@@ -176,6 +181,19 @@ def test_cli_rejects_a_bad_radius_list_before_solving(experiment, bad, expect, m
     assert expect in err
     assert "Traceback" not in err
     assert not (tmp_path / "r").exists()
+
+
+def test_cli_resolvent_writes_its_report_when_the_truncation_gate_fails(tmp_path, capsys):
+    # n_total = 5 discards far more than TRUNCATION_TOL of the Gibbs weight:
+    # the gate reads false in the written report, and the run exits 2
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n_total = 5\n")
+    assert main(["resolvent", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+    assert "gate truncation: FAILED" in capsys.readouterr().out
+    summary = json.loads((tmp_path / "r" / "resolvent_oracle.json").read_text())
+    assert summary["gates"] == {"truncation": False}
+    assert summary["exit_code"] == 2
+    assert summary["notes"][0].startswith("truncation weight")
 
 
 def test_cli_echoes_the_config_that_ran(monkeypatch, tmp_path):

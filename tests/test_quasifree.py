@@ -290,7 +290,7 @@ def test_number_resolvent_matches_fock_oracle(trap_state):
         alpha * decomp.eigenvectors[:, 0] + beta_c * decomp.eigenvectors[:, 2]
     )
     eps = [float(decomp.eigenvalues[0]), float(decomp.eigenvalues[2])]
-    space = build_fock(2, 48, 48)
+    space = build_fock(2, 48)
     for lam in (0.5, 1.0):
         oracle = gibbs_number_resolvent(space, lam, np.array([alpha, beta_c]), eps, 1.0, -1.0)
         value = number_resolvent_expectation(trap_state, lam, f)
