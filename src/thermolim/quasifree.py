@@ -32,6 +32,16 @@
 # O(N M) multiply-adds and O(N + M) memory, with roundoff of about
 # 2 N eps sum |c|.  Every adaptive quadrature goes through _quad, which
 # raises QuadratureCapError when QUADPACK reports no convergence.
+#
+# The temporal correlation's oscillatory integral in p is composite Simpson
+# on nested grids: it starts at about two nodes per cycle of e^(-i t p^2) at
+# p_cut (at least 64 intervals), doubles evaluating only the new midpoints,
+# and stops once a level changes the estimate by less than
+# MEMORY_SIMPSON_TOL = 1e-12 of the integral of the integrand's modulus.
+# A time whose first doubling, or a rule whose next one, would pass
+# MEMORY_MAX_INTERVALS = 2^22 raises QuadratureCapError; so does an
+# amplitude spline whose half-set twin misses the dropped momenta by more
+# than SPLINE_REL_TOL of the amplitude's maximum.
 
 from __future__ import annotations
 
@@ -56,6 +66,14 @@ MU_SAFETY = 1e-6
 # three orders below the absolute tolerance on reported densities
 DISCARD_TOL = 1e-16
 EDGE_ZONE = 4.0  # width of the edge strip thermal_edge_weight weighs
+# change at which the oscillatory Simpson rule stops doubling, relative to
+# the integral of the modulus of its integrand
+MEMORY_SIMPSON_TOL = 1e-12
+MEMORY_MAX_INTERVALS = 1 << 22  # Simpson intervals the oscillatory integral may reach
+_SIMPSON_BLOCK = 1 << 15  # oscillatory-integral nodes evaluated per array
+# largest error of the half-set amplitude spline, relative to max |fhat ghat|;
+# the full spline's error is about 2^4 times smaller (cubic, h^4)
+SPLINE_REL_TOL = 1e-9
 
 
 class DomainError(ValueError):
@@ -483,26 +501,74 @@ class RadialFunction3D:
         return out * dr * 4.0 * np.pi / (2.0 * np.pi) ** 1.5
 
 
-def _oscillatory_thermal_integral(fh_spline, beta: float, mu: float, t: float, p_cut: float) -> complex:
-    # Simpson on a grid fine enough for the e^(-i t p^2) phase; the smooth
-    # amplitude is spline-interpolated from a coarse evaluation
-    cycles = max(t, 1.0) * p_cut**2 / (2.0 * np.pi)
-    npts = int(max(20001, 48 * cycles)) // 2 * 2 + 1
-    p = np.linspace(0.0, p_cut, npts)
-    amp = fh_spline(p) * 4.0 * np.pi * p * p
-    occ = np.empty_like(p)
-    occ[0] = 0.0
-    occ[1:] = 1.0 / np.expm1(beta * (p[1:] ** 2 - mu))
-    if mu == 0.0:
-        # integrable endpoint: p^2 n(p^2) -> 1/beta
-        amp_occ = amp * occ
-        amp_occ[0] = fh_spline(0.0) * 4.0 * np.pi / beta
-    else:
-        amp_occ = amp * occ
-    integrand = amp_occ * np.exp(-1j * t * p * p)
-    h = p[1] - p[0]
-    return complex(
-        h / 3.0 * (integrand[0] + integrand[-1] + 4 * integrand[1:-1:2].sum() + 2 * integrand[2:-2:2].sum())
+def _bose_measure(p: np.ndarray, beta: float, mu: float) -> np.ndarray:
+    """4 pi p^2 n(p^2) at ascending p >= 0; at p = 0 its limit, 4 pi / beta at mu = 0 and 0 below."""
+    pp = p * p
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = 4.0 * np.pi * pp / np.expm1(beta * (pp - mu))
+    if p[0] == 0.0:
+        out[0] = 4.0 * np.pi / beta if mu == 0.0 else 0.0
+    return out
+
+
+def _simpson_start(t: float, p_cut: float) -> int:
+    """
+    Intervals of the first Simpson level for time t: about two nodes per
+    cycle of e^(-i t p^2) on [0, p_cut], at least 64.  Raises before
+    anything is allocated when t is not finite (ValueError) or when the
+    first doubling would pass MEMORY_MAX_INTERVALS (QuadratureCapError).
+    """
+    if not np.isfinite(t):
+        raise ValueError(f"time must be finite, got {t}")
+    cycles = max(abs(t), 1.0) * p_cut**2 / (2.0 * np.pi)
+    if 4.0 * np.ceil(cycles) > MEMORY_MAX_INTERVALS:
+        raise QuadratureCapError(
+            f"oscillatory integral at t={t}: {cycles:.3g} cycles of the phase need more "
+            f"than the cap of {MEMORY_MAX_INTERVALS} Simpson intervals"
+        )
+    return max(64, 2 * int(np.ceil(cycles)))
+
+
+def _oscillatory_thermal_integral(
+    fh_spline, beta: float, mu: float, t: float, p_cut: float, scale: float
+) -> complex:
+    """
+    Integral_0^p_cut a(p) 4 pi p^2 n(p^2) e^(-i t p^2) dp for the amplitude
+    spline a, by composite Simpson on nested grids.  From _simpson_start's
+    level each doubling evaluates only the new midpoints, _SIMPSON_BLOCK
+    at a time, and the rule stops at the first level whose change is below
+    MEMORY_SIMPSON_TOL * scale, scale being the integral of
+    |a| 4 pi p^2 n(p^2) (a bound on the result at every t).  A level past
+    MEMORY_MAX_INTERVALS raises QuadratureCapError instead.
+    """
+    n = _simpson_start(t, p_cut)
+    if scale == 0.0:  # a vanishing amplitude
+        return 0j
+
+    def node_sum(first: float, step: float, count: int) -> complex:  # at p = first + j step
+        total = 0j
+        for i in range(0, count, _SIMPSON_BLOCK):
+            p = first + step * np.arange(i, min(i + _SIMPSON_BLOCK, count))
+            total += (fh_spline(p) * _bose_measure(p, beta, mu) * np.exp(-1j * t * p * p)).sum()
+        return total
+
+    h = p_cut / n
+    ends = node_sum(0.0, p_cut, 2)
+    odd = node_sum(h, 2.0 * h, n // 2)
+    interior = odd + node_sum(2.0 * h, 2.0 * h, n // 2 - 1)
+    est = h / 3.0 * (ends + 2.0 * odd + 2.0 * interior)
+    while 2 * n <= MEMORY_MAX_INTERVALS:
+        n, h = 2 * n, h / 2.0
+        mid = node_sum(h, 2.0 * h, n // 2)
+        est_new = h / 3.0 * (ends + 4.0 * mid + 2.0 * interior)
+        change = abs(est_new - est)
+        if change < MEMORY_SIMPSON_TOL * scale:
+            return complex(est_new)
+        interior += mid
+        est = est_new
+    raise QuadratureCapError(
+        f"oscillatory integral at t={t}: change {change:.2e} after {n} intervals exceeds "
+        f"MEMORY_SIMPSON_TOL {MEMORY_SIMPSON_TOL:.0e} times the amplitude bound {scale:.2e}"
     )
 
 
@@ -530,13 +596,25 @@ def temporal_correlation(state: HomogeneousState, f, g, t):
     # e^(-48) occupation tail is negligible against the 1e-10 accuracy
     # goal and keeps the oscillation-resolving grid short at large t
     p_cut = np.sqrt((48.0 + state.beta * max(-state.mu, 0.0)) / state.beta)
+    for s in times.ravel():  # a non-finite or over-cap time fails before any transform
+        _simpson_start(s, p_cut)
     p_coarse = np.linspace(0.0, p_cut, 8193)
     fh = f.radial_transform(p_coarse)
     gh = fh if g is f else g.radial_transform(p_coarse)
-    spline = CubicSpline(p_coarse, fh * gh)
-    # spherical measure already folded into the integral helper
+    amp = fh * gh
+    spline = CubicSpline(p_coarse, amp)
+    # the spline's own error estimate: a spline on every other momentum,
+    # checked at the momenta it leaves out
+    half = CubicSpline(p_coarse[::2], amp[::2])
+    spline_err = float(np.abs(half(p_coarse[1::2]) - amp[1::2]).max())
+    if spline_err > SPLINE_REL_TOL * np.abs(amp).max():
+        raise QuadratureCapError(
+            f"amplitude spline on {len(p_coarse)} momenta: the half-set spline is off by "
+            f"{spline_err:.2e}, above SPLINE_REL_TOL {SPLINE_REL_TOL:.0e} of max |fhat ghat|"
+        )
+    scale = float(np.abs(amp) @ _bose_measure(p_coarse, state.beta, state.mu)) * p_coarse[1]
     vals = [
-        _oscillatory_thermal_integral(spline, state.beta, state.mu, s, p_cut)
+        _oscillatory_thermal_integral(spline, state.beta, state.mu, s, p_cut, scale)
         for s in times.ravel()
     ]
 

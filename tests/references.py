@@ -65,3 +65,24 @@ def local_particle_number(state, a: float, b: float) -> float:
         raise DomainError(f"region [{a}, {b}) is reversed or outside the grid")
     m = (grid.x >= a) & (grid.x < b)
     return float((state.occupations * state.decomposition.eigenvectors[m, :] ** 2).sum() * grid.dx)
+
+
+def fixed_simpson_thermal_integral(fh_spline, beta: float, mu: float, t: float, p_cut: float) -> complex:
+    """
+    quasifree._oscillatory_thermal_integral's earlier rule: one Simpson grid
+    of 48 nodes per cycle of e^(-i t p^2) at p_cut, at least 20001 nodes.
+    """
+    cycles = max(t, 1.0) * p_cut**2 / (2.0 * np.pi)
+    npts = int(max(20001, 48 * cycles)) // 2 * 2 + 1
+    p = np.linspace(0.0, p_cut, npts)
+    occ = np.empty_like(p)
+    occ[0] = 0.0
+    occ[1:] = 1.0 / np.expm1(beta * (p[1:] ** 2 - mu))
+    amp_occ = fh_spline(p) * 4.0 * np.pi * p * p * occ
+    if mu == 0.0:  # integrable endpoint: p^2 n(p^2) -> 1/beta
+        amp_occ[0] = fh_spline(0.0) * 4.0 * np.pi / beta
+    integrand = amp_occ * np.exp(-1j * t * p * p)
+    h = p[1] - p[0]
+    return complex(
+        h / 3.0 * (integrand[0] + integrand[-1] + 4 * integrand[1:-1:2].sum() + 2 * integrand[2:-2:2].sum())
+    )

@@ -183,6 +183,49 @@ def test_cli_rejects_a_bad_radius_list_before_solving(experiment, bad, expect, m
     assert not (tmp_path / "r").exists()
 
 
+# beta = 1, mu = 0: p_cut^2 = 48, so a time t spans 48 t / (2 pi) cycles, and
+# the first doubling of two nodes per cycle passes the cap at 4 cycles > cap
+T_PAST_CAP = 1.01 * lab.qf.MEMORY_MAX_INTERVALS * 2.0 * np.pi / (4.0 * 48.0)
+
+
+@pytest.mark.parametrize(
+    "t_list, expect",
+    [
+        pytest.param("5.0, inf", "time must be finite, got inf", id="inf"),
+        pytest.param("5.0, nan", "time must be finite, got nan", id="nan"),
+        pytest.param(f"5.0, {T_PAST_CAP!r}", "cycles of the phase need more than the cap", id="past cap"),
+    ],
+)
+def test_cli_memory_rejects_a_bad_time_before_any_transform(t_list, expect, monkeypatch, tmp_path, capsys):
+    def no_transform(*args, **kwargs):
+        raise AssertionError("radial transform started before the times were checked")
+
+    monkeypatch.setattr(lab.qf.RadialFunction3D, "radial_transform", no_transform)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"t_list = {t_list}\n")
+    assert main(["memory", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert expect in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "r").exists()
+
+
+def test_memory_cap_is_the_first_doubling():
+    # checked by arithmetic alone: the start level just below the cap fits
+    p_cut = np.sqrt(48.0)
+    n = lab.qf._simpson_start(0.99 * T_PAST_CAP / 1.01, p_cut)
+    assert 2 * n <= lab.qf.MEMORY_MAX_INTERVALS < 4 * n
+    with pytest.raises(QuadratureCapError):
+        lab.qf._simpson_start(-T_PAST_CAP, p_cut)
+
+
+def test_cli_memory_exits_2_when_the_amplitude_spline_gate_fails(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("f_radius = 40.0\nt_list = 5.0, 20.0\n")
+    assert main(["memory", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+    assert "half-set spline is off by" in capsys.readouterr().err
+
+
 def test_cli_resolvent_writes_its_report_when_the_truncation_gate_fails(tmp_path, capsys):
     # n_total = 5 discards far more than TRUNCATION_TOL of the Gibbs weight:
     # the gate reads false in the written report, and the run exits 2

@@ -39,7 +39,7 @@ from thermolim.quasifree import (
 from thermolim.fock import build_fock, gibbs_number_resolvent
 import thermolim.quasifree as qf
 
-from references import kms_defect, local_particle_number, two_point
+from references import fixed_simpson_thermal_integral, kms_defect, local_particle_number, two_point
 
 
 @pytest.fixture(scope="module")
@@ -448,6 +448,17 @@ def test_quadrature_failure_is_not_silent(monkeypatch, call):
         call()
 
 
+def test_oscillatory_integral_at_zero_tolerance_hits_its_cap(monkeypatch):
+    # a tolerance no change can meet doubles the Simpson grid up to its cap
+    f, _ = _radial_pair()
+    monkeypatch.setattr(qf, "MEMORY_SIMPSON_TOL", 0.0)
+    state = HomogeneousState(beta=1.0, mu=0.0, dimension=3)
+    with pytest.raises(QuadratureCapError, match="after 2162688 intervals exceeds MEMORY_SIMPSON_TOL"):
+        temporal_correlation(state, f, f, 2.0 * np.pi * 33 / 48.0)  # 33 cycles: 66 intervals
+    zero = RadialFunction3D(f.grid, 0.0 * f.phi0)  # a vanishing amplitude needs no doubling
+    assert temporal_correlation(state, zero, zero, 5.0) == 0
+
+
 def test_temporal_correlation_domain_guards():
     with pytest.raises(DomainError):
         HomogeneousState(beta=1.0, mu=0.0, dimension=1)
@@ -522,6 +533,62 @@ def test_temporal_correlation_batch_3d_distinct_g():
     assert len(temporal_correlation(state, f, g, np.array([2.0]))) == 1
     with pytest.raises(ValueError):
         temporal_correlation(state, f, g, [[0.0, 1.0]])
+
+
+def _memory_function():
+    """memory's test function: a bump of radius 4 on 2048 radii, unit 3D integral."""
+    rg = RadialGrid(4.0, 2048)
+    f = RadialFunction3D(rg, bump_profile(rg.r / 4.0))
+    return RadialFunction3D(rg, f.phi0 / f.integral_3d())
+
+
+class _CountingSpline:
+    def __init__(self, spline):
+        self.spline, self.points = spline, 0
+
+    def __call__(self, p):
+        self.points += np.size(p)
+        return self.spline(p)
+
+
+@pytest.mark.parametrize("mu", [0.0, -0.3])
+def test_oscillatory_integral_matches_the_fixed_grid_rule(mu):
+    # the amplitude spline, cut-off and L1 bound temporal_correlation builds at beta = 1
+    p_cut = np.sqrt(48.0 - mu)
+    p = np.linspace(0.0, p_cut, 8193)
+    amp = _memory_function().radial_transform(p) ** 2
+    spline = qf.CubicSpline(p, amp)
+    scale = float(np.abs(amp) @ qf._bose_measure(p, 1.0, mu)) * p[1]
+    for t in (0.0, 5.0, 80.0, 2600.0):
+        new, old = _CountingSpline(spline), _CountingSpline(spline)
+        got = qf._oscillatory_thermal_integral(new, 1.0, mu, t, p_cut, scale)
+        want = fixed_simpson_thermal_integral(old, 1.0, mu, t, p_cut)
+        assert abs(got - want) <= 1e-13
+    # at t = 2600 the fixed rule takes 48 nodes per cycle, 953,401 at mu = 0
+    assert new.points <= old.points / 4
+    if mu == 0.0:
+        assert old.points == 953_401 + 1  # its endpoint value at p = 0 is one more call
+
+
+@pytest.mark.parametrize("t", [80.0, 2600.0])
+def test_temporal_correlation_at_negative_time_is_the_conjugate(t):
+    # for real f = g, <f, T e^(-itH) f> is the conjugate of <f, T e^(itH) f>
+    f, _ = _radial_pair()
+    state = HomogeneousState(beta=1.0, mu=0.0, dimension=3)
+    forward, backward = temporal_correlation(state, f, f, [t, -t])
+    assert abs(backward - np.conj(forward)) <= 1e-14 * abs(forward)
+
+
+def test_temporal_correlation_memory_stays_bounded():
+    f = _memory_function()
+    state = HomogeneousState(beta=1.0, mu=0.0, dimension=3)
+    tracemalloc.start()
+    try:
+        temporal_correlation(state, f, f, [5.0, 20.0, 80.0, 320.0, 1280.0, 2600.0])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 25e6
 
 
 def test_radial_transform_matches_the_sinc_kernel():
