@@ -30,8 +30,10 @@
 # points (grids._phase_sums): each power of the phase comes from the
 # previous one by one multiplication, so N samples at M momenta cost
 # O(N M) multiply-adds and O(N + M) memory, with roundoff of about
-# 2 N eps sum |c|.  Every adaptive quadrature goes through _quad, which
-# raises QuadratureCapError when QUADPACK reports no convergence.
+# 2 N eps sum |c|.  Every scalar adaptive quadrature goes through _quad,
+# and momentum_weight's vector one (all its chemical potentials on shared
+# nodes) through _quad_vec; both raise QuadratureCapError when the rule
+# reports no convergence.
 #
 # The temporal correlation's oscillatory integral in p is composite Simpson
 # on nested grids: it starts at about two nodes per cycle of e^(-i t p^2) at
@@ -49,7 +51,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import quad, quad_vec
 from scipy.interpolate import CubicSpline
 
 from .grids import RadialGrid, WaveFunction, _phase_sums, _support_span, inner
@@ -96,6 +98,25 @@ def _quad(integrand, a: float, b: float, **kwargs) -> float:
             f"quadrature on [{a:.6g}, {b:.6g}] did not converge: {out[3].splitlines()[0].strip()}"
         )
     return out[0]
+
+
+def _quad_vec(integrand, a: float, b: float, limit: int, **kwargs):
+    """
+    scipy's adaptive vector quadrature (Gauss-Kronrod 21 on every interval)
+    that fails loudly like _quad: a run that stops short of its tolerance
+    (subdivision cap, roundoff, non-finite values) raises
+    QuadratureCapError.  Returns the integral and its error estimate in
+    the chosen norm.
+    """
+    val, err, info = quad_vec(integrand, a, b, limit=limit, full_output=True, **kwargs)
+    if info.status != 0:
+        reason = (
+            f"The maximum number of subdivisions ({limit}) has been achieved"
+            if info.status == 1
+            else info.message
+        )
+        raise QuadratureCapError(f"quadrature on [{a:.6g}, {b:.6g}] did not converge: {reason}")
+    return val, err
 
 
 def bose_occupation(eps, beta: float, mu: float):
@@ -265,37 +286,75 @@ def homogeneous_density(beta: float, mu: float, s: int) -> float:
     return float(val / (2.0 * np.pi) ** s)
 
 
-def momentum_weight(f: WaveFunction, beta: float, mu: float) -> float:
+def momentum_weight(f: WaveFunction, beta: float, mu):
     """
     <f, T f> in the homogeneous 1D state: Integral |fhat(p)|^2 n(p^2) dp,
-    with fhat the direct Riemann sum of grids.fourier_at (continuum-quality
-    near p = 0).
+    with fhat(p) = dx sum_j f_j e^(-ipx_j) / sqrt(2 pi) the direct Riemann
+    sum over the grid (continuum-quality near p = 0).
+
+    mu is one chemical potential, giving a float, or a 1-D sequence,
+    giving an array in the same order.  |fhat(p)|^2 does not depend on
+    mu, so all of them share one adaptive vector quadrature on
+    [0, p_cut]: at each node |fhat(p)|^2 is taken once and divided by
+    expm1(beta (p^2 - mu)) for every mu.  p_cut is the largest of the
+    per-mu cuts sqrt((600 + beta |mu|) / beta), and the breakpoints are
+    the union of every mu's sqrt(-mu), 10 sqrt(-mu) and 1.
+
+    Accuracy: the error estimate of every component is at most 1e-10 of
+    that component's own value (the old per-mu epsrel), however far the
+    values spread, not merely of the largest.  The rule (scipy's quad_vec,
+    Gauss-Kronrod 21) runs at epsrel = 1e-12 in the max norm, whose
+    estimate bounds each component.  Where that estimate exceeds 1e-10 of
+    some value, the rule runs once more on the integrand divided by the
+    first values, which puts every component at scale 1; a miss after
+    that, or a run that does not converge, raises QuadratureCapError.  A
+    value that underflows to 0 at every node is exact.
 
     T is real, so the weight of f is the weight of Re f plus that of Im f;
     a real function has |fhat(-p)| = |fhat(p)|, so each part folds onto
     p >= 0 at twice its half-line integral.  Each part's support span is
-    taken once per call; at every quad node |fhat(p)| is its phase sum
-    over that span, the phases e^(-ipk dx) built by a cumulative product
-    (the span's offset phase e^(-ipx_0) drops out of the modulus).
+    taken once per call; at every node |fhat(p)| is its phase sum over
+    that span, the phases e^(-ipk dx) built by a cumulative product (the
+    span's offset phase e^(-ipx_0) drops out of the modulus).
     """
-    if mu >= 0:
+    mus = np.asarray(mu, dtype=float)
+    if mus.ndim > 1:
+        raise ValueError(f"mu must be a scalar or a 1-D sequence, got shape {mus.shape}")
+    if not (np.isfinite(beta) and np.all(np.isfinite(mus))):
+        raise DomainError(f"beta and mu must be finite, got beta = {beta}, mu = {mu}")
+    if np.any(mus >= 0):
         raise DivergenceError("homogeneous 1D weight needs mu < 0")
+    mu_vec = np.atleast_1d(mus)
     dx = f.grid.dx
     # complex coefficients, so the dot at each node needs no cast
     parts = [v[_support_span(v)].astype(complex) for v in (f.values.real, f.values.imag) if v.any()]
     scale = dx * dx / (2.0 * np.pi)
 
-    def integrand(p):
+    def integrand(p):  # each component over its scale: 1, or its first-pass value
         fh2 = sum(np.abs(_phase_sums(c, -p * dx)) ** 2 for c in parts)
-        return float(fh2) * scale / np.expm1(beta * (p * p - mu))
+        with np.errstate(over="ignore"):  # past a small |mu|'s own cut n is 0
+            return float(fh2) * scale / np.expm1(beta * (p * p - mu_vec)) / unit
 
-    sq = np.sqrt(-mu)
-    p_cut = np.sqrt((600.0 + beta * max(-mu, 0.0)) / beta)
-    cuts = [c for c in (sq, 10 * sq, 1.0) if 0 < c < p_cut]
-    val = _quad(
-        integrand, 0.0, p_cut, points=sorted(set(cuts)), limit=400, epsabs=0.0, epsrel=1e-10
-    )
-    return float(2.0 * val)
+    sq = np.sqrt(-mu_vec)
+    p_cut = float(np.sqrt((600.0 + beta * -mu_vec) / beta).max())
+    cuts = {float(c) for c in np.concatenate((sq, 10 * sq, [1.0])) if 0 < c < p_cut}
+    unit = np.ones_like(mu_vec)
+    for _ in range(2):
+        # epsabs lets a value that underflows to 0 converge
+        val, err = _quad_vec(integrand, 0.0, p_cut, limit=400, points=sorted(cuts),
+                             norm="max", epsabs=1e-200, epsrel=1e-12)
+        val = val * unit
+        # a zero value is an integrand that underflowed at every node
+        if np.all((err * unit <= 1e-10 * val) | (val == 0)):
+            break
+        unit = np.where(val > 0, val, 1.0)
+    else:
+        raise QuadratureCapError(
+            f"momentum weight: error estimate {err:.2e} of the rescaled components "
+            f"exceeds 1e-10 on [0, {p_cut:.6g}]"
+        )
+    val = 2.0 * val
+    return val if mus.ndim else float(val[0])
 
 
 # ---------------------------------------------------------------------------
@@ -415,20 +474,32 @@ def mu_limit_scan(
     Scan number-resolvent expectations in the homogeneous state as mu rises
     toward 0.
 
+    The inputs are checked before any transform: lam, beta and every mu
+    must be finite, lam > 0, and each (beta, mu) a 1D HomogeneousState.
+    One momentum_weight call then serves every mu, and each weight goes to
+    geometric_resolvent_series as number_resolvent_expectation would.
+
     Verdict "vanishes": the last value fell below vanish_ratio of the first
     and the sequence decreases (Bose saturation visible to f).
     Verdict "converges-positive": consecutive changes over the second half
     of the scan stay below cauchy_tol.  Verdict "inconclusive" otherwise,
     and when that half holds no step to check (fewer than three mu values).
     """
-    mu_list = list(mu_list)
-    if any(m2 <= m1 for m1, m2 in zip(mu_list, mu_list[1:])) or mu_list[-1] >= 0:
+    mus = np.asarray(list(mu_list), dtype=float)
+    if not (np.isfinite(lam) and np.isfinite(beta) and np.all(np.isfinite(mus))):
+        raise DomainError(f"lam, beta and mu must be finite, got {lam}, {beta}, {mus.tolist()}")
+    if lam <= 0:
+        raise DomainError(f"lambda must be positive, got {lam}")
+    if mus.ndim != 1 or mus.size == 0 or np.any(np.diff(mus) <= 0) or mus[-1] >= 0:
         raise DomainError("mu_list must be ascending and < 0")
-    values = []
-    for mu in mu_list:
-        state = HomogeneousState(beta=beta, mu=mu, dimension=1)
-        values.append(number_resolvent_expectation(state, lam, f))
-    values = np.array(values)
+    for mu in mus:
+        HomogeneousState(beta=beta, mu=mu, dimension=1)
+    norm_sq = inner(f, f).real
+    if norm_sq == 0:
+        values = np.full(mus.size, 1.0 / lam)
+    else:
+        weights = momentum_weight(f, beta, mus)
+        values = np.array([geometric_resolvent_series(w / norm_sq, norm_sq, lam) for w in weights])
 
     decreasing = bool(np.all(np.diff(values) < 0))
     if values[-1] < vanish_ratio * values[0] and decreasing:

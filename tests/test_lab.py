@@ -210,6 +210,30 @@ def test_cli_memory_rejects_a_bad_time_before_any_transform(t_list, expect, monk
     assert not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize(
+    "line, expect",
+    [
+        pytest.param("mu_list = -0.1, -0.03, nan", "must be finite", id="mu nan"),
+        pytest.param("mu_list = -0.1, -inf", "must be finite", id="mu inf"),
+        pytest.param("beta = nan", "must be finite", id="beta nan"),
+        pytest.param("lam = inf", "must be finite", id="lam inf"),
+        pytest.param("lam = 0.0", "lambda must be positive", id="lam zero"),
+    ],
+)
+def test_cli_mulimit_rejects_a_bad_input_before_any_transform(line, expect, monkeypatch, tmp_path, capsys):
+    def no_transform(*args, **kwargs):
+        raise AssertionError("momentum transform started before the inputs were checked")
+
+    monkeypatch.setattr(lab.qf, "_phase_sums", no_transform)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    assert main(["mulimit", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert expect in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "r").exists()
+
+
 def test_memory_cap_is_the_first_doubling():
     # checked by arithmetic alone: the start level just below the cap fits
     p_cut = np.sqrt(48.0)

@@ -1,5 +1,6 @@
 import time
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -427,23 +428,112 @@ def test_momentum_weight_equals_its_definition(name, mu):
     assert momentum_weight(f, beta, mu) == pytest.approx(2.0 * ref, rel=1e-12, abs=0)
 
 
+MULIMIT_MUS = [-0.1, -0.03, -0.01, -3e-3, -1e-3, -6e-4, -4e-4, -2.5e-4, -1.6e-4, -1e-4]
+
+
+@pytest.mark.parametrize("name", ["mean_one", "zero_mean", "boosted"])
+def test_momentum_weight_of_a_mu_sequence_equals_its_definition(name):
+    # lab's whole mulimit scan on shared nodes, each entry against its own
+    # per-mu quad of the definition; the reference runs at epsrel = 1e-13,
+    # because at epsrel = 1e-10 the boosted packet's mu = -0.03 is itself
+    # off by 1.6e-12 (within its own estimate of 8e-11)
+    f, beta = _mulimit_functions()[name], 0.05
+    parts = [f.with_values(v) for v in (f.values.real, f.values.imag) if v.any()]
+    weights = momentum_weight(f, beta, MULIMIT_MUS)
+    assert isinstance(weights, np.ndarray) and weights.shape == (len(MULIMIT_MUS),)
+    for mu, w in zip(MULIMIT_MUS, weights):
+
+        def integrand(p):
+            fh2 = sum(np.abs(fourier_at(g, p)[0]) ** 2 for g in parts)
+            return fh2 / np.expm1(beta * (p * p - mu))
+
+        sq = np.sqrt(-mu)
+        p_cut = np.sqrt((600.0 + beta * -mu) / beta)
+        cuts = sorted({c for c in (sq, 10 * sq, 1.0) if 0 < c < p_cut})
+        ref, _ = quad(integrand, 0.0, p_cut, points=cuts, limit=400, epsabs=0.0, epsrel=1e-13)
+        assert w == pytest.approx(2.0 * ref, rel=1e-12, abs=0)
+
+
+def test_momentum_weight_meets_its_tolerance_on_every_component():
+    # values from 1e-261 up to 1.5e3: the max-norm pass cannot vouch for the small ones,
+    # so the rescaled pass must; mu = -2000 underflows to 0 at every node
+    f = bump(0.0, 2.0, make_grid(16.0, 1024))
+    mus = [-2000.0, -600.0, -50.0, -1.0, -1e-6]
+    weights = momentum_weight(f, 1.0, mus)
+    assert weights[0] == 0.0 and weights[1] < 1e-250
+    for mu, w in zip(mus, weights):
+        assert w == pytest.approx(momentum_weight(f, 1.0, mu), rel=1e-10, abs=0)
+
+
+def test_momentum_weight_rejects_a_bad_mu():
+    f = bump(0.0, 2.0, make_grid(16.0, 1024))
+    for mu in (np.nan, [-0.1, np.inf]):
+        with pytest.raises(DomainError, match="must be finite"):
+            momentum_weight(f, 1.0, mu)
+    with pytest.raises(DomainError, match="must be finite"):
+        momentum_weight(f, np.nan, -0.1)
+    with pytest.raises(DivergenceError):
+        momentum_weight(f, 1.0, [-0.1, 0.0])
+    with pytest.raises(ValueError, match="1-D"):
+        momentum_weight(f, 1.0, [[-0.1, -0.2]])
+
+
+def test_mu_scan_transforms_each_function_once_per_scan(monkeypatch):
+    # lab's two default functions over its 10 mu values: one quadrature per
+    # function took 9,870 phase sums when every mu ran its own
+    calls = 0
+    phase_sums = qf._phase_sums
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return phase_sums(*args, **kwargs)
+
+    monkeypatch.setattr(qf, "_phase_sums", counted)
+    functions = _mulimit_functions()
+    for name in ("mean_one", "zero_mean"):
+        mu_limit_scan(1.0, functions[name], 0.05, MULIMIT_MUS, cauchy_tol=1e-4, vanish_ratio=0.05)
+    assert 0 < calls <= 9870 // 4
+
+
+def test_mu_scan_values_are_the_number_resolvent_expectations():
+    f = _mulimit_functions()["zero_mean"]
+    mus = MULIMIT_MUS[::3]
+    _, values = mu_limit_scan(1.0, f, 0.05, mus, cauchy_tol=1e-4, vanish_ratio=0.05)
+    for mu, v in zip(mus, values):
+        state = HomogeneousState(beta=0.05, mu=mu, dimension=1)
+        assert v == pytest.approx(number_resolvent_expectation(state, 1.0, f), rel=1e-12)
+
+
 def _not_converged(*args, **kwargs):
     # what scipy's quad returns with full_output=1 when QUADPACK reports ier = 1
     return 1.0, 1.0, {}, "The maximum number of subdivisions (400) has been achieved.\n  More"
 
 
+def _vec_not_converged(*args, **kwargs):
+    # what scipy's quad_vec returns with full_output=True when it stops at its interval limit
+    return 1.0, 1.0, SimpleNamespace(status=1, message="Target precision not reached.")
+
+
 @pytest.mark.parametrize(
-    "call",
+    "rule, fake, call",
     [
-        lambda: homogeneous_density(1.0, -1.0, 1),
-        lambda: momentum_weight(bump(0.0, 2.0, make_grid(16.0, 1024)), 1.0, -0.5),
-        lambda: field_resolvent_value(1.0, 0.5),
-        lambda: geometric_resolvent_series(2.0, 1.0, 1.0),
+        pytest.param("quad", _not_converged, lambda: homogeneous_density(1.0, -1.0, 1),
+                     id="homogeneous_density"),
+        pytest.param("quad_vec", _vec_not_converged,
+                     lambda: momentum_weight(bump(0.0, 2.0, make_grid(16.0, 1024)), 1.0, -0.5),
+                     id="momentum_weight"),
+        pytest.param("quad_vec", _vec_not_converged,
+                     lambda: momentum_weight(bump(0.0, 2.0, make_grid(16.0, 1024)), 1.0, [-0.5, -0.1]),
+                     id="momentum_weight_sequence"),
+        pytest.param("quad", _not_converged, lambda: field_resolvent_value(1.0, 0.5),
+                     id="field_resolvent"),
+        pytest.param("quad", _not_converged, lambda: geometric_resolvent_series(2.0, 1.0, 1.0),
+                     id="number_resolvent"),
     ],
-    ids=["homogeneous_density", "momentum_weight", "field_resolvent", "number_resolvent"],
 )
-def test_quadrature_failure_is_not_silent(monkeypatch, call):
-    monkeypatch.setattr(qf, "quad", _not_converged)
+def test_quadrature_failure_is_not_silent(monkeypatch, rule, fake, call):
+    monkeypatch.setattr(qf, rule, fake)
     with pytest.raises(QuadratureCapError, match="did not converge: The maximum number"):
         call()
 
