@@ -4,8 +4,8 @@
 # reproduces the homogeneous density at the center already for modest R.
 # Each trap is solved only up to its Bose energy cap (about 40 here), which
 # leaves out at most 1e-16 of density at every grid point;
-# the resolvent expectation values follow from the same data and are
-# checked against an exact truncated-Fock-space Gibbs trace.
+# the number-resolvent expectation values follow from the same data and
+# are checked against an exact truncated-Fock-space Gibbs trace.
 
 import numpy as np
 
@@ -13,7 +13,6 @@ from thermolim import (
     QuasifreeState,
     build_fock,
     bump,
-    field_resolvent_expectation,
     gibbs_number_resolvent,
     homogeneous_density,
     number_resolvent_expectation,
@@ -53,8 +52,3 @@ for lam in (0.5, 1.0, 2.0):
         f"  lam = {lam:3.1f}: geometric-law value {series:.10f}, "
         f"Gibbs trace {oracle:.10f}, delta {abs(series-oracle):.1e}"
     )
-
-print()
-print("field resolvent (gauge-averaged) in the same state:")
-for lam in (0.5, 1.0, 2.0):
-    print(f"  lam = {lam:3.1f}: {field_resolvent_expectation(state, lam, f):.8f}")

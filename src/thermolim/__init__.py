@@ -55,7 +55,6 @@ from .quasifree import (
     HomogeneousState,
     QuasifreeState,
     RadialFunction3D,
-    field_resolvent_expectation,
     field_resolvent_value,
     homogeneous_density,
     momentum_weight,

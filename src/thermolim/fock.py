@@ -206,6 +206,8 @@ def _gibbs_weights(occupations: np.ndarray, energies, beta: float, mu: float):
     # Boltzmann weights of the occupation tuples (rows), and the relative
     # Gibbs weight the truncation discards: 1 - (truncated partition sum) /
     # (untruncated product form)
+    if not (np.isfinite(beta) and np.isfinite(mu)) or beta <= 0:
+        raise FockConfigError(f"beta and mu must be finite and beta > 0, got beta = {beta}, mu = {mu}")
     energies = np.asarray(energies, dtype=float)
     if energies.shape != (occupations.shape[1],):
         raise FockConfigError("one energy per mode required")

@@ -5,10 +5,14 @@
 # temporal correlations.
 #
 # A state is fixed by its one-particle density matrix
-# T = (e^(beta(H - mu)) - 1)^(-1): omega(a*(f) a(g)) = <g, T f>.  Only the
-# thermodynamic-limit state adds a coherent condensate, a gauge invariant
-# product of one-point functions kappa^2 <h, f> <g, h>; the finite-trap
-# condensate modes and their counts live in the condensates module.
+# T = (e^(beta(H - mu)) - 1)^(-1): omega(a*(f) a(g)) = <g, T f>.  Two states
+# are built: QuasifreeState, the thermal state of a finite trap, and
+# HomogeneousState, the 3D thermodynamic-limit state (beta, mu, kappa), the
+# only one with a coherent condensate, a gauge invariant product of
+# one-point functions kappa^2 <h, f> <g, h>.  The 1D limit quantities
+# (momentum_weight, mu_limit_scan) take plain (beta, mu); the finite-trap
+# condensate modes and their counts live in the condensates module.  Every
+# thermal weight starts with _check_beta_mu: beta and mu finite, beta > 0.
 #
 # Finite traps use the spectral decomposition of H, cut at a Bose energy
 # cap: thermal_decomposition keeps the lowest modes up to the first one
@@ -20,8 +24,8 @@
 # diagonalize takes any window of m < n modes by MRRR in O(n m) time and
 # memory; a cap above the whole spectrum (m = n + 1) takes the full solve.
 #
-# Thermodynamic-limit states use the momentum-space multiplier
-# n(p^2) = (e^(beta(p^2 - mu)) - 1)^(-1).  Their condensate is the
+# Thermodynamic-limit quantities use the momentum-space multiplier
+# n(p^2) = (e^(beta(p^2 - mu)) - 1)^(-1).  The 3D state's condensate is the
 # zero-energy constant mode h = 1 with amplitude kappa: it never lives on a
 # grid, and pairs with a test function to its plain integral.
 #
@@ -119,6 +123,14 @@ def _quad_vec(integrand, a: float, b: float, limit: int, **kwargs):
     return val, err
 
 
+def _check_beta_mu(beta: float, mu) -> None:
+    """Where every thermal weight starts: beta and mu (one or many) finite, beta > 0."""
+    if not (np.isfinite(beta) and np.all(np.isfinite(mu))):
+        raise DomainError(f"beta and mu must be finite, got beta = {beta}, mu = {mu}")
+    if beta <= 0:
+        raise DomainError("beta must be positive")
+
+
 def bose_occupation(eps, beta: float, mu: float):
     """(e^(beta(eps - mu)) - 1)^(-1), overflow-safe; requires eps > mu."""
     x = beta * (np.asarray(eps, dtype=float) - mu)
@@ -153,8 +165,7 @@ class QuasifreeState:
     discard_bound: float = field(init=False)
 
     def __post_init__(self):
-        if self.beta <= 0:
-            raise DomainError("beta must be positive")
+        _check_beta_mu(self.beta, self.mu)
         eps0 = float(self.decomposition.eigenvalues.min())
         if self.mu >= eps0 - MU_SAFETY:
             raise DomainError(
@@ -186,8 +197,7 @@ def thermal_decomposition(H: TridiagonalOperator, beta: float, mu: float) -> Spe
     up to the first above the Bose energy cap (module header), whose
     discard bound is at most DISCARD_TOL / 2.
     """
-    if beta <= 0:
-        raise DomainError("beta must be positive")
+    _check_beta_mu(beta, mu)
     cap = mu + np.log1p(2.0 / (DISCARD_TOL * H.grid.dx)) / beta
     return diagonalize(H, n_modes=eigenvalue_count(H, cap) + 1)
 
@@ -195,22 +205,19 @@ def thermal_decomposition(H: TridiagonalOperator, beta: float, mu: float) -> Spe
 @dataclass(frozen=True)
 class HomogeneousState:
     """
-    Thermodynamic-limit state: momentum-multiplier T, plus a condensate in
-    the constant mode with amplitude kappa (none at kappa = 0).
+    The 3D thermodynamic-limit state: momentum-multiplier T (mu <= 0; the
+    3D density stays finite at mu = 0), plus a condensate in the constant
+    mode with amplitude kappa (none at kappa = 0).
     """
 
     beta: float
     mu: float
-    dimension: int = 1
     kappa: float = 0.0
 
     def __post_init__(self):
-        if self.beta <= 0:
-            raise DomainError("beta must be positive")
+        _check_beta_mu(self.beta, self.mu)
         if self.mu > 0:
             raise DomainError("mu must be <= 0 for the homogeneous state")
-        if self.mu == 0 and self.dimension < 3:
-            raise DomainError("mu = 0 needs dimension >= 3 (integrable singularity)")
         if self.kappa < 0:
             raise DomainError(f"condensate amplitude kappa must be >= 0, got {self.kappa}")
 
@@ -264,8 +271,7 @@ def homogeneous_density(beta: float, mu: float, s: int) -> float:
     """
     if s not in (1, 2, 3):
         raise DomainError(f"dimension must be 1, 2 or 3, got {s}")
-    if beta <= 0:
-        raise DomainError("beta must be positive")
+    _check_beta_mu(beta, mu)
     if s in (1, 2) and mu >= 0:
         raise DivergenceError(f"density diverges for mu >= 0 in dimension {s}")
     if s == 3 and mu > 0:
@@ -320,8 +326,7 @@ def momentum_weight(f: WaveFunction, beta: float, mu):
     mus = np.asarray(mu, dtype=float)
     if mus.ndim > 1:
         raise ValueError(f"mu must be a scalar or a 1-D sequence, got shape {mus.shape}")
-    if not (np.isfinite(beta) and np.all(np.isfinite(mus))):
-        raise DomainError(f"beta and mu must be finite, got beta = {beta}, mu = {mu}")
+    _check_beta_mu(beta, mus)
     if np.any(mus >= 0):
         raise DivergenceError("homogeneous 1D weight needs mu < 0")
     mu_vec = np.atleast_1d(mus)
@@ -392,30 +397,6 @@ def field_resolvent_value(lam: float, sigma_sq: float) -> float:
     return _laplace_transform(lambda u: np.exp(-0.5 * u * u * sigma_sq), lam)
 
 
-def field_resolvent_expectation(state, lam: float, f: WaveFunction) -> float:
-    """
-    Expectation of the gauge-averaged field resolvent,
-
-        Integral_0^inf du e^(-u lam) e^(-(u^2/2) <f, T f>),
-
-    for the pure thermal state (kappa = 0); the value lies in (0, 1/lam].
-    """
-    if getattr(state, "kappa", 0.0) != 0:
-        raise DomainError("field resolvent implemented for the unperturbed state")
-    return field_resolvent_value(lam, _thermal_weight_of(state, f))
-
-
-def _thermal_weight_of(state, f: WaveFunction) -> float:
-    if isinstance(state, QuasifreeState):
-        c = state.mode_overlaps(f)
-        return float((state.occupations * np.abs(c) ** 2).sum())
-    if isinstance(state, HomogeneousState):
-        if state.dimension != 1:
-            raise DomainError("grid test functions pair with the 1D homogeneous state")
-        return momentum_weight(f, state.beta, state.mu)
-    raise TypeError(f"unsupported state {type(state)!r}")
-
-
 def geometric_resolvent_series(nbar: float, norm_sq: float, lam: float) -> float:
     """
     sum_{n>=0} p_n (lam + n ||f||^2)^(-1) with p_n = nbar^n (1+nbar)^(-(n+1)).
@@ -435,31 +416,23 @@ def geometric_resolvent_series(nbar: float, norm_sq: float, lam: float) -> float
     return _laplace_transform(lambda u: 1.0 / (1.0 - nbar * np.expm1(-u * norm_sq)), lam)
 
 
-def number_resolvent_expectation(state, lam: float, f: WaveFunction) -> float:
+def number_resolvent_expectation(state: QuasifreeState, lam: float, f: WaveFunction) -> float:
     """
-    Expectation of (lam + a*(f) a(f))^(-1) in a gauge-invariant quasifree
+    Expectation of (lam + a*(f) a(f))^(-1) in a finite trap's thermal
     state: the single mode f/||f|| is geometrically occupied with mean
-    <f, T f>/||f||^2 (see geometric_resolvent_series).
+    <f, T f>/||f||^2 = sum_k n_k |<psi_k, f>|^2 / ||f||^2 (see
+    geometric_resolvent_series).
 
     Validated against the exact truncated-space Gibbs trace (see the
-    fock module and the oracle tests) before use anywhere else.  A
-    condensate is admitted only when its constant mode is orthogonal to f,
-    that is when f integrates to zero.
+    fock module and the oracle tests) before use anywhere else.
     """
     if lam <= 0:
         raise DomainError(f"lambda must be positive, got {lam}")
     norm_sq = inner(f, f).real
     if norm_sq == 0:
         return 1.0 / lam
-    if getattr(state, "kappa", 0.0) > 0:
-        pair = abs(f.integral())
-        if pair > 1e-10 * np.sqrt(norm_sq):
-            raise DomainError(
-                "displaced-state corrections are out of scope; "
-                "the condensate mode must be orthogonal to f"
-            )
-    nbar = _thermal_weight_of(state, f) / norm_sq
-    return geometric_resolvent_series(nbar, norm_sq, lam)
+    weight = float((state.occupations * np.abs(state.mode_overlaps(f)) ** 2).sum())
+    return geometric_resolvent_series(weight / norm_sq, norm_sq, lam)
 
 
 def mu_limit_scan(
@@ -471,13 +444,14 @@ def mu_limit_scan(
     vanish_ratio: float,
 ):
     """
-    Scan number-resolvent expectations in the homogeneous state as mu rises
-    toward 0.
+    Scan number-resolvent expectations in the homogeneous 1D gas as mu
+    rises toward 0.
 
     The inputs are checked before any transform: lam, beta and every mu
-    must be finite, lam > 0, and each (beta, mu) a 1D HomogeneousState.
-    One momentum_weight call then serves every mu, and each weight goes to
-    geometric_resolvent_series as number_resolvent_expectation would.
+    must be finite, lam > 0, beta > 0, and mu_list ascending and below 0.
+    One momentum_weight call then serves every mu, and each weight <f, T f>
+    gives the geometric occupation <f, T f>/||f||^2 of the mode f/||f||,
+    whose resolvent is geometric_resolvent_series.
 
     Verdict "vanishes": the last value fell below vanish_ratio of the first
     and the sequence decreases (Bose saturation visible to f).
@@ -486,14 +460,13 @@ def mu_limit_scan(
     and when that half holds no step to check (fewer than three mu values).
     """
     mus = np.asarray(list(mu_list), dtype=float)
-    if not (np.isfinite(lam) and np.isfinite(beta) and np.all(np.isfinite(mus))):
-        raise DomainError(f"lam, beta and mu must be finite, got {lam}, {beta}, {mus.tolist()}")
+    if not np.isfinite(lam):
+        raise DomainError(f"lambda must be finite, got {lam}")
     if lam <= 0:
         raise DomainError(f"lambda must be positive, got {lam}")
+    _check_beta_mu(beta, mus)
     if mus.ndim != 1 or mus.size == 0 or np.any(np.diff(mus) <= 0) or mus[-1] >= 0:
         raise DomainError("mu_list must be ascending and < 0")
-    for mu in mus:
-        HomogeneousState(beta=beta, mu=mu, dimension=1)
     norm_sq = inner(f, f).real
     if norm_sq == 0:
         values = np.full(mus.size, 1.0 / lam)
@@ -660,8 +633,6 @@ def temporal_correlation(state: HomogeneousState, f, g, t):
     times = np.asarray(t, dtype=float)
     if times.ndim > 1:
         raise ValueError(f"t must be a scalar or a 1-D sequence, got shape {times.shape}")
-    if state.dimension != 3:
-        raise DomainError("temporal correlations implemented for s = 3")
     if not isinstance(f, RadialFunction3D) or not isinstance(g, RadialFunction3D):
         raise DomainError("3D correlations take RadialFunction3D arguments")
     # e^(-48) occupation tail is negligible against the 1e-10 accuracy

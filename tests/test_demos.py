@@ -14,6 +14,7 @@ DEMO_DIR = pathlib.Path(__file__).resolve().parent.parent / "demos"
 
 # demo -> the line (or part of it) that states its result
 EXPECTED = {
+    "condensate_profile_3d": "deviation log-log slope: -1.959",
     "condensate_profiles_1d": "growth exponent 2.974 (limit 3)",
     "saturation_and_memory": "verdicts: unit mean -> vanishes;  zero mean -> converges-positive",
     "fock_oracle_tour": "monotone: True",

@@ -163,6 +163,22 @@ LEMMA31_SMALL = {"radius_list": "6, 8, 10, 12", "t_list": "0.25", "c_rules": "1"
                      id="mu_list = ,"),
         pytest.param("thermal", {"radius_list": ","}, "radius_list: expected at least one value",
                      id="radius_list = ,"),
+        # configs whose trend, fit or trial verdicts would hold with nothing checked
+        pytest.param("memory", {"t_list": "5"}, "t_list needs at least 2 entries", id="t_list = 5"),
+        pytest.param("thermal", {"radius_list": "20"}, "radius_list needs at least 2 entries",
+                     id="radius_list = 20"),
+        pytest.param("lemma33", {"n_list": "2"}, "n_list needs at least 2 entries", id="n_list = 2"),
+        pytest.param("lemma33", {"trials": "-4"}, "trials must be at least 1", id="lemma33 trials = -4"),
+        pytest.param("oracle", {"trials": "0"}, "trials must be at least 1", id="oracle trials = 0"),
+        pytest.param("condensate1d", {"radius_list_profiles": "40"},
+                     "radius_list_profiles needs at least 2 entries", id="radius_list_profiles = 40"),
+        pytest.param("condensate1d", {"radius_list_counts": "40"},
+                     "radius_list_counts needs at least 2 entries", id="radius_list_counts = 40"),
+        pytest.param("condensate3d", {"radius_list": "40"}, "radius_list needs at least 2 entries",
+                     id="condensate3d radius_list = 40"),
+        pytest.param("mulimit", {"mu_list": "-0.1"}, "mu_list needs at least 2 entries", id="mu_list = -0.1"),
+        pytest.param("lemma31", {"threads": "0"}, "threads must be at least 1", id="threads = 0"),
+        pytest.param("lemma31", {"threads": "-3"}, "threads must be at least 1", id="threads = -3"),
     ],
 )
 def test_cli_rejects_a_bad_radius_list_before_solving(experiment, bad, expect, monkeypatch, tmp_path,
@@ -234,6 +250,36 @@ def test_cli_mulimit_rejects_a_bad_input_before_any_transform(line, expect, monk
     assert not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize(
+    "experiment, line",
+    [
+        pytest.param("memory", "beta = nan", id="memory beta nan"),
+        pytest.param("thermal", "beta = nan", id="thermal beta nan"),
+        pytest.param("thermal", "mu = nan", id="thermal mu nan"),
+        pytest.param("resolvent", "beta = nan", id="resolvent beta nan"),
+        pytest.param("resolvent", "mu = nan", id="resolvent mu nan"),
+    ],
+)
+def test_cli_rejects_a_non_finite_beta_or_mu_before_any_weight(experiment, line, monkeypatch, tmp_path,
+                                                               capsys):
+    def no_numerics(*args, **kwargs):
+        raise AssertionError("numerics started before beta and mu were checked")
+
+    # the first numerical call of each experiment once its state is checked
+    monkeypatch.setattr(lab.qf.RadialFunction3D, "radial_transform", no_numerics)  # memory
+    monkeypatch.setattr(lab.qf, "_quad", no_numerics)  # thermal's homogeneous density
+    monkeypatch.setattr(lab.qf, "thermal_decomposition", no_numerics)
+    monkeypatch.setattr(lab.fock, "number_resolvent_matrix", no_numerics)  # resolvent's traces
+    monkeypatch.setattr(lab.fock, "gibbs_field_resolvent", no_numerics)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    assert main([experiment, "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert "must be finite" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "r").exists()
+
+
 def test_memory_cap_is_the_first_doubling():
     # checked by arithmetic alone: the start level just below the cap fits
     p_cut = np.sqrt(48.0)
@@ -296,7 +342,7 @@ def test_cli_lemma33_exits_2_on_the_edge_gate(tmp_path, capsys):
     # a bump of radius 27 in the [-28, 28] box of R = 6: the free packet
     # reaches the box edge, so its gap is not a trapped-vs-free gap
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("bump_radius = 27\nn_list = 1\n")
+    cfg.write_text("bump_radius = 27\nn_list = 1, 2\n")
     assert main(["lemma33", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
     err = capsys.readouterr().err
     assert "edge amplitude" in err
@@ -361,7 +407,7 @@ def test_cli_unparsable_config_is_exit_2(content, tmp_path, capsys):
 
 
 def test_report_csv_plain_floats(tmp_path):
-    rep = run("lemma33", {"n_list": [1], "n_points": 1024, "trials": 2})
+    rep = run("lemma33", {"n_list": [1, 2], "n_points": 1024, "trials": 2})
     rep.write(tmp_path)
     text = (tmp_path / "sector_norms.csv").read_text()
     assert "np." not in text
@@ -373,6 +419,18 @@ def test_memory_without_condensate_is_decay_only():
     assert "plateau" not in rep.verdicts
     assert rep.verdicts["thermal_decay"] is True
     assert any("decay-only" in n for n in rep.notes)
+
+
+def test_memory_makes_one_correlation_pass(monkeypatch):
+    # the thermal part is the total minus the plateau: one radial transform
+    # (f pairs with itself) serves the whole run
+    calls = []
+    transform = lab.qf.RadialFunction3D.radial_transform
+    monkeypatch.setattr(lab.qf.RadialFunction3D, "radial_transform",
+                        lambda fn, p: calls.append(fn) or transform(fn, p))
+    rep = run("memory", {})
+    assert len(calls) == 1
+    assert rep.passed
 
 
 def test_lemma31_solves_only_its_stiff_wall_jobs(monkeypatch):

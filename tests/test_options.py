@@ -16,7 +16,6 @@ OPTIONS = [
     "hamiltonians.diagonalize(n_modes)",
     "hamiltonians.soft_wall_trap(coupling)",
     "propagators.gated_gap(margin)",
-    "quasifree.HomogeneousState.dimension",
     "quasifree.HomogeneousState.kappa",
     "quasifree.RadialFunction3D.phi1",
 ]

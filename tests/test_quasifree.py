@@ -25,7 +25,6 @@ from thermolim.quasifree import (
     QuasifreeState,
     RadialFunction3D,
     bose_occupation,
-    field_resolvent_expectation,
     field_resolvent_value,
     geometric_resolvent_series,
     homogeneous_density,
@@ -230,19 +229,15 @@ def test_field_resolvent_value_limits():
 
 
 def test_field_resolvent_closed_form():
-    # Gaussian-integral oracle evaluated independently
-    for lam, sig_sq in [(1.0, 1.0), (0.5, 2.3), (2.0, 0.4)]:
-        sig = np.sqrt(sig_sq)
-        exact = np.sqrt(np.pi / 2.0) / sig * erfcx(lam / (sig * np.sqrt(2.0)))
+    # Gaussian-integral oracle evaluated independently; sigma^2 = 0 is the
+    # cold limit, where the value is 1/lam
+    for lam, sig_sq in [(1.0, 1.0), (0.5, 2.3), (2.0, 0.4), (1.0, 0.0)]:
+        if sig_sq == 0:
+            exact = 1.0 / lam
+        else:
+            sig = np.sqrt(sig_sq)
+            exact = np.sqrt(np.pi / 2.0) / sig * erfcx(lam / (sig * np.sqrt(2.0)))
         assert field_resolvent_value(lam, sig_sq) == pytest.approx(exact, abs=1e-8)
-
-
-def test_field_resolvent_state_paths(trap_state):
-    f = bump(0.0, 1.0, trap_state.decomposition.grid)
-    cold = QuasifreeState(beta=200.0, mu=-1.0, decomposition=trap_state.decomposition)
-    assert field_resolvent_expectation(cold, 1.0, f) == pytest.approx(1.0, abs=1e-8)
-    warm = field_resolvent_expectation(trap_state, 1.0, f)
-    assert 0 < warm < 1.0
 
 
 def test_number_resolvent_vacuum_and_bounds(trap_state):
@@ -296,21 +291,6 @@ def test_number_resolvent_matches_fock_oracle(trap_state):
         oracle = gibbs_number_resolvent(space, lam, np.array([alpha, beta_c]), eps, 1.0, -1.0)
         value = number_resolvent_expectation(trap_state, lam, f)
         assert value == pytest.approx(oracle, abs=1e-8)
-
-
-def test_number_resolvent_condensate_orthogonality():
-    # the constant condensate mode pairs with f through its integral
-    grid = make_grid(16.0, 1024)
-    b = bump(0.0, 1.0, grid)
-    f = b.with_values(bump(2.0, 1.0, grid).values - bump(-2.0, 1.0, grid).values)
-    assert abs(f.integral()) < 1e-14
-    plain = HomogeneousState(beta=1.0, mu=-0.5, dimension=1)
-    shifted = HomogeneousState(beta=1.0, mu=-0.5, dimension=1, kappa=0.5)
-    assert number_resolvent_expectation(shifted, 1.0, f) == number_resolvent_expectation(
-        plain, 1.0, f
-    )
-    with pytest.raises(DomainError):
-        number_resolvent_expectation(shifted, 1.0, b)
 
 
 def test_local_count_of_pure_condensate():
@@ -500,9 +480,11 @@ def test_mu_scan_values_are_the_number_resolvent_expectations():
     f = _mulimit_functions()["zero_mean"]
     mus = MULIMIT_MUS[::3]
     _, values = mu_limit_scan(1.0, f, 0.05, mus, cauchy_tol=1e-4, vanish_ratio=0.05)
+    norm_sq = f.norm() ** 2
     for mu, v in zip(mus, values):
-        state = HomogeneousState(beta=0.05, mu=mu, dimension=1)
-        assert v == pytest.approx(number_resolvent_expectation(state, 1.0, f), rel=1e-12)
+        # one mu at a time: its own quadrature, and the geometric law of f / ||f||
+        nbar = momentum_weight(f, 0.05, mu) / norm_sq
+        assert v == pytest.approx(geometric_resolvent_series(nbar, norm_sq, 1.0), rel=1e-12)
 
 
 def _not_converged(*args, **kwargs):
@@ -542,7 +524,7 @@ def test_oscillatory_integral_at_zero_tolerance_hits_its_cap(monkeypatch):
     # a tolerance no change can meet doubles the Simpson grid up to its cap
     f, _ = _radial_pair()
     monkeypatch.setattr(qf, "MEMORY_SIMPSON_TOL", 0.0)
-    state = HomogeneousState(beta=1.0, mu=0.0, dimension=3)
+    state = HomogeneousState(beta=1.0, mu=0.0)
     with pytest.raises(QuadratureCapError, match="after 2162688 intervals exceeds MEMORY_SIMPSON_TOL"):
         temporal_correlation(state, f, f, 2.0 * np.pi * 33 / 48.0)  # 33 cycles: 66 intervals
     zero = RadialFunction3D(f.grid, 0.0 * f.phi0)  # a vanishing amplitude needs no doubling
@@ -551,13 +533,14 @@ def test_oscillatory_integral_at_zero_tolerance_hits_its_cap(monkeypatch):
 
 def test_temporal_correlation_domain_guards():
     with pytest.raises(DomainError):
-        HomogeneousState(beta=1.0, mu=0.0, dimension=1)
-    grid = make_grid(10.0, 512)
-    f = bump(0.0, 1.0, grid)
-    for dimension in (1, 2):
-        state = HomogeneousState(beta=1.0, mu=-0.5, dimension=dimension)
-        with pytest.raises(DomainError):
-            temporal_correlation(state, f, f, 1.0)
+        HomogeneousState(beta=1.0, mu=0.1)
+    # the limit state is 3D: a 1D grid function is refused
+    f = bump(0.0, 1.0, make_grid(10.0, 512))
+    g, _ = _radial_pair()
+    state = HomogeneousState(beta=1.0, mu=-0.5)
+    for args in ((f, f), (f, g), (g, f)):
+        with pytest.raises(DomainError, match="RadialFunction3D"):
+            temporal_correlation(state, *args, 1.0)
 
 
 def test_condensate_plateau_time_independent():
@@ -565,8 +548,8 @@ def test_condensate_plateau_time_independent():
     phi0 = bump_profile(rg.r / 4.0)
     f = RadialFunction3D(rg, phi0)
     f = RadialFunction3D(rg, phi0 / f.integral_3d())
-    thermal = HomogeneousState(beta=1.0, mu=0.0, dimension=3)
-    full = HomogeneousState(beta=1.0, mu=0.0, dimension=3, kappa=0.5)
+    thermal = HomogeneousState(beta=1.0, mu=0.0)
+    full = HomogeneousState(beta=1.0, mu=0.0, kappa=0.5)
     plateaus = [
         temporal_correlation(full, f, f, t) - temporal_correlation(thermal, f, f, t)
         for t in (0.0, 3.0, 17.0)
@@ -604,7 +587,7 @@ def _assert_batch_matches_scalar_calls(state, f, g, times):
 
 def test_temporal_correlation_batch_3d_condensate(monkeypatch):
     f, _ = _radial_pair()
-    state = HomogeneousState(beta=1.0, mu=0.0, dimension=3, kappa=0.5)
+    state = HomogeneousState(beta=1.0, mu=0.0, kappa=0.5)
     _assert_batch_matches_scalar_calls(state, f, f, [0.0, 3.0, 17.0])
     # one transform serves every time when g is f
     calls = []
@@ -618,7 +601,7 @@ def test_temporal_correlation_batch_3d_condensate(monkeypatch):
 
 def test_temporal_correlation_batch_3d_distinct_g():
     f, g = _radial_pair()
-    state = HomogeneousState(beta=1.0, mu=-0.3, dimension=3)
+    state = HomogeneousState(beta=1.0, mu=-0.3)
     _assert_batch_matches_scalar_calls(state, f, g, [0.5, 4.0])
     assert len(temporal_correlation(state, f, g, np.array([2.0]))) == 1
     with pytest.raises(ValueError):
@@ -664,14 +647,14 @@ def test_oscillatory_integral_matches_the_fixed_grid_rule(mu):
 def test_temporal_correlation_at_negative_time_is_the_conjugate(t):
     # for real f = g, <f, T e^(-itH) f> is the conjugate of <f, T e^(itH) f>
     f, _ = _radial_pair()
-    state = HomogeneousState(beta=1.0, mu=0.0, dimension=3)
+    state = HomogeneousState(beta=1.0, mu=0.0)
     forward, backward = temporal_correlation(state, f, f, [t, -t])
     assert abs(backward - np.conj(forward)) <= 1e-14 * abs(forward)
 
 
 def test_temporal_correlation_memory_stays_bounded():
     f = _memory_function()
-    state = HomogeneousState(beta=1.0, mu=0.0, dimension=3)
+    state = HomogeneousState(beta=1.0, mu=0.0)
     tracemalloc.start()
     try:
         temporal_correlation(state, f, f, [5.0, 20.0, 80.0, 320.0, 1280.0, 2600.0])
