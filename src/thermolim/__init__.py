@@ -80,7 +80,6 @@ from .condensates import (
     axial_trap_mode,
     condensate_count_scaling,
     l1_profile_check,
-    mode_renormalize,
     smeared_mode_limit,
     trap_mode,
 )

@@ -9,9 +9,17 @@
 # to unit value (even) or unit slope (odd) at the origin, they converge to
 # the constant 1 and to x respectively; their pairings with a fixed test
 # function approach Integral(f) resp. Integral(x f) at rate 1/R^2.
-# trap_mode solves each trap once for both modes; the pairing and count
-# scans only read the solved TrapModes, so a radius that several scans
-# share costs one eigensolve.
+#
+# The trap is mirror symmetric, so trap_mode solves it in two half blocks
+# (Cantoni & Butler, Linear Algebra Appl. 13, 275 (1976)).  On x_k = k dx,
+# k >= 0, with a hard wall at +L, the even modes solve the block whose
+# first off-diagonal is scaled by sqrt(2) (for psi(0) = v_0,
+# psi(k dx) = v_k / sqrt(2)), and the odd modes the block on k >= 1 with
+# psi(0) = 0, which is the l = 0 radial operator.  The lowest mode of each
+# block is mirrored onto the whole grid, so each mode's parity is exact by
+# construction; x = -L, the mirror of the wall, gets 0.  The pairing and
+# count scans only read the solved TrapModes, so a radius that several
+# scans share is solved once.
 #
 # In 3D the lowest axial (l = 1) mode approaches z with the radial shape
 # s(u) = 3 j1(u)/u, normalized so s(0) = 1; the deviation |h(x) - z| is
@@ -26,16 +34,12 @@ from scipy.special import spherical_jn
 
 from .grids import GridConfigError, RadialGrid, WaveFunction
 from .hamiltonians import (
+    TridiagonalOperator,
     diagonalize,
-    parity_of,
     radial_assemble,
     soft_wall_trap,
     trap_operator,
 )
-
-
-class ParityError(ValueError):
-    pass
 
 
 def axial_shape(u) -> np.ndarray:
@@ -62,39 +66,12 @@ def fit_loglog_slope(x, y) -> float:
     return float(np.polyfit(lx, ly, 1)[0])
 
 
-def mode_renormalize(psi: WaveFunction, parity: str) -> WaveFunction:
-    """
-    Rescale a trap eigenmode to the limit normalization: even modes to value
-    1 at the origin, odd modes to unit slope there (centered difference).
-
-    The stated parity must match the mode; the output is exactly
-    symmetrized, so pairings with reflected test functions are exact.
-    """
-    actual = parity_of(psi)
-    if actual != parity:
-        raise ParityError(f"mode parity is {actual!r}, expected {parity!r}")
-    n = psi.grid.n_points
-    refl = psi.values[(-np.arange(n)) % n]
-    if parity == "even":
-        v = 0.5 * (psi.values + refl)
-        scale = v[psi.grid.index_origin]
-    elif parity == "odd":
-        v = 0.5 * (psi.values - refl)
-        j0 = psi.grid.index_origin
-        scale = (v[j0 + 1] - v[j0 - 1]) / (2.0 * psi.grid.dx)
-    else:
-        raise ParityError(f"parity must be 'even' or 'odd', got {parity!r}")
-    if scale == 0:
-        raise ParityError("degenerate normalization: mode vanishes at the origin")
-    return WaveFunction(psi.grid, v / scale)
-
-
 @dataclass(frozen=True)
 class TrapModes:
     """
-    The lowest even and odd modes of the soft-wall trap of radius R, from
-    one two-mode solve: measured eigenvalues and renormalized modes, both
-    keyed by parity.
+    The lowest even and odd modes of the soft-wall trap of radius R, one
+    from each parity block: measured eigenvalues and renormalized modes,
+    both keyed by parity.
     """
 
     R: float
@@ -103,13 +80,34 @@ class TrapModes:
 
 
 def trap_mode(R: float, dx_target: float) -> TrapModes:
-    """Solve the trap of radius R (trap_operator's grid) for its two lowest modes."""
-    decomp = diagonalize(trap_operator(R, dx_target), n_modes=2)
-    parities = ("even", "odd")
+    """
+    Lowest even and odd modes of trap_operator(R, dx_target), one n_modes = 1
+    solve of each half block of the module header.  The even mode is scaled
+    to h(0) = 1, the odd mode to unit slope h(dx) / dx = 1.
+    """
+    H = trap_operator(R, dx_target)
+    grid, N = H.grid, H.grid.n_points // 2
+    d, e = H.diagonal[N:], H.off_diagonal[N:]  # rows x = 0 .. L - dx
+    e_even = e.copy()
+    e_even[0] *= np.sqrt(2.0)
+    # the blocks carry the trap's grid only for the spacing diagonalize scales by
+    even = diagonalize(TridiagonalOperator(d, e_even, grid), n_modes=1)
+    odd = diagonalize(TridiagonalOperator(d[1:], e[1:], grid), n_modes=1)
+    v = even.eigenvectors[:, 0] / even.eigenvectors[0, 0]
+    v[1:] /= np.sqrt(2.0)
+    u = odd.eigenvectors[:, 0] * (grid.dx / odd.eigenvectors[0, 0])
+
+    def mirrored(half: np.ndarray, sign: float) -> WaveFunction:
+        # half holds x = 0 .. L - dx; x = -L, the mirror of the wall, stays 0
+        full = np.zeros(grid.n_points)
+        full[N:] = half
+        full[1:N] = sign * half[:0:-1]
+        return WaveFunction(grid, full)
+
     return TrapModes(
         R,
-        {p: float(decomp.eigenvalues[i]) for i, p in enumerate(parities)},
-        {p: mode_renormalize(decomp.mode(i), p) for i, p in enumerate(parities)},
+        {"even": float(even.eigenvalues[0]), "odd": float(odd.eigenvalues[0])},
+        {"even": mirrored(v, 1.0), "odd": mirrored(np.concatenate(([0.0], u)), -1.0)},
     )
 
 

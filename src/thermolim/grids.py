@@ -50,11 +50,6 @@ class Grid1D:
         object.__setattr__(self, "dx", dx)
         object.__setattr__(self, "x", x)
 
-    @property
-    def index_origin(self) -> int:
-        # x = 0 sits at j = n/2
-        return self.n_points // 2
-
     def momenta(self) -> np.ndarray:
         """FFT-ordered momenta p_k = pi k / L, k in [-n/2, n/2)."""
         return 2.0 * np.pi * np.fft.fftfreq(self.n_points, d=self.dx)
@@ -122,11 +117,6 @@ class WaveFunction:
     def moment(self) -> complex:
         """Riemann sum of x f(x) (the pairing with the linear mode x)."""
         return complex((self.grid.x * self.values).sum() * self.grid.dx)
-
-    def reflected(self) -> "WaveFunction":
-        """Reflection x -> -x (index j -> (n-j) mod n)."""
-        n = self.grid.n_points
-        return WaveFunction(self.grid, self.values[(-np.arange(n)) % n])
 
     def with_values(self, values: np.ndarray) -> "WaveFunction":
         return WaveFunction(self.grid, values)

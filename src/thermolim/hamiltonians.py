@@ -35,7 +35,7 @@ from typing import Optional
 import numpy as np
 from scipy.linalg import cython_lapack, eigh_tridiagonal
 
-from .grids import Grid1D, GridConfigError, RadialGrid, WaveFunction
+from .grids import Grid1D, GridConfigError, RadialGrid
 
 
 class EigensolverError(RuntimeError):
@@ -113,9 +113,6 @@ class SpectralDecomposition:
     @property
     def n_modes(self) -> int:
         return self.eigenvalues.shape[0]
-
-    def mode(self, k: int) -> WaveFunction:
-        return WaveFunction(self.grid, self.eigenvectors[:, k].astype(complex))
 
 
 def _fix_signs(v: np.ndarray, dx: float) -> np.ndarray:
@@ -242,19 +239,6 @@ def diagonalize(
     w.flags.writeable = False
     v.flags.writeable = False
     return SpectralDecomposition(H.grid, w, v)
-
-
-def parity_of(psi: WaveFunction) -> str:
-    """Classify a grid function as 'even', 'odd' or 'none' under x -> -x."""
-    refl = psi.reflected().values
-    nrm = psi.norm()
-    if nrm == 0:
-        return "none"
-    # relative L2 mismatch against the reflection, up to sign
-    for tag, mirror in (("even", -refl), ("odd", refl)):
-        if np.sqrt((np.abs(psi.values + mirror) ** 2).sum() * psi.grid.dx) / nrm <= 1e-6:
-            return tag
-    return "none"
 
 
 # largest trap_operator grid; its eigenvector matrix is 2 GiB

@@ -502,11 +502,15 @@ def run_condensate_1d(config: dict) -> Report:
     )
     kappa, radii, counted = cfg["kappa"], cfg["radius_list_profiles"], cfg["radius_list_counts"]
     _need(cfg, ("radius_list_profiles", "radius_list_counts"), ())
+    if not kappa > 0:  # NaN too
+        raise ConfigError(f"kappa must be positive, got {kappa}")
+    if 0.0 in cfg["x_probes"]:
+        raise ConfigError("x_probes must be nonzero: the odd limit x^2 vanishes at x = 0")
     for R in radii:  # every probe must be a point of every profile grid, before any solve
         grid = trap_operator(R, cfg["dx_target"]).grid
         for xv in cfg["x_probes"]:
             grid.index_of(xv)
-    # one two-mode solve per distinct radius serves every scan below
+    # one trap_mode (two half-block solves) per distinct radius serves every scan below
     solved = {R: cond.trap_mode(R, cfg["dx_target"]) for R in sorted({*radii, *counted})}
 
     profiles_ok = True

@@ -350,11 +350,11 @@ def duhamel_bound(f: WaveFunction, t: float, R: float) -> float:
 
     with f_u the freely evolved packet.  The bound is linear in the wall's
     c^2, so for coupling c it is c^2 times this value.  Composite Simpson in
-    u from 32 intervals, doubling until the relative change drops below
-    DUHAMEL_REL_TOL.  At 4096 intervals a last change within the integral
-    of the integrand's roundoff floor (machine epsilon times max |f| per
-    sample, weighted as above) is accepted, since no refinement can beat
-    it; any larger change raises QuadratureCapError.
+    u from 32 intervals, doubling until the change drops below
+    DUHAMEL_REL_TOL relative or below the integral of the integrand's
+    roundoff floor (machine epsilon times max |f| per sample, weighted as
+    above), which no refinement can beat.  A change above both at
+    DUHAMEL_MAX_INTERVALS intervals raises QuadratureCapError.
 
     The integrand is evolve_free's multiplier taken in batches: fft(f) and
     the symbol are formed once, and each level's new, equally spaced nodes
@@ -379,6 +379,7 @@ def duhamel_bound(f: WaveFunction, t: float, R: float) -> float:
             out[i : i + phases.shape[0]] = np.sqrt((psi.real**2 + psi.imag**2) @ wgt * g.dx)
         return out
 
+    noise = abs(t) * np.finfo(float).eps * np.abs(f.values).max() * np.sqrt(wgt.sum() * g.dx)
     n = 32  # number of intervals, even
     vals = integrand(0.0, t / n, n + 1)
 
@@ -393,12 +394,9 @@ def duhamel_bound(f: WaveFunction, t: float, R: float) -> float:
         vals_new[1::2] = integrand(t / n, 2.0 * t / n, n // 2)
         est_new = simpson(vals_new, t / n)
         change = abs(est_new - est)
-        if change <= DUHAMEL_REL_TOL * max(abs(est_new), 1e-300):
+        if change <= max(DUHAMEL_REL_TOL * abs(est_new), noise):
             return float(est_new)
         if n >= DUHAMEL_MAX_INTERVALS:
-            noise = abs(t) * np.finfo(float).eps * np.abs(f.values).max() * np.sqrt(wgt.sum() * g.dx)
-            if change <= noise:
-                return float(est_new)
             raise QuadratureCapError(
                 f"Duhamel quadrature at t={t}, R={R}: relative change "
                 f"{change / max(abs(est_new), 1e-300):.2e} after "

@@ -2,19 +2,18 @@ import numpy as np
 import pytest
 from scipy.special import spherical_jn
 
+from thermolim import condensates
 from thermolim.condensates import (
-    ParityError,
     axial_shape,
     axial_trap_mode,
     condensate_count_scaling,
     fit_loglog_slope,
     l1_profile_check,
-    mode_renormalize,
     smeared_mode_limit,
     trap_mode,
 )
 from thermolim.grids import GridConfigError, RadialGrid, bump, bump_profile
-from thermolim.hamiltonians import diagonalize, trap_operator
+from thermolim.hamiltonians import diagonalize, radial_assemble, soft_wall_trap, trap_operator
 from thermolim.quasifree import RadialFunction3D
 
 
@@ -30,27 +29,58 @@ def test_axial_shape_matches_bessel():
 
 
 def test_renormalization_fixed_points():
-    decomp = diagonalize(trap_operator(20.0, dx_target=0.0625), n_modes=2)
-    h0 = mode_renormalize(decomp.mode(0), "even")
-    j0 = h0.grid.index_origin
-    assert h0.values[j0].real == pytest.approx(1.0, abs=1e-6)
-    h1 = mode_renormalize(decomp.mode(1), "odd")
-    slope = (h1.values[j0 + 1] - h1.values[j0 - 1]).real / (2 * h1.grid.dx)
-    assert slope == pytest.approx(1.0, abs=1e-4)
+    t = trap_mode(20.0, dx_target=0.0625)
+    h0, h1 = t.modes["even"].values.real, t.modes["odd"].values.real
+    N, dx = t.modes["even"].grid.n_points // 2, t.modes["even"].grid.dx
+    assert h0[N] == 1.0
+    assert h1[N] == 0.0 and h1[N + 1] / dx == pytest.approx(1.0, rel=1e-14)
+    assert (h1[N + 1] - h1[N - 1]) / (2 * dx) == pytest.approx(1.0, rel=1e-14)
 
 
-def test_renormalization_scale_invariant():
-    decomp = diagonalize(trap_operator(12.0, dx_target=0.0625), n_modes=1)
-    psi = decomp.mode(0)
-    a = mode_renormalize(psi, "even")
-    b = mode_renormalize(psi.with_values(7.0 * psi.values), "even")
-    assert np.allclose(a.values, b.values, atol=1e-14)
+@pytest.mark.parametrize("R", [16.0, 40.0])
+def test_trap_mode_parity_is_exact(R):
+    t = trap_mode(R, dx_target=0.0625)
+    even, odd = t.modes["even"].values, t.modes["odd"].values
+    N = t.modes["even"].grid.n_points // 2
+    k = np.arange(N)
+    assert np.array_equal(even[N + k], even[N - k])
+    assert np.array_equal(odd[N + k], -odd[N - k])
+    # x = -L mirrors the wall at +L
+    assert even[0] == 0.0 and odd[0] == 0.0
 
 
-def test_renormalization_parity_guard():
-    decomp = diagonalize(trap_operator(12.0, dx_target=0.0625), n_modes=2)
-    with pytest.raises(ParityError):
-        mode_renormalize(decomp.mode(0), "odd")
+@pytest.mark.parametrize("R", [16.0, 40.0])
+def test_trap_mode_matches_the_full_grid_solve(R):
+    # the half blocks against both lowest modes of the whole grid,
+    # renormalized the same way (centred slope for the odd mode)
+    t = trap_mode(R, dx_target=0.0625)
+    full = diagonalize(trap_operator(R, dx_target=0.0625), n_modes=2)
+    v = full.eigenvectors
+    N, dx = t.modes["even"].grid.n_points // 2, t.modes["even"].grid.dx
+    assert abs(t.eigenvalues["even"] - full.eigenvalues[0]) <= 1e-12
+    assert abs(t.eigenvalues["odd"] - full.eigenvalues[1]) <= 1e-12
+    for h, ref in ((t.modes["even"].values.real, v[:, 0] / v[N, 0]),
+                   (t.modes["odd"].values.real, v[:, 1] * 2 * dx / (v[N + 1, 1] - v[N - 1, 1]))):
+        assert np.abs(h - ref).max() <= 1e-9 * np.abs(h).max()
+
+
+def test_trap_mode_solves_one_mode_of_each_half_block(monkeypatch):
+    solves = []
+
+    def recording(H, n_modes=None):
+        solves.append((H.size, n_modes, H))
+        return diagonalize(H, n_modes=n_modes)
+
+    monkeypatch.setattr(condensates, "diagonalize", recording)
+    R, dx = 16.0, 0.0625
+    trap_mode(R, dx_target=dx)
+    N = trap_operator(R, dx).grid.n_points // 2
+    assert [(size, m) for size, m, _ in solves] == [(N, 1), (N - 1, 1)]
+    # the odd block is the l = 0 radial operator of the half line
+    odd = solves[1][2]
+    radial = radial_assemble(RadialGrid((N - 1) * dx, N - 1), 0, soft_wall_trap(R))
+    assert np.array_equal(odd.diagonal, radial.diagonal)
+    assert np.array_equal(odd.off_diagonal, radial.off_diagonal)
 
 
 def test_even_mode_matches_interior_cosine():
@@ -78,7 +108,7 @@ def test_pairing_reflection_symmetry():
     t = trap_mode(R, dx_target=0.0625)
     h_even, h_odd = t.modes["even"], t.modes["odd"]
     f = bump(3.0, 1.0, h_even.grid)
-    fr = f.reflected()
+    fr = f.with_values(f.values[(-np.arange(f.grid.n_points)) % f.grid.n_points])
     dx = h_even.grid.dx
     pair = lambda h, g: (h.values.real * g.values.real).sum() * dx
     assert pair(h_even, f) == pytest.approx(pair(h_even, fr), rel=1e-13)
@@ -89,15 +119,6 @@ def test_pairing_reflection_symmetry():
 def coarse_scan():
     # listed out of order: the scans sort by radius
     return [trap_mode(R, dx_target=0.0625) for R in (32.0, 16.0, 64.0)]
-
-
-def test_trap_mode_solves_both_parities_at_once(coarse_scan):
-    t = coarse_scan[1]
-    decomp = diagonalize(trap_operator(16.0, dx_target=0.0625), n_modes=2)
-    assert t.R == 16.0
-    assert [t.eigenvalues["even"], t.eigenvalues["odd"]] == list(decomp.eigenvalues)
-    assert np.array_equal(t.modes["even"].values, mode_renormalize(decomp.mode(0), "even").values)
-    assert np.array_equal(t.modes["odd"].values, mode_renormalize(decomp.mode(1), "odd").values)
 
 
 def test_smeared_limits_and_rates(coarse_scan):

@@ -16,7 +16,6 @@ from thermolim.hamiltonians import (
     assemble,
     diagonalize,
     eigenvalue_count,
-    parity_of,
     radial_assemble,
     soft_wall_trap,
     trap_operator,
@@ -137,22 +136,6 @@ def test_sign_convention_deterministic():
     d1 = diagonalize(assemble(g, soft_wall_trap(3.0, 1.0)), n_modes=3)
     d2 = diagonalize(assemble(g, soft_wall_trap(3.0, 1.0)), n_modes=3)
     assert np.array_equal(d1.eigenvectors, d2.eigenvectors)
-
-
-def test_ground_pair_parities():
-    # the trap's lowest two modes
-    d = diagonalize(trap_operator(8.0, dx_target=0.0625), n_modes=2)
-    assert [parity_of(d.mode(k)) for k in (0, 1)] == ["even", "odd"]
-
-
-def test_asymmetric_potential_has_no_parity():
-    g = make_grid(12.0, 1024)
-    assert parity_of(bump(1.0, 2.0, g)) == "none"
-    assert parity_of(bump(0.0, 2.0, g)) == "even"
-    # the full well 0.25 x^2 tilted by an off-centre Gaussian
-    H = assemble(g, soft_wall_trap(0.0, 0.5))
-    tilt = TridiagonalOperator(H.diagonal + 0.3 * np.exp(-((g.x - 1.0) ** 2)), H.off_diagonal, g)
-    assert parity_of(diagonalize(tilt, n_modes=1).mode(0)) == "none"
 
 
 def test_eigenvalues_decrease_with_radius():

@@ -158,6 +158,11 @@ LEMMA31_SMALL = {"radius_list": "6, 8, 10, 12", "t_list": "0.25", "c_rules": "1"
         pytest.param("memory", {"kappa": "-0.5"}, "kappa must be >= 0", id="kappa = -0.5"),
         pytest.param("lemma33", {"bump_radius": "-1"}, "radius must be positive", id="bump_radius = -1"),
         pytest.param("condensate1d", {"x_probes": "1.03"}, "not a grid point", id="x_probes = 1.03"),
+        # the odd limit kappa^2 x^2 is 0 at x = 0, and a relative deviation from it is undefined
+        pytest.param("condensate1d", {"x_probes": "0, 1"}, "x_probes must be nonzero", id="x_probes = 0, 1"),
+        pytest.param("condensate1d", {"kappa": "0"}, "kappa must be positive", id="condensate1d kappa = 0"),
+        pytest.param("condensate1d", {"kappa": "-0.5"}, "kappa must be positive",
+                     id="condensate1d kappa = -0.5"),
         # a list key set to "," parses to an empty list
         pytest.param("mulimit", {"mu_list": ","}, "mu_list: expected at least one value",
                      id="mu_list = ,"),
@@ -453,7 +458,8 @@ def test_lemma31_solves_only_its_stiff_wall_jobs(monkeypatch):
 
 
 def test_condensate1d_solves_each_radius_once(monkeypatch):
-    # the profile, pairing and count scans share radii 20, 40 and 80
+    # the profile, pairing and count scans share radii 20, 40 and 80; each
+    # radius is one even (N rows) and one odd (N - 1 rows) half-block solve
     sizes = []
 
     def counting(H, n_modes=None):
@@ -462,5 +468,6 @@ def test_condensate1d_solves_each_radius_once(monkeypatch):
 
     monkeypatch.setattr(condensates, "diagonalize", counting)
     rep = run("condensate1d", {})
-    assert len(sizes) == len(set(sizes)) == 4
+    assert len(sizes) == len(set(sizes)) == 8
+    assert sizes[1::2] == [n - 1 for n in sizes[::2]]
     assert rep.verdicts["count_exponent[odd]"] is True

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from thermolim import propagators
-from thermolim.grids import bump, make_grid
+from thermolim.grids import WaveFunction, bump, make_grid
 from thermolim.hamiltonians import assemble, diagonalize, soft_wall_trap
 from thermolim.propagators import (
     CHEBYSHEV_TAIL,
@@ -54,7 +54,7 @@ def test_spectral_unitarity(trap_setup):
 
 def test_spectral_eigenmode_phase(trap_setup):
     _, grid, decomp, _ = trap_setup
-    psi3 = decomp.mode(3)
+    psi3 = WaveFunction(grid, decomp.eigenvectors[:, 3])
     t = 0.8
     evolved = evolve_spectral(decomp, psi3, t)
     expected = psi3.values * np.exp(-1j * t * decomp.eigenvalues[3])
@@ -312,11 +312,30 @@ def test_duhamel_cap_raises(monkeypatch):
 def test_duhamel_accepts_the_roundoff_floor_at_the_cap():
     # at t = 0.25 the packet barely reaches |x| > 8 on this grid: the
     # integrand sits at the FFT roundoff floor (~1e-13) for most of [0, t],
-    # so 1e-6 relative is out of reach, but the last change (4e-17) is far
-    # inside the floor and the estimate stands
+    # so 1e-6 relative is out of reach, but a change inside the floor ends
+    # the doubling (at 128 intervals, before the cap) and the estimate stands
     R = 8.0
     f = bump(0.0, 2.0, make_grid(2 * R + 16.0, 512))
     assert 1e-11 < duhamel_bound(f, 0.25, R) < 3e-11
+
+
+def test_duhamel_stops_at_the_roundoff_floor_before_the_cap(monkeypatch):
+    # at R = 10 the whole integral (~1e-13) sits at the roundoff floor, so
+    # no level can reach 1e-6 relative: the first change inside the floor
+    # ends the doubling, where a floor test at the cap alone runs all 4097
+    # nodes; every node is one row of a batched inverse FFT
+    R = 10.0
+    f = bump(0.0, 2.0, make_grid(2 * R + 16.0, 512))
+    ifft, nodes = np.fft.ifft, []
+
+    def counting(a, *args, **kwargs):
+        nodes.append(a.shape[0])
+        return ifft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifft", counting)
+    value = duhamel_bound(f, 0.25, R)
+    assert 0 < sum(nodes) <= 129
+    assert 0 < value < 1e-12
 
 
 def test_box_margin_gate():

@@ -157,7 +157,7 @@ def test_local_number_matches_two_point_basis(trap_state):
     for j in idx:
         e = np.zeros(grid.n_points, dtype=complex)
         e[j] = 1.0 / np.sqrt(grid.dx)
-        ev = trap_state.decomposition.mode(0).with_values(e)
+        ev = WaveFunction(grid, e)
         total += two_point(trap_state, ev, ev).real
     assert total == pytest.approx(local_particle_number(trap_state, -1.0, 1.0), rel=1e-10)
 
@@ -282,9 +282,7 @@ def test_number_resolvent_matches_fock_oracle(trap_state):
     # f in the span of two eigenmodes: the state reduces to two thermal modes
     decomp = trap_state.decomposition
     alpha, beta_c = 0.8, 0.6
-    f = decomp.mode(0).with_values(
-        alpha * decomp.eigenvectors[:, 0] + beta_c * decomp.eigenvectors[:, 2]
-    )
+    f = WaveFunction(decomp.grid, alpha * decomp.eigenvectors[:, 0] + beta_c * decomp.eigenvectors[:, 2])
     eps = [float(decomp.eigenvalues[0]), float(decomp.eigenvalues[2])]
     space = build_fock(2, 48)
     for lam in (0.5, 1.0):
@@ -385,7 +383,7 @@ def _mulimit_functions():
     f0 = f0.with_values(f0.values / f0.norm())
     # Im of the boosted bump is exactly zero at x = 0, inside its support span
     boosted = f1.with_values(f1.values * np.exp(1.5j * grid.x))
-    assert boosted.values.imag[grid.index_origin] == 0.0
+    assert boosted.values.imag[grid.index_of(0.0)] == 0.0
     return {"mean_one": f1, "zero_mean": f0, "boosted": boosted}
 
 

@@ -1,10 +1,12 @@
-"""Every public top-level definition of the library must be used outside tests.
+"""Every public definition of the library must be used outside tests.
 
-A name counts as used when some module of the library other than
-`__init__.py` and its own definition, a demo or a benchmark script names
-it: as a variable, an attribute, an import or a string (the benchmark
-tracer wraps layers by name).  Code that only tests reach belongs beside
-the tests, in `tests/references.py`.
+Public definitions are the top-level functions, classes and constants of
+each module and the public methods and properties of its classes.  A name
+counts as used when some module of the library other than `__init__.py`
+and its own definition, a demo or a benchmark script names it: as a
+variable, an attribute, an import or a string (the benchmark tracer wraps
+layers by name).  Code that only tests reach belongs beside the tests, in
+`tests/references.py`.
 """
 
 import ast
@@ -39,10 +41,12 @@ def test_every_public_definition_is_reached_outside_the_tests():
     for path in modules:
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                names = [node.name]
+                names = [(node.name, node.name)]
             elif isinstance(node, ast.Assign):
-                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+                names = [(t.id, t.id) for t in node.targets if isinstance(t, ast.Name)]
             else:
                 continue
-            unused += [f"{path.stem}.{n}" for n in names if not n.startswith("_") and n not in used]
+            if isinstance(node, ast.ClassDef):  # its methods and properties
+                names += [(f.name, f"{node.name}.{f.name}") for f in node.body if isinstance(f, ast.FunctionDef)]
+            unused += [f"{path.stem}.{q}" for n, q in names if not n.startswith("_") and n not in used]
     assert unused == [], "reached only by tests: " + ", ".join(unused)
