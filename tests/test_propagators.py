@@ -322,8 +322,8 @@ def test_duhamel_accepts_the_roundoff_floor_at_the_cap():
 def test_duhamel_stops_at_the_roundoff_floor_before_the_cap(monkeypatch):
     # at R = 10 the whole integral (~1e-13) sits at the roundoff floor, so
     # no level can reach 1e-6 relative: the first change inside the floor
-    # ends the doubling, where a floor test at the cap alone runs all 4097
-    # nodes; every node is one row of a batched inverse FFT
+    # ends the doubling far below the cap's 4097 nodes; every node is one
+    # row of a batched inverse FFT
     R = 10.0
     f = bump(0.0, 2.0, make_grid(2 * R + 16.0, 512))
     ifft, nodes = np.fft.ifft, []
