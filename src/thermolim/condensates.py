@@ -10,16 +10,12 @@
 # the constant 1 and to x respectively; their pairings with a fixed test
 # function approach Integral(f) resp. Integral(x f) at rate 1/R^2.
 #
-# The trap is mirror symmetric, so trap_mode solves it in two half blocks
-# (Cantoni & Butler, Linear Algebra Appl. 13, 275 (1976)).  On x_k = k dx,
-# k >= 0, with a hard wall at +L, the even modes solve the block whose
-# first off-diagonal is scaled by sqrt(2) (for psi(0) = v_0,
-# psi(k dx) = v_k / sqrt(2)), and the odd modes the block on k >= 1 with
-# psi(0) = 0, which is the l = 0 radial operator.  The lowest mode of each
-# block is mirrored onto the whole grid, so each mode's parity is exact by
-# construction; x = -L, the mirror of the wall, gets 0.  The pairing and
-# count scans only read the solved TrapModes, so a radius that several
-# scans share is solved once.
+# The trap is mirror symmetric, so trap_mode takes its two lowest modes
+# from hamiltonians.mirror_window: column 0 is the lowest mode of the even
+# half block, column 1 that of the odd one, each mirrored onto the whole
+# grid with exact parity and 0 at x = -L.  The pairing and count scans only
+# read the solved TrapModes, so a radius that several scans share is solved
+# once.
 #
 # In 3D the lowest axial (l = 1) mode approaches z with the radial shape
 # s(u) = 3 j1(u)/u, normalized so s(0) = 1; the deviation |h(x) - z| is
@@ -34,8 +30,8 @@ from scipy.special import spherical_jn
 
 from .grids import GridConfigError, RadialGrid, WaveFunction
 from .hamiltonians import (
-    TridiagonalOperator,
     diagonalize,
+    mirror_window,
     radial_assemble,
     soft_wall_trap,
     trap_operator,
@@ -81,33 +77,19 @@ class TrapModes:
 
 def trap_mode(R: float, dx_target: float) -> TrapModes:
     """
-    Lowest even and odd modes of trap_operator(R, dx_target), one n_modes = 1
-    solve of each half block of the module header.  The even mode is scaled
-    to h(0) = 1, the odd mode to unit slope h(dx) / dx = 1.
+    Lowest even and odd modes of trap_operator(R, dx_target), the two
+    half-block modes of mirror_window.  The even mode is scaled to
+    h(0) = 1, the odd mode to unit slope h(dx) / dx = 1.
     """
     H = trap_operator(R, dx_target)
     grid, N = H.grid, H.grid.n_points // 2
-    d, e = H.diagonal[N:], H.off_diagonal[N:]  # rows x = 0 .. L - dx
-    e_even = e.copy()
-    e_even[0] *= np.sqrt(2.0)
-    # the blocks carry the trap's grid only for the spacing diagonalize scales by
-    even = diagonalize(TridiagonalOperator(d, e_even, grid), n_modes=1)
-    odd = diagonalize(TridiagonalOperator(d[1:], e[1:], grid), n_modes=1)
-    v = even.eigenvectors[:, 0] / even.eigenvectors[0, 0]
-    v[1:] /= np.sqrt(2.0)
-    u = odd.eigenvectors[:, 0] * (grid.dx / odd.eigenvectors[0, 0])
-
-    def mirrored(half: np.ndarray, sign: float) -> WaveFunction:
-        # half holds x = 0 .. L - dx; x = -L, the mirror of the wall, stays 0
-        full = np.zeros(grid.n_points)
-        full[N:] = half
-        full[1:N] = sign * half[:0:-1]
-        return WaveFunction(grid, full)
-
+    modes = mirror_window(H, 2)
+    w, v = modes.eigenvalues, modes.eigenvectors
     return TrapModes(
         R,
-        {"even": float(even.eigenvalues[0]), "odd": float(odd.eigenvalues[0])},
-        {"even": mirrored(v, 1.0), "odd": mirrored(np.concatenate(([0.0], u)), -1.0)},
+        {"even": float(w[0]), "odd": float(w[1])},
+        {"even": WaveFunction(grid, v[:, 0] / v[N, 0]),
+         "odd": WaveFunction(grid, v[:, 1] * (grid.dx / v[N + 1, 1]))},
     )
 
 
@@ -156,16 +138,17 @@ def condensate_count_scaling(parity: str, kappa: float, scan):
     """
     Particle count of the condensate inside [-R, R],
     kappa^2 Integral_{-R}^{R} h_R(x)^2 dx, for each TrapModes in scan, and
-    its fitted growth exponent.
+    its fitted growth exponent.  kappa must be positive: a zero count has
+    no exponent.
     """
+    if not kappa > 0:
+        raise ValueError(f"condensate amplitude kappa must be > 0, got {kappa}")
     scan = sorted(scan, key=lambda t: t.R)
     counts = []
     for t in scan:
         h = t.modes[parity]
         m = np.abs(h.grid.x) <= t.R
         counts.append(kappa**2 * float((h.values.real[m] ** 2).sum() * h.grid.dx))
-    if kappa == 0:
-        return 0.0, counts
     return fit_loglog_slope([t.R for t in scan], counts), counts
 
 

@@ -25,6 +25,24 @@
 # (0.5 s against 10 s for a stiff wall, 1.7 s against 4.8 s for a soft one).
 # eigenvalue_count(H, E) is the O(n) Sturm count that turns an energy cap
 # into a mode count.
+#
+# mirror_window(H, m) takes the same m modes of a mirror-symmetric trap
+# from its two half blocks (Cantoni & Butler, Linear Algebra Appl. 13, 275
+# (1976)), each a dstemr window of half the rows, so it costs half of one
+# window.  On x_j = -L + j dx, j < n, with the origin at N = n/2 and hard
+# walls at -L - dx and +L, rows N .. n-1 with the first off-diagonal times
+# sqrt(2) give the even modes (psi(0) = v_0, psi(+-k dx) = v_k / sqrt(2)),
+# and rows N+1 .. n-1 the odd ones (psi(0) = 0, psi(+-k dx) = +-u_k / sqrt(2)).
+# dstemr writes the ceil(m/2) even vectors into the even columns and the
+# floor(m/2) odd ones into the odd columns of one n x m block (LDZ = 2n),
+# and each is mirrored in place, so parity is exact.  Even and odd levels
+# of the mirror-symmetric part interlace strictly, so column 2i is even
+# mode i and column 2i+1 odd mode i with no sort.  Row x = -L has no
+# mirror: the split sets it to 0 and drops its coupling e_0, which leaves
+# each mirrored unit vector u the residual |e_0 u(-L + dx)| against H.  The
+# split is taken only when d[N-k] == d[N+k], the off-diagonal is constant,
+# m < N - 1 and every residual is at most eps times the Gershgorin norm of
+# H; otherwise mirror_window returns diagonalize(H, n_modes=m).
 
 from __future__ import annotations
 
@@ -93,9 +111,10 @@ class SpectralDecomposition:
     (sum |psi_j|^2 dx = 1) with the sign fixed so the first component
     exceeding 1e-12 of the max magnitude is positive.
 
-    Both arrays are read-only.  Arrays passed in read-only are kept as they
-    are (diagonalize hands over arrays it has just allocated); writeable
-    ones are copied, so the caller cannot change the decomposition later.
+    The eigenvectors have one row per grid point.  Both arrays are
+    read-only.  Arrays passed in read-only are kept as they are
+    (diagonalize hands over arrays it has just allocated); writeable ones
+    are copied, so the caller cannot change the decomposition later.
     """
 
     grid: object
@@ -103,6 +122,10 @@ class SpectralDecomposition:
     eigenvectors: np.ndarray  # shape (n_grid, n_modes)
 
     def __post_init__(self):
+        rows = np.shape(self.eigenvectors)[0]
+        if rows != self.grid.n_points:
+            raise GridConfigError(
+                f"{rows} eigenvector rows on a grid of {self.grid.n_points} points")
         for name in ("eigenvalues", "eigenvectors"):
             a = np.asarray(getattr(self, name), dtype=float)
             if a.flags.writeable:
@@ -178,37 +201,46 @@ def _lapack_handle(name: str, *argtypes):
 
 
 _C, _I, _D = ctypes.c_char_p, ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_double)
+_A = ctypes.c_void_p  # an array, passed as its data address (array.ctypes.data)
 # dstemr(JOBZ, RANGE, N, D, E, VL, VU, IL, IU, M, W, Z, LDZ, NZC, ISUPPZ,
 #        TRYRAC, WORK, LWORK, IWORK, LIWORK, INFO)
 _DSTEMR = _lapack_handle(
-    "dstemr", _C, _C, _I, _D, _D, _D, _D, _I, _I, _I, _D, _D, _I, _I, _I, _I, _D, _I, _I, _I, _I)
+    "dstemr", _C, _C, _I, _A, _A, _D, _D, _I, _I, _I, _A, _A, _I, _I, _A, _I, _A, _I, _A, _I, _I)
 
 
-def _mrrr_window(d: np.ndarray, e: np.ndarray, m: int):
+def _mrrr_window(d: np.ndarray, e: np.ndarray, z: np.ndarray) -> np.ndarray:
     """
-    Lowest m eigenpairs of the symmetric tridiagonal (d, e) from dstemr,
-    with the eigenvectors in an n x m Fortran block; ValueError on NaN or
-    inf input (as eigh_tridiagonal), EigensolverError when dstemr fails.
+    Lowest m = z.shape[1] eigenvalues of the symmetric tridiagonal (d, e)
+    from dstemr, which writes the eigenvectors into z: an n x m float view
+    with contiguous columns that lie LDZ = z.strides[1] / 8 floats apart (a
+    Fortran block, or every other column of a longer one).  ValueError on
+    NaN or inf input (as eigh_tridiagonal), EigensolverError when dstemr
+    fails.
     """
-    n = d.size
+    n, m = z.shape
+    if z.dtype != np.float64 or z.strides[0] != z.itemsize:
+        raise ValueError("dstemr needs a float64 block with contiguous columns")
     d = np.asarray_chkfinite(d, dtype=float).copy()  # dstemr overwrites d and e,
     e = np.append(np.asarray_chkfinite(e, dtype=float), 0.0)  # and e has length n
-    w, z = np.empty(n), np.empty((n, m), order="F")
+    w = np.empty(n)
     isuppz = np.empty(2 * m, dtype=np.intc)
     work, iwork = np.empty(18 * n), np.empty(10 * n, dtype=np.intc)  # the documented minima
-    ints = [ctypes.pointer(ctypes.c_int(k)) for k in (n, 1, m, 0, n, m, 1, work.size, iwork.size, 0)]
+    lead = max(n, z.strides[1] // z.itemsize)
+    ints = [ctypes.pointer(ctypes.c_int(k)) for k in (n, 1, m, 0, lead, m, 1, work.size, iwork.size, 0)]
     n_, il, iu, found, ldz, nzc, tryrac, lwork, liwork, info = ints
     bound = ctypes.pointer(ctypes.c_double(0.0))  # VL and VU, unused for RANGE = 'I'
-
-    def ptr(a):
-        return a.ctypes.data_as(_I if a.dtype == np.intc else _D)
-
-    _DSTEMR(b"V", b"I", n_, ptr(d), ptr(e), bound, bound, il, iu, found, ptr(w), ptr(z),
-            ldz, nzc, ptr(isuppz), tryrac, ptr(work), lwork, ptr(iwork), liwork, info)
+    # plain addresses: array.ctypes.data_as leaves reference cycles behind
+    _DSTEMR(b"V", b"I", n_, d.ctypes.data, e.ctypes.data, bound, bound, il, iu, found,
+            w.ctypes.data, z.ctypes.data, ldz, nzc, isuppz.ctypes.data, tryrac, work.ctypes.data,
+            lwork, iwork.ctypes.data, liwork, info)
     if info[0] != 0 or found[0] != m:
         raise EigensolverError(
             f"dstemr failed: INFO = {info[0]}, {found[0]} of {m} eigenpairs returned")
-    return w[:m].copy(), z
+    return w[:m].copy()
+
+
+def _spacing(H: TridiagonalOperator) -> float:
+    return getattr(H.grid, "dx", None) or H.grid.dr
 
 
 def diagonalize(
@@ -224,10 +256,11 @@ def diagonalize(
     comes from the divide-and-conquer full solve (an n x n eigenvector
     matrix).  NaN or inf entries raise ValueError on both paths.
     """
-    dx = getattr(H.grid, "dx", None) or H.grid.dr
+    dx = _spacing(H)
     try:
         if n_modes is not None and n_modes < H.size:
-            w, v = _mrrr_window(H.diagonal, H.off_diagonal, n_modes)
+            v = np.empty((H.size, n_modes), order="F")
+            w = _mrrr_window(H.diagonal, H.off_diagonal, v)
         else:
             w, v = eigh_tridiagonal(H.diagonal, H.off_diagonal)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
@@ -239,6 +272,52 @@ def diagonalize(
     w.flags.writeable = False
     v.flags.writeable = False
     return SpectralDecomposition(H.grid, w, v)
+
+
+def _gershgorin_norm(H: TridiagonalOperator) -> float:
+    """max_i |d_i| + |e_(i-1)| + |e_i|, an upper bound on the norm of H."""
+    row = np.abs(H.diagonal)
+    row[1:] += np.abs(H.off_diagonal)
+    row[:-1] += np.abs(H.off_diagonal)
+    return float(row.max())
+
+
+def mirror_window(H: TridiagonalOperator, n_modes: int) -> SpectralDecomposition:
+    """
+    The lowest n_modes modes of H, as diagonalize(H, n_modes) returns them:
+    from the even and odd half blocks of the module header when H passes
+    the mirror gate there, else from diagonalize itself.  From the half
+    blocks, column 2i is even mode i and column 2i+1 odd mode i, each with
+    exact parity about x = 0 and 0 at x = -L; levels that fail to
+    interlace raise EigensolverError.
+    """
+    d, e, n, m = H.diagonal, H.off_diagonal, H.size, n_modes
+    N = n // 2
+    if not (n % 2 == 0 and 0 < m < N - 1
+            and np.array_equal(d[1:N], d[:N:-1]) and np.all(e == e[0])):
+        return diagonalize(H, n_modes=m)
+    z = np.empty((n, m), order="F")
+    w = np.empty(m)
+    # the even block's first off-diagonal is sqrt(2) e; the odd block is H's rows
+    w[0::2] = _mrrr_window(d[N:], np.append(np.sqrt(2.0) * e[N], e[N + 1:]), z[N:, 0::2])
+    w[1::2] = _mrrr_window(d[N + 1:], e[N + 1:], z[N + 1:, 1::2])
+    # row n-1 holds sqrt(2) u(L - dx) = +-sqrt(2) u(-L + dx)
+    residual = abs(e[0]) * np.abs(z[n - 1]).max() * np.sqrt(0.5)
+    if residual > np.finfo(float).eps * _gershgorin_norm(H):
+        del z  # so the full-size window does not hold two blocks
+        return diagonalize(H, n_modes=m)
+    if np.any(w[1:] <= w[:-1]):
+        raise EigensolverError("the even and odd levels of a mirror-symmetric trap do not interlace")
+    z[N + 1:] *= np.sqrt(0.5)
+    z[N, 1::2] = 0.0
+    z[0] = 0.0  # x = -L, the mirror of the wall at +L
+    for j in range(m):  # column by column: a whole-block mirror copies its source
+        col = z[:, j]
+        np.multiply(col[:N:-1], -1.0 if j % 2 else 1.0, out=col[1:N])
+    z = _fix_signs(z, _spacing(H))
+    w.flags.writeable = False
+    z.flags.writeable = False
+    return SpectralDecomposition(H.grid, w, z)
 
 
 # largest trap_operator grid; its eigenvector matrix is 2 GiB

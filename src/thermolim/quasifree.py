@@ -21,8 +21,11 @@
 # all n modes sum to 1/dx at each grid point, so the discarded density is
 # at most n_B(eps_max)/dx <= tol/2 everywhere.  QuasifreeState checks that
 # bound for every incomplete decomposition (a complete one has bound 0).
-# diagonalize takes any window of m < n modes by MRRR in O(n m) time and
-# memory; a cap above the whole spectrum (m = n + 1) takes the full solve.
+# The window comes from hamiltonians.mirror_window: a mirror-symmetric trap
+# whose box edge carries no weight is solved as its even and odd half
+# blocks, two MRRR windows of half the rows, and any other operator takes
+# diagonalize's one window of m < n modes in O(n m) time and memory.  A cap
+# above the whole spectrum (m = n + 1) takes the full solve.
 #
 # Thermodynamic-limit quantities use the momentum-space multiplier
 # n(p^2) = (e^(beta(p^2 - mu)) - 1)^(-1).  The 3D state's condensate is the
@@ -62,8 +65,8 @@ from .grids import RadialGrid, WaveFunction, _phase_sums, _support_span, inner
 from .hamiltonians import (
     SpectralDecomposition,
     TridiagonalOperator,
-    diagonalize,
     eigenvalue_count,
+    mirror_window,
 )
 from .propagators import QuadratureCapError
 
@@ -195,11 +198,12 @@ def thermal_decomposition(H: TridiagonalOperator, beta: float, mu: float) -> Spe
     """
     The modes of H that a thermal state at (beta, mu) needs: the lowest ones
     up to the first above the Bose energy cap (module header), whose
-    discard bound is at most DISCARD_TOL / 2.
+    discard bound is at most DISCARD_TOL / 2, taken from the trap's half
+    blocks where mirror_window's gate allows.
     """
     _check_beta_mu(beta, mu)
     cap = mu + np.log1p(2.0 / (DISCARD_TOL * H.grid.dx)) / beta
-    return diagonalize(H, n_modes=eigenvalue_count(H, cap) + 1)
+    return mirror_window(H, eigenvalue_count(H, cap) + 1)
 
 
 @dataclass(frozen=True)

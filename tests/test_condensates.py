@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import spherical_jn
 
-from thermolim import condensates
+from thermolim import hamiltonians
 from thermolim.condensates import (
     axial_shape,
     axial_trap_mode,
@@ -64,22 +64,25 @@ def test_trap_mode_matches_the_full_grid_solve(R):
 
 
 def test_trap_mode_solves_one_mode_of_each_half_block(monkeypatch):
+    # trap_mode takes its modes from mirror_window: one dstemr window of
+    # one mode in each half block, and no full-grid solve
     solves = []
+    window = hamiltonians._mrrr_window
 
-    def recording(H, n_modes=None):
-        solves.append((H.size, n_modes, H))
-        return diagonalize(H, n_modes=n_modes)
+    def recording(d, e, z):
+        solves.append((z.shape, np.array(d), np.array(e)))
+        return window(d, e, z)
 
-    monkeypatch.setattr(condensates, "diagonalize", recording)
+    monkeypatch.setattr(hamiltonians, "_mrrr_window", recording)
     R, dx = 16.0, 0.0625
     trap_mode(R, dx_target=dx)
     N = trap_operator(R, dx).grid.n_points // 2
-    assert [(size, m) for size, m, _ in solves] == [(N, 1), (N - 1, 1)]
+    assert [shape for shape, _, _ in solves] == [(N, 1), (N - 1, 1)]
     # the odd block is the l = 0 radial operator of the half line
-    odd = solves[1][2]
+    _, d, e = solves[1]
     radial = radial_assemble(RadialGrid((N - 1) * dx, N - 1), 0, soft_wall_trap(R))
-    assert np.array_equal(odd.diagonal, radial.diagonal)
-    assert np.array_equal(odd.off_diagonal, radial.off_diagonal)
+    assert np.array_equal(d, radial.diagonal)
+    assert np.array_equal(e, radial.off_diagonal)
 
 
 def test_even_mode_matches_interior_cosine():
@@ -158,8 +161,10 @@ def test_count_scaling_exponents():
     # the ground mode is a half cosine across the trap, so cos^2 averages
     # to 1/2 and the count comes out near kappa^2 R
     assert counts_even == pytest.approx([0.25 * R for R in radii], rel=0.05)
-    expo_zero, counts_zero = condensate_count_scaling("even", 0.0, scan)
-    assert expo_zero == 0.0 and all(c == 0 for c in counts_zero)
+    # a zero count has no exponent: kappa <= 0 (NaN too) is refused
+    for kappa in (0.0, -0.5, float("nan")):
+        with pytest.raises(ValueError, match="kappa"):
+            condensate_count_scaling("even", kappa, scan)
 
 
 def test_fit_loglog_slope_exact_power():

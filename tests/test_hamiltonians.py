@@ -41,7 +41,7 @@ def test_soft_wall_values():
 
 
 def test_two_by_two_closed_form():
-    H = TridiagonalOperator(np.array([2.0, 2.0]), np.array([-1.0]), SimpleNamespace(dx=1.0))
+    H = TridiagonalOperator(np.array([2.0, 2.0]), np.array([-1.0]), SimpleNamespace(dx=1.0, n_points=2))
     d = diagonalize(H)
     assert np.allclose(d.eigenvalues, [1.0, 3.0], atol=1e-14)
 
@@ -118,11 +118,18 @@ def test_spectral_decomposition_is_read_only():
         with pytest.raises(ValueError):
             a[0] = 1.0
     # writeable input is copied, so changing it later leaves the decomposition alone
-    w, v = np.array([1.0, 2.0]), np.eye(2)
+    w, v = np.array([1.0, 2.0]), np.eye(g.n_points, 2)
     d2 = SpectralDecomposition(g, w, v)
     w[0], v[0, 0] = 7.0, 7.0
     assert d2.eigenvalues[0] == 1.0 and d2.eigenvectors[0, 0] == 1.0
     assert not d2.eigenvalues.flags.writeable and not d2.eigenvectors.flags.writeable
+
+
+def test_spectral_decomposition_refuses_rows_off_the_grid():
+    # a half-block solve carries half the rows; it cannot stand for the grid
+    g = make_grid(8.0, 256)
+    with pytest.raises(GridConfigError, match="128 eigenvector rows on a grid of 256"):
+        SpectralDecomposition(g, np.array([1.0]), np.ones((128, 1)))
 
 
 def test_eigenvalues_nonnegative_for_confining_potential():

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from thermolim import condensates, lab
+from thermolim import condensates, hamiltonians, lab
 from thermolim.cli import main
 from thermolim.grids import bump, make_grid
 from thermolim.lab import ConfigError, parse_config, run
@@ -193,6 +193,7 @@ def test_cli_rejects_a_bad_radius_list_before_solving(experiment, bad, expect, m
 
     monkeypatch.setattr(lab, "evolve_chebyshev", no_solve)
     monkeypatch.setattr(condensates, "diagonalize", no_solve)
+    monkeypatch.setattr(condensates, "mirror_window", no_solve)
     monkeypatch.setattr(lab.qf, "thermal_decomposition", no_solve)
     config = dict(LEMMA31_SMALL, **bad) if experiment == "lemma31" else bad
     cfg = tmp_path / "run.cfg"
@@ -459,14 +460,17 @@ def test_lemma31_solves_only_its_stiff_wall_jobs(monkeypatch):
 
 def test_condensate1d_solves_each_radius_once(monkeypatch):
     # the profile, pairing and count scans share radii 20, 40 and 80; each
-    # radius is one even (N rows) and one odd (N - 1 rows) half-block solve
+    # radius is one even (N rows) and one odd (N - 1 rows) one-mode
+    # half-block window, and no full-grid solve
     sizes = []
+    window = hamiltonians._mrrr_window
 
-    def counting(H, n_modes=None):
-        sizes.append(H.size)
-        return diagonalize(H, n_modes)
+    def counting(d, e, z):
+        assert z.shape[1] == 1
+        sizes.append(z.shape[0])
+        return window(d, e, z)
 
-    monkeypatch.setattr(condensates, "diagonalize", counting)
+    monkeypatch.setattr(hamiltonians, "_mrrr_window", counting)
     rep = run("condensate1d", {})
     assert len(sizes) == len(set(sizes)) == 8
     assert sizes[1::2] == [n - 1 for n in sizes[::2]]
