@@ -40,9 +40,18 @@
 # mode i and column 2i+1 odd mode i with no sort.  Row x = -L has no
 # mirror: the split sets it to 0 and drops its coupling e_0, which leaves
 # each mirrored unit vector u the residual |e_0 u(-L + dx)| against H.  The
-# split is taken only when d[N-k] == d[N+k], the off-diagonal is constant,
-# m < N - 1 and every residual is at most eps times the Gershgorin norm of
-# H; otherwise mirror_window returns diagonalize(H, n_modes=m).
+# split is taken only when d[N-k] == d[N+k], the off-diagonal is constant
+# and m < N - 1.  After each block's window, every residual must be at
+# most eps times the Gershgorin norm of H, so a failed even block skips
+# the odd solve, and a failed split costs one window of half the rows and
+# half the modes before the full-size one.  Interlacing (Cauchy) lets H have
+# one level more than the half blocks below w[m-1], such as a mode at a
+# low d[0], so a last Sturm count asks that exactly m levels of H lie
+# below w[m-1] + 64 n eps |H|.  A failed check returns
+# diagonalize(H, n_modes=m), after the split's block is freed.  For
+# m = 1 only the even block is solved.
+# trap_operator mirrors its diagonal, so every trap passes the symmetry
+# check, whatever its spacing.
 
 from __future__ import annotations
 
@@ -184,9 +193,10 @@ def eigenvalue_count(H: TridiagonalOperator, energy: float) -> int:
     count, q = 0, 1.0
     for d, b2 in zip((H.diagonal - energy).tolist(), [0.0] + e2):
         q = d - b2 / q
-        if abs(q) < pivmin:
-            q = -pivmin
-        count += q < 0
+        if q < pivmin:  # one test for the common positive pivot
+            if q > -pivmin:
+                q = -pivmin
+            count += 1
     return count
 
 
@@ -291,23 +301,36 @@ def mirror_window(H: TridiagonalOperator, n_modes: int) -> SpectralDecomposition
     exact parity about x = 0 and 0 at x = -L; levels that fail to
     interlace raise EigensolverError.
     """
-    d, e, n, m = H.diagonal, H.off_diagonal, H.size, n_modes
+    split = _half_block_window(H, n_modes)
+    return split if split is not None else diagonalize(H, n_modes=n_modes)
+
+
+def _half_block_window(H: TridiagonalOperator, m: int) -> Optional[SpectralDecomposition]:
+    """mirror_window's split, or None where its gate fails (module header)."""
+    d, e, n = H.diagonal, H.off_diagonal, H.size
     N = n // 2
     if not (n % 2 == 0 and 0 < m < N - 1
             and np.array_equal(d[1:N], d[:N:-1]) and np.all(e == e[0])):
-        return diagonalize(H, n_modes=m)
+        return None
+    norm = _gershgorin_norm(H)
     z = np.empty((n, m), order="F")
     w = np.empty(m)
     # the even block's first off-diagonal is sqrt(2) e; the odd block is H's rows
-    w[0::2] = _mrrr_window(d[N:], np.append(np.sqrt(2.0) * e[N], e[N + 1:]), z[N:, 0::2])
-    w[1::2] = _mrrr_window(d[N + 1:], e[N + 1:], z[N + 1:, 1::2])
-    # row n-1 holds sqrt(2) u(L - dx) = +-sqrt(2) u(-L + dx)
-    residual = abs(e[0]) * np.abs(z[n - 1]).max() * np.sqrt(0.5)
-    if residual > np.finfo(float).eps * _gershgorin_norm(H):
-        del z  # so the full-size window does not hold two blocks
-        return diagonalize(H, n_modes=m)
+    blocks = ((0, d[N:], np.append(np.sqrt(2.0) * e[N], e[N + 1:])), (1, d[N + 1:], e[N + 1:]))
+    for parity, db, eb in blocks:
+        cols = z[n - db.size:, parity::2]
+        if cols.shape[1] == 0:  # m = 1 has no odd mode
+            continue
+        w[parity::2] = _mrrr_window(db, eb, cols)
+        # row n-1 holds sqrt(2) u(L - dx) = +-sqrt(2) u(-L + dx)
+        if abs(e[0]) * np.abs(cols[-1]).max() * np.sqrt(0.5) > np.finfo(float).eps * norm:
+            return None
     if np.any(w[1:] <= w[:-1]):
         raise EigensolverError("the even and odd levels of a mirror-symmetric trap do not interlace")
+    # each level is an eigenvalue of H to the residuals above; they are its
+    # lowest m only if no other level (such as one at row x = -L) lies below
+    if eigenvalue_count(H, w[-1] + 64 * n * np.finfo(float).eps * norm) != m:
+        return None
     z[N + 1:] *= np.sqrt(0.5)
     z[N, 1::2] = 0.0
     z[0] = 0.0  # x = -L, the mirror of the wall at +L
@@ -328,8 +351,9 @@ def trap_operator(R: float, dx_target: float) -> TridiagonalOperator:
     """
     The soft-wall trap of radius R (c = 1) in a box L = R + 16, with spacing
     ~dx_target rounded to a commensurate power of two (so that integer
-    positions are exact grid points).  A grid above TRAP_N_CAP points is
-    refused.
+    positions are exact grid points).  The diagonal is mirror symmetric
+    about x = 0 bit for bit, also when R + 16 is no multiple of the
+    spacing.  A grid above TRAP_N_CAP points is refused.
     """
     L = R + 16.0
     # dx = 2^-k <= dx_target keeps integers on the grid
@@ -340,4 +364,9 @@ def trap_operator(R: float, dx_target: float) -> TridiagonalOperator:
     if n > TRAP_N_CAP:
         raise GridConfigError(f"R = {R} at dx = 2^-{k} needs {n} points, above cap {TRAP_N_CAP}")
     grid = Grid1D(L, n)
-    return assemble(grid, soft_wall_trap(R))
+    H = assemble(grid, soft_wall_trap(R))
+    # the potential is even, but x_(N-k) and -x_(N+k) can differ by rounding
+    # when dx is not a power of two: mirror the right half onto the left
+    d = H.diagonal.copy()
+    d[1:n // 2] = d[:n // 2:-1]
+    return TridiagonalOperator(d, H.off_diagonal, grid)

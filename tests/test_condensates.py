@@ -36,7 +36,8 @@ def test_renormalization_fixed_points():
     assert (h1[N + 1] - h1[N - 1]) / (2 * dx) == pytest.approx(1.0, rel=1e-14)
 
 
-@pytest.mark.parametrize("R", [16.0, 40.0])
+# 20.3: R + 16 is no multiple of 1/16, so dx is no power of two
+@pytest.mark.parametrize("R", [16.0, 40.0, 20.3])
 def test_trap_mode_parity_is_exact(R):
     t = trap_mode(R, dx_target=0.0625)
     even, odd = t.modes["even"].values, t.modes["odd"].values
@@ -48,7 +49,7 @@ def test_trap_mode_parity_is_exact(R):
     assert even[0] == 0.0 and odd[0] == 0.0
 
 
-@pytest.mark.parametrize("R", [16.0, 40.0])
+@pytest.mark.parametrize("R", [16.0, 40.0, 20.3])
 def test_trap_mode_matches_the_full_grid_solve(R):
     # the half blocks against both lowest modes of the whole grid,
     # renormalized the same way (centred slope for the odd mode)

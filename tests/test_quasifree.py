@@ -15,6 +15,7 @@ from thermolim.hamiltonians import (
     assemble,
     diagonalize,
     eigenvalue_count,
+    mirror_window,
     soft_wall_trap,
     trap_operator,
 )
@@ -800,16 +801,47 @@ def test_asymmetric_operator_takes_one_full_size_window(monkeypatch):
 
 
 def test_hot_state_falls_back_to_one_full_size_window(windowed_and_full, monkeypatch):
-    # at beta = 0.03 the modes reach x = -L + dx: the split's residual
-    # there is about 23, so the half blocks are solved and then discarded
+    # at beta = 0.03 the modes reach x = -L + dx: the even block's residual
+    # there is about 23, so the odd block is never solved
     H, _, _ = windowed_and_full
     shapes = _recording_windows(monkeypatch)
     hot = thermal_decomposition(H, 0.03, -1.0)
-    N = H.size // 2
-    assert shapes == [(N, 415), (N - 1, 414), (H.size, 829)]
+    assert shapes == [(H.size // 2, 415), (H.size, 829)]
     ref = diagonalize(H, n_modes=829)
     assert np.array_equal(hot.eigenvalues, ref.eigenvalues)
     assert np.array_equal(hot.eigenvectors, ref.eigenvectors)
+
+
+def test_cold_state_solves_one_mode_of_the_even_block(monkeypatch):
+    # at beta = 50 the Bose cap (about -0.21) lies below the ground level,
+    # so the window holds one mode, and the odd block has none to solve
+    H = trap_operator(20.0, dx_target=0.125)
+    shapes = _recording_windows(monkeypatch)
+    cold = thermal_decomposition(H, 50.0, -1.0)
+    assert shapes == [(H.size // 2, 1)]
+    ref = diagonalize(H, n_modes=1)
+    assert cold.eigenvectors.shape == (H.size, 1)
+    assert abs(cold.eigenvalues[0] - ref.eigenvalues[0]) <= 1e-12
+    assert np.abs(cold.eigenvectors - ref.eigenvectors).max() <= 1e-9 * np.abs(ref.eigenvectors).max()
+    assert QuasifreeState(beta=50.0, mu=-1.0, decomposition=cold).discard_bound < DISCARD_TOL
+
+
+@pytest.mark.parametrize("m", [1, 5])
+def test_level_at_the_unmirrored_row_takes_one_full_size_window(m, monkeypatch):
+    # a low d[0] puts a mode at x = -L that neither half block holds; the
+    # residual gate cannot see it, the closing Sturm count does
+    H = trap_operator(20.0, dx_target=0.125)
+    d = H.diagonal.copy()
+    d[0] = -100.0
+    low = TridiagonalOperator(d, H.off_diagonal, H.grid)
+    shapes = _recording_windows(monkeypatch)
+    decomp = mirror_window(low, m)
+    N = H.size // 2
+    assert shapes == [(N, (m + 1) // 2)] + [(N - 1, m // 2)] * (m > 1) + [(H.size, m)]
+    ref = diagonalize(low, n_modes=m)
+    assert decomp.eigenvalues[0] < -100.0
+    assert np.array_equal(decomp.eigenvalues, ref.eigenvalues)
+    assert np.array_equal(decomp.eigenvectors, ref.eigenvectors)
 
 
 def test_half_block_window_keeps_the_peak_of_one_full_size_window():
