@@ -46,6 +46,7 @@ from .propagators import (
     DecayReport,
     duhamel_bound,
     evolve_chebyshev,
+    evolve_chebyshev_batch,
     evolve_free,
     evolve_spectral,
     gap_decay_scan,

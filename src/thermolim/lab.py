@@ -17,7 +17,6 @@ from __future__ import annotations
 import json
 import numbers
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -31,7 +30,7 @@ from .hamiltonians import diagonalize  # noqa: F401  (perfbench/selftest.py read
 from .propagators import (
     ValidityGateError,
     duhamel_bound,
-    evolve_chebyshev,
+    evolve_chebyshev_batch,
     evolve_free,
     gap_decay_scan,
     gated_gap,
@@ -255,24 +254,27 @@ def run_propagator_scan(config: dict) -> Report:
         columns=["c_rule", "t", "R", "gap", "duhamel_bound", "slope", "verdict"],
     )
 
-    def scan_radius(job):
-        # one (rule, R) evolution to every time by the Chebyshev series on
-        # the packet's reachable block: a pool thread holds O(n), no n x n matrix
-        rule_name, R = job
-        grid = make_grid(box_L(R), cfg["n_points"])
-        f = bump(cfg["bump_center"], cfg["bump_radius"], grid)
-        H = assemble(grid, soft_wall_trap(R, coupling[rule_name](R)))
-        gaps = []
-        for t, trapped in zip(ts, evolve_chebyshev(H, f, ts)[0]):
-            try:
-                gaps.append(gated_gap(evolve_free(f, t), trapped, R, margin=cfg["margin"]))
-            except ValidityGateError as exc:
-                gaps.append(exc)
-        return f, gaps
+    def scan(jobs):
+        # every (rule, R) packet evolved to every time by one batched
+        # Chebyshev series (`threads` batches on a thread pool), no n x n
+        # matrix; only the packets and their gaps outlive the call
+        packets = []
+        for rule_name, R in jobs:
+            grid = make_grid(box_L(R), cfg["n_points"])
+            f = bump(cfg["bump_center"], cfg["bump_radius"], grid)
+            packets.append((assemble(grid, soft_wall_trap(R, coupling[rule_name](R))), f, ts))
+        scanned = {}
+        for job, (_, f, _), (evolved, _) in zip(jobs, packets, evolve_chebyshev_batch(packets, cfg["threads"])):
+            gaps = []
+            for t, trapped in zip(ts, evolved):
+                try:
+                    gaps.append(gated_gap(evolve_free(f, t), trapped, job[1], margin=cfg["margin"]))
+                except ValidityGateError as exc:
+                    gaps.append(exc)
+            scanned[job] = (f, gaps)
+        return scanned
 
-    jobs = [(rule, R) for rule in rules for R in radii]
-    with ThreadPoolExecutor(max_workers=cfg["threads"]) as pool:
-        scanned = dict(zip(jobs, pool.map(scan_radius, jobs)))
+    scanned = scan([(rule, R) for rule in rules for R in radii])
 
     # the Duhamel bound is c^2 times its c = 1 integral, which depends on
     # (t, R) alone (the packet does not depend on the rule): computed once,
@@ -340,12 +342,14 @@ def run_sector_norms(config: dict) -> Report:
         columns=["n", "R", "gap", "exact_norm", "bound", "bound_ok"],
     )
     lam, t = cfg["lam"], cfg["t"]
-    norms = []
-    for n_sec in cfg["n_list"]:
-        R = n_sec + cfg["radius_offset"]
+    radii = [n_sec + cfg["radius_offset"] for n_sec in cfg["n_list"]]
+    packets = []
+    for R in radii:
         grid = make_grid(2.0 * R + 16.0, cfg["n_points"])
-        f = bump(0.0, cfg["bump_radius"], grid)
-        g1 = evolve_chebyshev(assemble(grid, soft_wall_trap(R, 1.0)), f, [t])[0][0]
+        packets.append((assemble(grid, soft_wall_trap(R, 1.0)), bump(0.0, cfg["bump_radius"], grid), [t]))
+    evolved = evolve_chebyshev_batch(packets, 1)  # every radius in one series
+    norms = []
+    for n_sec, R, (_, f, _), ((g1,), _) in zip(cfg["n_list"], radii, packets, evolved):
         g2 = evolve_free(f, t)
         gap = gated_gap(g2, g1, R)  # the box gate of every trapped-vs-free experiment
         n1, n2 = np.sqrt(inner(g1, g1).real), np.sqrt(inner(g2, g2).real)

@@ -3,8 +3,9 @@
 # Time evolution and the convergence of trapped to free dynamics.
 #
 # Two propagators run the experiments:
-# - evolve_chebyshev, the one path of every trapped packet: e^(-itH) f as a
-#   Chebyshev series in the Gershgorin-scaled operator H_s = (H - b)/a,
+# - evolve_chebyshev_batch (evolve_chebyshev for one packet), the one path
+#   of every trapped packet: e^(-itH) f as a Chebyshev series in the
+#   Gershgorin-scaled operator H_s = (H - b)/a,
 #   e^(-itH) = e^(-itb) sum_k (2 - delta_k0) (-i)^k J_k(a t) T_k(H_s)
 #   (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)).  One three-term
 #   recurrence T_(k+1) = 2 H_s T_k - T_(k-1) on f serves every time, at one
@@ -46,9 +47,38 @@
 # blocks keep 3075 to 1571 rows, the degree a t at t = 1 falls from
 # 39k-175k to 25k-13k, and the leak is at most 4e-18; R = 6 keeps the
 # whole box (degree 24k at t = 1).
+#
+# The even half.  A block cut on both sides, whose diagonal and packet are
+# mirror exact about a row mid (bit for bit) and whose one coupling e runs
+# through it and both cuts, keeps an even packet even.  The series then
+# runs on rows mid..hi-1 in the orthonormal basis e_mid,
+# (e_(mid+k) + e_(mid-k))/sqrt 2 of the even vectors (Cantoni & Butler,
+# Linear Algebra Appl. 13, 275 (1976)): half the rows, first coupling
+# sqrt 2 e, and the same norm.  It keeps the whole block's Gershgorin
+# (a, b) and tail weight, so its Bessel coefficients and degrees are the
+# block's.  Its one cut carries sqrt 2 |e|: the half's end value g(end) is
+# sqrt 2 u(hi-1), so sqrt 2 |e| |g(end)| is the two mirrored cuts' leak
+# |e| (|u(lo)| + |u(hi-1)|) summed.  A block reaching a box edge runs
+# unsplit (row 0, x = -L, has no mirror at +L), as does an off-centre or
+# asymmetric packet or operator.  At lemma31's defaults the c = R blocks
+# at R = 8..14 run on 1538 to 786 rows, and their gaps move by at most
+# 3.1e-12 relative: roundoff of some 25k terms.
+#
+# The batch.  evolve_chebyshev_batch runs many packets in one recurrence.
+# Their rows, per real and imaginary part, sit side by side in one vector
+# with no coupling between them, each row carrying its own packet's 2 H_s,
+# in order of descending degree, so the rows still running are a prefix.
+# A term then pays its Python and ufunc dispatch (about 7 us) once for all
+# packets.  Each packet keeps its own coefficients, degrees, leak sums and
+# bounds, and a packet whose cut leaks is rerun on its whole box, all such
+# packets in one more batch.  The new vectors are summed into every time
+# each _CHEBYSHEV_BLOCK terms, or as many as fit _CHEBYSHEV_RING_BYTES over
+# the batch's rows: 18 for lemma31's ten packets, whose batch peaks at
+# 11 MB, below the 18 MB that one duhamel_bound call at n = 4096 sets.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,7 +92,9 @@ EDGE_GATE = 5e-3  # largest relative edge amplitude an evolved packet may keep
 DUHAMEL_MAX_INTERVALS = 4096
 DUHAMEL_REL_TOL = 1e-6  # relative change at which the Duhamel quadrature stops doubling
 CHEBYSHEV_TAIL = 1e-15  # L2 bound on the neglected series tail at every time
-_CHEBYSHEV_BLOCK = 64  # Chebyshev vectors summed per matrix product
+_CHEBYSHEV_BLOCK = 64  # Chebyshev vectors summed per matrix product, at most
+_CHEBYSHEV_RING_BYTES = 4 << 20  # the ring of those vectors, at most (a batch sums fewer per product)
+_SQRT2 = np.sqrt(2.0)
 _DUHAMEL_BATCH = 64  # Duhamel nodes per batched inverse FFT
 
 
@@ -180,104 +212,292 @@ def evolve_chebyshev(H: TridiagonalOperator, f: WaveFunction, times):
     e^(-itH) f at each time of a 1-D sequence, by the Chebyshev series on
     the packet's reachable block (module header), with an L2 error bound
     per time that covers the series tail and the cut.  Times whose cut
-    leaks are rerun on the whole box.
+    leaks are rerun on the whole box.  A one-packet evolve_chebyshev_batch.
 
     Returns (evolved, bounds): lists in the order of `times`; every bound is
     at most CHEBYSHEV_TAIL.  NaN or inf operator entries raise ValueError.
     """
-    _check_grid(H.grid, f)
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1:
-        raise ValueError(f"times must be a 1-D sequence, got shape {times.shape}")
-    d = np.asarray_chkfinite(H.diagonal)
-    e = np.asarray_chkfinite(H.off_diagonal)
-    evolved, bounds = _chebyshev_block(d, e, f, times, *_reachable_block(d, e, f.values))
-    leaky = [m for m, bound in enumerate(bounds) if bound is None]
+    return evolve_chebyshev_batch([(H, f, times)], 1)[0]
+
+
+def evolve_chebyshev_batch(packets, threads: int):
+    """
+    evolve_chebyshev of every (H, f, times) in `packets`, all in one
+    Chebyshev recurrence (module header), or in `threads` recurrences of
+    about equal work (rows times degree) on a thread pool.  Times whose cut
+    leaks are rerun on their whole boxes, again in one batch.
+
+    Returns one (evolved, bounds) pair per packet, in the order of `packets`.
+    """
+    runs = []
+    for H, f, times in packets:
+        _check_grid(H.grid, f)
+        times = np.asarray(times, dtype=float)
+        if times.ndim != 1:
+            raise ValueError(f"times must be a 1-D sequence, got shape {times.shape}")
+        runs.append((np.asarray_chkfinite(H.diagonal), np.asarray_chkfinite(H.off_diagonal), f, times))
+    results = _run_groups([_plan(*run) for run in runs], threads)
+    leaky = [(i, [m for m, bound in enumerate(bounds) if bound is None]) for i, (_, bounds) in enumerate(results)]
+    leaky = [(i, ms) for i, ms in leaky if ms]
     if leaky:
-        for m, v, bound in zip(leaky, *_chebyshev_block(d, e, f, times[leaky], 0, d.size)):
-            evolved[m], bounds[m] = v, bound
-    return evolved, bounds
+        reruns = []
+        for i, ms in leaky:
+            d, e, f, times = runs[i]
+            reruns.append(_segment(d, e, f, times[ms], 0, d.size, None))
+        for (i, ms), (evolved, bounds) in zip(leaky, _run_groups(reruns, threads)):
+            for m, v, bound in zip(ms, evolved, bounds):
+                results[i][0][m], results[i][1][m] = v, bound
+    return results
 
 
-def _chebyshev_block(d: np.ndarray, e: np.ndarray, f: WaveFunction, times: np.ndarray, lo: int, hi: int):
+def _run_groups(segments: list, threads: int) -> list:
     """
-    evolve_chebyshev on the block lo <= j < hi of the operator (d, e), with
-    f supported inside it.  A time whose cut alone leaks more than
-    CHEBYSHEV_TAIL gets None for its evolved packet and its bound; without
-    a cut no time leaks.
-
-    The recurrence runs on the real and imaginary parts of f (the imaginary
-    part only when it is nonzero), and each time sums its own coefficients
-    of the same vectors, in blocks of _CHEBYSHEV_BLOCK by one matrix
-    product.  Each time's degree is fixed by tail plus leak, whose boundary
-    sums are taken block by block as the recurrence runs; a time that is
-    done, or leaks, has the rest of its coefficients zeroed.
+    _run_segments over `threads` groups of the segments on a thread pool,
+    each group a batch of about equal rows times degree (largest first, to
+    the lightest group); one thread runs them as one batch.
     """
-    n, size = hi - lo, d.size
+    if threads == 1 or len(segments) < 2:
+        return _run_segments(segments)
+    groups = [[] for _ in range(min(threads, len(segments)))]
+    load = [0] * len(groups)
+    for i in sorted(range(len(segments)), key=lambda i: -segments[i].work):
+        g = int(np.argmin(load))
+        groups[g].append(i)
+        load[g] += segments[i].work
+    results = [None] * len(segments)
+    with ThreadPoolExecutor(max_workers=len(groups)) as pool:
+        for group, out in zip(groups, pool.map(lambda g: _run_segments([segments[i] for i in g]), groups)):
+            for i, result in zip(group, out):
+                results[i] = result
+    return results
+
+
+def _mirror_centre(d: np.ndarray, e: np.ndarray, values: np.ndarray, lo: int, hi: int):
+    """
+    The row mid about which the block lo <= j < hi is mirror exact, bit for
+    bit: d and the packet `values` (zero outside the block) equal at
+    mid - k and mid + k, and one coupling runs through the block and both
+    its cuts.  None when the block reaches a box edge or any of it fails.
+    """
+    if lo == 0 or hi == d.size or (hi - 1 - lo) % 2:
+        return None
+    mid = (lo + hi - 1) // 2
+    mirror = slice(hi - 1, mid - 1, -1)
+    couplings = e[lo - 1 : hi]
+    if (
+        np.array_equal(d[lo : mid + 1], d[mirror])
+        and np.array_equal(values[lo : mid + 1], values[mirror])
+        and np.all(couplings == couplings[0])
+    ):
+        return mid
+    return None
+
+
+def _plan(d: np.ndarray, e: np.ndarray, f: WaveFunction, times: np.ndarray):
+    """The segment of f on its reachable block, on the block's even half where it is mirror exact."""
+    lo, hi = _reachable_block(d, e, f.values)
+    return _segment(d, e, f, times, lo, hi, _mirror_centre(d, e, f.values, lo, hi))
+
+
+@dataclass
+class _Segment:
+    """
+    One packet's series on the block lo <= j < hi of its operator, or, with
+    `mid` set, on the even half mid <= j < hi of a mirror-exact block: the
+    rows of 2 H_s, the start vector per part, the coefficient table and the
+    per-time stopping state that _absorb advances.
+    """
+
+    f: WaveFunction
+    times: np.ndarray
+    lo: int
+    hi: int
+    mid: int | None
+    b: float
+    diag: np.ndarray  # 2 H_s: diagonal, and couplings to the next and previous row,
+    up: np.ndarray  # over the rows of every part (each part its own zero-coupled block)
+    down: np.ndarray
+    start: np.ndarray  # (parts, rows) real
+    end_rows: list  # block rows at the cuts, and |e_end| across each
+    couplings: np.ndarray
+    c_even: np.ndarray  # (times, orders) of the coefficients of even and odd orders,
+    c_odd: np.ndarray  # each zeroed past its time's fixed degree
+    first: list  # per time: the least degree K >= a|t|
+    tails: list  # per time: tails[K - first] for K = first .. top
+    leak_weight: np.ndarray
+    pending: list
+    degrees: list
+    bounds: list
+    kmax: int  # every Bessel order until each degree is fixed, then the largest degree
+    boundary: float  # sum_end |e_end| sum_(k<done) |(T_k f)(end)|
+    even: np.ndarray
+    odd: np.ndarray
+
+    @property
+    def rows(self) -> int:
+        return self.start.size
+
+    @property
+    def work(self) -> int:
+        return self.rows * self.kmax
+
+
+def _segment(d: np.ndarray, e: np.ndarray, f: WaveFunction, times: np.ndarray, lo: int, hi: int, mid):
+    """
+    The series of f on the block lo <= j < hi of the operator (d, e), with
+    f supported inside it, or on the block's even half mid <= j < hi when
+    `mid` is its mirror centre (_mirror_centre).
+
+    The half keeps the block's Gershgorin (a, b), hence its Bessel
+    coefficients.  Its vector is the even packet in the orthonormal basis
+    e_mid, (e_(mid+k) + e_(mid-k))/sqrt 2, so its first coupling is
+    sqrt 2 e, its norm is ||f||, and its one cut carries sqrt 2 |e|: that
+    times the half's end value is the two mirrored cuts' leak summed.
+    """
     a, b = _gershgorin(d[lo:hi], e[lo : hi - 1])
     # (block row, |e_end| across the cut) at each end that is a cut
-    ends = [(r, abs(e[k])) for r, k, cut in ((0, lo - 1, lo > 0), (n - 1, hi - 1, hi < size)) if cut]
+    cuts = [(0, lo - 1, lo > 0), (hi - lo - 1, hi - 1, hi < d.size)]
+    ends = [(r, abs(e[k])) for r, k, cut in cuts if cut]
+    # tails times 1 + |t| sum_end |e_end|: the series tail plus its term in the
+    # leak.  c[m, k] = (2 - delta_k0) J_k(a|t_m|) times the real sign of
+    # (-i sgn t)^k; even orders give the real part of the sum, odd orders the
+    # imaginary part.  Only tails from K >= a|t| are ever read
+    cut_sum = sum(c for _, c in ends)
+    series = [_bessel_series(a * abs(t), f.norm() * (1.0 + abs(t) * cut_sum)) for t in times]
+    if mid is None:
+        rows_d, rows_e, values = d[lo:hi], e[lo : hi - 1], f.values[lo:hi]
+    else:
+        rows_d, rows_e = d[mid:hi], e[mid : hi - 1].copy()
+        rows_e[:1] *= _SQRT2
+        values = f.values[mid:hi].copy()
+        values[1:] *= _SQRT2
+        ends = [(hi - mid - 1, _SQRT2 * abs(e[hi - 1]))]
     end_rows, couplings = [r for r, _ in ends], np.array([c for _, c in ends])
-    # tails times 1 + |t| sum_end |e_end|: the series tail plus its term in the leak
-    series = [_bessel_series(a * abs(t), f.norm() * (1.0 + abs(t) * couplings.sum())) for t in times]
-    pending = list(range(times.size))
-    degrees, bounds = [0] * times.size, [None] * times.size
-    # c[m, k] = (2 - delta_k0) J_k(a|t_m|) times the real sign of (-i sgn t)^k;
-    # even orders give the real part of the sum, odd orders the imaginary part
     c = np.zeros((times.size, max(j.size for j, _ in series)))
-    for m, (t, (j, _)) in enumerate(zip(times, series)):
+    first, tails = [], []
+    for m, (t, (j, tail)) in enumerate(zip(times, series)):
         c[m, : j.size] = np.array([1.0, -np.sign(t), -1.0, np.sign(t)])[np.arange(j.size) % 4] * j
+        first.append(max(1, int(np.ceil(a * abs(t)))))
+        tails.append(tail[first[-1] - 1 :].copy())
+    del series
     c[:, 1:] *= 2.0
-    kmax = c.shape[1]  # every Bessel order until each degree is fixed, then the largest degree
-    leak_weight = 2.0 * np.sqrt(f.grid.dx) * np.abs(times)
-    boundary = 0.0  # sum_end |e_end| sum_(k<done) |(T_k f)(end)|; leak = leak_weight * boundary
+    c_even, c_odd = c[:, ::2].copy(), c[:, 1::2].copy()  # contiguous, for BLAS products
 
-    parts = [f.values[lo:hi].real] + ([f.values[lo:hi].imag] if np.any(f.values.imag) else [])
+    parts = [values.real] + ([values.imag] if np.any(values.imag) else [])
     p = len(parts)
     scale = 2.0 / a if a > 0 else 0.0  # a = 0: H = b, and the series stops at K = 1
-    diag = np.repeat((d[lo:hi] - b) * scale, p)  # 2 H_s, interleaved over the parts
-    up = np.repeat(np.append(e[lo : hi - 1], 0.0) * scale, p)
-    down = np.repeat(np.append(0.0, e[lo : hi - 1]) * scale, p)
-    B = _CHEBYSHEV_BLOCK
-    ring = np.zeros((B, (n + 2) * p))  # T_k in row k % B, zero-padded at both ends
-    rows = ring[:, p:-p]
-    right, left = ring[:, 2 * p:], ring[:, :-2 * p]
-    tmp = np.empty(n * p)
-    rows[0] = np.stack(parts, axis=1).ravel()
-    even, odd = np.zeros((times.size, n * p)), np.zeros((times.size, n * p))
+    return _Segment(
+        f, times, lo, hi, mid, b,
+        diag=np.tile((rows_d - b) * scale, p),
+        up=np.tile(np.append(rows_e, 0.0) * scale, p),
+        down=np.tile(np.append(0.0, rows_e) * scale, p),
+        start=np.stack(parts),
+        end_rows=end_rows,
+        couplings=couplings,
+        c_even=c_even,
+        c_odd=c_odd,
+        first=first,
+        tails=tails,
+        leak_weight=2.0 * np.sqrt(f.grid.dx) * np.abs(times),
+        pending=list(range(times.size)),
+        degrees=[0] * times.size,
+        bounds=[None] * times.size,
+        kmax=c.shape[1],
+        boundary=0.0,
+        even=np.zeros((times.size, p * rows_d.size)),
+        odd=np.zeros((times.size, p * rows_d.size)),
+    )
 
-    k = done = 0  # rows hold T_done .. T_k
-    while True:
+
+def _absorb(s: _Segment, block: np.ndarray, done: int, k1: int) -> None:
+    """
+    Add T_done .. T_(k1-1) of segment s (the rows of `block`) to each time's
+    sum, first fixing each pending degree at the first K in (done, k1] with
+    K >= a|t| where tail plus leak is at most CHEBYSHEV_TAIL.  A time whose
+    leak sums alone exceed CHEBYSHEV_TAIL, or whose Bessel orders run out,
+    keeps degree 0 and bound None.  A time that is done, or leaks, has the
+    rest of its coefficients zeroed.
+    """
+    if s.pending:
+        sums = np.zeros(k1 - done)  # s.boundary after each term; no cut, no leak
+        if s.end_rows:
+            p, n = s.start.shape
+            at_ends = block.reshape(k1 - done, p, n)[:, :, s.end_rows]
+            sums = s.boundary + np.cumsum(np.sqrt((at_ends**2).sum(axis=1)) @ s.couplings)
+            s.boundary = float(sums[-1])
+        for m in list(s.pending):
+            top = s.first[m] + s.tails[m].size - 1
+            if k1 < s.first[m] and s.leak_weight[m] * s.boundary <= CHEBYSHEV_TAIL:
+                continue  # neither done nor leaking yet
+            K = np.arange(max(done + 1, s.first[m]), min(k1, top) + 1)
+            bound = s.tails[m][K - s.first[m]] + s.leak_weight[m] * sums[K - done - 1]
+            ok = np.flatnonzero(bound <= CHEBYSHEV_TAIL)
+            if ok.size:
+                s.degrees[m], s.bounds[m] = int(K[ok[0]]), float(bound[ok[0]])
+            elif k1 < top and s.leak_weight[m] * s.boundary <= CHEBYSHEV_TAIL:
+                continue
+            s.c_even[m, (s.degrees[m] + 1) // 2 :] = 0.0
+            s.c_odd[m, s.degrees[m] // 2 :] = 0.0
+            s.pending.remove(m)
+        if not s.pending:
+            s.kmax = max(s.degrees)
+    k1 = min(k1, s.kmax)  # done is even: a multiple of the ring size
+    if k1 > done:
+        s.even += s.c_even[:, done // 2 : (k1 + 1) // 2] @ block[0 : k1 - done : 2]
+        s.odd += s.c_odd[:, done // 2 : k1 // 2] @ block[1 : k1 - done : 2]
+
+
+def _run_segments(segments: list) -> list:
+    """(evolved, bounds) of each segment, from one three-term recurrence over all of them."""
+    if segments:
+        _recurrence(sorted(segments, key=lambda s: -s.kmax))
+    return [_evolved(s) for s in segments]
+
+
+def _recurrence(segments_by_degree: list) -> None:
+    """
+    Run the segments, in order of descending degree, to their degrees.
+    Their rows sit side by side in one vector with no coupling between
+    them, each row carrying its own segment's 2 H_s, so the rows still
+    running are always a prefix.  Every _CHEBYSHEV_BLOCK terms, or fewer as
+    the ring's memory bound asks, each running segment sums the new
+    vectors into its times by one matrix product (_absorb).
+    """
+    offsets = np.cumsum([0] + [s.rows for s in segments_by_degree])
+    size = int(offsets[-1])
+    diag, up, down = (np.concatenate([getattr(s, k) for s in segments_by_degree]) for k in ("diag", "up", "down"))
+    B = max(2, min(_CHEBYSHEV_BLOCK, _CHEBYSHEV_RING_BYTES // (8 * (size + 2))) // 2 * 2)
+    ring = np.zeros((B, size + 2))  # T_k in row k % B, zero-padded at both ends
+    ring[0, 1:-1] = np.concatenate([s.start.ravel() for s in segments_by_degree])
+
+    def views(width: int):  # the first `width` entries of each ring row, and its shifts
+        return ([ring[i, 1 : width + 1] for i in range(B)], [ring[i, 2 : width + 2] for i in range(B)],
+                [ring[i, :width] for i in range(B)], diag[:width], up[:width], down[:width], np.empty(width))
+
+    active = len(segments_by_degree)  # segments_by_degree[:active] holds every running segment
+    rows, right, left, dg, upper, lower, tmp = views(size)
+    kmax = max((s.kmax for s in segments_by_degree), default=0)
+    k = done = 0  # ring rows hold T_done .. T_k
+    while active:
         if (k + 1) % B == 0 or k + 1 == kmax:
             k1 = k + 1
-            if pending:  # fix each pending degree at the first K in (done, k1] that meets the bound
-                at_ends = rows[: k1 - done].reshape(k1 - done, n, p)[:, end_rows]
-                sums = boundary + np.cumsum(np.sqrt((at_ends**2).sum(axis=2)) @ couplings)
-                boundary = float(sums[-1])
-                for m in list(pending):
-                    j, tails = series[m]
-                    K = np.arange(done + 1, min(k1, j.size) + 1)
-                    bound = tails[K - 1] + leak_weight[m] * sums[: K.size]
-                    ok = np.flatnonzero((bound <= CHEBYSHEV_TAIL) & (K >= a * abs(times[m])))
-                    if ok.size:
-                        degrees[m], bounds[m] = int(K[ok[0]]), float(bound[ok[0]])
-                    elif k1 < j.size and leak_weight[m] * boundary <= CHEBYSHEV_TAIL:
-                        continue  # neither done nor leaking yet
-                    c[m, degrees[m]:] = 0.0  # a leaking time keeps degree 0 and bound None
-                    pending.remove(m)
-                if not pending:
-                    kmax = max(degrees)
-            even += c[:, done:k1:2] @ rows[0 : k1 - done : 2]
-            odd += c[:, done + 1 : k1 : 2] @ rows[1 : k1 - done : 2]
+            for s, o in zip(segments_by_degree[:active], offsets):
+                if s.kmax > done:
+                    _absorb(s, ring[: k1 - done, 1 + o : 1 + o + s.rows], done, k1)
             done = k1
-            if done >= kmax:
+            while active and segments_by_degree[active - 1].kmax <= done:
+                active -= 1
+            if not active:
                 break
+            kmax = max(s.kmax for s in segments_by_degree[:active])
+            if offsets[active] < rows[0].size:
+                rows, right, left, dg, upper, lower, tmp = views(int(offsets[active]))
         # T_(k+1) = 2 H_s T_k - T_(k-1), T_1 = H_s T_0
         i, y = k % B, rows[(k + 1) % B]
-        np.multiply(diag, rows[i], out=y)
-        np.multiply(up, right[i], out=tmp)
+        np.multiply(dg, rows[i], out=y)
+        np.multiply(upper, right[i], out=tmp)
         y += tmp
-        np.multiply(down, left[i], out=tmp)
+        np.multiply(lower, left[i], out=tmp)
         y += tmp
         if k:
             y -= rows[(k - 1) % B]
@@ -285,12 +505,28 @@ def _chebyshev_block(d: np.ndarray, e: np.ndarray, f: WaveFunction, times: np.nd
             y *= 0.5
         k += 1
 
+
+def _evolved(s: _Segment):
+    """The (evolved, bounds) lists of a finished segment, on the whole grid."""
+    p, n = s.start.shape
+    size = s.f.grid.n_points
     evolved = []
-    for m, t in enumerate(times):
-        v = (np.exp(-1j * b * t) * (even[m] + 1j * odd[m])).reshape(n, p)
-        block = v[:, 0] + 1j * v[:, 1] if p == 2 else v[:, 0]
-        evolved.append(None if bounds[m] is None else WaveFunction(f.grid, np.pad(block, (lo, size - hi))))
-    return evolved, bounds
+    for m, t in enumerate(s.times):
+        if s.bounds[m] is None:
+            evolved.append(None)
+            continue
+        v = (np.exp(-1j * s.b * t) * (s.even[m] + 1j * s.odd[m])).reshape(p, n)
+        block = v[0] + 1j * v[1] if p == 2 else v[0]
+        if s.mid is None:
+            out = np.pad(block, (s.lo, size - s.hi))
+        else:  # unfold the even half onto the mirror-exact block
+            out = np.zeros(size, dtype=complex)
+            out[s.mid] = block[0]
+            out[s.mid + 1 : s.hi] = block[1:] / _SQRT2
+            out[s.lo : s.mid] = out[s.hi - 1 : s.mid : -1]
+        evolved.append(WaveFunction(s.f.grid, out))
+    s.even = s.odd = None
+    return evolved, list(s.bounds)
 
 
 def _lattice_symbol(g: Grid1D) -> np.ndarray:

@@ -1,6 +1,7 @@
 import json
 import os
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -115,6 +116,20 @@ def test_lemma31_threads_leave_the_report_unchanged():
     assert (two.verdicts, two.gates, two.notes) == (one.verdicts, one.gates, one.notes)
 
 
+def test_lemma31_batch_keeps_the_peak_of_one_duhamel_bound():
+    # the peak is one duhamel_bound call at n = 4096 (16.2 MB of it) on top
+    # of the packets; the batched series, with its ring, coefficient tables
+    # and sums for all ten packets, stays below it.  Before the batch the
+    # run peaked at 18,008,237 bytes here (numpy 2.4)
+    tracemalloc.start()
+    try:
+        run("lemma31", {})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.01 * 18_008_237
+
+
 def test_cli_exits_2_when_a_quadrature_hits_its_cap(monkeypatch, tmp_path, capsys):
     def capped(*args, **kwargs):
         raise QuadratureCapError("Duhamel quadrature: relative change 1e-03 after 4096 intervals")
@@ -191,7 +206,7 @@ def test_cli_rejects_a_bad_radius_list_before_solving(experiment, bad, expect, m
     def no_solve(*args, **kwargs):
         raise AssertionError("eigensolve started before the config was checked")
 
-    monkeypatch.setattr(lab, "evolve_chebyshev", no_solve)
+    monkeypatch.setattr(lab, "evolve_chebyshev_batch", no_solve)
     monkeypatch.setattr(condensates, "diagonalize", no_solve)
     monkeypatch.setattr(condensates, "mirror_window", no_solve)
     monkeypatch.setattr(lab.qf, "thermal_decomposition", no_solve)

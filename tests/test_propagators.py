@@ -12,11 +12,15 @@ from thermolim.propagators import (
     QuadratureCapError,
     ValidityGateError,
     _bessel_series,
-    _chebyshev_block,
     _gershgorin,
+    _mirror_centre,
+    _plan,
     _reachable_block,
+    _run_segments,
+    _segment,
     duhamel_bound,
     evolve_chebyshev,
+    evolve_chebyshev_batch,
     evolve_free,
     evolve_spectral,
     gap_decay_scan,
@@ -182,7 +186,7 @@ def test_soft_wall_series_runs_on_the_whole_box(lemma31_soft_wall):
     d, e = H.diagonal, H.off_diagonal
     assert _reachable_block(d, e, f.values) == (0, H.size)
     evolved, bounds = evolve_chebyshev(H, f, ts)
-    whole, whole_bounds = _chebyshev_block(d, e, f, np.asarray(ts), 0, H.size)
+    (whole, whole_bounds), = _run_segments([_segment(d, e, f, np.asarray(ts), 0, H.size, None)])
     assert all(np.array_equal(a.values, b.values) for a, b in zip(evolved, whole))
     assert bounds == whole_bounds
 
@@ -216,15 +220,125 @@ def test_a_leaky_cut_falls_back_to_the_whole_box():
     d, e = H.diagonal, H.off_diagonal
     lo, hi = _reachable_block(d, e, f.values)
     assert 0 < lo and hi < H.size
-    assert _chebyshev_block(d, e, f, np.array([1.0]), lo, hi) == ([None], [None])
+    assert _run_segments([_plan(d, e, f, np.array([1.0]))]) == [([None], [None])]
     (short, long), bounds = evolve_chebyshev(H, f, ts)
-    whole, whole_bounds = _chebyshev_block(d, e, f, np.array([1.0]), 0, H.size)
+    (whole, whole_bounds), = _run_segments([_segment(d, e, f, np.array([1.0]), 0, H.size, None)])
     assert np.array_equal(long.values, whole[0].values) and bounds[1:] == whole_bounds
     # t = 0.1 stays inside the block and keeps the block result
     assert not short.values[:lo].any() and not short.values[hi:].any()
     for a, b, bound in zip((short, long), evolve_spectral(diagonalize(H), f, ts), bounds):
         assert 0 <= bound <= CHEBYSHEV_TAIL
         assert l2_diff(a, b) <= bound + 1e-11
+
+
+def _stiff_wall(R, n, center=0.0):
+    grid = make_grid(2 * R + 16.0, n)
+    return assemble(grid, soft_wall_trap(R, R)), bump(center, 2.0, grid)
+
+
+def _rel_diff(a, b):
+    return l2_diff(a, b) / a.norm()
+
+
+def test_a_mixed_batch_matches_each_packets_own_run():
+    # a whole box (soft wall), a complex packet on it, an even half (centred
+    # packet, stiff wall), and a cut block left whole (off-centre packet),
+    # of different degrees, in one recurrence
+    R, n = 8.0, 1024
+    stiff, centred = _stiff_wall(R, n)
+    _, off_centre = _stiff_wall(R, n, center=0.5)
+    soft = assemble(stiff.grid, soft_wall_trap(R, 1.0))
+    moving = centred.with_values(centred.values * np.exp(0.9j * stiff.grid.x))
+    packets = [(soft, centred, [0.25, 1.0]), (stiff, centred, [0.1, 0.05]),
+               (stiff, off_centre, [0.02, 0.07]), (soft, moving, [0.1])]
+    segments = [_plan(H.diagonal, H.off_diagonal, f, np.asarray(ts)) for H, f, ts in packets]
+    assert [s.mid is None for s in segments] == [True, False, True, True]
+    assert segments[0].lo == 0 and segments[2].lo > 0 and segments[3].rows == 2 * n
+    assert len({s.kmax for s in segments}) == len(segments)
+    for (H, f, ts), (evolved, bounds) in zip(packets, evolve_chebyshev_batch(packets, 1)):
+        alone, alone_bounds = evolve_chebyshev(H, f, ts)
+        for a, b in zip(evolved, alone):
+            assert _rel_diff(a, b) <= 1e-14
+        assert all(0 <= b <= CHEBYSHEV_TAIL for b in bounds)
+        np.testing.assert_allclose(bounds, alone_bounds, rtol=1e-12)
+
+
+def test_the_even_half_matches_the_whole_cut_block():
+    # lemma31's c = R branch at R = 8 on a quarter of its grid: the block
+    # and the packet are mirror exact about x = 0, so the series runs on
+    # rows mid..hi-1 and unfolds; times up to 0.1 keep inside the block
+    H, f = _stiff_wall(8.0, 1024)
+    d, e, ts = H.diagonal, H.off_diagonal, np.array([0.02, 0.05, 0.1])
+    half = _plan(d, e, f, ts)
+    lo, hi = _reachable_block(d, e, f.values)
+    assert (half.lo, half.mid, half.hi) == (lo, H.size // 2, hi) and half.rows == hi - H.size // 2
+    whole = _segment(d, e, f, ts, lo, hi, None)
+    assert whole.rows == hi - lo
+    (split, split_bounds), (unsplit, unsplit_bounds) = _run_segments([half, whole])
+    for a, b in zip(split, unsplit):
+        assert _rel_diff(a, b) <= 1e-12
+        assert np.array_equal(a.values[lo : H.size // 2], a.values[hi - 1 : H.size // 2 : -1])
+    assert half.degrees == whole.degrees
+    assert all(0 <= b <= CHEBYSHEV_TAIL for b in split_bounds + unsplit_bounds)
+
+
+@pytest.mark.parametrize("case", ["reaches row 0", "off-centre packet", "asymmetric diagonal"])
+def test_no_even_half_without_an_exact_mirror(case):
+    H, f = _stiff_wall(8.0, 1024, center=0.5 if case == "off-centre packet" else 0.0)
+    d, e = H.diagonal.copy(), H.off_diagonal
+    if case == "reaches row 0":
+        d = assemble(H.grid, soft_wall_trap(8.0, 1.0)).diagonal
+    elif case == "asymmetric diagonal":
+        d[H.size // 2 + 3] = np.nextafter(d[H.size // 2 + 3], np.inf)
+    lo, hi = _reachable_block(d, e, f.values)
+    assert _mirror_centre(d, e, f.values, lo, hi) is None
+    segment = _plan(d, e, f, np.array([0.05]))
+    assert segment.mid is None and segment.rows == hi - lo
+    assert (lo, hi) == (0, H.size) if case == "reaches row 0" else 0 < lo < hi < H.size
+
+
+def test_only_the_leaky_packet_of_a_batch_is_rerun(monkeypatch):
+    # test_a_leaky_cut_falls_back_to_the_whole_box inside a batch: its t = 1
+    # leaks and is rerun alone on the whole box; the soft wall beside it
+    # and its own t = 0.1 keep their first results
+    H, f = _stiff_wall(10.0, 1024)
+    soft = assemble(H.grid, soft_wall_trap(10.0, 1.0))
+    batches = []
+
+    def recording(segments):
+        batches.append([(s.times.tolist(), s.lo, s.hi, s.mid) for s in segments])
+        return _run_segments(segments)
+
+    monkeypatch.setattr(propagators, "_run_segments", recording)
+    (short_long, bounds), (soft_evolved, soft_bounds) = evolve_chebyshev_batch(
+        [(H, f, [0.1, 1.0]), (soft, f, [0.5])], 1
+    )
+    lo, hi = _reachable_block(H.diagonal, H.off_diagonal, f.values)
+    assert batches == [[([0.1, 1.0], lo, hi, H.size // 2), ([0.5], 0, H.size, None)],
+                       [([1.0], 0, H.size, None)]]
+    monkeypatch.undo()
+    assert [a.values.tolist() for a in short_long] == [a.values.tolist() for a in evolve_chebyshev(H, f, [0.1, 1.0])[0]]
+    assert all(0 <= b <= CHEBYSHEV_TAIL for b in bounds + soft_bounds)
+
+
+def test_threads_split_the_batch_by_work(monkeypatch):
+    # threads = 1 runs one batch; threads = 2 runs two, the heaviest packet
+    # alone against the two lighter ones
+    grid = make_grid(24.0, 512)
+    f = bump(0.0, 2.0, grid)
+    packets = [(assemble(grid, soft_wall_trap(4.0, 1.0)), f, [t]) for t in (1.0, 0.6, 0.5)]
+    batches = []
+
+    def recording(segments):
+        batches.append(sorted(s.times[0] for s in segments))
+        return _run_segments(segments)
+
+    monkeypatch.setattr(propagators, "_run_segments", recording)
+    one = evolve_chebyshev_batch(packets, 1)
+    two = evolve_chebyshev_batch(packets, 2)
+    assert batches[0] == [0.5, 0.6, 1.0] and sorted(batches[1:]) == [[0.5, 0.6], [1.0]]
+    for (a, _), (b, _) in zip(one, two):
+        assert _rel_diff(a[0], b[0]) <= 1e-14
 
 
 def test_free_identity_and_unitarity(trap_setup):
