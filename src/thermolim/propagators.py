@@ -229,6 +229,8 @@ def evolve_chebyshev_batch(packets, threads: int):
 
     Returns one (evolved, bounds) pair per packet, in the order of `packets`.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     runs = []
     for H, f, times in packets:
         _check_grid(H.grid, f)
@@ -346,13 +348,9 @@ def _segment(d: np.ndarray, e: np.ndarray, f: WaveFunction, times: np.ndarray, l
     """
     The series of f on the block lo <= j < hi of the operator (d, e), with
     f supported inside it, or on the block's even half mid <= j < hi when
-    `mid` is its mirror centre (_mirror_centre).
-
-    The half keeps the block's Gershgorin (a, b), hence its Bessel
-    coefficients.  Its vector is the even packet in the orthonormal basis
-    e_mid, (e_(mid+k) + e_(mid-k))/sqrt 2, so its first coupling is
-    sqrt 2 e, its norm is ||f||, and its one cut carries sqrt 2 |e|: that
-    times the half's end value is the two mirrored cuts' leak summed.
+    `mid` is its mirror centre (_mirror_centre; module header, "The even
+    half"): the half keeps the block's Gershgorin (a, b) and tail weight,
+    and its one cut carries sqrt 2 |e|.
     """
     a, b = _gershgorin(d[lo:hi], e[lo : hi - 1])
     # (block row, |e_end| across the cut) at each end that is a cut
@@ -476,9 +474,9 @@ def _recurrence(segments_by_degree: list) -> None:
 
     active = len(segments_by_degree)  # segments_by_degree[:active] holds every running segment
     rows, right, left, dg, upper, lower, tmp = views(size)
-    kmax = max((s.kmax for s in segments_by_degree), default=0)
+    kmax = segments_by_degree[0].kmax
     k = done = 0  # ring rows hold T_done .. T_k
-    while active:
+    while True:
         if (k + 1) % B == 0 or k + 1 == kmax:
             k1 = k + 1
             for s, o in zip(segments_by_degree[:active], offsets):

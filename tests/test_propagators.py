@@ -339,6 +339,8 @@ def test_threads_split_the_batch_by_work(monkeypatch):
     assert batches[0] == [0.5, 0.6, 1.0] and sorted(batches[1:]) == [[0.5, 0.6], [1.0]]
     for (a, _), (b, _) in zip(one, two):
         assert _rel_diff(a[0], b[0]) <= 1e-14
+    with pytest.raises(ValueError, match="threads must be at least 1"):
+        evolve_chebyshev_batch(packets, 0)
 
 
 def test_free_identity_and_unitarity(trap_setup):
