@@ -21,8 +21,8 @@
 #   python demos/gap_grid_check.py --dx 0.0078 --branch R,1.0
 #   python demos/gap_grid_check.py --dx 0.0137 --branch 1,1.0 --radii 14,16,18,20,22
 #
-# On 2 cores all six branches take 7 s at dx = 0.0137 (c = R, t = 1.0
-# alone 3 s) and 37 s at dx = 0.0078.
+# On 2 cores all six branches take 5 s at dx = 0.0137 (c = R, t = 1.0
+# alone 2.4 s) and 27 s at dx = 0.0078.
 
 import argparse
 import math

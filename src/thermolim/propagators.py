@@ -10,8 +10,9 @@
 #   (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)).  One three-term
 #   recurrence T_(k+1) = 2 H_s T_k - T_(k-1) on f serves every time, at one
 #   O(n) tridiagonal apply per term and no n x n matrix.  The Bessel
-#   functions come from Miller's backward recurrence, and the tail beyond
-#   the computed orders from the ratio bound J_(k+1)/J_k < z/(2k + 2 - z)
+#   functions come from Miller's backward recurrence, run as one banded
+#   triangular solve, and the tail beyond the computed orders from the
+#   ratio bound J_(k+1)/J_k < z/(2k + 2 - z)
 #   for k >= z.  The series tail 2 ||f|| sum_(k>=K) |J_k(a|t|)| bounds the
 #   L2 error of stopping at degree K, since ||T_k(H_s) f|| <= ||f||.
 #   Roundoff in the recurrence grows like K eps ||f||: at K = 11k the
@@ -68,24 +69,29 @@
 # Their rows, per real and imaginary part, sit side by side in one vector
 # with no coupling between them, each row carrying its own packet's 2 H_s,
 # in order of descending degree, so the rows still running are a prefix.
-# A term then pays its Python and ufunc dispatch (about 7 us) once for all
-# packets.  Each packet keeps its own coefficients, degrees, leak sums and
-# bounds, and a packet whose cut leaks is rerun on its whole box, all such
-# packets in one more batch.  The new vectors are summed into every time
-# each _CHEBYSHEV_BLOCK terms, or as many as fit _CHEBYSHEV_RING_BYTES over
-# the batch's rows: 18 for lemma31's ten packets, whose batch peaks at
-# 11 MB, below the 18 MB that one duhamel_bound call at n = 4096 sets.
+# A term is one copy and one LAPACK dlagtm call (B := +-A X + B for a
+# tridiagonal A) on that prefix, so it pays its Python and call overhead
+# (about 2 us) once for all packets; at lemma31's 28,852 rows a term costs
+# 1.6 ns per row, against 3.2 ns for the six ufunc calls it replaces.  Each
+# packet keeps its own coefficients, degrees, leak sums and bounds, and a
+# packet whose cut leaks is rerun on its whole box, all such packets in
+# one more batch.  The new vectors are summed into every time each
+# _CHEBYSHEV_BLOCK terms, or as many as fit _CHEBYSHEV_RING_BYTES over the
+# batch's rows: 36 for lemma31's ten packets, whose batch sets lemma31's
+# 16.6 MB peak; one duhamel_bound call at n = 4096 takes 10.8 MB.
 
 from __future__ import annotations
 
+import ctypes
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import j0, j1
+from scipy.linalg.blas import dtbsv
+from scipy.special import gammaln, j0, j1
 
 from .grids import Grid1D, GridMismatchError, WaveFunction
-from .hamiltonians import SpectralDecomposition, TridiagonalOperator
+from .hamiltonians import _A, _C, _D, _I, SpectralDecomposition, TridiagonalOperator, _lapack_handle
 
 GAP_FLOOR = 1e-14
 EDGE_GATE = 5e-3  # largest relative edge amplitude an evolved packet may keep
@@ -93,9 +99,12 @@ DUHAMEL_MAX_INTERVALS = 4096
 DUHAMEL_REL_TOL = 1e-6  # relative change at which the Duhamel quadrature stops doubling
 CHEBYSHEV_TAIL = 1e-15  # L2 bound on the neglected series tail at every time
 _CHEBYSHEV_BLOCK = 64  # Chebyshev vectors summed per matrix product, at most
-_CHEBYSHEV_RING_BYTES = 4 << 20  # the ring of those vectors, at most (a batch sums fewer per product)
+_CHEBYSHEV_RING_BYTES = 8 << 20  # the ring of those vectors, at most (a batch sums fewer per product)
 _SQRT2 = np.sqrt(2.0)
 _DUHAMEL_BATCH = 64  # Duhamel nodes per batched inverse FFT
+# dlagtm(TRANS, N, NRHS, ALPHA, DL, D, DU, X, LDX, BETA, B, LDB): B := ALPHA A X + BETA B for
+# the tridiagonal A = (DL, D, DU), with ALPHA = +-1 and BETA = 0 or 1
+_DLAGTM = _lapack_handle("dlagtm", _C, _I, _I, _D, _A, _A, _A, _A, _I, _D, _A, _I)
 
 
 class ValidityGateError(RuntimeError):
@@ -178,6 +187,12 @@ def _bessel_series(z: float, norm: float) -> tuple[np.ndarray, np.ndarray]:
     order far above z, normalised by J_0^2 + 2 sum J_k^2 = 1 and signed by
     scipy's J_0 or J_1.  Beyond the last computed order `top` >= z the
     ratio bound gives sum_(k>top) |J_k| <= J_top q / (1 - q), q = z/(2 top + 2 - z).
+
+    The recurrence runs as one unit upper triangular solve with two
+    superdiagonals (BLAS dtbsv), in y_k = J_k / w_k with
+    log w_k = min(0, k ln(z/2) - ln k!): near z = 0 the plain J_start = 1
+    start overflows long before order 0, and the weights, of the size of
+    J_k at small z, keep y finite.
     """
     if z == 0:
         return np.ones(1), np.zeros(1)
@@ -185,15 +200,16 @@ def _bessel_series(z: float, norm: float) -> tuple[np.ndarray, np.ndarray]:
     while True:
         top = int(z + margin)
         start = top + int(margin)  # the start's error has died out by `top`
-        j = np.zeros(start + 2)
+        k = np.arange(start + 1)
+        log_w = np.minimum(0.0, k * np.log(z / 2) - gammaln(k + 1))
+        # y_(k-1) - (2k/z) (w_k/w_(k-1)) y_k + (w_(k+1)/w_(k-1)) y_(k+1) = 0 for k < start, y_start = 1,
+        # in dtbsv's upper band storage band[2 + i - j, j] = A[i, j]
+        band = np.ones((3, start + 1))
+        band[0, 2:] = np.exp(log_w[2:] - log_w[:-2])
+        band[1, 1:] = -(2.0 * k[1:] / z) * np.exp(log_w[1:] - log_w[:-1])
+        j = np.zeros(start + 1)
         j[start] = 1.0
-        above, cur = 0.0, 1.0
-        for k in range(start, 0, -1):
-            above, cur = cur, 2.0 * k / z * cur - above
-            if abs(cur) > 1e250:  # rescale the orders computed so far
-                j[k:] *= 1e-250
-                above, cur = above * 1e-250, cur * 1e-250
-            j[k - 1] = cur
+        j = dtbsv(2, band, j, overwrite_x=1, diag=1) * np.exp(log_w)
         j /= np.abs(j).max()
         j /= np.sqrt(j[0] ** 2 + 2.0 * (j[1:] ** 2).sum())
         ref = (j0(z), j[0]) if abs(j[0]) >= abs(j[1]) else (j1(z), j[1])
@@ -358,7 +374,8 @@ def _segment(d: np.ndarray, e: np.ndarray, f: WaveFunction, times: np.ndarray, l
     ends = [(r, abs(e[k])) for r, k, cut in cuts if cut]
     # tails times 1 + |t| sum_end |e_end|: the series tail plus its term in the
     # leak.  c[m, k] = (2 - delta_k0) J_k(a|t_m|) times the real sign of
-    # (-i sgn t)^k; even orders give the real part of the sum, odd orders the
+    # (-i sgn t)^k and the recurrence's sign eps_k (_recurrence): (1, -sgn t)
+    # by parity; even orders give the real part of the sum, odd orders the
     # imaginary part.  Only tails from K >= a|t| are ever read
     cut_sum = sum(c for _, c in ends)
     series = [_bessel_series(a * abs(t), f.norm() * (1.0 + abs(t) * cut_sum)) for t in times]
@@ -374,7 +391,7 @@ def _segment(d: np.ndarray, e: np.ndarray, f: WaveFunction, times: np.ndarray, l
     c = np.zeros((times.size, max(j.size for j, _ in series)))
     first, tails = [], []
     for m, (t, (j, tail)) in enumerate(zip(times, series)):
-        c[m, : j.size] = np.array([1.0, -np.sign(t), -1.0, np.sign(t)])[np.arange(j.size) % 4] * j
+        c[m, : j.size] = np.array([1.0, -np.sign(t)])[np.arange(j.size) % 2] * j
         first.append(max(1, int(np.ceil(a * abs(t)))))
         tails.append(tail[first[-1] - 1 :].copy())
     del series
@@ -460,47 +477,48 @@ def _recurrence(segments_by_degree: list) -> None:
     running are always a prefix.  Every _CHEBYSHEV_BLOCK terms, or fewer as
     the ring's memory bound asks, each running segment sums the new
     vectors into its times by one matrix product (_absorb).
+
+    The ring holds S_k = eps_k T_k, eps = (+, +, -, -) repeating, whose
+    signs the coefficients carry (_segment): S_(k+1) = +-A S_k + S_(k-1)
+    with A = 2 H_s, + for even k and - for odd, is one copy of S_(k-1) and
+    one dlagtm call with BETA = 1 on the running prefix, and S_1 = A S_0 / 2.
     """
     offsets = np.cumsum([0] + [s.rows for s in segments_by_degree])
     size = int(offsets[-1])
     diag, up, down = (np.concatenate([getattr(s, k) for s in segments_by_degree]) for k in ("diag", "up", "down"))
-    B = max(2, min(_CHEBYSHEV_BLOCK, _CHEBYSHEV_RING_BYTES // (8 * (size + 2))) // 2 * 2)
-    ring = np.zeros((B, size + 2))  # T_k in row k % B, zero-padded at both ends
-    ring[0, 1:-1] = np.concatenate([s.start.ravel() for s in segments_by_degree])
-
-    def views(width: int):  # the first `width` entries of each ring row, and its shifts
-        return ([ring[i, 1 : width + 1] for i in range(B)], [ring[i, 2 : width + 2] for i in range(B)],
-                [ring[i, :width] for i in range(B)], diag[:width], up[:width], down[:width], np.empty(width))
+    B = max(2, min(_CHEBYSHEV_BLOCK, _CHEBYSHEV_RING_BYTES // (8 * size)) // 2 * 2)
+    ring = np.zeros((B, size))  # S_k in row k % B
+    ring[0] = np.concatenate([s.start.ravel() for s in segments_by_degree])
+    # dlagtm's arguments: DL = down[1:] and DU = up[:-1] by address, N = LDX = LDB the running prefix
+    slots, dl, dg, du = [row.ctypes.data for row in ring], down.ctypes.data + 8, diag.ctypes.data, up.ctypes.data
+    width, one, beta = ctypes.c_int(size), ctypes.c_int(1), ctypes.c_double(0.0)
+    sign = ctypes.c_double(1.0), ctypes.c_double(-1.0)
 
     active = len(segments_by_degree)  # segments_by_degree[:active] holds every running segment
-    rows, right, left, dg, upper, lower, tmp = views(size)
+    rows = list(ring)
     kmax = segments_by_degree[0].kmax
-    k = done = 0  # ring rows hold T_done .. T_k
+    k = done = 0  # ring rows hold S_done .. S_k
     while True:
         if (k + 1) % B == 0 or k + 1 == kmax:
             k1 = k + 1
             for s, o in zip(segments_by_degree[:active], offsets):
                 if s.kmax > done:
-                    _absorb(s, ring[: k1 - done, 1 + o : 1 + o + s.rows], done, k1)
+                    _absorb(s, ring[: k1 - done, o : o + s.rows], done, k1)
             done = k1
             while active and segments_by_degree[active - 1].kmax <= done:
                 active -= 1
             if not active:
                 break
             kmax = max(s.kmax for s in segments_by_degree[:active])
-            if offsets[active] < rows[0].size:
-                rows, right, left, dg, upper, lower, tmp = views(int(offsets[active]))
-        # T_(k+1) = 2 H_s T_k - T_(k-1), T_1 = H_s T_0
-        i, y = k % B, rows[(k + 1) % B]
-        np.multiply(dg, rows[i], out=y)
-        np.multiply(upper, right[i], out=tmp)
-        y += tmp
-        np.multiply(lower, left[i], out=tmp)
-        y += tmp
+            if offsets[active] < width.value:
+                width.value = int(offsets[active])
+                rows = [row[: width.value] for row in ring]
         if k:
-            y -= rows[(k - 1) % B]
-        else:
-            y *= 0.5
+            np.copyto(rows[(k + 1) % B], rows[(k - 1) % B])
+        _DLAGTM(b"N", width, one, sign[k % 2], dl, dg, du, slots[k % B], width, beta, slots[(k + 1) % B], width)
+        if not k:
+            rows[1] *= 0.5
+            beta.value = 1.0
         k += 1
 
 
@@ -609,8 +627,11 @@ def duhamel_bound(f: WaveFunction, t: float, R: float) -> float:
             phases[0] = np.exp(-1j * (u0 + i * h) * omega)
             phases[1:] = step
             np.cumprod(phases, axis=0, out=phases)
-            psi = np.fft.ifft(spectrum * phases, axis=1)
-            out[i : i + phases.shape[0]] = np.sqrt((psi.real**2 + psi.imag**2) @ wgt * g.dx)
+            np.multiply(spectrum, phases, out=phases)
+            psi = np.fft.ifft(phases, axis=1, out=phases)
+            density = np.square(psi.real)  # |psi|^2, with the one temporary
+            density += np.square(psi.imag, out=psi.imag)
+            out[i : i + phases.shape[0]] = np.sqrt(density @ wgt * g.dx)
         return out
 
     noise = abs(t) * np.finfo(float).eps * np.abs(f.values).max() * np.sqrt(wgt.sum() * g.dx)

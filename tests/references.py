@@ -7,8 +7,9 @@ tests instead of in the library.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import j0, j1
 
-from thermolim.propagators import evolve_free, evolve_spectral, gated_gap
+from thermolim.propagators import CHEBYSHEV_TAIL, _absorb, evolve_free, evolve_spectral, gated_gap
 from thermolim.quasifree import DomainError
 
 
@@ -43,6 +44,63 @@ def to_momentum(f) -> MomentumFunction:
 def propagator_gap(decomp, f, t: float, R: float) -> float:
     """Gated L2 gap between the free and the eigensolved trapped evolution of f."""
     return gated_gap(evolve_free(f, t), evolve_spectral(decomp, f, t), R)
+
+
+def miller_bessel_series(z: float, norm: float) -> tuple[np.ndarray, np.ndarray]:
+    """
+    propagators._bessel_series by its earlier loop: Miller's backward
+    recurrence J_(k-1) = (2k/z) J_k - J_(k+1) one order at a time from
+    J_start = 1, rescaled by 1e-250 whenever an order passes 1e250.
+    """
+    if z == 0:
+        return np.ones(1), np.zeros(1)
+    margin = 15.0 * z ** (1 / 3) + 30.0
+    while True:
+        top = int(z + margin)
+        start = top + int(margin)
+        j = np.zeros(start + 2)
+        j[start] = 1.0
+        above, cur = 0.0, 1.0
+        for k in range(start, 0, -1):
+            above, cur = cur, 2.0 * k / z * cur - above
+            if abs(cur) > 1e250:
+                j[k:] *= 1e-250
+                above, cur = above * 1e-250, cur * 1e-250
+            j[k - 1] = cur
+        j /= np.abs(j).max()
+        j /= np.sqrt(j[0] ** 2 + 2.0 * (j[1:] ** 2).sum())
+        ref = (j0(z), j[0]) if abs(j[0]) >= abs(j[1]) else (j1(z), j[1])
+        if ref[0] * ref[1] < 0:
+            j = -j
+        q = z / (2.0 * top + 2.0 - z)
+        beyond = abs(j[top]) * q / (1.0 - q)
+        tails = 2.0 * norm * (np.cumsum(np.abs(j[top:0:-1]))[::-1] + beyond)
+        if tails[-1] <= CHEBYSHEV_TAIL:
+            return j[:top], tails
+        margin *= 2.0
+
+
+def ufunc_recurrence(segments_by_degree: list) -> None:
+    """
+    propagators._recurrence by plain ufuncs, one segment at a time:
+    T_(k+1) = 2 H_s T_k - T_(k-1), T_1 = H_s T_0, with each T_k handed to
+    _absorb as eps_k T_k, eps = (+, +, -, -) repeating, 64 terms at a time.
+    """
+    eps = (1.0, 1.0, -1.0, -1.0)
+    for s in segments_by_degree:
+        def apply(v):  # 2 H_s v
+            y = s.diag * v
+            y[:-1] += s.up[:-1] * v[1:]
+            y[1:] += s.down[1:] * v[:-1]
+            return y
+
+        prev, cur, k, done, block = None, s.start.ravel(), 0, 0, []
+        while done < s.kmax:
+            block.append(eps[k % 4] * cur)
+            prev, cur, k = cur, 0.5 * apply(cur) if k == 0 else apply(cur) - prev, k + 1
+            if len(block) == 64 or k == s.kmax:
+                _absorb(s, np.array(block), done, k)
+                done, block = k, []
 
 
 def two_point(state, f, g) -> complex:

@@ -2,9 +2,8 @@
 
 The benchmark (`perfbench/`) counts a run as failed when its report leaves
 the stored reference; this runs the same comparison in the suite, for every
-workload label at its workload config and the default seed.  `lemma31` is
-left out for its run time: its gaps are held to the same tolerance in
-`test_propagators.py`.  The test reads `perfbench/` and writes nothing.
+workload label at its workload config and the default seed.  The test
+reads `perfbench/` and writes nothing.
 """
 
 import importlib.util
@@ -31,7 +30,6 @@ ENTRIES = [
     entry
     for workload in workloads.WORKLOADS
     for entry in workloads.entries(workload, workloads.DEFAULT_SEED)
-    if entry[0] != "lemma31"
 ]
 
 

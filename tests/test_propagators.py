@@ -28,7 +28,7 @@ from thermolim.propagators import (
     observable_gap_bound,
 )
 
-from references import propagator_gap
+from references import miller_bessel_series, propagator_gap, ufunc_recurrence
 
 
 @pytest.fixture(scope="module")
@@ -151,6 +151,18 @@ def test_bessel_coefficients_sum_to_one(lemma31_soft_wall):
     j, _ = _bessel_series(z, 1.0)
     assert abs(j[0] + 2.0 * j[2::2].sum() - 1.0) < 1e-14
     assert abs(j[0] - j0(z)) < 1e-14 and abs(j[1] - j1(z)) < 1e-14
+
+
+@pytest.mark.parametrize("z", [1e-8, 1e-4, 0.5, 7.3, 333.3, 2720.0, 2.5e4])
+def test_the_banded_bessel_solve_matches_millers_loop(z):
+    # at z = 1e-4 the recurrence starts at order 60, and a plain solve from
+    # J_60 = 1 overflows before order 0; a packet norm of 1e30 doubles the
+    # margin once for z >= 50
+    for norm in (1.0, 1e30):
+        (j, tails), (ref_j, ref_tails) = _bessel_series(z, norm), miller_bessel_series(z, norm)
+        assert j.shape == ref_j.shape and np.all(np.isfinite(j))
+        assert np.abs(j - ref_j).max() <= 5e-16
+        np.testing.assert_allclose(tails, ref_tails, rtol=1e-13)
 
 
 def test_route_takes_the_series_below_the_crossover(monkeypatch, lemma31_soft_wall):
@@ -318,6 +330,37 @@ def test_only_the_leaky_packet_of_a_batch_is_rerun(monkeypatch):
     for a, b in zip(evolved, evolve_chebyshev(H, f, [0.1, 1.0])[0]):
         assert np.array_equal(a.values, b.values)
     assert all(0 <= b <= CHEBYSHEV_TAIL for b in bounds + soft_bounds)
+
+
+def test_the_lapack_recurrence_matches_a_plain_ufunc_recurrence(monkeypatch):
+    # four packets of four degrees, so the running prefix shrinks three
+    # times, with a complex packet and negative times, where the folded
+    # signs of the recurrence meet sgn t
+    R, n = 8.0, 1024
+    stiff, centred = _stiff_wall(R, n)
+    _, off_centre = _stiff_wall(R, n, center=0.5)
+    soft = assemble(stiff.grid, soft_wall_trap(R, 1.0))
+    moving = centred.with_values(centred.values * np.exp(0.9j * stiff.grid.x))
+    packets = [(soft, centred, [0.25, -1.0]), (stiff, centred, [0.1, -0.05]),
+               (stiff, off_centre, [0.02, -0.03]), (soft, moving, [-0.1, 0.3])]
+    widths = []
+
+    def recording(*args):
+        widths.append(args[1].value)
+        return _DLAGTM(*args)
+
+    _DLAGTM = propagators._DLAGTM
+    monkeypatch.setattr(propagators, "_DLAGTM", recording)
+    fast = evolve_chebyshev_batch(packets, 1)
+    assert len(set(widths)) == 4 and widths == sorted(widths, reverse=True)
+    monkeypatch.setattr(propagators, "_recurrence", ufunc_recurrence)
+    plain = evolve_chebyshev_batch(packets, 1)
+    for (a, a_bounds), (b, b_bounds) in zip(fast, plain):
+        for x, y in zip(a, b):
+            assert _rel_diff(x, y) <= 1e-13
+        # the leak sums of the cut blocks add the roundoff of tiny end values
+        np.testing.assert_allclose(a_bounds, b_bounds, rtol=0, atol=1e-20)
+        assert all(0 <= bound <= CHEBYSHEV_TAIL for bound in a_bounds)
 
 
 def test_threads_split_the_batch_by_work(monkeypatch):
