@@ -284,12 +284,18 @@ def diagonalize(
     return SpectralDecomposition(H.grid, w, v)
 
 
+def _gershgorin_rows(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper Gershgorin edges d_j -+ (|e_(j-1)| + |e_j|) of each row."""
+    r = np.zeros_like(d)
+    r[:-1] += np.abs(e)
+    r[1:] += np.abs(e)
+    return d - r, d + r
+
+
 def _gershgorin_norm(H: TridiagonalOperator) -> float:
     """max_i |d_i| + |e_(i-1)| + |e_i|, an upper bound on the norm of H."""
-    row = np.abs(H.diagonal)
-    row[1:] += np.abs(H.off_diagonal)
-    row[:-1] += np.abs(H.off_diagonal)
-    return float(row.max())
+    lower, upper = _gershgorin_rows(H.diagonal, H.off_diagonal)
+    return float(max(upper.max(), -lower.min()))
 
 
 def mirror_window(H: TridiagonalOperator, n_modes: int) -> SpectralDecomposition:

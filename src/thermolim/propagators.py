@@ -39,15 +39,16 @@
 # (H - H_B) u = e_end u(end) across each cut, so the error is at most
 #     |t| sum_end |e_end| (2 sqrt(dx) sum_(k<K) |(T_k f)(end)| + tail_K),
 # using |(2 - delta_k0) J_k| <= 2 and, for K >= a|t|, a tail that grows
-# with s.  The boundary sums run along the recurrence, and each time stops
-# at the first K >= a|t| where tail plus leak is at most CHEBYSHEV_TAIL,
-# a few dozen terms past the tail alone; without a cut the leak is zero.
-# A time whose leak sums alone exceed CHEBYSHEV_TAIL drops out of the
-# block's series and is rerun on the whole box; the other times keep their
+# with s.  Each time's degree is fixed before the recurrence starts: the
+# first K >= a|t| whose tail bound is at most CHEBYSHEV_TAIL, or at most
+# half of it on a cut block, which leaves the other half to the leak.  The
+# boundary sums run along the recurrence, each time's up to its own degree;
+# without a cut the leak is zero.  A time whose tail plus leak exceeds
+# CHEBYSHEV_TAIL is rerun on the whole box; the other times keep their
 # block results.  At lemma31's stiff walls (n = 4096, c = R = 8..14) the
 # blocks keep 3075 to 1571 rows, the degree a t at t = 1 falls from
-# 39k-175k to 25k-13k, and the leak is at most 4e-18; R = 6 keeps the
-# whole box (degree 24k at t = 1).
+# 39k-175k to 25k-13k (2 to 4 terms past the whole-box rule), and the leak
+# is at most 4.5e-18; R = 6 keeps the whole box (degree 24k at t = 1).
 #
 # The even half.  A block cut on both sides, whose diagonal and packet are
 # mirror exact about a row mid (bit for bit) and whose one coupling e runs
@@ -73,12 +74,12 @@
 # tridiagonal A) on that prefix, so it pays its Python and call overhead
 # (about 2 us) once for all packets; at lemma31's 28,852 rows a term costs
 # 1.6 ns per row, against 3.2 ns for the six ufunc calls it replaces.  Each
-# packet keeps its own coefficients, degrees, leak sums and bounds, and a
-# packet whose cut leaks is rerun on its whole box, all such packets in
+# packet keeps its own coefficients, degrees, leak sums and bounds, and
+# the times whose cuts leak are rerun on their whole boxes, all of them in
 # one more batch.  The new vectors are summed into every time each
 # _CHEBYSHEV_BLOCK terms, or as many as fit _CHEBYSHEV_RING_BYTES over the
 # batch's rows: 36 for lemma31's ten packets, whose batch sets lemma31's
-# 16.6 MB peak; one duhamel_bound call at n = 4096 takes 10.8 MB.
+# 16.5 MB peak; one duhamel_bound call at n = 4096 takes 10.8 MB.
 
 from __future__ import annotations
 
@@ -91,7 +92,7 @@ from scipy.linalg.blas import dtbsv
 from scipy.special import gammaln, j0, j1
 
 from .grids import Grid1D, GridMismatchError, WaveFunction
-from .hamiltonians import _A, _C, _D, _I, SpectralDecomposition, TridiagonalOperator, _lapack_handle
+from .hamiltonians import _A, _C, _D, _I, SpectralDecomposition, TridiagonalOperator, _gershgorin_rows, _lapack_handle
 
 GAP_FLOOR = 1e-14
 EDGE_GATE = 5e-3  # largest relative edge amplitude an evolved packet may keep
@@ -143,14 +144,6 @@ def _check_grid(grid, f: WaveFunction) -> None:
         grid.n_points != f.grid.n_points or grid.half_width != f.grid.half_width
     ):
         raise GridMismatchError("wavefunction grid does not match the operator")
-
-
-def _gershgorin_rows(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lower and upper Gershgorin edges d_j -+ (|e_(j-1)| + |e_j|) of each row."""
-    r = np.zeros_like(d)
-    r[:-1] += np.abs(e)
-    r[1:] += np.abs(e)
-    return d - r, d + r
 
 
 def _gershgorin(d: np.ndarray, e: np.ndarray) -> tuple[float, float]:
@@ -226,9 +219,11 @@ def _bessel_series(z: float, norm: float) -> tuple[np.ndarray, np.ndarray]:
 def evolve_chebyshev(H: TridiagonalOperator, f: WaveFunction, times):
     """
     e^(-itH) f at each time of a 1-D sequence, by the Chebyshev series on
-    the packet's reachable block (module header), with an L2 error bound
-    per time that covers the series tail and the cut.  Times whose cut
-    leaks are rerun on the whole box.  A one-packet evolve_chebyshev_batch.
+    the packet's reachable block (module header), to a degree fixed per
+    time before the series runs, with an L2 error bound per time: the
+    series tail plus the leak across the cut.  Times whose bound exceeds
+    CHEBYSHEV_TAIL are rerun on the whole box.  A one-packet
+    evolve_chebyshev_batch.
 
     Returns (evolved, bounds): lists in the order of `times`; every bound is
     at most CHEBYSHEV_TAIL.  NaN or inf operator entries raise ValueError.
@@ -240,8 +235,9 @@ def evolve_chebyshev_batch(packets, threads: int):
     """
     evolve_chebyshev of every (H, f, times) in `packets`, all in one
     Chebyshev recurrence (module header), or in `threads` recurrences of
-    about equal work (rows times degree) on a thread pool.  Times whose cut
-    leaks are rerun on their whole boxes, again in one batch.
+    about equal work (rows times degree) on a thread pool.  Times whose
+    tail plus leak exceeds CHEBYSHEV_TAIL are rerun on their whole boxes,
+    again in one batch.
 
     Returns one (evolved, bounds) pair per packet, in the order of `packets`.
     """
@@ -322,8 +318,8 @@ class _Segment:
     """
     One packet's series on the block lo <= j < hi of its operator, or, with
     `mid` set, on the even half mid <= j < hi of a mirror-exact block: the
-    rows of 2 H_s, the start vector per part, the coefficient table and the
-    per-time stopping state that _absorb advances.
+    rows of 2 H_s, the start vector per part, each time's degree, tail bound
+    and coefficients, and the sums that _absorb adds to.
     """
 
     f: WaveFunction
@@ -339,15 +335,12 @@ class _Segment:
     end_rows: list  # block rows at the cuts, and |e_end| across each
     couplings: np.ndarray
     c_even: np.ndarray  # (times, orders) of the coefficients of even and odd orders,
-    c_odd: np.ndarray  # each zeroed past its time's fixed degree
-    first: list  # per time: the least degree K >= a|t|
-    tails: list  # per time: tails[K - first] for K = first .. top
-    leak_weight: np.ndarray
-    pending: list
+    c_odd: np.ndarray  # each zero past its time's degree
     degrees: list
-    bounds: list
-    kmax: int  # every Bessel order until each degree is fixed, then the largest degree
-    boundary: float  # sum_end |e_end| sum_(k<done) |(T_k f)(end)|
+    tails: np.ndarray  # per time: the series tail bound at its degree
+    leak_weight: np.ndarray
+    leak: np.ndarray  # per time: sum_end |e_end| sum_(k<degree) |(T_k f)(end)|, as far as summed
+    kmax: int  # the largest degree
     even: np.ndarray
     odd: np.ndarray
 
@@ -367,18 +360,31 @@ def _segment(d: np.ndarray, e: np.ndarray, f: WaveFunction, times: np.ndarray, l
     `mid` is its mirror centre (_mirror_centre; module header, "The even
     half"): the half keeps the block's Gershgorin (a, b) and tail weight,
     and its one cut carries sqrt 2 |e|.
+
+    Each time's degree is the first K >= a|t| whose tail bound is at most
+    CHEBYSHEV_TAIL, or at most CHEBYSHEV_TAIL / 2 on a cut block, which
+    leaves the other half to the leak.
     """
     a, b = _gershgorin(d[lo:hi], e[lo : hi - 1])
     # (block row, |e_end| across the cut) at each end that is a cut
     cuts = [(0, lo - 1, lo > 0), (hi - lo - 1, hi - 1, hi < d.size)]
     ends = [(r, abs(e[k])) for r, k, cut in cuts if cut]
-    # tails times 1 + |t| sum_end |e_end|: the series tail plus its term in the
-    # leak.  c[m, k] = (2 - delta_k0) J_k(a|t_m|) times the real sign of
-    # (-i sgn t)^k and the recurrence's sign eps_k (_recurrence): (1, -sgn t)
-    # by parity; even orders give the real part of the sum, odd orders the
-    # imaginary part.  Only tails from K >= a|t| are ever read
+    # the tail bound times 1 + |t| sum_end |e_end|: the series tail plus its
+    # term in the leak, and on a cut block times 2 more, so that the degree
+    # holds it to half of CHEBYSHEV_TAIL.  c[m, k] = (2 - delta_k0) J_k(a|t_m|)
+    # times the real sign of (-i sgn t)^k and the recurrence's sign eps_k
+    # (_recurrence): (1, -sgn t) by parity; even orders give the real part of
+    # the sum, odd orders the imaginary part
     cut_sum = sum(c for _, c in ends)
-    series = [_bessel_series(a * abs(t), f.norm() * (1.0 + abs(t) * cut_sum)) for t in times]
+    share = 2.0 if ends else 1.0
+    series, degrees, tails = [], [], []
+    for t in times:
+        j, tail = _bessel_series(a * abs(t), share * f.norm() * (1.0 + abs(t) * cut_sum))
+        first = max(1, int(np.ceil(a * abs(t))))
+        K = first + int(np.argmax(tail[first - 1 :] <= CHEBYSHEV_TAIL))
+        series.append(np.array([1.0, -np.sign(t)])[np.arange(K) % 2] * j[:K])
+        degrees.append(K)
+        tails.append(tail[K - 1] / share)
     if mid is None:
         rows_d, rows_e, values = d[lo:hi], e[lo : hi - 1], f.values[lo:hi]
     else:
@@ -388,12 +394,9 @@ def _segment(d: np.ndarray, e: np.ndarray, f: WaveFunction, times: np.ndarray, l
         values[1:] *= _SQRT2
         ends = [(hi - mid - 1, _SQRT2 * abs(e[hi - 1]))]
     end_rows, couplings = [r for r, _ in ends], np.array([c for _, c in ends])
-    c = np.zeros((times.size, max(j.size for j, _ in series)))
-    first, tails = [], []
-    for m, (t, (j, tail)) in enumerate(zip(times, series)):
-        c[m, : j.size] = np.array([1.0, -np.sign(t)])[np.arange(j.size) % 2] * j
-        first.append(max(1, int(np.ceil(a * abs(t)))))
-        tails.append(tail[first[-1] - 1 :].copy())
+    c = np.zeros((times.size, max(degrees)))
+    for m, j in enumerate(series):
+        c[m, : j.size] = j
     del series
     c[:, 1:] *= 2.0
     c_even, c_odd = c[:, ::2].copy(), c[:, 1::2].copy()  # contiguous, for BLAS products
@@ -411,14 +414,11 @@ def _segment(d: np.ndarray, e: np.ndarray, f: WaveFunction, times: np.ndarray, l
         couplings=couplings,
         c_even=c_even,
         c_odd=c_odd,
-        first=first,
-        tails=tails,
+        degrees=degrees,
+        tails=np.array(tails),
         leak_weight=2.0 * np.sqrt(f.grid.dx) * np.abs(times),
-        pending=list(range(times.size)),
-        degrees=[0] * times.size,
-        bounds=[None] * times.size,
+        leak=np.zeros(times.size),
         kmax=c.shape[1],
-        boundary=0.0,
         even=np.zeros((times.size, p * rows_d.size)),
         odd=np.zeros((times.size, p * rows_d.size)),
     )
@@ -427,39 +427,18 @@ def _segment(d: np.ndarray, e: np.ndarray, f: WaveFunction, times: np.ndarray, l
 def _absorb(s: _Segment, block: np.ndarray, done: int, k1: int) -> None:
     """
     Add T_done .. T_(k1-1) of segment s (the rows of `block`) to each time's
-    sum, first fixing each pending degree at the first K in (done, k1] with
-    K >= a|t| where tail plus leak is at most CHEBYSHEV_TAIL.  A time whose
-    leak sums alone exceed CHEBYSHEV_TAIL, or whose Bessel orders run out,
-    keeps degree 0 and bound None.  A time that is done, or leaks, has the
-    rest of its coefficients zeroed.
+    sum, and their values at the cuts to each time's leak sum, both up to
+    that time's degree.
     """
-    if s.pending:
-        sums = np.zeros(k1 - done)  # s.boundary after each term; no cut, no leak
-        if s.end_rows:
-            p, n = s.start.shape
-            at_ends = block.reshape(k1 - done, p, n)[:, :, s.end_rows]
-            sums = s.boundary + np.cumsum(np.sqrt((at_ends**2).sum(axis=1)) @ s.couplings)
-            s.boundary = float(sums[-1])
-        for m in list(s.pending):
-            top = s.first[m] + s.tails[m].size - 1
-            if k1 < s.first[m] and s.leak_weight[m] * s.boundary <= CHEBYSHEV_TAIL:
-                continue  # neither done nor leaking yet
-            K = np.arange(max(done + 1, s.first[m]), min(k1, top) + 1)
-            bound = s.tails[m][K - s.first[m]] + s.leak_weight[m] * sums[K - done - 1]
-            ok = np.flatnonzero(bound <= CHEBYSHEV_TAIL)
-            if ok.size:
-                s.degrees[m], s.bounds[m] = int(K[ok[0]]), float(bound[ok[0]])
-            elif k1 < top and s.leak_weight[m] * s.boundary <= CHEBYSHEV_TAIL:
-                continue
-            s.c_even[m, (s.degrees[m] + 1) // 2 :] = 0.0
-            s.c_odd[m, s.degrees[m] // 2 :] = 0.0
-            s.pending.remove(m)
-        if not s.pending:
-            s.kmax = max(s.degrees)
     k1 = min(k1, s.kmax)  # done is even: a multiple of the ring size
-    if k1 > done:
-        s.even += s.c_even[:, done // 2 : (k1 + 1) // 2] @ block[0 : k1 - done : 2]
-        s.odd += s.c_odd[:, done // 2 : k1 // 2] @ block[1 : k1 - done : 2]
+    block = block[: k1 - done]
+    if s.end_rows:
+        p, n = s.start.shape
+        at_ends = block.reshape(k1 - done, p, n)[:, :, s.end_rows]
+        sums = np.cumsum(np.append(0.0, np.sqrt((at_ends**2).sum(axis=1)) @ s.couplings))
+        s.leak += sums[np.minimum(np.maximum(s.degrees, done), k1) - done]  # the terms k < degree
+    s.even += s.c_even[:, done // 2 : (k1 + 1) // 2] @ block[0::2]
+    s.odd += s.c_odd[:, done // 2 : k1 // 2] @ block[1::2]
 
 
 def _run_segments(segments: list) -> list:
@@ -502,14 +481,12 @@ def _recurrence(segments_by_degree: list) -> None:
         if (k + 1) % B == 0 or k + 1 == kmax:
             k1 = k + 1
             for s, o in zip(segments_by_degree[:active], offsets):
-                if s.kmax > done:
-                    _absorb(s, ring[: k1 - done, o : o + s.rows], done, k1)
+                _absorb(s, ring[: k1 - done, o : o + s.rows], done, k1)
             done = k1
             while active and segments_by_degree[active - 1].kmax <= done:
                 active -= 1
             if not active:
                 break
-            kmax = max(s.kmax for s in segments_by_degree[:active])
             if offsets[active] < width.value:
                 width.value = int(offsets[active])
                 rows = [row[: width.value] for row in ring]
@@ -523,12 +500,17 @@ def _recurrence(segments_by_degree: list) -> None:
 
 
 def _evolved(s: _Segment):
-    """The (evolved, bounds) lists of a finished segment, on the whole grid."""
+    """
+    The (evolved, bounds) lists of a finished segment, on the whole grid.  A
+    time's bound is its tail bound plus its leak; above CHEBYSHEV_TAIL the
+    time gets None for both, and evolve_chebyshev_batch reruns it.
+    """
     p, n = s.start.shape
     size = s.f.grid.n_points
+    bounds = [float(bound) if bound <= CHEBYSHEV_TAIL else None for bound in s.tails + s.leak_weight * s.leak]
     evolved = []
     for m, t in enumerate(s.times):
-        if s.bounds[m] is None:
+        if bounds[m] is None:
             evolved.append(None)
             continue
         v = (np.exp(-1j * s.b * t) * (s.even[m] + 1j * s.odd[m])).reshape(p, n)
@@ -542,7 +524,7 @@ def _evolved(s: _Segment):
             out[s.lo : s.mid] = out[s.hi - 1 : s.mid : -1]
         evolved.append(WaveFunction(s.f.grid, out))
     s.even = s.odd = None
-    return evolved, list(s.bounds)
+    return evolved, bounds
 
 
 def _lattice_symbol(g: Grid1D) -> np.ndarray:

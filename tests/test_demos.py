@@ -1,11 +1,12 @@
 """Run the demos that exercise the library's public API, in process.
 
 Each demo runs as a script and must print the line that states its
-result.  `gap_grid_check.py` stays a manual run.
+result.  `gap_grid_check.py` runs on one branch at lemma31's own grids.
 """
 
 import pathlib
 import runpy
+import sys
 
 import pytest
 
@@ -27,3 +28,11 @@ EXPECTED = {
 def test_demo_runs(demo, capsys):
     runpy.run_path(str(DEMO_DIR / f"{demo}.py"), run_name="__main__")
     assert EXPECTED[demo] in capsys.readouterr().out
+
+
+def test_gap_grid_check_reproduces_lemma31s_gaps(monkeypatch, capsys):
+    # at --dx default the demo's header says it reproduces lemma31's gaps:
+    # these are the c = 1, t = 0.25 gaps of perfbench/reference/lemma31.json
+    monkeypatch.setattr(sys, "argv", ["gap_grid_check.py", "--branch", "1,0.25"])
+    runpy.run_path(str(DEMO_DIR / "gap_grid_check.py"), run_name="__main__")
+    assert "  gaps   0.00403061 0.00162817 0.000723477 0.000335868 0.000155215\n" in capsys.readouterr().out

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from thermolim import condensates, hamiltonians, lab
+from thermolim import condensates, hamiltonians, lab, propagators
 from thermolim.cli import main
 from thermolim.grids import bump, make_grid
 from thermolim.lab import ConfigError, parse_config, run
@@ -14,6 +14,7 @@ from thermolim.hamiltonians import diagonalize, soft_wall_trap
 from thermolim.propagators import (
     QuadratureCapError,
     ValidityGateError,
+    _run_segments,
     duhamel_bound,
     evolve_free,
     gated_gap,
@@ -116,12 +117,21 @@ def test_lemma31_threads_leave_the_report_unchanged():
     assert (two.verdicts, two.gates, two.notes) == (one.verdicts, one.gates, one.notes)
 
 
-def test_lemma31_batch_keeps_its_memory_peak():
+def test_lemma31_batch_keeps_its_memory_peak(monkeypatch):
     # the peak is the batched series: its 36-row ring over 28,852 rows
     # (8.3 MB), coefficient tables and sums for all ten packets, on top of
     # the packets.  One duhamel_bound call at n = 4096 takes 10.8 MB.  The
     # run peaked at 18,008,237 bytes here (numpy 2.4) before the batch, and
-    # at 16,634,175 with the series on dlagtm and an in-place Duhamel integrand
+    # at 16,634,175 with the series on dlagtm and an in-place Duhamel
+    # integrand.  No cut leaks at the defaults, so all ten packets run in
+    # one batch and nothing is rerun on its whole box
+    batches = []
+
+    def recording(segments):
+        batches.append(len(segments))
+        return _run_segments(segments)
+
+    monkeypatch.setattr(propagators, "_run_segments", recording)
     tracemalloc.start()
     try:
         run("lemma31", {})
@@ -129,6 +139,7 @@ def test_lemma31_batch_keeps_its_memory_peak():
     finally:
         tracemalloc.stop()
     assert peak <= 1.01 * 16_634_175
+    assert batches == [10]
 
 
 def test_cli_exits_2_when_a_quadrature_hits_its_cap(monkeypatch, tmp_path, capsys):

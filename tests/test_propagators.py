@@ -193,14 +193,23 @@ def test_route_takes_the_series_below_the_crossover(monkeypatch, lemma31_soft_wa
 
 def test_soft_wall_series_runs_on_the_whole_box(lemma31_soft_wall):
     # the soft wall's box edge stays below the cut level, so nothing is cut
-    # and the result is the uncut series, bit for bit
+    # and the result is the uncut series, bit for bit.  Each degree is the
+    # first K >= a|t| whose tail bound is at most CHEBYSHEV_TAIL, and with no
+    # leak that tail bound is the bound
     _, ts, H, f, _ = lemma31_soft_wall
     d, e = H.diagonal, H.off_diagonal
     assert _reachable_block(d, e, f.values) == (0, H.size)
     evolved, bounds = evolve_chebyshev(H, f, ts)
-    (whole, whole_bounds), = _run_segments([_segment(d, e, f, np.asarray(ts), 0, H.size, None)])
+    segment = _segment(d, e, f, np.asarray(ts), 0, H.size, None)
+    (whole, whole_bounds), = _run_segments([segment])
     assert all(np.array_equal(a.values, b.values) for a, b in zip(evolved, whole))
     assert bounds == whole_bounds
+    a, _ = _gershgorin(d, e)
+    for t, K, bound in zip(ts, segment.degrees, bounds):
+        tails = _bessel_series(a * t, f.norm())[1]
+        least = max(1, int(np.ceil(a * t)))
+        assert K == next(k for k in range(least, tails.size + 1) if tails[k - 1] <= CHEBYSHEV_TAIL)
+        assert bound == tails[K - 1]
 
 
 def test_stiff_wall_series_runs_on_the_reachable_block():
@@ -292,6 +301,10 @@ def test_the_even_half_matches_the_whole_cut_block():
         assert np.array_equal(a.values[lo : H.size // 2], a.values[hi - 1 : H.size // 2 : -1])
     assert half.degrees == whole.degrees
     assert all(0 <= b <= CHEBYSHEV_TAIL for b in split_bounds + unsplit_bounds)
+    # a cut block's degree holds the tail to half of CHEBYSHEV_TAIL, and
+    # leaves the other half to the leak
+    assert np.array_equal(half.tails, whole.tails) and np.all(whole.tails <= CHEBYSHEV_TAIL / 2)
+    assert all(tail <= b for tail, b in zip(whole.tails, unsplit_bounds))
 
 
 @pytest.mark.parametrize("case", ["reaches row 0", "off-centre packet", "asymmetric diagonal"])
