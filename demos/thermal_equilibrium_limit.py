@@ -2,10 +2,12 @@
 #
 # At beta = 1, mu = -1 the one-particle density matrix of the trap
 # reproduces the homogeneous density at the center already for modest R.
-# Each trap is solved only up to its Bose energy cap (about 40 here), which
-# leaves out at most 1e-16 of density at every grid point;
-# the number-resolvent expectation values follow from the same data and
-# are checked against an exact truncated-Fock-space Gibbs trace.
+# Each density comes from a Lanczos walk out of the center: its Gauss and
+# Gauss-Radau rules bracket the density to 1e-12 relative, with no
+# eigenvector of the trap.  The number-resolvent expectation values need
+# the trap's modes: the R = 20 state is solved up to its Bose energy cap
+# (about 40 here), which leaves out at most 1e-16 of density at every grid
+# point, and is checked against an exact truncated-Fock-space Gibbs trace.
 
 import numpy as np
 
@@ -16,7 +18,7 @@ from thermolim import (
     gibbs_number_resolvent,
     homogeneous_density,
     number_resolvent_expectation,
-    position_density,
+    probe_density,
     thermal_decomposition,
     trap_operator,
 )
@@ -26,9 +28,7 @@ hom = homogeneous_density(beta, mu, 1)
 print(f"homogeneous density at beta={beta}, mu={mu}: {hom:.8f}")
 
 for i, R in enumerate([20.0, 40.0, 80.0]):
-    decomp = thermal_decomposition(trap_operator(R, dx_target=0.125 / 2**i), beta, mu)
-    state = QuasifreeState(beta=beta, mu=mu, decomposition=decomp)
-    dens = position_density(state, 0.0)
+    dens = probe_density(trap_operator(R, dx_target=0.125 / 2**i), beta, mu, 0.0).density
     print(f"R = {R:5.0f}: density(0) = {dens:.8f}   rel. dev = {abs(dens-hom)/hom:.2e}")
 
 print()

@@ -62,6 +62,7 @@ from .quasifree import (
     mu_limit_scan,
     number_resolvent_expectation,
     position_density,
+    probe_density,
     temporal_correlation,
     thermal_decomposition,
 )

@@ -380,7 +380,17 @@ def run_sector_norms(config: dict) -> Report:
 
 
 def run_thermal_convergence(config: dict) -> Report:
-    """Interior density of the trapped thermal state against the homogeneous value."""
+    """
+    Interior density of the trapped thermal state against the homogeneous
+    value.  Each radius takes the density at x_probe as the midpoint of
+    quasifree.probe_density's Gauss / Gauss-Radau bracket, with no
+    eigensolve of the trap.  Gate edge[R]: no row the Lanczos walk read
+    lies within EDGE_ZONE of the box edge, and the bracket is at most
+    edge_gate of its lower end wide.  The bracket then holds the density
+    of every operator that agrees with the trap on those rows, a larger
+    box or the unboxed trap among them, so edge_gate is the largest
+    relative effect that anything beyond the walked rows may have.
+    """
     cfg = _resolve({
         "radius_list": [20.0, 40.0, 80.0],
         "beta": 1.0,
@@ -401,17 +411,19 @@ def run_thermal_convergence(config: dict) -> Report:
     devs = []
     # grids refine with R: at these parameters the finite-trap correction is
     # exponentially below the dx floor, so the deviation tracks refinement.
-    # Every grid is built (and size-checked) before the first eigensolve.
+    # Every grid is built (and size-checked) before the first walk.
     ops = [trap_operator(R, cfg["dx_start"] / 2**i) for i, R in enumerate(cfg["radius_list"])]
     for R, H in zip(cfg["radius_list"], ops):
-        decomp = qf.thermal_decomposition(H, beta, mu)
-        state = qf.QuasifreeState(beta=beta, mu=mu, decomposition=decomp)
-        edge = qf.thermal_edge_weight(state)
-        rep.gates[f"edge[R={R}]"] = edge <= cfg["edge_gate"]
-        dens = qf.position_density(state, cfg["x_probe"])
+        bracket = qf.probe_density(H, beta, mu, cfg["x_probe"])
+        grid = H.grid
+        # the walked rows are one run, so its two ends lie furthest out
+        clear = np.abs(grid.x[list(bracket.rows)]).max() < grid.half_width - qf.EDGE_ZONE
+        width = bracket.upper - bracket.lower
+        rep.gates[f"edge[R={R}]"] = bool(clear and width <= cfg["edge_gate"] * bracket.lower)
+        dens = bracket.density
         dev = abs(dens - hom) / hom
         devs.append(dev)
-        rep.rows.append((R, decomp.grid.n_points, dens, hom, dev))
+        rep.rows.append((R, grid.n_points, dens, hom, dev))
     rep.verdicts["final_within_tol"] = devs[-1] <= cfg["rel_tol"]
     rep.verdicts["deviation_monotone"] = bool(np.all(np.diff(devs) < 0))
     return rep

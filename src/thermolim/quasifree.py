@@ -14,7 +14,30 @@
 # condensate modes and their counts live in the condensates module.  Every
 # thermal weight starts with _check_beta_mu: beta and mu finite, beta > 0.
 #
-# Finite traps use the spectral decomposition of H, cut at a Bose energy
+# The density of a finite trap at one grid point x_j, <e_j, n(H) e_j>/dx,
+# needs no eigenvector of H: probe_density takes it as a Gauss quadrature
+# bracket (Golub & Meurant, Matrices, Moments and Quadrature with
+# Applications, Princeton 2010).  m steps of plain three-term Lanczos from
+# e_j (no reorthogonalisation; Golub & Strakos, Numer. Algorithms 8, 241
+# (1994) for its finite-precision reliability) give the Jacobi matrix T_m.
+# Step k reaches rows j-k .. j+k and no further, so each step works on
+# those rows alone: the walk costs O(m^2) time and O(n) memory, and each
+# bracket an m x m eigenvector matrix of T_m.  n(E) =
+# (e^(beta(E - mu)) - 1)^(-1) is completely monotone on (mu, inf), so
+# e_1' n(T_m) e_1 is a lower bound, and the Gauss-Radau rule whose fixed
+# node is the Gershgorin lower edge a0 <= lambda_min(H) (0 for every trap)
+# an upper one.  The Radau matrix extends T_m by the row beta_m e_m' and
+# the diagonal a0 + beta_m^2 / p_m, p_m the last pivot of the LDL' of
+# T_m - a0, kept along the walk.  Both rules come from eigh_tridiagonal at
+# m = 32, 64, 128, ..., and the walk stops once they agree to
+# DENSITY_BRACKET_TOL relative, or when the Krylov space is exhausted
+# (beta_m = 0 or m = n), where the Gauss rule is exact.  T_m reads only
+# the walked rows j-m .. j+m, so every operator >= a0 that agrees with H
+# there, a larger box among them, has its probe density inside the same
+# bracket: lab's edge gate asks that no walked row reach the box edge.
+#
+# Finite-trap states that need eigenmodes (resolvent expectations) use the
+# spectral decomposition of H, cut at a Bose energy
 # cap: thermal_decomposition keeps the lowest modes up to the first one
 # above E = mu + log1p(2/(tol dx))/beta, with tol = DISCARD_TOL.  Every
 # discarded mode lies above the top kept level eps_max, and the squares of
@@ -55,16 +78,18 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.integrate import quad, quad_vec
 from scipy.interpolate import CubicSpline
+from scipy.linalg import eigh_tridiagonal
 
 from .grids import RadialGrid, WaveFunction, _phase_sums, _support_span, inner
 from .hamiltonians import (
     SpectralDecomposition,
     TridiagonalOperator,
+    _gershgorin_rows,
     eigenvalue_count,
     mirror_window,
 )
@@ -74,7 +99,10 @@ MU_SAFETY = 1e-6
 # largest density a thermal state may leave out with its discarded modes,
 # three orders below the absolute tolerance on reported densities
 DISCARD_TOL = 1e-16
-EDGE_ZONE = 4.0  # width of the edge strip thermal_edge_weight weighs
+EDGE_ZONE = 4.0  # width of the box-edge strip the edge gates keep clear of
+# relative width at which probe_density's Gauss / Gauss-Radau bracket stops
+DENSITY_BRACKET_TOL = 1e-12
+_DENSITY_FIRST_CHECK = 32  # Lanczos steps before probe_density's first bracket
 # change at which the oscillatory Simpson rule stops doubling, relative to
 # the integral of the modulus of its integrand
 MEMORY_SIMPSON_TOL = 1e-12
@@ -258,6 +286,74 @@ def thermal_edge_weight(state: QuasifreeState) -> float:
     edge = density[m].sum() + m.sum() * state.discard_bound
     total = density.sum()
     return float(edge / total) if total > 0 else 0.0
+
+
+class DensityBracket(NamedTuple):
+    """
+    probe_density's result: the Gauss (lower) and Gauss-Radau (upper)
+    densities, the Lanczos steps taken, and the first and last grid rows
+    the walk read.
+    """
+
+    lower: float
+    upper: float
+    steps: int
+    rows: tuple[int, int]
+
+    @property
+    def density(self) -> float:
+        """The midpoint of the bracket."""
+        return 0.5 * (self.lower + self.upper)
+
+
+def probe_density(H: TridiagonalOperator, beta: float, mu: float, x: float) -> DensityBracket:
+    """
+    The thermal density <e_j, n(H) e_j>/dx at the grid point x = x_j,
+    bracketed by the Lanczos Gauss and Gauss-Radau rules of the module
+    header, with no eigenvector of H.  mu must lie at least MU_SAFETY
+    below the Gershgorin lower edge of H; DomainError before the walk
+    otherwise.
+    """
+    _check_beta_mu(beta, mu)
+    d, e, n = H.diagonal, H.off_diagonal, H.size
+    a0 = float(_gershgorin_rows(d, e)[0].min())
+    if mu >= a0 - MU_SAFETY:
+        raise DomainError(f"mu = {mu} too close to the lower Gershgorin edge of H ({a0})")
+    j = H.grid.index_of(x)
+    dx = H.grid.dx
+
+    def gauss(diag, off) -> float:  # e_1' n(T) e_1 for the Jacobi matrix T
+        theta, vecs = eigh_tridiagonal(diag, off)
+        return float(bose_occupation(theta, beta, mu) @ vecs[0] ** 2) / dx
+
+    alpha, off = np.empty(n), np.empty(n)
+    q, q_prev = np.zeros(n), np.zeros(n)
+    q[j] = 1.0
+    b, pivot, check = 0.0, 1.0, _DENSITY_FIRST_CHECK
+    for m in range(1, n + 1):
+        # q lives on rows j-m+1 .. j+m-1, so H q on j-m .. j+m
+        lo, hi = max(j - m, 0), min(j + m + 1, n)
+        v = q[lo:hi]
+        w = d[lo:hi] * v
+        w[1:] += e[lo : hi - 1] * v[:-1]
+        w[:-1] += e[lo : hi - 1] * v[1:]
+        w -= b * q_prev[lo:hi]
+        a = alpha[m - 1] = w @ v
+        w -= a * v
+        pivot = a - a0 - b * b / pivot  # b = 0 at m = 1
+        b = off[m - 1] = np.sqrt(w @ w)
+        rows = (lo, hi - 1)
+        if b == 0.0 or m == n:  # the Krylov space is exhausted: Gauss is exact
+            exact = gauss(alpha[:m], off[: m - 1])
+            return DensityBracket(exact, exact, m, rows)
+        if m == check:
+            lower = gauss(alpha[:m], off[: m - 1])
+            upper = gauss(np.append(alpha[:m], a0 + b * b / pivot), off[:m])
+            if upper - lower <= DENSITY_BRACKET_TOL * lower:
+                return DensityBracket(lower, upper, m, rows)
+            check *= 2
+        np.divide(w, b, out=q_prev[lo:hi])
+        q, q_prev = q_prev, q
 
 
 # ---------------------------------------------------------------------------

@@ -221,7 +221,7 @@ def test_cli_rejects_a_bad_radius_list_before_solving(experiment, bad, expect, m
     monkeypatch.setattr(lab, "evolve_chebyshev_batch", no_solve)
     monkeypatch.setattr(condensates, "diagonalize", no_solve)
     monkeypatch.setattr(condensates, "mirror_window", no_solve)
-    monkeypatch.setattr(lab.qf, "thermal_decomposition", no_solve)
+    monkeypatch.setattr(lab.qf, "probe_density", no_solve)
     config = dict(LEMMA31_SMALL, **bad) if experiment == "lemma31" else bad
     cfg = tmp_path / "run.cfg"
     cfg.write_text("".join(f"{k} = {v}\n" for k, v in config.items()))
@@ -301,7 +301,7 @@ def test_cli_rejects_a_non_finite_beta_or_mu_before_any_weight(experiment, line,
     # the first numerical call of each experiment once its state is checked
     monkeypatch.setattr(lab.qf.RadialFunction3D, "radial_transform", no_numerics)  # memory
     monkeypatch.setattr(lab.qf, "_quad", no_numerics)  # thermal's homogeneous density
-    monkeypatch.setattr(lab.qf, "thermal_decomposition", no_numerics)
+    monkeypatch.setattr(lab.qf, "probe_density", no_numerics)
     monkeypatch.setattr(lab.fock, "number_resolvent_matrix", no_numerics)  # resolvent's traces
     monkeypatch.setattr(lab.fock, "gibbs_field_resolvent", no_numerics)
     cfg = tmp_path / "run.cfg"
@@ -381,6 +381,38 @@ def test_cli_lemma33_exits_2_on_the_edge_gate(tmp_path, capsys):
     assert "edge amplitude" in err
     assert len(err.strip().splitlines()) == 1
     assert not (tmp_path / "r").exists()
+
+
+def test_cli_thermal_exits_2_when_the_walk_reaches_the_box_edge(tmp_path, capsys):
+    # at mu = -1e-3 the Bose weight of the lowest levels closes the bracket
+    # only after 256 Lanczos steps at R = 20: the walk reads rows 32 .. 544
+    # of 576, and row 32 (x = -32) lies in the edge strip |x| >= L - 4 = 32
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("mu = -1e-3\nradius_list = 20, 40\n")
+    assert main(["thermal", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+    assert "gate edge[R=20.0]: FAILED" in capsys.readouterr().out
+    summary = json.loads((tmp_path / "r" / "thermal_convergence.json").read_text())
+    assert summary["gates"]["edge[R=20.0]"] is False
+    assert summary["exit_code"] == 2
+
+
+def test_thermal_solves_no_eigenproblem_of_the_trap(monkeypatch):
+    # the density comes from the Lanczos bracket alone: no dstemr window of
+    # any trap.  The run peaked at 4,668,108 bytes here (numpy 2.4), against
+    # 22.5 MB with the Bose-cap windows
+    def no_window(*args, **kwargs):
+        raise AssertionError("thermal solved an eigenvalue window of the trap")
+
+    monkeypatch.setattr(hamiltonians, "_mrrr_window", no_window)
+    run("thermal", {})  # warm-up outside the traced region
+    tracemalloc.start()
+    try:
+        rep = run("thermal", {})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.exit_code == 0
+    assert peak < 8_000_000
 
 
 @pytest.mark.parametrize("argv, key", [(["oracle", "--threads", "2"], "threads"),

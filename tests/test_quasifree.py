@@ -676,6 +676,46 @@ def test_radial_transform_matches_the_sinc_kernel():
     assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
+@pytest.mark.parametrize(
+    "R, beta, mu, x",
+    [(4.0, 1.0, -1.0, 0.0), (4.0, 0.5, -0.3, 1.5), (6.0, 2.0, -0.05, -3.0), (6.0, 1.0, -1.0, 2.0)],
+)
+def test_probe_density_bracket_holds_the_full_solve(R, beta, mu, x):
+    # the bracket holds in exact arithmetic; its two rules and the full
+    # solve each carry roundoff, up to 6e-13 relative here, so the full
+    # value is held to the bracket widened by 1e-12
+    H = trap_operator(R, dx_target=0.125)
+    full = position_density(QuasifreeState(beta=beta, mu=mu, decomposition=diagonalize(H)), x)
+    got = qf.probe_density(H, beta, mu, x)
+    assert got.density == pytest.approx(full, rel=1e-11)
+    assert got.lower * (1 - 1e-12) <= full <= got.upper * (1 + 1e-12)
+    assert got.upper - got.lower <= qf.DENSITY_BRACKET_TOL * got.lower
+    j = H.grid.index_of(x)
+    assert got.rows == (max(j - got.steps, 0), min(j + got.steps, H.size - 1))
+
+
+def test_probe_density_walk_that_exhausts_a_tiny_box_is_exact():
+    # 16 rows: the off-centre walk reaches every row before the first
+    # bracket at step 32, and T_16 carries the whole spectrum
+    H = assemble(make_grid(2.0, 16), soft_wall_trap(1.0))
+    got = qf.probe_density(H, 1.0, -1.0, 0.5)
+    assert got.steps == 16 and got.rows == (0, 15)
+    assert got.upper == got.lower
+    full = position_density(QuasifreeState(beta=1.0, mu=-1.0, decomposition=diagonalize(H)), 0.5)
+    assert got.density == pytest.approx(full, rel=1e-12)
+
+
+@pytest.mark.parametrize("mu", [0.0, -0.5 * qf.MU_SAFETY, 0.5])
+def test_probe_density_refuses_mu_at_the_gershgorin_edge_before_the_walk(mu, monkeypatch):
+    def no_walk(*args, **kwargs):
+        raise AssertionError("the walk started before mu was checked")
+
+    monkeypatch.setattr(qf, "eigh_tridiagonal", no_walk)
+    H = trap_operator(4.0, dx_target=0.125)  # Gershgorin lower edge 0
+    with pytest.raises(DomainError, match="lower Gershgorin edge"):
+        qf.probe_density(H, 1.0, mu, 0.0)
+
+
 @pytest.fixture(scope="module")
 def windowed_and_full():
     # n = 2304: the Bose window (84 modes at beta = 1) is the MRRR window (below n/4)
