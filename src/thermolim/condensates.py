@@ -10,12 +10,18 @@
 # the constant 1 and to x respectively; their pairings with a fixed test
 # function approach Integral(f) resp. Integral(x f) at rate 1/R^2.
 #
-# The trap is mirror symmetric, so trap_mode takes its two lowest modes
-# from hamiltonians.mirror_window: column 0 is the lowest mode of the even
-# half block, column 1 that of the odd one, each mirrored onto the whole
-# grid with exact parity and 0 at x = -L.  The pairing and count scans only
-# read the solved TrapModes, so a radius that several scans share is solved
-# once.
+# The trap is even, so trap_mode solves it on the mirror-symmetric box:
+# rows 1 .. n-1 of trap_operator's grid x_j = -L + j dx, with walls at
+# +-L, the origin at row N = n/2, and the right half of trap_operator's
+# diagonal mirrored onto the left (which matches it up to the rounding of
+# the grid points).  Its even modes are those of rows N .. n-1 with the
+# first coupling times sqrt(2) (psi(0) = v_0, psi(+-k dx) = v_k / sqrt(2)),
+# its odd ones those of rows N+1 .. n-1 (psi(0) = 0, psi(+-k dx) =
+# +-u_k / sqrt(2); Cantoni & Butler, Linear Algebra Appl. 13, 275 (1976)).
+# One dstemr mode of each half block, mirrored in place and set to 0 at
+# x = -L, gives the box's two lowest modes with exact parity; even and odd
+# levels interlace strictly.  The pairing and count scans only read the
+# solved TrapModes, so a radius that several scans share is solved once.
 #
 # In 3D the lowest axial (l = 1) mode approaches z with the radial shape
 # s(u) = 3 j1(u)/u, normalized so s(0) = 1; the deviation |h(x) - z| is
@@ -28,10 +34,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import spherical_jn
 
+from . import hamiltonians
 from .grids import GridConfigError, RadialGrid, WaveFunction
 from .hamiltonians import (
+    EigensolverError,
     diagonalize,
-    mirror_window,
     radial_assemble,
     soft_wall_trap,
     trap_operator,
@@ -77,19 +84,29 @@ class TrapModes:
 
 def trap_mode(R: float, dx_target: float) -> TrapModes:
     """
-    Lowest even and odd modes of trap_operator(R, dx_target), the two
-    half-block modes of mirror_window.  The even mode is scaled to
-    h(0) = 1, the odd mode to unit slope h(dx) / dx = 1.
+    Lowest even and odd modes of the trap on the mirror-symmetric box of
+    trap_operator(R, dx_target)'s grid, one from each half block (module
+    header).  The even mode is scaled to h(0) = 1, the odd mode to unit
+    slope h(dx) / dx = 1.  Levels that fail to interlace raise
+    EigensolverError.
     """
     H = trap_operator(R, dx_target)
-    grid, N = H.grid, H.grid.n_points // 2
-    modes = mirror_window(H, 2)
-    w, v = modes.eigenvalues, modes.eigenvectors
+    grid, d, e = H.grid, H.diagonal, H.off_diagonal
+    N = grid.n_points // 2
+    z = np.zeros((grid.n_points, 2), order="F")  # row 0, x = -L, stays 0
+    even = hamiltonians._mrrr_window(d[N:], np.append(np.sqrt(2.0) * e[N], e[N + 1:]), z[N:, :1])
+    odd = hamiltonians._mrrr_window(d[N + 1:], e[N + 1:], z[N + 1:, 1:])
+    if not even[0] < odd[0]:
+        raise EigensolverError("the even and odd levels of a mirror-symmetric trap do not interlace")
+    z[N + 1:] *= np.sqrt(0.5)
+    z[1:N, 0] = z[:N:-1, 0]
+    z[1:N, 1] = -z[:N:-1, 1]
+    z /= np.sqrt(grid.dx)  # unit grid norm
     return TrapModes(
         R,
-        {"even": float(w[0]), "odd": float(w[1])},
-        {"even": WaveFunction(grid, v[:, 0] / v[N, 0]),
-         "odd": WaveFunction(grid, v[:, 1] * (grid.dx / v[N + 1, 1]))},
+        {"even": float(even[0]), "odd": float(odd[0])},
+        {"even": WaveFunction(grid, z[:, 0] / z[N, 0]),
+         "odd": WaveFunction(grid, z[:, 1] * (grid.dx / z[N + 1, 1]))},
     )
 
 

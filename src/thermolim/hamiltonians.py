@@ -25,33 +25,6 @@
 # (0.5 s against 10 s for a stiff wall, 1.7 s against 4.8 s for a soft one).
 # eigenvalue_count(H, E) is the O(n) Sturm count that turns an energy cap
 # into a mode count.
-#
-# mirror_window(H, m) takes the same m modes of a mirror-symmetric trap
-# from its two half blocks (Cantoni & Butler, Linear Algebra Appl. 13, 275
-# (1976)), each a dstemr window of half the rows, so it costs half of one
-# window.  On x_j = -L + j dx, j < n, with the origin at N = n/2 and hard
-# walls at -L - dx and +L, rows N .. n-1 with the first off-diagonal times
-# sqrt(2) give the even modes (psi(0) = v_0, psi(+-k dx) = v_k / sqrt(2)),
-# and rows N+1 .. n-1 the odd ones (psi(0) = 0, psi(+-k dx) = +-u_k / sqrt(2)).
-# dstemr writes the ceil(m/2) even vectors into the even columns and the
-# floor(m/2) odd ones into the odd columns of one n x m block (LDZ = 2n),
-# and each is mirrored in place, so parity is exact.  Even and odd levels
-# of the mirror-symmetric part interlace strictly, so column 2i is even
-# mode i and column 2i+1 odd mode i with no sort.  Row x = -L has no
-# mirror: the split sets it to 0 and drops its coupling e_0, which leaves
-# each mirrored unit vector u the residual |e_0 u(-L + dx)| against H.  The
-# split is taken only when d[N-k] == d[N+k], the off-diagonal is constant
-# and m < N - 1.  After each block's window, every residual must be at
-# most eps times the Gershgorin norm of H, so a failed even block skips
-# the odd solve, and a failed split costs one window of half the rows and
-# half the modes before the full-size one.  Interlacing (Cauchy) lets H have
-# one level more than the half blocks below w[m-1], such as a mode at a
-# low d[0], so a last Sturm count asks that exactly m levels of H lie
-# below w[m-1] + 64 n eps |H|.  A failed check returns
-# diagonalize(H, n_modes=m), after the split's block is freed.  For
-# m = 1 only the even block is solved.
-# trap_operator mirrors its diagonal, so every trap passes the symmetry
-# check, whatever its spacing.
 
 from __future__ import annotations
 
@@ -292,63 +265,6 @@ def _gershgorin_rows(d: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return d - r, d + r
 
 
-def _gershgorin_norm(H: TridiagonalOperator) -> float:
-    """max_i |d_i| + |e_(i-1)| + |e_i|, an upper bound on the norm of H."""
-    lower, upper = _gershgorin_rows(H.diagonal, H.off_diagonal)
-    return float(max(upper.max(), -lower.min()))
-
-
-def mirror_window(H: TridiagonalOperator, n_modes: int) -> SpectralDecomposition:
-    """
-    The lowest n_modes modes of H, as diagonalize(H, n_modes) returns them:
-    from the even and odd half blocks of the module header when H passes
-    the mirror gate there, else from diagonalize itself.  From the half
-    blocks, column 2i is even mode i and column 2i+1 odd mode i, each with
-    exact parity about x = 0 and 0 at x = -L; levels that fail to
-    interlace raise EigensolverError.
-    """
-    split = _half_block_window(H, n_modes)
-    return split if split is not None else diagonalize(H, n_modes=n_modes)
-
-
-def _half_block_window(H: TridiagonalOperator, m: int) -> Optional[SpectralDecomposition]:
-    """mirror_window's split, or None where its gate fails (module header)."""
-    d, e, n = H.diagonal, H.off_diagonal, H.size
-    N = n // 2
-    if not (n % 2 == 0 and 0 < m < N - 1
-            and np.array_equal(d[1:N], d[:N:-1]) and np.all(e == e[0])):
-        return None
-    norm = _gershgorin_norm(H)
-    z = np.empty((n, m), order="F")
-    w = np.empty(m)
-    # the even block's first off-diagonal is sqrt(2) e; the odd block is H's rows
-    blocks = ((0, d[N:], np.append(np.sqrt(2.0) * e[N], e[N + 1:])), (1, d[N + 1:], e[N + 1:]))
-    for parity, db, eb in blocks:
-        cols = z[n - db.size:, parity::2]
-        if cols.shape[1] == 0:  # m = 1 has no odd mode
-            continue
-        w[parity::2] = _mrrr_window(db, eb, cols)
-        # row n-1 holds sqrt(2) u(L - dx) = +-sqrt(2) u(-L + dx)
-        if abs(e[0]) * np.abs(cols[-1]).max() * np.sqrt(0.5) > np.finfo(float).eps * norm:
-            return None
-    if np.any(w[1:] <= w[:-1]):
-        raise EigensolverError("the even and odd levels of a mirror-symmetric trap do not interlace")
-    # each level is an eigenvalue of H to the residuals above; they are its
-    # lowest m only if no other level (such as one at row x = -L) lies below
-    if eigenvalue_count(H, w[-1] + 64 * n * np.finfo(float).eps * norm) != m:
-        return None
-    z[N + 1:] *= np.sqrt(0.5)
-    z[N, 1::2] = 0.0
-    z[0] = 0.0  # x = -L, the mirror of the wall at +L
-    for j in range(m):  # column by column: a whole-block mirror copies its source
-        col = z[:, j]
-        np.multiply(col[:N:-1], -1.0 if j % 2 else 1.0, out=col[1:N])
-    z = _fix_signs(z, _spacing(H))
-    w.flags.writeable = False
-    z.flags.writeable = False
-    return SpectralDecomposition(H.grid, w, z)
-
-
 # largest trap_operator grid; its eigenvector matrix is 2 GiB
 TRAP_N_CAP = 16384
 
@@ -357,10 +273,14 @@ def trap_operator(R: float, dx_target: float) -> TridiagonalOperator:
     """
     The soft-wall trap of radius R (c = 1) in a box L = R + 16, with spacing
     ~dx_target rounded to a commensurate power of two (so that integer
-    positions are exact grid points).  The diagonal is mirror symmetric
-    about x = 0 bit for bit, also when R + 16 is no multiple of the
-    spacing.  A grid above TRAP_N_CAP points is refused.
+    positions are exact grid points).  A radius that is not finite, a
+    dx_target that is not finite and positive, or a grid above TRAP_N_CAP
+    points is refused.
     """
+    if not np.isfinite(R):
+        raise GridConfigError(f"trap radius must be finite, got {R}")
+    if not (np.isfinite(dx_target) and dx_target > 0):
+        raise GridConfigError(f"grid spacing must be finite and positive, got {dx_target}")
     L = R + 16.0
     # dx = 2^-k <= dx_target keeps integers on the grid
     k = int(np.ceil(-np.log2(dx_target)))
@@ -369,10 +289,4 @@ def trap_operator(R: float, dx_target: float) -> TridiagonalOperator:
         n += 1
     if n > TRAP_N_CAP:
         raise GridConfigError(f"R = {R} at dx = 2^-{k} needs {n} points, above cap {TRAP_N_CAP}")
-    grid = Grid1D(L, n)
-    H = assemble(grid, soft_wall_trap(R))
-    # the potential is even, but x_(N-k) and -x_(N+k) can differ by rounding
-    # when dx is not a power of two: mirror the right half onto the left
-    d = H.diagonal.copy()
-    d[1:n // 2] = d[:n // 2:-1]
-    return TridiagonalOperator(d, H.off_diagonal, grid)
+    return assemble(Grid1D(L, n), soft_wall_trap(R))

@@ -334,7 +334,7 @@ def run_sector_norms(config: dict) -> Report:
     _need(cfg, ("n_list",), ("trials",))
     if not all(1 <= n <= 12 for n in cfg["n_list"]):
         raise ConfigError(f"n_list entries must lie in 1..12, got {cfg['n_list']}")
-    if cfg["lam"] <= 0:
+    if not cfg["lam"] > 0:
         raise ConfigError(f"lam must be positive, got {cfg['lam']}")
     rep = Report(
         "sector_norms",
@@ -615,6 +615,8 @@ def run_condensate_3d(config: dict) -> Report:
         "f_radius": 2.0,
     }, config)
     _need(cfg, ("radius_list",), ())
+    if not cfg["f_radius"] > 0:
+        raise ConfigError(f"f_radius must be positive, got {cfg['f_radius']}")
     rep = Report(
         "condensate_3d",
         cfg,

@@ -44,11 +44,9 @@
 # all n modes sum to 1/dx at each grid point, so the discarded density is
 # at most n_B(eps_max)/dx <= tol/2 everywhere.  QuasifreeState checks that
 # bound for every incomplete decomposition (a complete one has bound 0).
-# The window comes from hamiltonians.mirror_window: a mirror-symmetric trap
-# whose box edge carries no weight is solved as its even and odd half
-# blocks, two MRRR windows of half the rows, and any other operator takes
-# diagonalize's one window of m < n modes in O(n m) time and memory.  A cap
-# above the whole spectrum (m = n + 1) takes the full solve.
+# The window is diagonalize's: one MRRR window of m < n modes in O(n m)
+# time and memory, or the full solve for a cap above the whole spectrum
+# (m = n + 1).
 #
 # Thermodynamic-limit quantities use the momentum-space multiplier
 # n(p^2) = (e^(beta(p^2 - mu)) - 1)^(-1).  The 3D state's condensate is the
@@ -90,8 +88,8 @@ from .hamiltonians import (
     SpectralDecomposition,
     TridiagonalOperator,
     _gershgorin_rows,
+    diagonalize,
     eigenvalue_count,
-    mirror_window,
 )
 from .propagators import QuadratureCapError
 
@@ -226,12 +224,11 @@ def thermal_decomposition(H: TridiagonalOperator, beta: float, mu: float) -> Spe
     """
     The modes of H that a thermal state at (beta, mu) needs: the lowest ones
     up to the first above the Bose energy cap (module header), whose
-    discard bound is at most DISCARD_TOL / 2, taken from the trap's half
-    blocks where mirror_window's gate allows.
+    discard bound is at most DISCARD_TOL / 2.
     """
     _check_beta_mu(beta, mu)
     cap = mu + np.log1p(2.0 / (DISCARD_TOL * H.grid.dx)) / beta
-    return mirror_window(H, eigenvalue_count(H, cap) + 1)
+    return diagonalize(H, n_modes=eigenvalue_count(H, cap) + 1)
 
 
 @dataclass(frozen=True)
@@ -490,7 +487,7 @@ def field_resolvent_value(lam: float, sigma_sq: float) -> float:
     Integral_0^inf du e^(-u lam) e^(-(u^2/2) sigma_sq); equals 1/lam at
     sigma_sq = 0 and decreases with sigma_sq.
     """
-    if lam <= 0:
+    if not lam > 0:
         raise DomainError(f"lambda must be positive, got {lam}")
     if sigma_sq < 0:
         raise DomainError("variance must be >= 0")
@@ -509,6 +506,8 @@ def geometric_resolvent_series(nbar: float, norm_sq: float, lam: float) -> float
 
     one quadrature whose cost does not grow with nbar.
     """
+    if not lam > 0:
+        raise DomainError(f"lambda must be positive, got {lam}")
     if nbar < 0:
         raise DomainError("occupation must be >= 0")
     if nbar == 0:
@@ -526,7 +525,7 @@ def number_resolvent_expectation(state: QuasifreeState, lam: float, f: WaveFunct
     Validated against the exact truncated-space Gibbs trace (see the
     fock module and the oracle tests) before use anywhere else.
     """
-    if lam <= 0:
+    if not lam > 0:
         raise DomainError(f"lambda must be positive, got {lam}")
     norm_sq = inner(f, f).real
     if norm_sq == 0:

@@ -65,8 +65,8 @@ def test_trap_mode_matches_the_full_grid_solve(R):
 
 
 def test_trap_mode_solves_one_mode_of_each_half_block(monkeypatch):
-    # trap_mode takes its modes from mirror_window: one dstemr window of
-    # one mode in each half block, and no full-grid solve
+    # trap_mode takes one dstemr window of one mode in each half block,
+    # and no full-grid solve
     solves = []
     window = hamiltonians._mrrr_window
 
@@ -84,6 +84,29 @@ def test_trap_mode_solves_one_mode_of_each_half_block(monkeypatch):
     radial = radial_assemble(RadialGrid((N - 1) * dx, N - 1), 0, soft_wall_trap(R))
     assert np.array_equal(d, radial.diagonal)
     assert np.array_equal(e, radial.off_diagonal)
+
+
+# 20.3: the assembled left half matches the mirrored right half only up to
+# the rounding of the grid points
+@pytest.mark.parametrize("R", [16.0, 20.3])
+def test_trap_mode_gives_eigenpairs_of_the_mirror_symmetric_box(R):
+    # rows 1 .. n-1 of trap_operator's grid with the right half of its
+    # diagonal mirrored onto the left: walls at +-L
+    dx = 0.0625
+    t = trap_mode(R, dx_target=dx)
+    H = trap_operator(R, dx)
+    d, e, N = H.diagonal, H.off_diagonal[1:], H.size // 2
+    box = np.concatenate([d[:N:-1], d[N:]])
+    assert np.abs(box - d[1:]).max() <= 1e-12 * np.abs(d).max()
+    norm = np.abs(box).max() + 2 * np.abs(e).max()
+    for parity in ("even", "odd"):
+        h = t.modes[parity].values.real
+        assert h[0] == 0.0
+        v = h[1:]
+        r = (box - t.eigenvalues[parity]) * v
+        r[:-1] += e * v[1:]
+        r[1:] += e * v[:-1]
+        assert np.linalg.norm(r) <= 4 * np.finfo(float).eps * norm * np.linalg.norm(v)
 
 
 def test_even_mode_matches_interior_cosine():

@@ -192,19 +192,6 @@ def test_axial_mode_energy_bound():
     assert np.sqrt(d.eigenvalues[0]) <= 3 * np.pi / (2 * R) * 1.1
 
 
-def test_trap_operator_diagonal_is_mirror_exact():
-    # R + 16 = 36.3 is no multiple of 1/16, so dx = 2L/n is no power of two
-    # and the grid points are mirror symmetric only up to rounding
-    R = 20.3
-    H = trap_operator(R, dx_target=0.0625)
-    raw = assemble(H.grid, soft_wall_trap(R))
-    d, N = H.diagonal, H.size // 2
-    assert not np.array_equal(raw.diagonal[1:N], raw.diagonal[:N:-1])
-    assert np.array_equal(d[1:N], d[:N:-1])
-    assert np.array_equal(d[N:], raw.diagonal[N:]) and d[0] == raw.diagonal[0]
-    assert np.abs(d - raw.diagonal).max() <= 1e-12 * np.abs(raw.diagonal).max()
-
-
 def test_eigenvalue_count_is_a_sturm_count():
     H = trap_operator(8.0, dx_target=0.125)
     eps = diagonalize(H).eigenvalues

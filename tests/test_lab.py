@@ -211,6 +211,18 @@ LEMMA31_SMALL = {"radius_list": "6, 8, 10, 12", "t_list": "0.25", "c_rules": "1"
         pytest.param("mulimit", {"mu_list": "-0.1"}, "mu_list needs at least 2 entries", id="mu_list = -0.1"),
         pytest.param("lemma31", {"threads": "0"}, "threads must be at least 1", id="threads = 0"),
         pytest.param("lemma31", {"threads": "-3"}, "threads must be at least 1", id="threads = -3"),
+        # a spacing, a radius or a lambda that is 0, negative, infinite or NaN
+        pytest.param("thermal", {"dx_start": "0"}, "grid spacing must be finite and positive",
+                     id="dx_start = 0"),
+        pytest.param("thermal", {"dx_start": "-0.1"}, "grid spacing must be finite and positive",
+                     id="dx_start = -0.1"),
+        pytest.param("condensate1d", {"dx_target": "0"}, "grid spacing must be finite and positive",
+                     id="condensate1d dx_target = 0"),
+        pytest.param("thermal", {"radius_list": "20, inf"}, "trap radius must be finite",
+                     id="radius_list = 20, inf"),
+        pytest.param("resolvent", {"lam_list": "0, 1"}, "lambda must be positive", id="lam_list = 0, 1"),
+        pytest.param("lemma33", {"lam": "nan"}, "lam must be positive", id="lemma33 lam = nan"),
+        pytest.param("condensate3d", {"f_radius": "0"}, "f_radius must be positive", id="f_radius = 0"),
     ],
 )
 def test_cli_rejects_a_bad_radius_list_before_solving(experiment, bad, expect, monkeypatch, tmp_path,
@@ -220,7 +232,7 @@ def test_cli_rejects_a_bad_radius_list_before_solving(experiment, bad, expect, m
 
     monkeypatch.setattr(lab, "evolve_chebyshev_batch", no_solve)
     monkeypatch.setattr(condensates, "diagonalize", no_solve)
-    monkeypatch.setattr(condensates, "mirror_window", no_solve)
+    monkeypatch.setattr(hamiltonians, "_mrrr_window", no_solve)
     monkeypatch.setattr(lab.qf, "probe_density", no_solve)
     config = dict(LEMMA31_SMALL, **bad) if experiment == "lemma31" else bad
     cfg = tmp_path / "run.cfg"

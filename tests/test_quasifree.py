@@ -11,11 +11,9 @@ from scipy.special import erfcx, zeta
 from thermolim import hamiltonians
 from thermolim.grids import RadialGrid, WaveFunction, bump, bump_profile, fourier_at, make_grid
 from thermolim.hamiltonians import (
-    TridiagonalOperator,
     assemble,
     diagonalize,
     eigenvalue_count,
-    mirror_window,
     soft_wall_trap,
     trap_operator,
 )
@@ -248,6 +246,20 @@ def test_number_resolvent_vacuum_and_bounds(trap_state):
     assert geometric_resolvent_series(0.0, 1.0, 2.0) == 0.5
     val = number_resolvent_expectation(trap_state, 1.0, f)
     assert 0 < val <= 1.0
+
+
+@pytest.mark.parametrize("lam", [0.0, -1.0, np.nan])
+def test_resolvents_refuse_a_lam_that_is_not_positive(lam, trap_state):
+    # nbar = 0 and a zero f return 1 / lam without a quadrature
+    grid = trap_state.decomposition.grid
+    f, zero = bump(0.0, 1.0, grid), WaveFunction(grid, np.zeros(grid.n_points))
+    for call in (lambda: geometric_resolvent_series(0.5, 1.0, lam),
+                 lambda: geometric_resolvent_series(0.0, 1.0, lam),
+                 lambda: field_resolvent_value(lam, 1.0),
+                 lambda: number_resolvent_expectation(trap_state, lam, f),
+                 lambda: number_resolvent_expectation(trap_state, lam, zero)):
+        with pytest.raises(DomainError, match="lambda must be positive"):
+            call()
 
 
 def _lerch_series(nbar, norm_sq, lam):
@@ -774,42 +786,9 @@ def test_state_hotter_than_the_spectrum_takes_the_full_solve():
     assert QuasifreeState(beta=beta, mu=mu, decomposition=decomp).discard_bound == 0.0
 
 
-@pytest.fixture(scope="module", params=[20.0, 80.0])
-def split_and_window(request):
-    # dx = 1/32: n = 2304 and 84 modes at R = 20, n = 6144 and 324 modes at R = 80
-    H = trap_operator(request.param, dx_target=0.03125)
-    m = eigenvalue_count(H, -1.0 + np.log1p(2.0 / (DISCARD_TOL * H.grid.dx))) + 1
-    return H, thermal_decomposition(H, 1.0, -1.0), diagonalize(H, n_modes=m)
-
-
-def test_half_block_window_matches_the_full_grid_window(split_and_window):
-    H, split, window = split_and_window
-    m = window.n_modes
-    assert split.n_modes == m and split.eigenvectors.shape == (H.size, m)
-    assert np.abs(split.eigenvalues - window.eigenvalues).max() <= 1e-12
-    ss = QuasifreeState(beta=1.0, mu=-1.0, decomposition=split)
-    sw = QuasifreeState(beta=1.0, mu=-1.0, decomposition=window)
-    assert position_density(ss, 0.0) == pytest.approx(position_density(sw, 0.0), rel=1e-12)
-    assert ss.discard_bound == pytest.approx(sw.discard_bound, rel=1e-12)
-
-
-def test_half_block_window_has_exact_parity_and_the_sign_rule(split_and_window):
-    H, split, _ = split_and_window
-    w, v = split.eigenvalues, split.eigenvectors
-    N, k = H.size // 2, np.arange(1, H.size // 2)
-    assert np.array_equal(v[N + k, 0::2], v[N - k, 0::2])
-    assert np.array_equal(v[N + k, 1::2], -v[N - k, 1::2])
-    assert np.all(v[N, 1::2] == 0.0) and np.all(v[0] == 0.0)
-    # even and odd levels interlace strictly, so the columns come in order
-    assert np.all(np.diff(w) > 0)
-    # diagonalize's rules: unit grid norm, and the first entry above
-    # 1e-12 of the column's largest magnitude is positive
-    assert np.abs((v**2).sum(axis=0) * H.grid.dx - 1.0).max() <= 1e-12
-    first = (np.abs(v) > 1e-12 * np.abs(v).max(axis=0)).argmax(axis=0)
-    assert np.all(v[first, np.arange(v.shape[1])] > 0)
-
-
-def _recording_windows(monkeypatch):
+def test_cold_state_takes_a_one_mode_window(monkeypatch):
+    # at beta = 50 the Bose cap (about -0.21) lies below the ground level,
+    # so the window holds one mode
     shapes = []
     window = hamiltonians._mrrr_window
 
@@ -818,77 +797,18 @@ def _recording_windows(monkeypatch):
         return window(d, e, z)
 
     monkeypatch.setattr(hamiltonians, "_mrrr_window", recording)
-    return shapes
-
-
-def test_thermal_solves_two_half_blocks_at_r80(monkeypatch):
-    shapes = _recording_windows(monkeypatch)
-    thermal_decomposition(trap_operator(80.0, dx_target=0.03125), 1.0, -1.0)
-    assert shapes == [(3072, 162), (3071, 162)]
-
-
-def test_asymmetric_operator_takes_one_full_size_window(monkeypatch):
-    H = trap_operator(20.0, dx_target=0.0625)
-    d = H.diagonal.copy()
-    d[H.size // 2 + 5] += 1e-9
-    lopsided = TridiagonalOperator(d, H.off_diagonal, H.grid)
-    shapes = _recording_windows(monkeypatch)
-    decomp = thermal_decomposition(lopsided, 1.0, -1.0)
-    assert shapes == [(H.size, decomp.n_modes)]
-    ref = diagonalize(lopsided, n_modes=decomp.n_modes)
-    assert np.array_equal(decomp.eigenvalues, ref.eigenvalues)
-    assert np.array_equal(decomp.eigenvectors, ref.eigenvectors)
-
-
-def test_hot_state_falls_back_to_one_full_size_window(windowed_and_full, monkeypatch):
-    # at beta = 0.03 the modes reach x = -L + dx: the even block's residual
-    # there is about 23, so the odd block is never solved
-    H, _, _ = windowed_and_full
-    shapes = _recording_windows(monkeypatch)
-    hot = thermal_decomposition(H, 0.03, -1.0)
-    assert shapes == [(H.size // 2, 415), (H.size, 829)]
-    ref = diagonalize(H, n_modes=829)
-    assert np.array_equal(hot.eigenvalues, ref.eigenvalues)
-    assert np.array_equal(hot.eigenvectors, ref.eigenvectors)
-
-
-def test_cold_state_solves_one_mode_of_the_even_block(monkeypatch):
-    # at beta = 50 the Bose cap (about -0.21) lies below the ground level,
-    # so the window holds one mode, and the odd block has none to solve
     H = trap_operator(20.0, dx_target=0.125)
-    shapes = _recording_windows(monkeypatch)
     cold = thermal_decomposition(H, 50.0, -1.0)
-    assert shapes == [(H.size // 2, 1)]
+    assert shapes == [(H.size, 1)]
     ref = diagonalize(H, n_modes=1)
-    assert cold.eigenvectors.shape == (H.size, 1)
-    assert abs(cold.eigenvalues[0] - ref.eigenvalues[0]) <= 1e-12
-    assert np.abs(cold.eigenvectors - ref.eigenvectors).max() <= 1e-9 * np.abs(ref.eigenvectors).max()
+    assert np.array_equal(cold.eigenvalues, ref.eigenvalues)
+    assert np.array_equal(cold.eigenvectors, ref.eigenvectors)
     assert QuasifreeState(beta=50.0, mu=-1.0, decomposition=cold).discard_bound < DISCARD_TOL
 
 
-@pytest.mark.parametrize("m", [1, 5])
-def test_level_at_the_unmirrored_row_takes_one_full_size_window(m, monkeypatch):
-    # a low d[0] puts a mode at x = -L that neither half block holds; the
-    # residual gate cannot see it, the closing Sturm count does
-    H = trap_operator(20.0, dx_target=0.125)
-    d = H.diagonal.copy()
-    d[0] = -100.0
-    low = TridiagonalOperator(d, H.off_diagonal, H.grid)
-    shapes = _recording_windows(monkeypatch)
-    decomp = mirror_window(low, m)
-    N = H.size // 2
-    assert shapes == [(N, (m + 1) // 2)] + [(N - 1, m // 2)] * (m > 1) + [(H.size, m)]
-    ref = diagonalize(low, n_modes=m)
-    assert decomp.eigenvalues[0] < -100.0
-    assert np.array_equal(decomp.eigenvalues, ref.eigenvalues)
-    assert np.array_equal(decomp.eigenvectors, ref.eigenvectors)
-
-
-def test_half_block_window_keeps_the_peak_of_one_full_size_window():
-    # the half blocks write straight into the n x m result (15.9 MB), so the
-    # peak is that block plus _fix_signs' two boolean masks.  A full-size
-    # window peaked at 19,922,333 bytes here (numpy 2.4); one half-size block
-    # held beside the result would add 4 MB
+def test_thermal_window_at_r80_keeps_its_memory_peak():
+    # one n x m window (15.9 MB) plus _fix_signs' two boolean masks; it
+    # peaked at 19,922,333 bytes here (numpy 2.4)
     H = trap_operator(80.0, dx_target=0.03125)
     tracemalloc.start()
     try:
