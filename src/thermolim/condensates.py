@@ -112,14 +112,13 @@ def trap_mode(R: float, dx_target: float) -> TrapModes:
 
 @dataclass
 class ModeAsymptotics:
-    """R-scan of one mode family: eigenvalues, pairings, deviations, slope."""
+    """R-scan of one mode family: eigenvalues, pairings, limit, deviation slope."""
 
     parity: str
     radii: list[float]
     eigenvalues: list[float]
     pairings: list[float]
     limit: float
-    deviations: list[float]
     slope: float  # nan when a deviation is exactly 0
 
 
@@ -148,7 +147,7 @@ def smeared_mode_limit(parity: str, f, scan) -> ModeAsymptotics:
     eigenvalues = [t.eigenvalues[parity] for t in scan]
     devs = [abs(p - limit) for p in pairings]
     slope = fit_loglog_slope(radii, devs) if all(d > 0 for d in devs) else float("nan")
-    return ModeAsymptotics(parity, radii, eigenvalues, pairings, limit, devs, slope)
+    return ModeAsymptotics(parity, radii, eigenvalues, pairings, limit, slope)
 
 
 def condensate_count_scaling(parity: str, kappa: float, scan):

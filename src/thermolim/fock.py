@@ -132,7 +132,7 @@ def number_resolvent_matrix(space: FockSpace, lam: float, coeffs: np.ndarray) ->
     Exact (lam + a*(f) a(f))^(-1), blockwise: entry n is its block on the
     n-particle sector, inv(lam + A_n^* A_n).
     """
-    if lam <= 0:
+    if not lam > 0:
         raise FockConfigError(f"lambda must be positive, got {lam}")
     return [
         np.linalg.inv(lam * np.eye(a.shape[1]) + a.conj().T @ a)

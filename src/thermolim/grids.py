@@ -56,6 +56,8 @@ class Grid1D:
 
     def index_of(self, x: float) -> int:
         """Index of the grid point at position x; x must lie on the grid."""
+        if not np.isfinite(x):
+            raise GridConfigError(f"grid position x must be finite, got {x}")
         j = int(round((x + self.half_width) / self.dx))
         if not 0 <= j < self.n_points:
             raise GridConfigError(f"x = {x} outside the box [-L, L)")
@@ -143,7 +145,9 @@ def bump(center: float, radius: float, grid: Grid1D) -> WaveFunction:
     The support must lie inside the computational box; compact support is
     exact (samples vanish identically outside it), unlike a Gaussian.
     """
-    if radius <= 0:
+    if not np.isfinite(center):
+        raise GridConfigError(f"bump center must be finite, got {center}")
+    if not radius > 0:
         raise GridConfigError(f"radius must be positive, got {radius}")
     L = grid.half_width
     if center - radius < -L or center + radius > L:

@@ -4,13 +4,16 @@
 # experiment with explicit validity gates and machine-readable reports.
 #
 # Config format is flat `key = value` text (lists comma-separated).  Each
-# experiment's defaults table fixes its keys and their types; unknown keys
-# and values that do not fit the type are config errors.  Every report
-# echoes the resolved config so a run is reproducible from its own output.
-# CSV columns are fixed per experiment; a JSON summary mirrors the verdicts
-# for CI consumption.  Report.exit_code is 0 when all verdicts pass, 1 on a
-# verdict failure and 2 on a gate failure; an input the library rejects
-# (any ValueError, including ConfigError) exits 2 through cli.py.
+# experiment is one body registered by `_experiment`, which declares its
+# subcommand, report name, CSV columns, defaults table and the keys `_need`
+# checks; the defaults fix the keys and their types, and unknown keys and
+# values that do not fit the type are config errors.  Checks of one
+# experiment alone open its body, before any solve.  Every report echoes
+# the resolved config so a run is reproducible from its own output; a JSON
+# summary mirrors the verdicts for CI consumption.  Report.exit_code is 0
+# when all verdicts pass, 1 on a verdict failure and 2 on a gate failure;
+# an input the library rejects (any ValueError, including ConfigError)
+# exits 2 through cli.py.
 
 from __future__ import annotations
 
@@ -20,6 +23,7 @@ import os
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
+from scipy.special import erfcx
 
 from . import condensates as cond
 from . import fock
@@ -29,6 +33,7 @@ from .hamiltonians import assemble, soft_wall_trap, trap_operator
 from .hamiltonians import diagonalize  # noqa: F401  (perfbench/selftest.py reads lab.diagonalize)
 from .propagators import (
     ValidityGateError,
+    _check_scan_radii,
     duhamel_bound,
     evolve_chebyshev_batch,
     evolve_free,
@@ -96,18 +101,20 @@ def _resolve(defaults: dict, config: dict) -> dict:
     return cfg
 
 
-def _need(cfg: dict, lists: tuple, counts: tuple) -> None:
+def _need(cfg: dict, need: dict) -> None:
     """
-    Refuse a config whose verdicts would hold with nothing checked: every
-    list key in `lists` feeds a trend or a fit and needs two entries, and
-    every count key in `counts` must be at least 1.
+    Refuse a config whose verdicts would hold with nothing checked: each
+    key of `need` is a "list" that feeds a trend or a fit and needs two
+    entries, a "count" that must be at least 1, or a "positive" number
+    (NaN fails).
     """
-    for key in lists:
-        if len(cfg[key]) < 2:
+    for key, kind in need.items():
+        if kind == "list" and len(cfg[key]) < 2:
             raise ConfigError(f"{key} needs at least 2 entries for a trend or a fit, got {cfg[key]}")
-    for key in counts:
-        if cfg[key] < 1:
+        if kind == "count" and cfg[key] < 1:
             raise ConfigError(f"{key} must be at least 1, got {cfg[key]}")
+        if kind == "positive" and not cfg[key] > 0:
+            raise ConfigError(f"{key} must be positive, got {cfg[key]}")
 
 
 def _cast(key: str, kind: type, value):
@@ -210,10 +217,65 @@ def _rule(key: str, rule: str, symbol: str, of_R) -> "callable":
     return lambda R: value
 
 
-def _spectator_coeffs(rng) -> np.ndarray:
-    # random complex coefficients on modes 1-2 of a 3-mode space; mode 3 is
-    # the untouched spectator (see run_sector_norms)
-    return np.append(rng.normal(size=2) + 1j * rng.normal(size=2), 0.0)
+EXPERIMENTS: dict = {}
+
+
+def _experiment(command: str, report: str, columns: list[str], need: dict, **defaults):
+    """
+    Register body(cfg, rep) as EXPERIMENTS[command]: config -> Report, with
+    cfg the config resolved against `defaults` and checked by _need, and
+    rep a fresh Report named `report` with these columns.
+    """
+    def register(body):
+        def experiment(config: dict) -> Report:
+            cfg = _resolve(defaults, config)
+            _need(cfg, need)
+            rep = Report(report, cfg, columns=list(columns))
+            body(cfg, rep)
+            return rep
+
+        EXPERIMENTS[command] = experiment
+        return body
+
+    return register
+
+
+def _evolve_packets(traps, n_points: int, center: float, radius: float, ts, threads: int) -> list:
+    """
+    One (f, trapped) per (R, c, L) in traps: f the bump of this centre and
+    radius on the grid [-L, L] of n_points, and trapped f evolved to every
+    time in ts under the soft-wall trap of radius R and coupling c.  Every
+    packet runs in one evolve_chebyshev_batch call, with no n x n matrix;
+    free evolutions are left to the caller, one at a time.
+    """
+    packets = []
+    for R, c, L in traps:
+        grid = make_grid(L, n_points)
+        f = bump(center, radius, grid)
+        packets.append((assemble(grid, soft_wall_trap(R, c)), f, ts))
+    return [(f, evolved) for (_, f, _), (evolved, _) in zip(packets, evolve_chebyshev_batch(packets, threads))]
+
+
+def _monotone_trials(seed: int, trials: int, n_total: int, combine, random_lams: bool) -> bool:
+    """
+    True when every seeded trial keeps the sector norms of combine(A1, A2)
+    on sectors 0-3 nondecreasing, Ai = (lam_i + a*(c_i) a(c_i))^(-1) on a
+    3-mode space of at most n_total particles.  Each trial draws complex
+    c_1, c_2 on modes 1-2, then lam_1, lam_2 from [0.5, 2] if random_lams
+    (else both are 1).  The untouched spectator mode 3 stands for the rest
+    of the one-particle space, without which an added particle could not
+    avoid the observed modes and monotonicity fails.
+    """
+    rng = np.random.default_rng(seed)
+    space = fock.build_fock(3, n_total)
+    for _ in range(trials):
+        c1, c2 = [np.append(rng.normal(size=2) + 1j * rng.normal(size=2), 0.0) for _ in range(2)]
+        lam1, lam2 = rng.uniform(0.5, 2.0, size=2) if random_lams else (1.0, 1.0)
+        A1 = fock.number_resolvent_matrix(space, lam1, c1)
+        A2 = fock.number_resolvent_matrix(space, lam2, c2)
+        if not fock.sector_norm_monotonicity([combine(a, b) for a, b in zip(A1[:4], A2[:4])])[0]:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -221,60 +283,44 @@ def _spectator_coeffs(rng) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def run_propagator_scan(config: dict) -> Report:
+@_experiment(
+    "lemma31", "propagator_scan", ["c_rule", "t", "R", "gap", "duhamel_bound", "slope", "verdict"],
+    {"threads": "count"},
+    radius_list=[6.0, 8.0, 10.0, 12.0, 14.0],
+    t_list=[0.25, 0.5, 1.0],
+    c_rules=["1", "R"],
+    bump_center=0.0,
+    bump_radius=2.0,
+    n_points=4096,
+    box_rule="2R+16",
+    margin=16.0,
+    bound_slack=1e-8,
+    threads=1,
+)
+def _propagator_scan(cfg: dict, rep: Report) -> None:
     """
     Trapped-vs-free propagator gaps over a radius scan, with the integral
     bound checked on every point.  One scan per (coupling rule, time).
     """
-    cfg = _resolve({
-        "radius_list": [6.0, 8.0, 10.0, 12.0, 14.0],
-        "t_list": [0.25, 0.5, 1.0],
-        "c_rules": ["1", "R"],
-        "bump_center": 0.0,
-        "bump_radius": 2.0,
-        "n_points": 4096,
-        "box_rule": "2R+16",
-        "margin": 16.0,
-        "bound_slack": 1e-8,
-        "threads": 1,
-    }, config)
     radii, ts, rules = cfg["radius_list"], cfg["t_list"], cfg["c_rules"]
-    _need(cfg, (), ("threads",))
-    # gap_decay_scan needs these too; checked here, before any evolution
-    if len(radii) < 4:
-        raise ConfigError(f"radius_list needs at least 4 radii, got {len(radii)}")
-    if any(b <= a for a, b in zip(radii, radii[1:])):
-        raise ConfigError(f"radius_list must be strictly ascending, got {radii}")
+    _check_scan_radii(radii, "radius_list")  # gap_decay_scan's check, before any evolution
     coupling = {rule: _rule("c_rules", rule, "R", lambda R: R) for rule in rules}
     box_L = _rule("box_rule", cfg["box_rule"], "2R+16", lambda R: 2.0 * R + 16.0)
 
-    rep = Report(
-        "propagator_scan",
-        cfg,
-        columns=["c_rule", "t", "R", "gap", "duhamel_bound", "slope", "verdict"],
-    )
-
-    def scan(jobs):
-        # every (rule, R) packet evolved to every time by one batched
-        # Chebyshev series (`threads` batches on a thread pool), no n x n
-        # matrix; only the packets and their gaps outlive the call
-        packets = []
-        for rule_name, R in jobs:
-            grid = make_grid(box_L(R), cfg["n_points"])
-            f = bump(cfg["bump_center"], cfg["bump_radius"], grid)
-            packets.append((assemble(grid, soft_wall_trap(R, coupling[rule_name](R))), f, ts))
-        scanned = {}
-        for job, (_, f, _), (evolved, _) in zip(jobs, packets, evolve_chebyshev_batch(packets, cfg["threads"])):
-            gaps = []
-            for t, trapped in zip(ts, evolved):
-                try:
-                    gaps.append(gated_gap(evolve_free(f, t), trapped, job[1], margin=cfg["margin"]))
-                except ValidityGateError as exc:
-                    gaps.append(exc)
-            scanned[job] = (f, gaps)
-        return scanned
-
-    scanned = scan([(rule, R) for rule in rules for R in radii])
+    # every (rule, R) packet in one batch (`threads` batches on a thread
+    # pool); only the packets and their gaps outlive the loop
+    jobs = [(rule, R) for rule in rules for R in radii]
+    traps = [(R, coupling[rule](R), box_L(R)) for rule, R in jobs]
+    scanned = {}
+    for job, (f, trapped) in zip(jobs, _evolve_packets(traps, cfg["n_points"], cfg["bump_center"],
+                                                       cfg["bump_radius"], ts, cfg["threads"])):
+        gaps = []
+        for t, g in zip(ts, trapped):
+            try:
+                gaps.append(gated_gap(evolve_free(f, t), g, job[1], margin=cfg["margin"]))
+            except ValidityGateError as exc:
+                gaps.append(exc)
+        scanned[job] = (f, gaps)
 
     # the Duhamel bound is c^2 times its c = 1 integral, which depends on
     # (t, R) alone (the packet does not depend on the rule): computed once,
@@ -309,47 +355,37 @@ def run_propagator_scan(config: dict) -> Report:
             for i, R in enumerate(radii):
                 s = scan.slopes[i - 1] if 0 < i <= len(scan.slopes) else float("nan")
                 rep.rows.append((rule_name, t, R, scan.gaps[i], bounds[i], s, scan.verdict))
-    return rep
 
 
-def run_sector_norms(config: dict) -> Report:
+@_experiment(
+    "lemma33", "sector_norms", ["n", "R", "gap", "exact_norm", "bound", "bound_ok"],
+    {"n_list": "list", "trials": "count", "lam": "positive"},
+    n_list=[1, 2, 3],
+    lam=1.0,
+    t=0.25,
+    radius_offset=5.0,
+    n_points=4096,
+    bump_radius=2.0,
+    trials=20,
+    seed=20240817,
+    bound_slack=1e-10,
+)
+def _sector_norms(cfg: dict, rep: Report) -> None:
     """
     Exact sector norms of evolved-resolvent differences against the
     2 n ||f|| gap bound, plus seeded monotonicity trials for random
     two-term products of number resolvents.  Each gap passes the box gate
     first; a failure raises ValidityGateError.
     """
-    cfg = _resolve({
-        "n_list": [1, 2, 3],
-        "lam": 1.0,
-        "t": 0.25,
-        "radius_offset": 5.0,
-        "n_points": 4096,
-        "bump_radius": 2.0,
-        "trials": 20,
-        "seed": 20240817,
-        "bound_slack": 1e-10,
-    }, config)
-    # the gap bound and the exact sector norm need these; checked before any evolution
-    _need(cfg, ("n_list",), ("trials",))
+    # the exact sector norm needs these; checked before any evolution
     if not all(1 <= n <= 12 for n in cfg["n_list"]):
         raise ConfigError(f"n_list entries must lie in 1..12, got {cfg['n_list']}")
-    if not cfg["lam"] > 0:
-        raise ConfigError(f"lam must be positive, got {cfg['lam']}")
-    rep = Report(
-        "sector_norms",
-        cfg,
-        columns=["n", "R", "gap", "exact_norm", "bound", "bound_ok"],
-    )
     lam, t = cfg["lam"], cfg["t"]
     radii = [n_sec + cfg["radius_offset"] for n_sec in cfg["n_list"]]
-    packets = []
-    for R in radii:
-        grid = make_grid(2.0 * R + 16.0, cfg["n_points"])
-        packets.append((assemble(grid, soft_wall_trap(R, 1.0)), bump(0.0, cfg["bump_radius"], grid), [t]))
-    evolved = evolve_chebyshev_batch(packets, 1)  # every radius in one series
+    evolved = _evolve_packets([(R, 1.0, 2.0 * R + 16.0) for R in radii], cfg["n_points"],
+                              0.0, cfg["bump_radius"], [t], 1)
     norms = []
-    for n_sec, R, (_, f, _), ((g1,), _) in zip(cfg["n_list"], radii, packets, evolved):
+    for n_sec, R, (f, (g1,)) in zip(cfg["n_list"], radii, evolved):
         g2 = evolve_free(f, t)
         gap = gated_gap(g2, g1, R)  # the box gate of every trapped-vs-free experiment
         n1, n2 = np.sqrt(inner(g1, g1).real), np.sqrt(inner(g2, g2).real)
@@ -360,26 +396,21 @@ def run_sector_norms(config: dict) -> Report:
         norms.append(exact)
     rep.verdicts["bound"] = all(r[5] for r in rep.rows)
     rep.verdicts["decreasing"] = bool(np.all(np.diff(norms) < 0))
-
-    # monotonicity trials live on a 3-mode space with the resolvent functions
-    # in modes 1-2: the untouched spectator mode plays the role of the rest
-    # of the infinite-dimensional one-particle space, without which an added
-    # particle could not avoid the observed modes and monotonicity fails
-    rng = np.random.default_rng(cfg["seed"])
-    space = fock.build_fock(3, 6)
-    mono_ok = True
-    for _ in range(cfg["trials"]):
-        c1, c2 = _spectator_coeffs(rng), _spectator_coeffs(rng)
-        lam1, lam2 = rng.uniform(0.5, 2.0, size=2)
-        A1 = fock.number_resolvent_matrix(space, lam1, c1)
-        A2 = fock.number_resolvent_matrix(space, lam2, c2)
-        ok, _ = fock.sector_norm_monotonicity([a @ b for a, b in zip(A1[:4], A2[:4])])
-        mono_ok = mono_ok and ok
-    rep.verdicts["sector_monotonicity"] = mono_ok
-    return rep
+    rep.verdicts["sector_monotonicity"] = _monotone_trials(cfg["seed"], cfg["trials"], 6, np.matmul, True)
 
 
-def run_thermal_convergence(config: dict) -> Report:
+@_experiment(
+    "thermal", "thermal_convergence", ["R", "n_points", "density", "homogeneous", "rel_deviation"],
+    {"radius_list": "list"},
+    radius_list=[20.0, 40.0, 80.0],
+    beta=1.0,
+    mu=-1.0,
+    x_probe=0.0,
+    rel_tol=0.01,
+    dx_start=0.125,
+    edge_gate=1e-10,
+)
+def _thermal_convergence(cfg: dict, rep: Report) -> None:
     """
     Interior density of the trapped thermal state against the homogeneous
     value.  Each radius takes the density at x_probe as the midpoint of
@@ -391,28 +422,15 @@ def run_thermal_convergence(config: dict) -> Report:
     box or the unboxed trap among them, so edge_gate is the largest
     relative effect that anything beyond the walked rows may have.
     """
-    cfg = _resolve({
-        "radius_list": [20.0, 40.0, 80.0],
-        "beta": 1.0,
-        "mu": -1.0,
-        "x_probe": 0.0,
-        "rel_tol": 0.01,
-        "dx_start": 0.125,
-        "edge_gate": 1e-10,
-    }, config)
-    _need(cfg, ("radius_list",), ())
-    rep = Report(
-        "thermal_convergence",
-        cfg,
-        columns=["R", "n_points", "density", "homogeneous", "rel_deviation"],
-    )
     beta, mu = cfg["beta"], cfg["mu"]
     hom = qf.homogeneous_density(beta, mu, 1)
     devs = []
     # grids refine with R: at these parameters the finite-trap correction is
     # exponentially below the dx floor, so the deviation tracks refinement.
-    # Every grid is built (and size-checked) before the first walk.
+    # Every grid is built (and size-checked) and holds x_probe before the first walk.
     ops = [trap_operator(R, cfg["dx_start"] / 2**i) for i, R in enumerate(cfg["radius_list"])]
+    for H in ops:
+        H.grid.index_of(cfg["x_probe"])
     for R, H in zip(cfg["radius_list"], ops):
         bracket = qf.probe_density(H, beta, mu, cfg["x_probe"])
         grid = H.grid
@@ -426,33 +444,28 @@ def run_thermal_convergence(config: dict) -> Report:
         rep.rows.append((R, grid.n_points, dens, hom, dev))
     rep.verdicts["final_within_tol"] = devs[-1] <= cfg["rel_tol"]
     rep.verdicts["deviation_monotone"] = bool(np.all(np.diff(devs) < 0))
-    return rep
 
 
-def run_resolvent_oracle(config: dict) -> Report:
+@_experiment(
+    "resolvent", "resolvent_oracle",
+    ["lam", "series_value", "gibbs_value", "oracle_delta",
+     "field_quad", "field_closed", "field_oracle_delta", "field_gibbs_delta"],
+    {},
+    energies=[0.5, 1.5],
+    beta=1.0,
+    mu=-0.2,
+    lam_list=[0.5, 1.0, 2.0],
+    coeffs=[0.8, 0.6],
+    n_total=44,
+    match_tol=1e-8,
+    field_n_total=60,
+)
+def _resolvent_oracle(cfg: dict, rep: Report) -> None:
     """
     Number-resolvent series against the exact truncated Gibbs trace, and the
     field-resolvent quadrature against its closed Gaussian form, with the
     truncated-trace delta of the field resolvent reported (not asserted).
     """
-    from scipy.special import erfcx
-
-    cfg = _resolve({
-        "energies": [0.5, 1.5],
-        "beta": 1.0,
-        "mu": -0.2,
-        "lam_list": [0.5, 1.0, 2.0],
-        "coeffs": [0.8, 0.6],
-        "n_total": 44,
-        "match_tol": 1e-8,
-        "field_n_total": 60,
-    }, config)
-    rep = Report(
-        "resolvent_oracle",
-        cfg,
-        columns=["lam", "series_value", "gibbs_value", "oracle_delta",
-                 "field_quad", "field_closed", "field_oracle_delta", "field_gibbs_delta"],
-    )
     energies, beta, mu = cfg["energies"], cfg["beta"], cfg["mu"]
     coeffs = np.array(cfg["coeffs"])
     space = fock.build_fock(len(energies), cfg["n_total"])
@@ -460,7 +473,7 @@ def run_resolvent_oracle(config: dict) -> Report:
     rep.gates["truncation"] = drop <= fock.TRUNCATION_TOL
     if not rep.gates["truncation"]:  # both Gibbs traces would refuse this space
         rep.notes.append(f"truncation weight {drop:.2e} above {fock.TRUNCATION_TOL:.0e}")
-        return rep
+        return
 
     occ = qf.bose_occupation(np.array(energies), beta, mu)
     norm_sq = float((np.abs(coeffs) ** 2).sum())
@@ -492,34 +505,27 @@ def run_resolvent_oracle(config: dict) -> Report:
         "vacuum fluctuation of the mode, so a finite offset from the exact "
         "trace is expected"
     )
-    return rep
 
 
-def run_condensate_1d(config: dict) -> Report:
+@_experiment(
+    "condensate1d", "condensate_1d", ["parity", "R", "x", "offset", "limit", "rel_deviation", "within_tol"],
+    {"radius_list_profiles": "list", "radius_list_counts": "list", "kappa": "positive"},
+    radius_list_profiles=[20.0, 40.0, 80.0],
+    radius_list_counts=[20.0, 40.0, 80.0, 160.0],
+    kappa=0.5,
+    x_probes=[1.0, 2.0, 4.0],
+    profile_tol=0.02,
+    profile_min_R=40.0,
+    slope_tol=0.3,
+    count_tol=0.1,
+    dx_target=0.03125,
+)
+def _condensate_1d(cfg: dict, rep: Report) -> None:
     """
     1D condensate structure: smeared-mode limits, density offsets against
     the flat/linear limit profiles, and particle-count growth exponents.
     """
-    cfg = _resolve({
-        "radius_list_profiles": [20.0, 40.0, 80.0],
-        "radius_list_counts": [20.0, 40.0, 80.0, 160.0],
-        "kappa": 0.5,
-        "x_probes": [1.0, 2.0, 4.0],
-        "profile_tol": 0.02,
-        "profile_min_R": 40.0,
-        "slope_tol": 0.3,
-        "count_tol": 0.1,
-        "dx_target": 0.03125,
-    }, config)
-    rep = Report(
-        "condensate_1d",
-        cfg,
-        columns=["parity", "R", "x", "offset", "limit", "rel_deviation", "within_tol"],
-    )
     kappa, radii, counted = cfg["kappa"], cfg["radius_list_profiles"], cfg["radius_list_counts"]
-    _need(cfg, ("radius_list_profiles", "radius_list_counts"), ())
-    if not kappa > 0:  # NaN too
-        raise ConfigError(f"kappa must be positive, got {kappa}")
     if 0.0 in cfg["x_probes"]:
         raise ConfigError("x_probes must be nonzero: the odd limit x^2 vanishes at x = 0")
     for R in radii:  # every probe must be a point of every profile grid, before any solve
@@ -546,11 +552,8 @@ def run_condensate_1d(config: dict) -> Report:
     rep.verdicts["profiles"] = profiles_ok
 
     # smeared pairings
-    def f_factory(grid):
-        return bump(3.0, 1.0, grid)
-
     for parity, limit_name in (("even", "integral"), ("odd", "first_moment")):
-        asym = cond.smeared_mode_limit(parity, f_factory, [solved[R] for R in radii])
+        asym = cond.smeared_mode_limit(parity, lambda grid: bump(3.0, 1.0, grid), [solved[R] for R in radii])
         rep.verdicts[f"pairing_slope[{parity}]"] = (
             np.isfinite(asym.slope) and asym.slope <= -2.0 + cfg["slope_tol"]
         )
@@ -562,27 +565,22 @@ def run_condensate_1d(config: dict) -> Report:
         expo, counts = cond.condensate_count_scaling(parity, kappa, [solved[R] for R in counted])
         rep.verdicts[f"count_exponent[{parity}]"] = abs(expo - target) <= cfg["count_tol"]
         rep.notes.append(f"{parity} count exponent {expo:.4f} (target {target})")
-    return rep
 
 
-def run_mu_limit(config: dict) -> Report:
+@_experiment(
+    "mulimit", "mu_limit", ["function", "mu", "value", "verdict"],
+    {"mu_list": "list"},
+    lam=1.0,
+    beta=0.05,
+    mu_list=[-0.1, -0.03, -0.01, -3e-3, -1e-3, -6e-4, -4e-4, -2.5e-4, -1.6e-4, -1e-4],
+    drop_ratio=0.05,
+    cauchy_tol=1e-4,
+    mean_one_radius=8.0,
+    box=20.0,
+    n_points=4096,
+)
+def _mu_limit(cfg: dict, rep: Report) -> None:
     """Saturation scan of number resolvents as the chemical potential rises to 0."""
-    cfg = _resolve({
-        "lam": 1.0,
-        "beta": 0.05,
-        "mu_list": [-0.1, -0.03, -0.01, -3e-3, -1e-3, -6e-4, -4e-4, -2.5e-4, -1.6e-4, -1e-4],
-        "drop_ratio": 0.05,
-        "cauchy_tol": 1e-4,
-        "mean_one_radius": 8.0,
-        "box": 20.0,
-        "n_points": 4096,
-    }, config)
-    _need(cfg, ("mu_list",), ())
-    rep = Report(
-        "mu_limit",
-        cfg,
-        columns=["function", "mu", "value", "verdict"],
-    )
     grid = make_grid(cfg["box"], cfg["n_points"])
     lam, beta, mus = cfg["lam"], cfg["beta"], cfg["mu_list"]
 
@@ -601,27 +599,22 @@ def run_mu_limit(config: dict) -> Report:
             rep.rows.append((name, mu, float(val), verdict))
         rep.verdicts[name] = verdict == expected
     rep.verdicts["drop"] = bool(scans["mean_one"][-1] <= cfg["drop_ratio"] * scans["mean_one"][0])
-    return rep
 
 
-def run_condensate_3d(config: dict) -> Report:
+@_experiment(
+    "condensate3d", "condensate_3d", ["R", "k", "k_bound", "bound_constant", "pairing", "limit"],
+    {"radius_list": "list", "f_radius": "positive"},
+    radius_list=[20.0, 40.0, 80.0],
+    constant_factor=2.0,
+    slope_max=-1.7,
+    k_factor=1.1,
+    f_center=3.0,
+    f_radius=2.0,
+)
+def _condensate_3d(cfg: dict, rep: Report) -> None:
     """Axial (l = 1) condensate profile: deviation bound, pairings, mode energy."""
-    cfg = _resolve({
-        "radius_list": [20.0, 40.0, 80.0],
-        "constant_factor": 2.0,
-        "slope_max": -1.7,
-        "k_factor": 1.1,
-        "f_center": 3.0,
-        "f_radius": 2.0,
-    }, config)
-    _need(cfg, ("radius_list",), ())
-    if not cfg["f_radius"] > 0:
-        raise ConfigError(f"f_radius must be positive, got {cfg['f_radius']}")
-    rep = Report(
-        "condensate_3d",
-        cfg,
-        columns=["R", "k", "k_bound", "bound_constant", "pairing", "limit"],
-    )
+    if not np.isfinite(cfg["f_center"]):
+        raise ConfigError(f"f_center must be finite, got {cfg['f_center']}")
     rg = RadialGrid(10.0, 2048)
     phi1 = bump_profile((rg.r - cfg["f_center"]) / cfg["f_radius"])
     f = qf.RadialFunction3D(rg, np.zeros_like(rg.r), phi1)
@@ -635,10 +628,19 @@ def run_condensate_3d(config: dict) -> Report:
     rep.verdicts["constant_stable"] = max(c_list) <= cfg["constant_factor"] * min(c_list)
     rep.verdicts["pairing_slope"] = res["deviation_slope"] <= cfg["slope_max"]
     rep.notes.append(f"pairing limit {res['limit']:.6f}, slope {res['deviation_slope']:.3f}")
-    return rep
 
 
-def run_memory(config: dict) -> Report:
+@_experiment(
+    "memory", "memory", ["t", "thermal_abs", "total_minus_thermal", "plateau_error"],
+    {"t_list": "list"},
+    beta=1.0,
+    kappa=0.5,
+    t_list=[5.0, 20.0, 80.0, 320.0, 1280.0, 2600.0],
+    decay_threshold=1e-3,
+    plateau_tol=1e-10,
+    f_radius=4.0,
+)
+def _memory(cfg: dict, rep: Report) -> None:
     """
     Temporal correlations of the 3D limit state at zero chemical potential:
     the thermal part decays while the condensate plateau persists.
@@ -648,20 +650,6 @@ def run_memory(config: dict) -> Report:
     plateau verdict holds by construction (the library's condensate term
     has its own test) and the decay verdicts carry the physics.
     """
-    cfg = _resolve({
-        "beta": 1.0,
-        "kappa": 0.5,
-        "t_list": [5.0, 20.0, 80.0, 320.0, 1280.0, 2600.0],
-        "decay_threshold": 1e-3,
-        "plateau_tol": 1e-10,
-        "f_radius": 4.0,
-    }, config)
-    _need(cfg, ("t_list",), ())
-    rep = Report(
-        "memory",
-        cfg,
-        columns=["t", "thermal_abs", "total_minus_thermal", "plateau_error"],
-    )
     beta, kappa, ts = cfg["beta"], cfg["kappa"], cfg["t_list"]
     state = qf.HomogeneousState(beta=beta, mu=0.0, kappa=kappa)  # checked before any transform
 
@@ -684,14 +672,11 @@ def run_memory(config: dict) -> Report:
         rep.verdicts["plateau"] = plateau_ok
     else:
         rep.notes.append("kappa = 0: decay-only run")
-    return rep
 
 
-def run_oracle_selftest(config: dict) -> Report:
+@_experiment("oracle", "oracle_selftest", ["check", "value", "ok"], {"trials": "count"}, seed=20240817, trials=20)
+def _oracle_selftest(cfg: dict, rep: Report) -> None:
     """Fock-space self-tests: commutators, resolvent spectra, monotone norms."""
-    cfg = _resolve({"seed": 20240817, "trials": 20}, config)
-    _need(cfg, (), ("trials",))
-    rep = Report("oracle_selftest", cfg, columns=["check", "value", "ok"])
     sp = fock.build_fock(2, 5)
     ccr = fock.ccr_defect(sp)
     rep.rows.append(("ccr_defect", ccr, ccr < 1e-12))
@@ -700,32 +685,9 @@ def run_oracle_selftest(config: dict) -> Report:
     norm_ok = all(abs(np.linalg.norm(b, 2) - 1.0) < 1e-12 for b in blocks)
     rep.rows.append(("resolvent_sector_norm_1_over_lam", 1.0, norm_ok))
 
-    # spectator mode (see run_sector_norms) so monotonicity can hold
-    rng = np.random.default_rng(cfg["seed"])
-    sp3 = fock.build_fock(3, 5)
-    mono_all = True
-    for _ in range(cfg["trials"]):
-        c1, c2 = _spectator_coeffs(rng), _spectator_coeffs(rng)
-        A = fock.number_resolvent_matrix(sp3, 1.0, c1)
-        B = fock.number_resolvent_matrix(sp3, 1.0, c2)
-        ok, _ = fock.sector_norm_monotonicity([a - b for a, b in zip(A[:4], B[:4])])
-        mono_all = mono_all and ok
-    rep.rows.append(("difference_monotonicity_trials", cfg["trials"], mono_all))
+    mono = _monotone_trials(cfg["seed"], cfg["trials"], 5, np.subtract, False)
+    rep.rows.append(("difference_monotonicity_trials", cfg["trials"], mono))
     rep.verdicts["all"] = all(bool(r[2]) for r in rep.rows)
-    return rep
-
-
-EXPERIMENTS = {
-    "lemma31": run_propagator_scan,
-    "lemma33": run_sector_norms,
-    "thermal": run_thermal_convergence,
-    "resolvent": run_resolvent_oracle,
-    "condensate1d": run_condensate_1d,
-    "mulimit": run_mu_limit,
-    "condensate3d": run_condensate_3d,
-    "memory": run_memory,
-    "oracle": run_oracle_selftest,
-}
 
 
 def run(subcommand: str, config: dict) -> Report:

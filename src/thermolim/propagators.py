@@ -96,6 +96,7 @@ from .hamiltonians import _A, _C, _D, _I, SpectralDecomposition, TridiagonalOper
 
 GAP_FLOOR = 1e-14
 EDGE_GATE = 5e-3  # largest relative edge amplitude an evolved packet may keep
+EDGE_ZONE = 4.0  # width of the box-edge strip the edge gates keep clear of
 DUHAMEL_MAX_INTERVALS = 4096
 DUHAMEL_REL_TOL = 1e-6  # relative change at which the Duhamel quadrature stops doubling
 CHEBYSHEV_TAIL = 1e-15  # L2 bound on the neglected series tail at every time
@@ -539,9 +540,9 @@ def evolve_free(f: WaveFunction, t: float) -> WaveFunction:
 
 
 def edge_amplitude(f: WaveFunction) -> float:
-    """Largest |f| within 4 length units of the box edge, relative to max |f|."""
+    """Largest |f| within EDGE_ZONE of the box edge, relative to max |f|."""
     g = f.grid
-    m = np.abs(g.x) >= g.half_width - 4.0
+    m = np.abs(g.x) >= g.half_width - EDGE_ZONE
     peak = np.abs(f.values).max()
     if peak == 0:
         return 0.0
@@ -651,7 +652,7 @@ def observable_gap_bound(
     """Sector-norm bound 2 n lam^-2 ||f|| * gap for the evolved number resolvents."""
     if n < 1:
         raise ValueError(f"particle number must be >= 1, got {n}")
-    if lam <= 0:
+    if not lam > 0:
         raise ValueError(f"lambda must be positive, got {lam}")
     return 2.0 * n * lam**-2 * f.norm() * gap
 
@@ -664,7 +665,6 @@ class DecayReport:
     radii: list[float]
     gaps: list[float]
     slopes: list[float]  # between consecutive radii; empty for "trivial" and "inconclusive-floor"
-    floor_flags: list[bool]
     verdict: str
 
 
@@ -677,11 +677,7 @@ def gap_decay_scan(t: float, radii: list[float], gaps: list[float]) -> DecayRepo
     down to the roundoff floor, "trivial" at t = 0, "inconclusive-floor"
     when every gap sits at the floor, otherwise "fail".
     """
-    if len(radii) < 4:
-        raise ValueError("R scan needs at least 4 radii")
-    if any(b <= a for a, b in zip(radii, radii[1:])):
-        raise ValueError("radii must be strictly ascending")
-
+    _check_scan_radii(radii, "R scan")
     floor = [g <= GAP_FLOOR for g in gaps]
     slopes = []
     if t == 0:
@@ -702,4 +698,12 @@ def gap_decay_scan(t: float, radii: list[float], gaps: list[float]) -> DecayRepo
         negative = all(s < 0 for s in live)
         growing = all(abs(b) >= abs(a) for a, b in zip(live, live[1:]))
         verdict = "pass" if (negative and growing and live) else "fail"
-    return DecayReport(t, list(radii), list(gaps), slopes, floor, verdict)
+    return DecayReport(t, list(radii), list(gaps), slopes, verdict)
+
+
+def _check_scan_radii(radii, name: str) -> None:
+    """An R scan needs at least 4 strictly ascending radii; `name` heads the message."""
+    if len(radii) < 4:
+        raise ValueError(f"{name} needs at least 4 radii, got {len(radii)}")
+    if any(b <= a for a, b in zip(radii, radii[1:])):
+        raise ValueError(f"{name} must be strictly ascending, got {radii}")

@@ -91,13 +91,12 @@ from .hamiltonians import (
     diagonalize,
     eigenvalue_count,
 )
-from .propagators import QuadratureCapError
+from .propagators import EDGE_ZONE, QuadratureCapError
 
 MU_SAFETY = 1e-6
 # largest density a thermal state may leave out with its discarded modes,
 # three orders below the absolute tolerance on reported densities
 DISCARD_TOL = 1e-16
-EDGE_ZONE = 4.0  # width of the box-edge strip the edge gates keep clear of
 # relative width at which probe_density's Gauss / Gauss-Radau bracket stops
 DENSITY_BRACKET_TOL = 1e-12
 _DENSITY_FIRST_CHECK = 32  # Lanczos steps before probe_density's first bracket
@@ -559,10 +558,8 @@ def mu_limit_scan(
     and when that half holds no step to check (fewer than three mu values).
     """
     mus = np.asarray(list(mu_list), dtype=float)
-    if not np.isfinite(lam):
-        raise DomainError(f"lambda must be finite, got {lam}")
-    if lam <= 0:
-        raise DomainError(f"lambda must be positive, got {lam}")
+    if not 0 < lam < np.inf:
+        raise DomainError(f"lambda must be positive and finite, got {lam}")
     _check_beta_mu(beta, mus)
     if mus.ndim != 1 or mus.size == 0 or np.any(np.diff(mus) <= 0) or mus[-1] >= 0:
         raise DomainError("mu_list must be ascending and < 0")

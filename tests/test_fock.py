@@ -135,6 +135,12 @@ def test_one_particle_sector_eigenvalues():
     assert np.allclose(eig, [1 / (lam + 1), 1 / lam], atol=1e-12)
 
 
+@pytest.mark.parametrize("lam", [0.0, -1.0, np.nan])
+def test_number_resolvent_matrix_rejects_a_lambda_that_is_not_positive(lam):
+    with pytest.raises(FockConfigError, match="lambda must be positive"):
+        number_resolvent_matrix(build_fock(2, 3), lam, np.array([0.6, 0.8]))
+
+
 def test_sector_norm_is_inverse_lambda():
     # occupation 0 of the f-mode is always admissible, so every sector
     # norm of the resolvent equals 1/lam

@@ -75,6 +75,17 @@ def test_bump_support_must_fit():
         bump(3.0, 2.0, g)
     with pytest.raises(GridConfigError):
         bump(0.0, -1.0, g)
+    with pytest.raises(GridConfigError, match="radius must be positive"):
+        bump(0.0, np.nan, g)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_a_position_that_is_not_finite_is_refused(value):
+    g = make_grid(4.0, 64)
+    with pytest.raises(GridConfigError, match="bump center must be finite"):
+        bump(value, 1.0, g)
+    with pytest.raises(GridConfigError, match="grid position x must be finite"):
+        g.index_of(value)
 
 
 def test_inner_normalization_and_disjoint(fine_grid):

@@ -223,6 +223,12 @@ LEMMA31_SMALL = {"radius_list": "6, 8, 10, 12", "t_list": "0.25", "c_rules": "1"
         pytest.param("resolvent", {"lam_list": "0, 1"}, "lambda must be positive", id="lam_list = 0, 1"),
         pytest.param("lemma33", {"lam": "nan"}, "lam must be positive", id="lemma33 lam = nan"),
         pytest.param("condensate3d", {"f_radius": "0"}, "f_radius must be positive", id="f_radius = 0"),
+        # a NaN position, which every range check with < or > lets through
+        pytest.param("condensate3d", {"f_center": "nan"}, "f_center must be finite", id="f_center = nan"),
+        pytest.param("lemma31", {"bump_center": "nan"}, "bump center must be finite", id="bump_center = nan"),
+        pytest.param("thermal", {"x_probe": "nan"}, "grid position x must be finite", id="x_probe = nan"),
+        pytest.param("condensate1d", {"x_probes": "1, nan"}, "grid position x must be finite",
+                     id="x_probes = 1, nan"),
     ],
 )
 def test_cli_rejects_a_bad_radius_list_before_solving(experiment, bad, expect, monkeypatch, tmp_path,
@@ -277,7 +283,7 @@ def test_cli_memory_rejects_a_bad_time_before_any_transform(t_list, expect, monk
         pytest.param("mu_list = -0.1, -0.03, nan", "must be finite", id="mu nan"),
         pytest.param("mu_list = -0.1, -inf", "must be finite", id="mu inf"),
         pytest.param("beta = nan", "must be finite", id="beta nan"),
-        pytest.param("lam = inf", "must be finite", id="lam inf"),
+        pytest.param("lam = inf", "lambda must be positive and finite", id="lam inf"),
         pytest.param("lam = 0.0", "lambda must be positive", id="lam zero"),
     ],
 )

@@ -535,6 +535,13 @@ def test_observable_gap_bound_scaling(trap_setup):
     assert observable_gap_bound(1, 2.0, f, gap) == pytest.approx(b1 / 4, rel=1e-14)
 
 
+@pytest.mark.parametrize("lam", [0.0, -1.0, np.nan])
+def test_observable_gap_bound_rejects_a_lambda_that_is_not_positive(lam):
+    f = bump(0.0, 2.0, make_grid(16.0, 256))
+    with pytest.raises(ValueError, match="lambda must be positive"):
+        observable_gap_bound(1, lam, f, 1e-3)
+
+
 def test_scan_verdicts():
     radii = [5.0, 6.0, 7.0, 8.0]
     cache = {}

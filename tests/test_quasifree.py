@@ -348,6 +348,9 @@ def test_mu_scan_validation():
     f = bump(0.0, 1.0, grid)
     with pytest.raises(DomainError):
         mu_limit_scan(1.0, f, 1.0, [-0.1, -0.2, -0.3], cauchy_tol=1e-4, vanish_ratio=0.05)
+    for lam in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(DomainError, match="lambda must be positive and finite"):
+            mu_limit_scan(lam, f, 1.0, [-0.3, -0.2], cauchy_tol=1e-4, vanish_ratio=0.05)
 
 
 def test_mu_scan_with_no_step_to_check_is_inconclusive():
