@@ -40,7 +40,7 @@ class Grid1D:
 
     def __post_init__(self):
         L, n = self.half_width, self.n_points
-        if L <= 0:
+        if not L > 0:  # NaN fails
             raise GridConfigError(f"half_width must be positive, got {L}")
         if n % 2 != 0 or n < 16:
             raise GridConfigError(f"n_points must be even and >= 16, got {n}")

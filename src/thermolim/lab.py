@@ -285,7 +285,7 @@ def _monotone_trials(seed: int, trials: int, n_total: int, combine, random_lams:
 
 @_experiment(
     "lemma31", "propagator_scan", ["c_rule", "t", "R", "gap", "duhamel_bound", "slope", "verdict"],
-    {"threads": "count"},
+    {"threads": "count", "margin": "positive"},
     radius_list=[6.0, 8.0, 10.0, 12.0, 14.0],
     t_list=[0.25, 0.5, 1.0],
     c_rules=["1", "R"],
@@ -322,19 +322,21 @@ def _propagator_scan(cfg: dict, rep: Report) -> None:
                 gaps.append(exc)
         scanned[job] = (f, gaps)
 
+    # the gaps of each (rule, t) scan over the radii, a ValidityGateError
+    # where the box gate failed
+    scans = {(rule_name, t): [scanned[(rule_name, R)][1][k] for R in radii]
+             for rule_name in rules for k, t in enumerate(ts)}
     # the Duhamel bound is c^2 times its c = 1 integral, which depends on
-    # (t, R) alone (the packet does not depend on the rule): computed once,
-    # on the first branch whose box gate passed
-    unit_bounds = {}
-
-    def bound(rule_name, t, R):
-        if (t, R) not in unit_bounds:
-            unit_bounds[(t, R)] = duhamel_bound(scanned[(rule_name, R)][0], t, R)
-        return coupling[rule_name](R) ** 2 * unit_bounds[(t, R)]
+    # (t, R) alone (the packet does not depend on the rule): one call per R
+    # for every time whose scan passed its box gate on some rule
+    bound_ts = list(dict.fromkeys(t for (_, t), gaps in scans.items()
+                                  if not any(isinstance(g, ValidityGateError) for g in gaps)))
+    unit_bounds = {R: dict(zip(bound_ts, duhamel_bound(scanned[(rules[0], R)][0], bound_ts, R)))
+                   for R in radii} if bound_ts else {}
 
     for rule_name in rules:
-        for k, t in enumerate(ts):
-            gaps = [scanned[(rule_name, R)][1][k] for R in radii]
+        for t in ts:
+            gaps = scans[(rule_name, t)]
             failed = [(R, g) for R, g in zip(radii, gaps) if isinstance(g, ValidityGateError)]
             if failed:
                 R, exc = failed[0]
@@ -346,7 +348,7 @@ def _propagator_scan(cfg: dict, rep: Report) -> None:
                 continue
             scan = gap_decay_scan(t, radii, gaps)
             rep.gates[f"box[{rule_name},t={t}]"] = True
-            bounds = [bound(rule_name, t, R) for R in radii]
+            bounds = [coupling[rule_name](R) ** 2 * unit_bounds[R][t] for R in radii]
             decreasing = bool(np.all(np.diff(scan.gaps) < 0))
             bound_ok = all(g <= b + cfg["bound_slack"] for g, b in zip(scan.gaps, bounds))
             rep.verdicts[f"scan[{rule_name},t={t}]"] = scan.verdict

@@ -85,6 +85,8 @@ def ufunc_recurrence(segments_by_degree: list) -> None:
     propagators._recurrence by plain ufuncs, one segment at a time:
     T_(k+1) = 2 H_s T_k - T_(k-1), T_1 = H_s T_0, with each T_k handed to
     _absorb as eps_k T_k, eps = (+, +, -, -) repeating, 64 terms at a time.
+    The leak sums add sum_end |e_end| |(T_k f)(end)| to every time with
+    k < degree, term by term, in a plain loop.
     """
     eps = (1.0, 1.0, -1.0, -1.0)
     for s in segments_by_degree:
@@ -96,6 +98,11 @@ def ufunc_recurrence(segments_by_degree: list) -> None:
 
         prev, cur, k, done, block = None, s.start.ravel(), 0, 0, []
         while done < s.kmax:
+            parts = cur.reshape(s.start.shape)
+            term = sum(c * np.sqrt((parts[:, r] ** 2).sum()) for r, c in zip(s.end_rows, s.couplings))
+            for m, degree in enumerate(s.degrees):
+                if k < degree:
+                    s.leak[m] += term
             block.append(eps[k % 4] * cur)
             prev, cur, k = cur, 0.5 * apply(cur) if k == 0 else apply(cur) - prev, k + 1
             if len(block) == 64 or k == s.kmax:

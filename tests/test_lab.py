@@ -120,11 +120,12 @@ def test_lemma31_threads_leave_the_report_unchanged():
 def test_lemma31_batch_keeps_its_memory_peak(monkeypatch):
     # the peak is the batched series: its 36-row ring over 28,852 rows
     # (8.3 MB), coefficient tables and sums for all ten packets, on top of
-    # the packets.  One duhamel_bound call at n = 4096 takes 10.8 MB.  The
-    # run peaked at 18,008,237 bytes here (numpy 2.4) before the batch, and
-    # at 16,634,175 with the series on dlagtm and an in-place Duhamel
-    # integrand.  No cut leaks at the defaults, so all ten packets run in
-    # one batch and nothing is rerun on its whole box
+    # the packets.  One duhamel_bound call at n = 4096, for all its times,
+    # takes 10.8 MB.  The run peaked at 18,008,237 bytes here (numpy 2.4)
+    # before the batch, and at 16,634,175 with the series on dlagtm and an
+    # in-place Duhamel integrand; the leak sums gathered once per flush
+    # keep it there (16,525,549).  No cut leaks at the defaults, so all ten
+    # packets run in one batch and nothing is rerun on its whole box
     batches = []
 
     def recording(segments):
@@ -140,6 +141,30 @@ def test_lemma31_batch_keeps_its_memory_peak(monkeypatch):
         tracemalloc.stop()
     assert peak <= 1.01 * 16_634_175
     assert batches == [10]
+
+
+def test_lemma31_makes_one_duhamel_call_per_radius(monkeypatch):
+    # every time whose scan passed its box gate shares one call per radius;
+    # t = 2.0 fails its gate on both rules and gets no bound
+    calls = []
+
+    def recording(f, t, R):
+        calls.append((list(t), R))
+        return duhamel_bound(f, t, R)
+
+    monkeypatch.setattr(lab, "duhamel_bound", recording)
+    config = {"radius_list": [6.0, 8.0, 10.0, 12.0], "t_list": [0.25, 0.5, 2.0], "c_rules": ["1", "R"],
+              "n_points": 512}
+    rep = run("lemma31", config)
+    assert calls == [([0.25, 0.5], R) for R in config["radius_list"]]
+    for rule, t, R, _, bound, _, _ in rep.rows:
+        if t != 2.0:
+            f = bump(0.0, 2.0, make_grid(2 * R + 16.0, 512))
+            # the shared table moves a larger time's last bits; at the
+            # integrand's roundoff floor (R = 12: about 6e-13) they can end
+            # the doubling a level apart, which moves the bound within it
+            c = 1.0 if rule == "1" else R
+            assert bound / c**2 == pytest.approx(duhamel_bound(f, t, R), rel=1e-12, abs=1e-13)
 
 
 def test_cli_exits_2_when_a_quadrature_hits_its_cap(monkeypatch, tmp_path, capsys):
@@ -211,6 +236,8 @@ LEMMA31_SMALL = {"radius_list": "6, 8, 10, 12", "t_list": "0.25", "c_rules": "1"
         pytest.param("mulimit", {"mu_list": "-0.1"}, "mu_list needs at least 2 entries", id="mu_list = -0.1"),
         pytest.param("lemma31", {"threads": "0"}, "threads must be at least 1", id="threads = 0"),
         pytest.param("lemma31", {"threads": "-3"}, "threads must be at least 1", id="threads = -3"),
+        pytest.param("lemma31", {"margin": "nan"}, "margin must be positive", id="margin = nan"),
+        pytest.param("lemma31", {"margin": "0"}, "margin must be positive", id="margin = 0"),
         # a spacing, a radius or a lambda that is 0, negative, infinite or NaN
         pytest.param("thermal", {"dx_start": "0"}, "grid spacing must be finite and positive",
                      id="dx_start = 0"),
@@ -387,6 +414,16 @@ def test_cli_echoes_the_config_that_ran(monkeypatch, tmp_path):
     assert config["c_rules"] == ["2.5"]
     assert "# t_list = [0.25]" in lines
     assert "# radius_list = [6.0, 8.0, 10.0, 12.0]" in lines
+
+
+def test_cli_lemma33_names_a_nan_half_width(tmp_path, capsys, recwarn):
+    # radius_offset = nan makes every box half width NaN: the grid refuses
+    # it by name, before any sample is computed
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("radius_offset = nan\n")
+    assert main(["lemma33", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+    assert "half_width must be positive, got nan" in capsys.readouterr().err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def test_cli_lemma33_exits_2_on_the_edge_gate(tmp_path, capsys):

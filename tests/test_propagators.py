@@ -490,6 +490,18 @@ def test_duhamel_accepts_the_roundoff_floor_at_the_cap():
     assert 1e-11 < duhamel_bound(f, 0.25, R) < 3e-11
 
 
+def _counting_ifft_rows(monkeypatch) -> list:
+    """Patch np.fft.ifft to record each call's row count."""
+    ifft, rows = np.fft.ifft, []
+
+    def counting(a, *args, **kwargs):
+        rows.append(a.shape[0])
+        return ifft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifft", counting)
+    return rows
+
+
 def test_duhamel_stops_at_the_roundoff_floor_before_the_cap(monkeypatch):
     # at R = 10 the whole integral (~1e-13) sits at the roundoff floor, so
     # no level can reach 1e-6 relative: the first change inside the floor
@@ -497,16 +509,34 @@ def test_duhamel_stops_at_the_roundoff_floor_before_the_cap(monkeypatch):
     # row of a batched inverse FFT
     R = 10.0
     f = bump(0.0, 2.0, make_grid(2 * R + 16.0, 512))
-    ifft, nodes = np.fft.ifft, []
-
-    def counting(a, *args, **kwargs):
-        nodes.append(a.shape[0])
-        return ifft(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.fft, "ifft", counting)
+    nodes = _counting_ifft_rows(monkeypatch)
     value = duhamel_bound(f, 0.25, R)
     assert 0 < sum(nodes) <= 129
     assert 0 < value < 1e-12
+
+
+def test_duhamel_shares_its_nodes_across_times(monkeypatch, trap_setup):
+    # unsorted, one time repeated and one zero: each value is its one-time
+    # value, the smallest nonzero time bit for bit (it runs first, on an
+    # empty table), and the dyadic times' shared nodes make the one call
+    # cheaper than the one-time calls together
+    R, _, _, f = trap_setup
+    times = (1.0, 0.25, 0.5, 0.5, 0.0)
+    rows = _counting_ifft_rows(monkeypatch)
+    shared = duhamel_bound(f, times, R)
+    shared_rows, rows[:] = sum(rows), []
+    single = [duhamel_bound(f, t, R) for t in times]
+    assert isinstance(shared, list) and isinstance(single[0], float)
+    assert shared == pytest.approx(single, rel=1e-12, abs=0.0)
+    assert shared[1] == single[1]
+    assert shared[4] == 0.0
+    assert shared_rows < sum(rows)
+
+
+def test_duhamel_refuses_a_time_array_of_two_dimensions(trap_setup):
+    R, _, _, f = trap_setup
+    with pytest.raises(ValueError, match="1-D sequence"):
+        duhamel_bound(f, [[0.25, 0.5]], R)
 
 
 def test_box_margin_gate():
@@ -514,6 +544,8 @@ def test_box_margin_gate():
     f = bump(0.0, 2.0, grid)
     with pytest.raises(ValidityGateError, match="R \\+ margin"):
         gated_gap(f, f, R=6.0, margin=16.0)
+    with pytest.raises(ValidityGateError, match="R \\+ margin"):  # a NaN margin never passes
+        gated_gap(f, f, R=1.0, margin=float("nan"))
 
 
 def test_edge_amplitude_gate():
