@@ -29,6 +29,7 @@ from .grids import (
     WaveFunction,
     bump,
     fourier_at,
+    grid_delta,
     inner,
     make_grid,
 )
@@ -64,7 +65,6 @@ from .quasifree import (
     position_density,
     probe_density,
     temporal_correlation,
-    thermal_decomposition,
 )
 from .fock import (
     FockSpace,

@@ -210,7 +210,10 @@ def l1_profile_check(R_list, f):
     (c) the measured k_R values.
 
     f is a RadialFunction3D; only its axial component enters the pairing.
+    A radius that is not finite is refused before the first solve.
     """
+    if not np.all(np.isfinite(R_list)):
+        raise GridConfigError(f"trap radii must be finite, got {list(R_list)}")
     radii = sorted(R_list)
     constants, pairings, ks = [], [], []
     limit = f.axial_moment()

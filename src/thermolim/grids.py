@@ -42,6 +42,8 @@ class Grid1D:
         L, n = self.half_width, self.n_points
         if not L > 0:  # NaN fails
             raise GridConfigError(f"half_width must be positive, got {L}")
+        if L == np.inf:
+            raise GridConfigError(f"half_width must be finite, got {L}")
         if n % 2 != 0 or n < 16:
             raise GridConfigError(f"n_points must be even and >= 16, got {n}")
         dx = 2.0 * L / n
@@ -79,8 +81,8 @@ class RadialGrid:
     r: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.r_max <= 0:
-            raise GridConfigError(f"r_max must be positive, got {self.r_max}")
+        if not 0 < self.r_max < np.inf:  # NaN fails
+            raise GridConfigError(f"r_max must be positive and finite, got {self.r_max}")
         if self.n_points < 16:
             raise GridConfigError(f"n_points must be >= 16, got {self.n_points}")
         dr = self.r_max / self.n_points
@@ -127,6 +129,13 @@ class WaveFunction:
 def make_grid(half_width: float, n_points: int) -> Grid1D:
     """Build a uniform 1D grid on [-L, L]; n_points must be even, >= 16."""
     return Grid1D(half_width, n_points)
+
+
+def grid_delta(grid: Grid1D, x: float) -> WaveFunction:
+    """The discrete delta e_j / dx at the grid point x = x_j: <delta, g> = g(x_j)."""
+    v = np.zeros(grid.n_points)
+    v[grid.index_of(x)] = 1.0 / grid.dx
+    return WaveFunction(grid, v)
 
 
 def bump_profile(u: np.ndarray) -> np.ndarray:

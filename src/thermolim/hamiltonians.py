@@ -19,12 +19,9 @@
 # (NZC = m) and needs no reorthogonalisation, so time and memory grow like
 # n m even when every low trap mode sits in one cluster.  scipy's own dstemr
 # wrappers allocate an n x n Z, so _mrrr_window calls the routine from
-# scipy's Cython LAPACK table.  A request for m >= n modes keeps every mode
-# and takes the full solve, which dstemr cannot stand in for: it returns at
-# most n modes, and divide and conquer beat a full MRRR solve at n = 4096
-# (0.5 s against 10 s for a stiff wall, 1.7 s against 4.8 s for a soft one).
-# eigenvalue_count(H, E) is the O(n) Sturm count that turns an energy cap
-# into a mode count.
+# scipy's Cython LAPACK table.  A request for m >= n modes takes the full
+# solve: divide and conquer beat a full MRRR solve at n = 4096 (0.5 s
+# against 10 s for a stiff wall, 1.7 s against 4.8 s for a soft one).
 
 from __future__ import annotations
 
@@ -153,24 +150,6 @@ def radial_assemble(grid: RadialGrid, l: int, pot: PotentialSpec) -> Tridiagonal
     d = 2.0 / grid.dr**2 + l * (l + 1) / grid.r**2 + pot.evaluate(grid.r)
     e = np.full(grid.n_points - 1, -1.0 / grid.dr**2)
     return TridiagonalOperator(d, e, grid)
-
-
-def eigenvalue_count(H: TridiagonalOperator, energy: float) -> int:
-    """
-    Number of eigenvalues of H below energy: the negative pivots of the
-    LDL^T factorization of H - energy (Sturm count, O(n)).
-    """
-    e2 = (H.off_diagonal**2).tolist()
-    # a zero pivot is moved to -pivmin, as LAPACK's bisection does
-    pivmin = np.finfo(float).tiny * max(1.0, max(e2, default=1.0))
-    count, q = 0, 1.0
-    for d, b2 in zip((H.diagonal - energy).tolist(), [0.0] + e2):
-        q = d - b2 / q
-        if q < pivmin:  # one test for the common positive pivot
-            if q > -pivmin:
-                q = -pivmin
-            count += 1
-    return count
 
 
 def _lapack_handle(name: str, *argtypes):

@@ -28,7 +28,7 @@ from scipy.special import erfcx
 from . import condensates as cond
 from . import fock
 from . import quasifree as qf
-from .grids import RadialGrid, WaveFunction, bump, bump_profile, inner, make_grid
+from .grids import RadialGrid, WaveFunction, bump, bump_profile, grid_delta, inner, make_grid
 from .hamiltonians import assemble, soft_wall_trap, trap_operator
 from .hamiltonians import diagonalize  # noqa: F401  (perfbench/selftest.py reads lab.diagonalize)
 from .propagators import (
@@ -105,16 +105,18 @@ def _need(cfg: dict, need: dict) -> None:
     """
     Refuse a config whose verdicts would hold with nothing checked: each
     key of `need` is a "list" that feeds a trend or a fit and needs two
-    entries, a "count" that must be at least 1, or a "positive" number
-    (NaN fails).
+    entries, a "count" that must be at least 1, a "positive" number, or a
+    "finite" number or list (a positive one is finite too; NaN fails both).
     """
     for key, kind in need.items():
         if kind == "list" and len(cfg[key]) < 2:
             raise ConfigError(f"{key} needs at least 2 entries for a trend or a fit, got {cfg[key]}")
         if kind == "count" and cfg[key] < 1:
             raise ConfigError(f"{key} must be at least 1, got {cfg[key]}")
-        if kind == "positive" and not cfg[key] > 0:
-            raise ConfigError(f"{key} must be positive, got {cfg[key]}")
+        if kind == "positive" and not 0 < cfg[key] < np.inf:
+            raise ConfigError(f"{key} must be positive and finite, got {cfg[key]}")
+        if kind == "finite" and not np.all(np.isfinite(cfg[key])):
+            raise ConfigError(f"{key} must be finite, got {cfg[key]}")
 
 
 def _cast(key: str, kind: type, value):
@@ -285,7 +287,7 @@ def _monotone_trials(seed: int, trials: int, n_total: int, combine, random_lams:
 
 @_experiment(
     "lemma31", "propagator_scan", ["c_rule", "t", "R", "gap", "duhamel_bound", "slope", "verdict"],
-    {"threads": "count", "margin": "positive"},
+    {"threads": "count", "margin": "positive", "t_list": "finite"},
     radius_list=[6.0, 8.0, 10.0, 12.0, 14.0],
     t_list=[0.25, 0.5, 1.0],
     c_rules=["1", "R"],
@@ -361,7 +363,7 @@ def _propagator_scan(cfg: dict, rep: Report) -> None:
 
 @_experiment(
     "lemma33", "sector_norms", ["n", "R", "gap", "exact_norm", "bound", "bound_ok"],
-    {"n_list": "list", "trials": "count", "lam": "positive"},
+    {"n_list": "list", "trials": "count", "lam": "positive", "t": "finite"},
     n_list=[1, 2, 3],
     lam=1.0,
     t=0.25,
@@ -416,13 +418,13 @@ def _thermal_convergence(cfg: dict, rep: Report) -> None:
     """
     Interior density of the trapped thermal state against the homogeneous
     value.  Each radius takes the density at x_probe as the midpoint of
-    quasifree.probe_density's Gauss / Gauss-Radau bracket, with no
-    eigensolve of the trap.  Gate edge[R]: no row the Lanczos walk read
-    lies within EDGE_ZONE of the box edge, and the bracket is at most
-    edge_gate of its lower end wide.  The bracket then holds the density
-    of every operator that agrees with the trap on those rows, a larger
-    box or the unboxed trap among them, so edge_gate is the largest
-    relative effect that anything beyond the walked rows may have.
+    quasifree.probe_density's Gauss / Gauss-Radau bracket from the grid
+    delta there, with no eigensolve of the trap.  Gate edge[R]: no row the
+    Lanczos walk read lies within EDGE_ZONE of the box edge, and the
+    bracket is at most edge_gate of its lower end wide.  The bracket then
+    holds the density of every operator that agrees with the trap on those
+    rows, a larger box or the unboxed trap among them, so edge_gate is the
+    largest relative effect that anything beyond the walked rows may have.
     """
     beta, mu = cfg["beta"], cfg["mu"]
     hom = qf.homogeneous_density(beta, mu, 1)
@@ -431,10 +433,9 @@ def _thermal_convergence(cfg: dict, rep: Report) -> None:
     # exponentially below the dx floor, so the deviation tracks refinement.
     # Every grid is built (and size-checked) and holds x_probe before the first walk.
     ops = [trap_operator(R, cfg["dx_start"] / 2**i) for i, R in enumerate(cfg["radius_list"])]
-    for H in ops:
-        H.grid.index_of(cfg["x_probe"])
-    for R, H in zip(cfg["radius_list"], ops):
-        bracket = qf.probe_density(H, beta, mu, cfg["x_probe"])
+    deltas = [grid_delta(H.grid, cfg["x_probe"]) for H in ops]
+    for R, H, delta in zip(cfg["radius_list"], ops, deltas):
+        bracket = qf.probe_density(H, beta, mu, delta)
         grid = H.grid
         # the walked rows are one run, so its two ends lie furthest out
         clear = np.abs(grid.x[list(bracket.rows)]).max() < grid.half_width - qf.EDGE_ZONE
@@ -634,7 +635,7 @@ def _condensate_3d(cfg: dict, rep: Report) -> None:
 
 @_experiment(
     "memory", "memory", ["t", "thermal_abs", "total_minus_thermal", "plateau_error"],
-    {"t_list": "list"},
+    {"t_list": "list", "f_radius": "positive"},
     beta=1.0,
     kappa=0.5,
     t_list=[5.0, 20.0, 80.0, 320.0, 1280.0, 2600.0],

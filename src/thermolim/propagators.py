@@ -260,6 +260,8 @@ def evolve_chebyshev_batch(packets, threads: int):
         times = np.asarray(times, dtype=float)
         if times.ndim != 1:
             raise ValueError(f"times must be a 1-D sequence, got shape {times.shape}")
+        if not np.all(np.isfinite(times)):
+            raise ValueError(f"times must be finite, got {times.tolist()}")
         runs.append((np.asarray_chkfinite(H.diagonal), np.asarray_chkfinite(H.off_diagonal), f, times))
     results = _run_groups([_plan(*run) for run in runs], threads)
     leaky = [(i, [m for m, bound in enumerate(bounds) if bound is None]) for i, (_, bounds) in enumerate(results)]
@@ -634,6 +636,8 @@ def duhamel_bound(f: WaveFunction, t, R: float):
     times = np.asarray(t, dtype=float)
     if times.ndim > 1:
         raise ValueError(f"t must be a scalar or a 1-D sequence, got shape {times.shape}")
+    if not np.all(np.isfinite(times)):
+        raise ValueError(f"t must be finite, got {t}")
     g = f.grid
     wgt = _tail_weight(g, R)
     spectrum, omega = np.fft.fft(f.values), _lattice_symbol(g)
@@ -752,8 +756,10 @@ def gap_decay_scan(t: float, radii: list[float], gaps: list[float]) -> DecayRepo
 
 
 def _check_scan_radii(radii, name: str) -> None:
-    """An R scan needs at least 4 strictly ascending radii; `name` heads the message."""
+    """An R scan needs at least 4 finite, strictly ascending radii; `name` heads the message."""
     if len(radii) < 4:
         raise ValueError(f"{name} needs at least 4 radii, got {len(radii)}")
+    if not np.all(np.isfinite(radii)):
+        raise ValueError(f"{name} must be finite, got {radii}")
     if any(b <= a for a, b in zip(radii, radii[1:])):
         raise ValueError(f"{name} must be strictly ascending, got {radii}")

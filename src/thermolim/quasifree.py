@@ -5,48 +5,43 @@
 # temporal correlations.
 #
 # A state is fixed by its one-particle density matrix
-# T = (e^(beta(H - mu)) - 1)^(-1): omega(a*(f) a(g)) = <g, T f>.  Two states
-# are built: QuasifreeState, the thermal state of a finite trap, and
-# HomogeneousState, the 3D thermodynamic-limit state (beta, mu, kappa), the
-# only one with a coherent condensate, a gauge invariant product of
-# one-point functions kappa^2 <h, f> <g, h>.  The 1D limit quantities
-# (momentum_weight, mu_limit_scan) take plain (beta, mu); the finite-trap
-# condensate modes and their counts live in the condensates module.  Every
-# thermal weight starts with _check_beta_mu: beta and mu finite, beta > 0.
+# T = (e^(beta(H - mu)) - 1)^(-1): omega(a*(f) a(g)) = <g, T f>.  A finite
+# trap's state is (H, beta, mu); HomogeneousState is the 3D
+# thermodynamic-limit state (beta, mu, kappa), the only one with a coherent
+# condensate, a gauge invariant product of one-point functions
+# kappa^2 <h, f> <g, h>.  The 1D limit quantities (momentum_weight,
+# mu_limit_scan) take plain (beta, mu); the finite-trap condensate modes and
+# their counts live in the condensates module.  Every thermal weight starts
+# with _check_beta_mu: beta and mu finite, beta > 0.
 #
-# The density of a finite trap at one grid point x_j, <e_j, n(H) e_j>/dx,
-# needs no eigenvector of H: probe_density takes it as a Gauss quadrature
-# bracket (Golub & Meurant, Matrices, Moments and Quadrature with
-# Applications, Princeton 2010).  m steps of plain three-term Lanczos from
-# e_j (no reorthogonalisation; Golub & Strakos, Numer. Algorithms 8, 241
-# (1994) for its finite-precision reliability) give the Jacobi matrix T_m.
-# Step k reaches rows j-k .. j+k and no further, so each step works on
-# those rows alone: the walk costs O(m^2) time and O(n) memory, and each
-# bracket an m x m eigenvector matrix of T_m.  n(E) =
+# A finite trap's density at x_j is <delta, T delta> for the grid delta
+# e_j/dx (grids.grid_delta), and its number-resolvent expectation a
+# function of <f, T f> and ||f||^2.  probe_density brackets <f, T f> by
+# Gauss quadrature, with no eigenvector of H (Golub & Meurant, Matrices,
+# Moments and Quadrature with Applications, Princeton 2010).  m steps of
+# plain three-term Lanczos from f/||f|| (no reorthogonalisation; Golub &
+# Strakos, Numer. Algorithms 8, 241 (1994) for its finite-precision
+# reliability) give the Jacobi matrix T_m; a complex f walks in complex
+# arithmetic, with T_m real.  With supp f in rows s0 .. s1, step k reaches
+# rows s0-k .. s1+k and works on those alone: O(m (m + s1 - s0)) time and
+# O(n) memory, and each bracket an m x m eigenvector matrix of T_m.  n(E) =
 # (e^(beta(E - mu)) - 1)^(-1) is completely monotone on (mu, inf), so
-# e_1' n(T_m) e_1 is a lower bound, and the Gauss-Radau rule whose fixed
-# node is the Gershgorin lower edge a0 <= lambda_min(H) (0 for every trap)
-# an upper one.  The Radau matrix extends T_m by the row beta_m e_m' and
-# the diagonal a0 + beta_m^2 / p_m, p_m the last pivot of the LDL' of
+# ||f||^2 e_1' n(T_m) e_1 is a lower bound, and the Gauss-Radau rule whose
+# fixed node is the Gershgorin lower edge a0 <= lambda_min(H) (0 for every
+# trap) an upper one.  The Radau matrix extends T_m by the row beta_m e_m'
+# and the diagonal a0 + beta_m^2 / p_m, p_m the last pivot of the LDL' of
 # T_m - a0, kept along the walk.  Both rules come from eigh_tridiagonal at
 # m = 32, 64, 128, ..., and the walk stops once they agree to
 # DENSITY_BRACKET_TOL relative, or when the Krylov space is exhausted
-# (beta_m = 0 or m = n), where the Gauss rule is exact.  T_m reads only
-# the walked rows j-m .. j+m, so every operator >= a0 that agrees with H
-# there, a larger box among them, has its probe density inside the same
-# bracket: lab's edge gate asks that no walked row reach the box edge.
+# (beta_m = 0 or m = n), where the Gauss rule is exact.  T_m reads only the
+# walked rows, so every operator >= a0 that agrees with H there, a larger
+# box among them, has its <f, T f> in the same bracket: lab's edge gate
+# asks that no walked row reach the box edge.
 #
-# Finite-trap states that need eigenmodes (resolvent expectations) use the
-# spectral decomposition of H, cut at a Bose energy
-# cap: thermal_decomposition keeps the lowest modes up to the first one
-# above E = mu + log1p(2/(tol dx))/beta, with tol = DISCARD_TOL.  Every
-# discarded mode lies above the top kept level eps_max, and the squares of
-# all n modes sum to 1/dx at each grid point, so the discarded density is
-# at most n_B(eps_max)/dx <= tol/2 everywhere.  QuasifreeState checks that
-# bound for every incomplete decomposition (a complete one has bound 0).
-# The window is diagonalize's: one MRRR window of m < n modes in O(n m)
-# time and memory, or the full solve for a cap above the whole spectrum
-# (m = n + 1).
+# QuasifreeState (a complete spectral decomposition), position_density and
+# thermal_edge_weight are no experiment's path: they stay as the dense
+# reference the tests hold the bracket to, and as layers the benchmark
+# tracer wraps, as propagators.evolve_spectral does.
 #
 # Thermodynamic-limit quantities use the momentum-space multiplier
 # n(p^2) = (e^(beta(p^2 - mu)) - 1)^(-1).  The 3D state's condensate is the
@@ -84,19 +79,10 @@ from scipy.interpolate import CubicSpline
 from scipy.linalg import eigh_tridiagonal
 
 from .grids import RadialGrid, WaveFunction, _phase_sums, _support_span, inner
-from .hamiltonians import (
-    SpectralDecomposition,
-    TridiagonalOperator,
-    _gershgorin_rows,
-    diagonalize,
-    eigenvalue_count,
-)
-from .propagators import EDGE_ZONE, QuadratureCapError
+from .hamiltonians import SpectralDecomposition, TridiagonalOperator, _gershgorin_rows
+from .propagators import EDGE_ZONE, QuadratureCapError, _check_grid
 
 MU_SAFETY = 1e-6
-# largest density a thermal state may leave out with its discarded modes,
-# three orders below the absolute tolerance on reported densities
-DISCARD_TOL = 1e-16
 # relative width at which probe_density's Gauss / Gauss-Radau bracket stops
 DENSITY_BRACKET_TOL = 1e-12
 _DENSITY_FIRST_CHECK = 32  # Lanczos steps before probe_density's first bracket
@@ -178,56 +164,26 @@ def bose_occupation(eps, beta: float, mu: float):
 @dataclass(frozen=True)
 class QuasifreeState:
     """
-    Thermal state of a finite trap.
-
-    The decomposition may hold only the lowest modes (see diagonalize);
-    discard_bound is then the largest density the missing modes can carry
-    at a grid point, n_B(eps_max)/dx, and a state whose bound exceeds
-    DISCARD_TOL is rejected.
+    Thermal state of a finite trap from a complete spectral decomposition
+    (a window raises DomainError): probe_density's dense reference.
     """
 
     beta: float
     mu: float
     decomposition: SpectralDecomposition
     occupations: np.ndarray = field(init=False, repr=False)  # per eigenvalue, read-only
-    discard_bound: float = field(init=False)
 
     def __post_init__(self):
         _check_beta_mu(self.beta, self.mu)
-        eps0 = float(self.decomposition.eigenvalues.min())
+        decomp = self.decomposition
+        if decomp.n_modes < decomp.grid.n_points:
+            raise DomainError(f"a thermal state needs all {decomp.grid.n_points} modes, got {decomp.n_modes}")
+        eps0 = float(decomp.eigenvalues.min())
         if self.mu >= eps0 - MU_SAFETY:
-            raise DomainError(
-                f"mu = {self.mu} too close to the bottom of the spectrum ({eps0})"
-            )
-        occ = bose_occupation(self.decomposition.eigenvalues, self.beta, self.mu)
+            raise DomainError(f"mu = {self.mu} too close to the bottom of the spectrum ({eps0})")
+        occ = bose_occupation(decomp.eigenvalues, self.beta, self.mu)
         occ.flags.writeable = False
         object.__setattr__(self, "occupations", occ)
-        bound = 0.0
-        decomp = self.decomposition
-        if decomp.n_modes < decomp.eigenvectors.shape[0]:
-            bound = float(occ.min()) / decomp.grid.dx
-            if bound > DISCARD_TOL:
-                raise DomainError(
-                    f"the {decomp.eigenvectors.shape[0] - decomp.n_modes} modes missing from "
-                    f"the decomposition may carry a density of {bound:.2e}, "
-                    f"above {DISCARD_TOL:.0e}"
-                )
-        object.__setattr__(self, "discard_bound", bound)
-
-    def mode_overlaps(self, f: WaveFunction) -> np.ndarray:
-        """<psi_k, f> for every eigenmode."""
-        return (self.decomposition.eigenvectors.T @ f.values) * f.grid.dx
-
-
-def thermal_decomposition(H: TridiagonalOperator, beta: float, mu: float) -> SpectralDecomposition:
-    """
-    The modes of H that a thermal state at (beta, mu) needs: the lowest ones
-    up to the first above the Bose energy cap (module header), whose
-    discard bound is at most DISCARD_TOL / 2.
-    """
-    _check_beta_mu(beta, mu)
-    cap = mu + np.log1p(2.0 / (DISCARD_TOL * H.grid.dx)) / beta
-    return diagonalize(H, n_modes=eigenvalue_count(H, cap) + 1)
 
 
 @dataclass(frozen=True)
@@ -246,8 +202,8 @@ class HomogeneousState:
         _check_beta_mu(self.beta, self.mu)
         if self.mu > 0:
             raise DomainError("mu must be <= 0 for the homogeneous state")
-        if self.kappa < 0:
-            raise DomainError(f"condensate amplitude kappa must be >= 0, got {self.kappa}")
+        if not 0 <= self.kappa < np.inf:  # NaN fails
+            raise DomainError(f"condensate amplitude kappa must be >= 0 and finite, got {self.kappa}")
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +222,6 @@ def thermal_edge_weight(state: QuasifreeState) -> float:
     Occupation-weighted density within EDGE_ZONE of the box edge relative
     to the total: the validity gate for trusting a finite box as a stand-in
     for the trap.
-    The edge sum takes the state's discard bound at each of its points, so
-    the ratio stays an upper bound when the decomposition is a window.
     """
     grid = state.decomposition.grid
     m = np.abs(grid.x) >= grid.half_width - EDGE_ZONE
@@ -279,16 +233,15 @@ def thermal_edge_weight(state: QuasifreeState) -> float:
     step = 256
     for i in range(0, len(density), step):
         density[i : i + step] = (v[i : i + step] ** 2) @ n
-    edge = density[m].sum() + m.sum() * state.discard_bound
     total = density.sum()
-    return float(edge / total) if total > 0 else 0.0
+    return float(density[m].sum() / total) if total > 0 else 0.0
 
 
 class DensityBracket(NamedTuple):
     """
     probe_density's result: the Gauss (lower) and Gauss-Radau (upper)
-    densities, the Lanczos steps taken, and the first and last grid rows
-    the walk read.
+    values of <f, n(H) f>, the Lanczos steps taken, and the first and last
+    grid rows the walk read.
     """
 
     lower: float
@@ -302,42 +255,49 @@ class DensityBracket(NamedTuple):
         return 0.5 * (self.lower + self.upper)
 
 
-def probe_density(H: TridiagonalOperator, beta: float, mu: float, x: float) -> DensityBracket:
+def probe_density(H: TridiagonalOperator, beta: float, mu: float, f: WaveFunction) -> DensityBracket:
     """
-    The thermal density <e_j, n(H) e_j>/dx at the grid point x = x_j,
-    bracketed by the Lanczos Gauss and Gauss-Radau rules of the module
-    header, with no eigenvector of H.  mu must lie at least MU_SAFETY
-    below the Gershgorin lower edge of H; DomainError before the walk
-    otherwise.
+    <f, n(H) f>, bracketed by the Lanczos Gauss and Gauss-Radau rules of
+    the module header from a walk started at f/||f||, with no eigenvector
+    of H.  For the grid delta at x_j (grids.grid_delta) it is the thermal
+    density <e_j, n(H) e_j>/dx.  mu must lie at least MU_SAFETY below the
+    Gershgorin lower edge of H, and f must not vanish; DomainError before
+    the walk otherwise.
     """
     _check_beta_mu(beta, mu)
+    _check_grid(H.grid, f)
     d, e, n = H.diagonal, H.off_diagonal, H.size
     a0 = float(_gershgorin_rows(d, e)[0].min())
     if mu >= a0 - MU_SAFETY:
         raise DomainError(f"mu = {mu} too close to the lower Gershgorin edge of H ({a0})")
-    j = H.grid.index_of(x)
-    dx = H.grid.dx
+    span = _support_span(f.values)
+    if span.start == span.stop:
+        raise DomainError("the probe function f vanishes")
+    s0, s1 = int(span.start), int(span.stop) - 1
+    start = f.values[span] if f.values.imag.any() else f.values.real[span]
+    sq = float(np.vdot(start, start).real)
+    norm_sq = sq * f.grid.dx  # <f, f>
 
-    def gauss(diag, off) -> float:  # e_1' n(T) e_1 for the Jacobi matrix T
+    def gauss(diag, off) -> float:  # <f, f> e_1' n(T) e_1 for the Jacobi matrix T
         theta, vecs = eigh_tridiagonal(diag, off)
-        return float(bose_occupation(theta, beta, mu) @ vecs[0] ** 2) / dx
+        return float(bose_occupation(theta, beta, mu) @ vecs[0] ** 2) * norm_sq
 
     alpha, off = np.empty(n), np.empty(n)
-    q, q_prev = np.zeros(n), np.zeros(n)
-    q[j] = 1.0
+    q, q_prev = np.zeros(n, start.dtype), np.zeros(n, start.dtype)
+    q[span] = start / np.sqrt(sq)
     b, pivot, check = 0.0, 1.0, _DENSITY_FIRST_CHECK
     for m in range(1, n + 1):
-        # q lives on rows j-m+1 .. j+m-1, so H q on j-m .. j+m
-        lo, hi = max(j - m, 0), min(j + m + 1, n)
+        # q lives on rows s0-m+1 .. s1+m-1, so H q on s0-m .. s1+m
+        lo, hi = max(s0 - m, 0), min(s1 + m + 1, n)
         v = q[lo:hi]
         w = d[lo:hi] * v
         w[1:] += e[lo : hi - 1] * v[:-1]
         w[:-1] += e[lo : hi - 1] * v[1:]
         w -= b * q_prev[lo:hi]
-        a = alpha[m - 1] = w @ v
+        a = alpha[m - 1] = np.vdot(v, w).real
         w -= a * v
         pivot = a - a0 - b * b / pivot  # b = 0 at m = 1
-        b = off[m - 1] = np.sqrt(w @ w)
+        b = off[m - 1] = np.sqrt(np.vdot(w, w).real)
         rows = (lo, hi - 1)
         if b == 0.0 or m == n:  # the Krylov space is exhausted: Gauss is exact
             exact = gauss(alpha[:m], off[: m - 1])
@@ -514,12 +474,14 @@ def geometric_resolvent_series(nbar: float, norm_sq: float, lam: float) -> float
     return _laplace_transform(lambda u: 1.0 / (1.0 - nbar * np.expm1(-u * norm_sq)), lam)
 
 
-def number_resolvent_expectation(state: QuasifreeState, lam: float, f: WaveFunction) -> float:
+def number_resolvent_expectation(H: TridiagonalOperator, beta: float, mu: float, lam: float,
+                                 f: WaveFunction) -> float:
     """
-    Expectation of (lam + a*(f) a(f))^(-1) in a finite trap's thermal
-    state: the single mode f/||f|| is geometrically occupied with mean
-    <f, T f>/||f||^2 = sum_k n_k |<psi_k, f>|^2 / ||f||^2 (see
-    geometric_resolvent_series).
+    Expectation of (lam + a*(f) a(f))^(-1) in the thermal state of the
+    finite trap H at (beta, mu): the single mode f/||f|| is geometrically
+    occupied with mean <f, T f>/||f||^2 (see geometric_resolvent_series),
+    <f, T f> the midpoint of probe_density's bracket.  A zero f gives
+    1/lam without a walk.
 
     Validated against the exact truncated-space Gibbs trace (see the
     fock module and the oracle tests) before use anywhere else.
@@ -529,7 +491,7 @@ def number_resolvent_expectation(state: QuasifreeState, lam: float, f: WaveFunct
     norm_sq = inner(f, f).real
     if norm_sq == 0:
         return 1.0 / lam
-    weight = float((state.occupations * np.abs(state.mode_overlaps(f)) ** 2).sum())
+    weight = probe_density(H, beta, mu, f).density
     return geometric_resolvent_series(weight / norm_sq, norm_sq, lam)
 
 

@@ -110,16 +110,21 @@ def ufunc_recurrence(segments_by_degree: list) -> None:
                 done, block = k, []
 
 
+def mode_overlaps(state, f) -> np.ndarray:
+    """<psi_k, f> for every eigenmode of a QuasifreeState."""
+    return (state.decomposition.eigenvectors.T @ f.values) * f.grid.dx
+
+
 def two_point(state, f, g) -> complex:
     """omega(a*(f) a(g)) = sum_k n_k <g, psi_k><psi_k, f>."""
-    return complex((state.occupations * np.conj(state.mode_overlaps(g)) * state.mode_overlaps(f)).sum())
+    return complex((state.occupations * np.conj(mode_overlaps(state, g)) * mode_overlaps(state, f)).sum())
 
 
 def kms_defect(state, f, g) -> float:
     """|two_point with T minus two_point with e^(-beta(H-mu))(1+T)|: detailed balance makes it vanish."""
     n = state.occupations
     dual = np.exp(-state.beta * (state.decomposition.eigenvalues - state.mu)) * (1.0 + n)
-    pair = np.conj(state.mode_overlaps(g)) * state.mode_overlaps(f)
+    pair = np.conj(mode_overlaps(state, g)) * mode_overlaps(state, f)
     return abs(complex((n * pair).sum()) - complex((dual * pair).sum()))
 
 

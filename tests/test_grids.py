@@ -5,9 +5,11 @@ from scipy.integrate import quad
 from thermolim.grids import (
     GridConfigError,
     GridMismatchError,
+    RadialGrid,
     bump,
     bump_profile,
     fourier_at,
+    grid_delta,
     inner,
     make_grid,
 )
@@ -29,10 +31,25 @@ def test_make_grid_contains_origin(fine_grid):
     assert fine_grid.x[fine_grid.n_points // 2] == 0.0
 
 
-@pytest.mark.parametrize("L,n", [(10.0, 10), (10.0, 15), (-1.0, 64), (0.0, 64)])
+@pytest.mark.parametrize("L,n", [(10.0, 10), (10.0, 15), (-1.0, 64), (0.0, 64), (np.inf, 64), (np.nan, 64)])
 def test_make_grid_rejects_bad_parameters(L, n):
     with pytest.raises(GridConfigError):
         make_grid(L, n)
+
+
+@pytest.mark.parametrize("r_max", [0.0, -1.0, np.inf, np.nan])
+def test_radial_grid_rejects_an_extent_that_is_not_positive_and_finite(r_max):
+    with pytest.raises(GridConfigError, match="r_max must be positive and finite"):
+        RadialGrid(r_max, 64)
+
+
+def test_grid_delta_pairs_to_the_value_at_its_point():
+    grid = make_grid(8.0, 256)
+    f = bump(0.5, 2.0, grid)
+    delta = grid_delta(grid, 1.0)
+    assert inner(delta, f) == f.values[grid.index_of(1.0)]
+    with pytest.raises(GridConfigError, match="not a grid point"):
+        grid_delta(grid, 1.01)
 
 
 def test_grid_points_reproducible():

@@ -15,7 +15,6 @@ from thermolim.hamiltonians import (
     _fix_signs,
     assemble,
     diagonalize,
-    eigenvalue_count,
     radial_assemble,
     soft_wall_trap,
     trap_operator,
@@ -190,13 +189,6 @@ def test_axial_mode_energy_bound():
     grid = RadialGrid(R + 16.0, 1800)
     d = diagonalize(radial_assemble(grid, 1, soft_wall_trap(R, 1.0)), n_modes=1)
     assert np.sqrt(d.eigenvalues[0]) <= 3 * np.pi / (2 * R) * 1.1
-
-
-def test_eigenvalue_count_is_a_sturm_count():
-    H = trap_operator(8.0, dx_target=0.125)
-    eps = diagonalize(H).eigenvalues
-    for energy in (-1.0, eps[0] / 2, 0.5 * (eps[9] + eps[10]), 40.0, 1e9):
-        assert eigenvalue_count(H, energy) == np.count_nonzero(eps < energy)
 
 
 def test_low_modes_match_the_full_solve_on_either_path():

@@ -256,6 +256,31 @@ LEMMA31_SMALL = {"radius_list": "6, 8, 10, 12", "t_list": "0.25", "c_rules": "1"
         pytest.param("thermal", {"x_probe": "nan"}, "grid position x must be finite", id="x_probe = nan"),
         pytest.param("condensate1d", {"x_probes": "1, nan"}, "grid position x must be finite",
                      id="x_probes = 1, nan"),
+        # a time, a radius or an extent that is infinite or NaN, and a "positive" key
+        # that is not finite
+        pytest.param("lemma31", {"t_list": "0.25, inf"}, "t_list must be finite", id="t_list = 0.25, inf"),
+        pytest.param("lemma31", {"t_list": "0.25, nan"}, "t_list must be finite", id="t_list = 0.25, nan"),
+        pytest.param("lemma33", {"t": "inf"}, "t must be finite", id="lemma33 t = inf"),
+        pytest.param("lemma33", {"t": "nan"}, "t must be finite", id="lemma33 t = nan"),
+        pytest.param("lemma31", {"radius_list": "6, 8, 10, inf"}, "radius_list must be finite",
+                     id="radius_list = 6, 8, 10, inf"),
+        pytest.param("lemma31", {"radius_list": "6, 8, 10, nan"}, "radius_list must be finite",
+                     id="radius_list = 6, 8, 10, nan"),
+        pytest.param("condensate3d", {"radius_list": "20, inf"}, "trap radii must be finite",
+                     id="condensate3d radius_list = 20, inf"),
+        pytest.param("condensate3d", {"radius_list": "20, nan"}, "trap radii must be finite",
+                     id="condensate3d radius_list = 20, nan"),
+        pytest.param("lemma33", {"radius_offset": "inf"}, "half_width must be finite",
+                     id="radius_offset = inf"),
+        pytest.param("memory", {"f_radius": "nan"}, "f_radius must be positive and finite",
+                     id="memory f_radius = nan"),
+        pytest.param("memory", {"f_radius": "inf"}, "f_radius must be positive and finite",
+                     id="memory f_radius = inf"),
+        pytest.param("condensate3d", {"f_radius": "inf"}, "f_radius must be positive and finite",
+                     id="f_radius = inf"),
+        pytest.param("lemma31", {"margin": "inf"}, "margin must be positive and finite", id="margin = inf"),
+        pytest.param("memory", {"kappa": "nan"}, "kappa must be >= 0 and finite", id="kappa = nan"),
+        pytest.param("memory", {"kappa": "inf"}, "kappa must be >= 0 and finite", id="kappa = inf"),
     ],
 )
 def test_cli_rejects_a_bad_radius_list_before_solving(experiment, bad, expect, monkeypatch, tmp_path,
@@ -274,6 +299,7 @@ def test_cli_rejects_a_bad_radius_list_before_solving(experiment, bad, expect, m
     err = capsys.readouterr().err
     assert expect in err
     assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1
     assert not (tmp_path / "r").exists()
 
 

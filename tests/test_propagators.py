@@ -539,6 +539,20 @@ def test_duhamel_refuses_a_time_array_of_two_dimensions(trap_setup):
         duhamel_bound(f, [[0.25, 0.5]], R)
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_duhamel_and_the_series_refuse_a_non_finite_time_before_any_work(bad, trap_setup, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started on a non-finite time")
+
+    monkeypatch.setattr(propagators, "_lattice_symbol", no_work)
+    monkeypatch.setattr(propagators, "_plan", no_work)
+    R, grid, _, f = trap_setup
+    with pytest.raises(ValueError, match="t must be finite"):
+        duhamel_bound(f, [0.25, bad], R)
+    with pytest.raises(ValueError, match="times must be finite"):
+        evolve_chebyshev_batch([(assemble(grid, soft_wall_trap(R, 1.0)), f, [0.25, bad])], 1)
+
+
 def test_box_margin_gate():
     grid = make_grid(18.0, 1024)
     f = bump(0.0, 2.0, grid)

@@ -8,18 +8,10 @@ import mpmath
 from scipy.integrate import quad
 from scipy.special import erfcx, zeta
 
-from thermolim import hamiltonians
-from thermolim.grids import RadialGrid, WaveFunction, bump, bump_profile, fourier_at, make_grid
-from thermolim.hamiltonians import (
-    assemble,
-    diagonalize,
-    eigenvalue_count,
-    soft_wall_trap,
-    trap_operator,
-)
+from thermolim.grids import RadialGrid, WaveFunction, bump, bump_profile, fourier_at, grid_delta, make_grid
+from thermolim.hamiltonians import assemble, diagonalize, soft_wall_trap, trap_operator
 from thermolim.propagators import QuadratureCapError, evolve_spectral
 from thermolim.quasifree import (
-    DISCARD_TOL,
     DivergenceError,
     DomainError,
     HomogeneousState,
@@ -34,7 +26,6 @@ from thermolim.quasifree import (
     number_resolvent_expectation,
     position_density,
     temporal_correlation,
-    thermal_decomposition,
     thermal_edge_weight,
 )
 from thermolim.fock import build_fock, gibbs_number_resolvent
@@ -44,9 +35,13 @@ from references import fixed_simpson_thermal_integral, kms_defect, local_particl
 
 
 @pytest.fixture(scope="module")
-def trap_state():
-    decomp = diagonalize(trap_operator(8.0, dx_target=0.0625))
-    return QuasifreeState(beta=1.0, mu=-1.0, decomposition=decomp)
+def trap_H():
+    return trap_operator(8.0, dx_target=0.0625)
+
+
+@pytest.fixture(scope="module")
+def trap_state(trap_H):
+    return QuasifreeState(beta=1.0, mu=-1.0, decomposition=diagonalize(trap_H))
 
 
 def test_bose_occupation_monotone():
@@ -96,15 +91,15 @@ def test_two_point_family_positive_semidefinite(trap_state):
     assert np.linalg.eigvalsh(M).min() > 0
 
 
-def test_gauge_invariance(trap_state):
+def test_gauge_invariance(trap_state, trap_H):
     grid = trap_state.decomposition.grid
     f = bump(0.5, 1.0, grid)
     rot = f.with_values(np.exp(1j * 0.9) * f.values)
     a = two_point(trap_state, f, f).real
     b = two_point(trap_state, rot, rot).real
     assert a == pytest.approx(b, rel=1e-14)
-    assert number_resolvent_expectation(trap_state, 1.0, f) == pytest.approx(
-        number_resolvent_expectation(trap_state, 1.0, rot), rel=1e-13
+    assert number_resolvent_expectation(trap_H, 1.0, -1.0, 1.0, f) == pytest.approx(
+        number_resolvent_expectation(trap_H, 1.0, -1.0, 1.0, rot), rel=1e-13
     )
 
 
@@ -241,23 +236,23 @@ def test_field_resolvent_closed_form():
         assert field_resolvent_value(lam, sig_sq) == pytest.approx(exact, abs=1e-8)
 
 
-def test_number_resolvent_vacuum_and_bounds(trap_state):
-    f = bump(0.0, 1.0, trap_state.decomposition.grid)
+def test_number_resolvent_vacuum_and_bounds(trap_H):
+    f = bump(0.0, 1.0, trap_H.grid)
     assert geometric_resolvent_series(0.0, 1.0, 2.0) == 0.5
-    val = number_resolvent_expectation(trap_state, 1.0, f)
+    val = number_resolvent_expectation(trap_H, 1.0, -1.0, 1.0, f)
     assert 0 < val <= 1.0
 
 
 @pytest.mark.parametrize("lam", [0.0, -1.0, np.nan])
-def test_resolvents_refuse_a_lam_that_is_not_positive(lam, trap_state):
+def test_resolvents_refuse_a_lam_that_is_not_positive(lam, trap_H):
     # nbar = 0 and a zero f return 1 / lam without a quadrature
-    grid = trap_state.decomposition.grid
+    grid = trap_H.grid
     f, zero = bump(0.0, 1.0, grid), WaveFunction(grid, np.zeros(grid.n_points))
     for call in (lambda: geometric_resolvent_series(0.5, 1.0, lam),
                  lambda: geometric_resolvent_series(0.0, 1.0, lam),
                  lambda: field_resolvent_value(lam, 1.0),
-                 lambda: number_resolvent_expectation(trap_state, lam, f),
-                 lambda: number_resolvent_expectation(trap_state, lam, zero)):
+                 lambda: number_resolvent_expectation(trap_H, 1.0, -1.0, lam, f),
+                 lambda: number_resolvent_expectation(trap_H, 1.0, -1.0, lam, zero)):
         with pytest.raises(DomainError, match="lambda must be positive"):
             call()
 
@@ -293,7 +288,7 @@ def test_number_resolvent_monotone_in_occupation():
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
-def test_number_resolvent_matches_fock_oracle(trap_state):
+def test_number_resolvent_matches_fock_oracle(trap_state, trap_H):
     # f in the span of two eigenmodes: the state reduces to two thermal modes
     decomp = trap_state.decomposition
     alpha, beta_c = 0.8, 0.6
@@ -302,7 +297,7 @@ def test_number_resolvent_matches_fock_oracle(trap_state):
     space = build_fock(2, 48)
     for lam in (0.5, 1.0):
         oracle = gibbs_number_resolvent(space, lam, np.array([alpha, beta_c]), eps, 1.0, -1.0)
-        value = number_resolvent_expectation(trap_state, lam, f)
+        value = number_resolvent_expectation(trap_H, 1.0, -1.0, lam, f)
         assert value == pytest.approx(oracle, abs=1e-8)
 
 
@@ -700,20 +695,30 @@ def test_probe_density_bracket_holds_the_full_solve(R, beta, mu, x):
     # solve each carry roundoff, up to 6e-13 relative here, so the full
     # value is held to the bracket widened by 1e-12
     H = trap_operator(R, dx_target=0.125)
-    full = position_density(QuasifreeState(beta=beta, mu=mu, decomposition=diagonalize(H)), x)
-    got = qf.probe_density(H, beta, mu, x)
+    state = QuasifreeState(beta=beta, mu=mu, decomposition=diagonalize(H))
+    full = position_density(state, x)
+    got = qf.probe_density(H, beta, mu, grid_delta(H.grid, x))
     assert got.density == pytest.approx(full, rel=1e-11)
     assert got.lower * (1 - 1e-12) <= full <= got.upper * (1 + 1e-12)
     assert got.upper - got.lower <= qf.DENSITY_BRACKET_TOL * got.lower
     j = H.grid.index_of(x)
     assert got.rows == (max(j - got.steps, 0), min(j + got.steps, H.size - 1))
+    # a walk from a bump, real and turned by a phase (a complex walk), holds
+    # the dense sum sum_k n_k |<psi_k, f>|^2 the same way
+    f = bump(x, 1.0, H.grid)
+    span = np.flatnonzero(f.values)
+    for g in (f, f.with_values(np.exp(0.9j) * f.values)):
+        dense = two_point(state, g, g).real
+        got = qf.probe_density(H, beta, mu, g)
+        assert got.lower * (1 - 1e-12) <= dense <= got.upper * (1 + 1e-12)
+        assert got.rows == (max(span[0] - got.steps, 0), min(span[-1] + got.steps, H.size - 1))
 
 
 def test_probe_density_walk_that_exhausts_a_tiny_box_is_exact():
     # 16 rows: the off-centre walk reaches every row before the first
     # bracket at step 32, and T_16 carries the whole spectrum
     H = assemble(make_grid(2.0, 16), soft_wall_trap(1.0))
-    got = qf.probe_density(H, 1.0, -1.0, 0.5)
+    got = qf.probe_density(H, 1.0, -1.0, grid_delta(H.grid, 0.5))
     assert got.steps == 16 and got.rows == (0, 15)
     assert got.upper == got.lower
     full = position_density(QuasifreeState(beta=1.0, mu=-1.0, decomposition=diagonalize(H)), 0.5)
@@ -728,119 +733,27 @@ def test_probe_density_refuses_mu_at_the_gershgorin_edge_before_the_walk(mu, mon
     monkeypatch.setattr(qf, "eigh_tridiagonal", no_walk)
     H = trap_operator(4.0, dx_target=0.125)  # Gershgorin lower edge 0
     with pytest.raises(DomainError, match="lower Gershgorin edge"):
-        qf.probe_density(H, 1.0, mu, 0.0)
+        qf.probe_density(H, 1.0, mu, grid_delta(H.grid, 0.0))
 
 
-@pytest.fixture(scope="module")
-def windowed_and_full():
-    # n = 2304: the Bose window (84 modes at beta = 1) is the MRRR window (below n/4)
-    H = trap_operator(20.0, dx_target=0.03125)
-    window = thermal_decomposition(H, 1.0, -1.0)
-    full = diagonalize(H)
-    assert window.n_modes < 100
-    return H, window, full
+def test_a_zero_probe_function_is_refused_before_the_walk(monkeypatch):
+    def no_walk(*args, **kwargs):
+        raise AssertionError("the walk started on a zero f")
+
+    monkeypatch.setattr(qf, "eigh_tridiagonal", no_walk)
+    H = trap_operator(4.0, dx_target=0.125)
+    zero = WaveFunction(H.grid, np.zeros(H.size))
+    with pytest.raises(DomainError, match="vanishes"):
+        qf.probe_density(H, 1.0, -1.0, zero)
+    # the resolvent of a zero f is 1 / lam, with no walk
+    monkeypatch.setattr(qf, "probe_density", no_walk)
+    assert number_resolvent_expectation(H, 1.0, -1.0, 2.0, zero) == 0.5
 
 
-def test_thermal_window_matches_the_full_solve(windowed_and_full):
-    H, window, full = windowed_and_full
-    m = window.n_modes
-    assert np.allclose(window.eigenvalues, full.eigenvalues[:m], rtol=0, atol=1e-11)
-    sw = QuasifreeState(beta=1.0, mu=-1.0, decomposition=window)
-    sf = QuasifreeState(beta=1.0, mu=-1.0, decomposition=full)
-    assert sf.discard_bound == 0.0
-    assert 0 < sw.discard_bound <= DISCARD_TOL / 2
-    assert abs(position_density(sw, 0.0) - position_density(sf, 0.0)) < 1e-12
-    edge = thermal_edge_weight(sw)
-    assert thermal_edge_weight(sf) <= edge < thermal_edge_weight(sf) + 1e-12
-
-
-def test_discard_bound_dominates_the_discarded_density(windowed_and_full):
-    H, window, full = windowed_and_full
-    m = window.n_modes
-    state = QuasifreeState(beta=1.0, mu=-1.0, decomposition=window)
-    occ = bose_occupation(full.eigenvalues[m:], 1.0, -1.0)
-    discarded = (full.eigenvectors[:, m:] ** 2) @ occ
-    assert np.all(discarded <= state.discard_bound)
-
-
-def test_hot_state_takes_a_wide_window(windowed_and_full):
-    H, _, full = windowed_and_full
-    hot = thermal_decomposition(H, 0.03, -1.0)
-    # 829 of 2304 modes, more than a third of the spectrum, still one window
-    assert hot.n_modes == 829 and hot.eigenvectors.shape == (H.size, 829)
-    assert np.allclose(hot.eigenvalues, full.eigenvalues[: hot.n_modes], rtol=0, atol=1e-11)
-    state = QuasifreeState(beta=0.03, mu=-1.0, decomposition=hot)
-    reference = QuasifreeState(beta=0.03, mu=-1.0, decomposition=full)
-    assert position_density(state, 0.0) == pytest.approx(position_density(reference, 0.0), rel=1e-12)
-
-
-def test_state_hotter_than_the_spectrum_takes_the_full_solve():
-    # the Bose cap lies above the top level, so the Sturm count keeps all
-    # n modes and thermal_decomposition asks for n + 1, which no window holds
-    H = trap_operator(4.0, 0.25)
-    assert H.size == 160
-    beta, mu = 1e-4, -1.0
-    assert eigenvalue_count(H, mu + np.log1p(2.0 / (DISCARD_TOL * H.grid.dx)) / beta) == H.size
-    decomp = thermal_decomposition(H, beta, mu)
-    full = diagonalize(H)
-    assert decomp.n_modes == H.size
-    assert np.array_equal(decomp.eigenvalues, full.eigenvalues)
-    assert np.array_equal(decomp.eigenvectors, full.eigenvectors)
-    assert QuasifreeState(beta=beta, mu=mu, decomposition=decomp).discard_bound == 0.0
-
-
-def test_cold_state_takes_a_one_mode_window(monkeypatch):
-    # at beta = 50 the Bose cap (about -0.21) lies below the ground level,
-    # so the window holds one mode
-    shapes = []
-    window = hamiltonians._mrrr_window
-
-    def recording(d, e, z):
-        shapes.append(z.shape)
-        return window(d, e, z)
-
-    monkeypatch.setattr(hamiltonians, "_mrrr_window", recording)
-    H = trap_operator(20.0, dx_target=0.125)
-    cold = thermal_decomposition(H, 50.0, -1.0)
-    assert shapes == [(H.size, 1)]
-    ref = diagonalize(H, n_modes=1)
-    assert np.array_equal(cold.eigenvalues, ref.eigenvalues)
-    assert np.array_equal(cold.eigenvectors, ref.eigenvectors)
-    assert QuasifreeState(beta=50.0, mu=-1.0, decomposition=cold).discard_bound < DISCARD_TOL
-
-
-def test_thermal_window_at_r80_keeps_its_memory_peak():
-    # one n x m window (15.9 MB) plus _fix_signs' two boolean masks; it
-    # peaked at 19,922,333 bytes here (numpy 2.4)
-    H = trap_operator(80.0, dx_target=0.03125)
-    tracemalloc.start()
-    try:
-        decomp = thermal_decomposition(H, 1.0, -1.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert decomp.eigenvectors.shape == (6144, 324)
-    assert peak <= 1.01 * 19_922_333
-
-
-def test_state_rejects_a_window_that_discards_weight():
-    decomp = diagonalize(trap_operator(8.0, dx_target=0.0625), n_modes=2)
-    with pytest.raises(DomainError, match="missing"):
-        QuasifreeState(beta=1.0, mu=-1.0, decomposition=decomp)
-    # frozen out, the same two modes carry everything
-    assert QuasifreeState(beta=200.0, mu=-1.0, decomposition=decomp).discard_bound < DISCARD_TOL
-
-
-def test_thermal_window_stays_below_one_dense_matrix():
-    H = trap_operator(40.0, dx_target=0.0625)  # n = 1792, as in `thermal`
-    tracemalloc.start()
-    try:
-        decomp = thermal_decomposition(H, 1.0, -1.0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert decomp.n_modes < H.size
-    assert peak < H.size**2 * 8
+def test_state_refuses_a_window(trap_H):
+    decomp = diagonalize(trap_H, n_modes=2)
+    with pytest.raises(DomainError, match="needs all"):
+        QuasifreeState(beta=200.0, mu=-1.0, decomposition=decomp)
 
 
 def test_radial_transform_at_production_size():
