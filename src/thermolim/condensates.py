@@ -18,7 +18,7 @@
 # first coupling times sqrt(2) (psi(0) = v_0, psi(+-k dx) = v_k / sqrt(2)),
 # its odd ones those of rows N+1 .. n-1 (psi(0) = 0, psi(+-k dx) =
 # +-u_k / sqrt(2); Cantoni & Butler, Linear Algebra Appl. 13, 275 (1976)).
-# One dstemr mode of each half block, mirrored in place and set to 0 at
+# One stebz/stein mode of each half block, mirrored in place and set to 0 at
 # x = -L, gives the box's two lowest modes with exact parity; even and odd
 # levels interlace strictly.  The pairing and count scans only read the
 # solved TrapModes, so a radius that several scans share is solved once.
@@ -93,9 +93,9 @@ def trap_mode(R: float, dx_target: float) -> TrapModes:
     H = trap_operator(R, dx_target)
     grid, d, e = H.grid, H.diagonal, H.off_diagonal
     N = grid.n_points // 2
-    z = np.zeros((grid.n_points, 2), order="F")  # row 0, x = -L, stays 0
-    even = hamiltonians._mrrr_window(d[N:], np.append(np.sqrt(2.0) * e[N], e[N + 1:]), z[N:, :1])
-    odd = hamiltonians._mrrr_window(d[N + 1:], e[N + 1:], z[N + 1:, 1:])
+    z = np.zeros((grid.n_points, 2))  # row 0, x = -L, stays 0
+    even, z[N:, :1] = hamiltonians._window(d[N:], np.append(np.sqrt(2.0) * e[N], e[N + 1:]), 1)
+    odd, z[N + 1:, 1:] = hamiltonians._window(d[N + 1:], e[N + 1:], 1)
     if not even[0] < odd[0]:
         raise EigensolverError("the even and odd levels of a mirror-symmetric trap do not interlace")
     z[N + 1:] *= np.sqrt(0.5)
@@ -210,10 +210,11 @@ def l1_profile_check(R_list, f):
     (c) the measured k_R values.
 
     f is a RadialFunction3D; only its axial component enters the pairing.
-    A radius that is not finite is refused before the first solve.
+    A radius that is not finite and positive is refused before the first
+    solve.
     """
-    if not np.all(np.isfinite(R_list)):
-        raise GridConfigError(f"trap radii must be finite, got {list(R_list)}")
+    if not np.all(np.isfinite(R_list) & np.greater(R_list, 0)):
+        raise GridConfigError(f"trap radii must be finite and positive, got {list(R_list)}")
     radii = sorted(R_list)
     constants, pairings, ks = [], [], []
     limit = f.axial_moment()

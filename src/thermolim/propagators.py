@@ -71,8 +71,9 @@
 # with no coupling between them, each row carrying its own packet's 2 H_s,
 # in order of descending degree, so the rows still running are a prefix.
 # A term is one copy and one LAPACK dlagtm call (B := +-A X + B for a
-# tridiagonal A) on that prefix, so it pays its Python and call overhead
-# (about 2 us) once for all packets; at lemma31's 28,852 rows a term costs
+# tridiagonal A; through ctypes from scipy's Cython LAPACK table, the
+# package's only ctypes code) on that prefix, so it pays its Python and
+# call overhead (about 2 us) once for all packets; at lemma31's 28,852 rows a term costs
 # 1.6 ns per row, against 3.2 ns for the six ufunc calls it replaces.  Each
 # packet keeps its own coefficients, degrees, leak sums and bounds, and
 # the times whose cuts leak are rerun on their whole boxes, all of them in
@@ -98,11 +99,12 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import cython_lapack
 from scipy.linalg.blas import dtbsv
 from scipy.special import gammaln, j0, j1
 
 from .grids import Grid1D, GridMismatchError, WaveFunction
-from .hamiltonians import _A, _C, _D, _I, SpectralDecomposition, TridiagonalOperator, _gershgorin_rows, _lapack_handle
+from .hamiltonians import SpectralDecomposition, TridiagonalOperator, _gershgorin_rows
 
 GAP_FLOOR = 1e-14
 EDGE_GATE = 5e-3  # largest relative edge amplitude an evolved packet may keep
@@ -114,6 +116,20 @@ _CHEBYSHEV_BLOCK = 64  # Chebyshev vectors summed per matrix product, at most
 _CHEBYSHEV_RING_BYTES = 8 << 20  # the ring of those vectors, at most (a batch sums fewer per product)
 _SQRT2 = np.sqrt(2.0)
 _DUHAMEL_BATCH = 64  # Duhamel nodes per batched inverse FFT
+
+
+def _lapack_handle(name: str, *argtypes):
+    """A ctypes handle on one routine of scipy's Cython LAPACK table."""
+    capsule = cython_lapack.__pyx_capi__[name]
+    api = ctypes.pythonapi
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", api))
+    return ctypes.CFUNCTYPE(None, *argtypes)(get_pointer(capsule, get_name(capsule)))
+
+
+_C, _I, _D = ctypes.c_char_p, ctypes.POINTER(ctypes.c_int), ctypes.POINTER(ctypes.c_double)
+_A = ctypes.c_void_p  # an array, passed as its data address (array.ctypes.data)
 # dlagtm(TRANS, N, NRHS, ALPHA, DL, D, DU, X, LDX, BETA, B, LDB): B := ALPHA A X + BETA B for
 # the tridiagonal A = (DL, D, DU), with ALPHA = +-1 and BETA = 0 or 1
 _DLAGTM = _lapack_handle("dlagtm", _C, _I, _I, _D, _A, _A, _A, _A, _I, _D, _A, _I)

@@ -65,22 +65,22 @@ def test_trap_mode_matches_the_full_grid_solve(R):
 
 
 def test_trap_mode_solves_one_mode_of_each_half_block(monkeypatch):
-    # trap_mode takes one dstemr window of one mode in each half block,
-    # and no full-grid solve
+    # trap_mode takes one window of one mode in each half block, and no
+    # full-grid solve
     solves = []
-    window = hamiltonians._mrrr_window
+    window = hamiltonians._window
 
-    def recording(d, e, z):
-        solves.append((z.shape, np.array(d), np.array(e)))
-        return window(d, e, z)
+    def recording(d, e, m):
+        solves.append((len(d), m, np.array(d), np.array(e)))
+        return window(d, e, m)
 
-    monkeypatch.setattr(hamiltonians, "_mrrr_window", recording)
+    monkeypatch.setattr(hamiltonians, "_window", recording)
     R, dx = 16.0, 0.0625
     trap_mode(R, dx_target=dx)
     N = trap_operator(R, dx).grid.n_points // 2
-    assert [shape for shape, _, _ in solves] == [(N, 1), (N - 1, 1)]
+    assert [(n, m) for n, m, _, _ in solves] == [(N, 1), (N - 1, 1)]
     # the odd block is the l = 0 radial operator of the half line
-    _, d, e = solves[1]
+    _, _, d, e = solves[1]
     radial = radial_assemble(RadialGrid((N - 1) * dx, N - 1), 0, soft_wall_trap(R))
     assert np.array_equal(d, radial.diagonal)
     assert np.array_equal(e, radial.off_diagonal)

@@ -3,7 +3,6 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh_tridiagonal
 
 from thermolim import hamiltonians
 
@@ -20,7 +19,7 @@ from thermolim.hamiltonians import (
     trap_operator,
 )
 from thermolim.propagators import _reachable_block, evolve_chebyshev
-from thermolim.condensates import fit_loglog_slope
+from thermolim.condensates import axial_trap_mode, fit_loglog_slope, trap_mode
 
 from references import residual_norms
 
@@ -194,8 +193,10 @@ def test_axial_mode_energy_bound():
 def test_low_modes_match_the_full_solve_on_either_path():
     H = trap_operator(20.0, dx_target=0.03125)
     full = diagonalize(H)
-    # 40 and 2000 modes take the MRRR window at n = 2304; all n take the full solve
-    for m in (40, 2000, H.size):
+    # 40 and 400 modes take the window at n = 2304; all n take the full solve
+    # (a 2000-mode window here takes 9.1 s against the full solve's 0.46 s:
+    # diagonalize's docstring)
+    for m in (40, 400, H.size):
         d = diagonalize(H, n_modes=m)
         assert d.eigenvectors.shape == (H.size, m)
         assert np.allclose(d.eigenvalues, full.eigenvalues[:m], rtol=0, atol=1e-11)
@@ -204,27 +205,40 @@ def test_low_modes_match_the_full_solve_on_either_path():
     assert np.array_equal(d.eigenvectors, full.eigenvectors)
 
 
-def test_window_at_thermal_production_size():
-    # `thermal`'s R = 80 grid and Bose window: n = 6144, 324 modes
-    H = trap_operator(80.0, dx_target=0.03125)
-    n, m = H.size, 324
-    assert n == 6144
+@pytest.mark.parametrize("solve, args, rows, peak_bytes", [
+    # the largest trap_mode the lab's defaults reach (n = 11264, solved as
+    # its two half blocks) and the largest axial mode (n = 4800); peaks
+    # measured here (numpy 2.4, scipy 1.17): 1,084,772 and 444,107 bytes.
+    # One n x n eigenvector block would be 1.0 GB and 184 MB.
+    (trap_mode, (160.0, 0.03125), [5632, 5631], 1_084_772),
+    (axial_trap_mode, (80.0,), [4800], 444_107),
+], ids=["trap_mode", "axial_trap_mode"])
+def test_window_at_production_size(solve, args, rows, peak_bytes, monkeypatch):
+    solve(*args)  # warm-up outside the traced region
     tracemalloc.start()
     try:
-        d = diagonalize(H, n_modes=m)
+        solve(*args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # an n x n eigenvector matrix (scipy's own dstemr wrappers) would be 19 such blocks
-    assert peak < 4 * n * m * 8
-    w, v = eigh_tridiagonal(H.diagonal, H.off_diagonal, select="i", select_range=(0, m - 1),
-                            lapack_driver="stebz")
-    assert np.abs(d.eigenvalues - w).max() <= 1e-11
-    overlap = np.abs((d.eigenvectors * v).sum(axis=0)) * np.sqrt(H.grid.dx)
-    assert np.abs(overlap - 1.0).max() <= 1e-9
-    assert residual_norms(H, d).max() <= 1e-10
-    gram = d.eigenvectors.T @ d.eigenvectors * H.grid.dx
-    assert np.abs(gram - np.eye(m)).max() <= 1e-12
+    assert peak <= 1.01 * peak_bytes
+    windows = []
+    window = hamiltonians._window
+
+    def recording(d, e, m):
+        w, v = window(d, e, m)
+        windows.append((np.array(d), np.array(e), w.copy(), v.copy()))  # diagonalize rescales v in place
+        return w, v
+
+    monkeypatch.setattr(hamiltonians, "_window", recording)
+    solve(*args)
+    assert [len(d) for d, _, _, _ in windows] == rows
+    for d, e, w, v in windows:
+        assert v.shape == (len(d), 1)
+        # stein's vectors have unit 2-norm: a spacing of 1 reads it as such
+        op = SimpleNamespace(diagonal=d, off_diagonal=e, grid=SimpleNamespace(dx=1.0))
+        assert residual_norms(op, SimpleNamespace(eigenvalues=w, eigenvectors=v)).max() <= 1e-10
+        assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -251,18 +265,23 @@ def test_non_finite_operator_is_rejected_on_both_paths(bad, where):
 
 def test_window_failure_is_not_silent(monkeypatch):
     H = trap_operator(8.0, dx_target=0.0625)
-    real = hamiltonians._DSTEMR
+    real = hamiltonians.eigh_tridiagonal
 
-    def fails(*args):
-        args[-1][0] = 1  # INFO = 1: an internal error in dlarrv
+    def fails(*args, **kwargs):
+        raise np.linalg.LinAlgError("stein (eigh_tridiagonal) 1 eigenvectors failed to converge")
 
-    def loses_a_pair(*args):
-        real(*args)
-        args[9][0] -= 1  # M = m - 1
+    def loses_a_pair(*args, **kwargs):
+        w, v = real(*args, **kwargs)
+        return w[:-1], v[:, :-1]
 
-    for fake, message in ((fails, "INFO = 1"), (loses_a_pair, "1 of 2 eigenpairs")):
-        monkeypatch.setattr(hamiltonians, "_DSTEMR", fake)
-        with pytest.raises(EigensolverError, match=message):
-            diagonalize(H, n_modes=2)
-    monkeypatch.setattr(hamiltonians, "_DSTEMR", real)
+    monkeypatch.setattr(hamiltonians, "eigh_tridiagonal", fails)
+    for n_modes in (2, None):  # the window and the full solve
+        with pytest.raises(EigensolverError, match="failed to converge"):
+            diagonalize(H, n_modes=n_modes)
+    with pytest.raises(EigensolverError, match="failed to converge"):
+        trap_mode(8.0, dx_target=0.0625)
+    monkeypatch.setattr(hamiltonians, "eigh_tridiagonal", loses_a_pair)
+    with pytest.raises(EigensolverError, match="1 of 2 eigenpairs"):
+        diagonalize(H, n_modes=2)
+    monkeypatch.setattr(hamiltonians, "eigh_tridiagonal", real)
     assert diagonalize(H, n_modes=2).n_modes == 2

@@ -117,6 +117,16 @@ def test_lemma31_threads_leave_the_report_unchanged():
     assert (two.verdicts, two.gates, two.notes) == (one.verdicts, one.gates, one.notes)
 
 
+def test_lemma31_at_t_0_keeps_the_exit_code_of_the_run_without_it():
+    # at t = 0 every gap is roundoff: the scan is trivial, and so is its decrease
+    config = {"radius_list": [6.0, 8.0, 10.0, 12.0], "c_rules": ["1"], "n_points": 512}
+    without = run("lemma31", dict(config, t_list=[0.25]))
+    with_0 = run("lemma31", dict(config, t_list=[0.0, 0.25]))
+    assert with_0.verdicts["scan[1,t=0.0]"] == with_0.verdicts["decrease[1,t=0.0]"] == "trivial"
+    assert without.exit_code == 0
+    assert with_0.exit_code == without.exit_code
+
+
 def test_lemma31_batch_keeps_its_memory_peak(monkeypatch):
     # the peak is the batched series: its 36-row ring over 28,852 rows
     # (8.3 MB), coefficient tables and sums for all ten packets, on top of
@@ -270,6 +280,15 @@ LEMMA31_SMALL = {"radius_list": "6, 8, 10, 12", "t_list": "0.25", "c_rules": "1"
                      id="condensate3d radius_list = 20, inf"),
         pytest.param("condensate3d", {"radius_list": "20, nan"}, "trap radii must be finite",
                      id="condensate3d radius_list = 20, nan"),
+        pytest.param("condensate3d", {"radius_list": "0, 20"}, "trap radii must be finite",
+                     id="condensate3d radius_list = 0, 20"),
+        pytest.param("condensate3d", {"radius_list": "-5, 20"}, "trap radii must be finite",
+                     id="condensate3d radius_list = -5, 20"),
+        # a NaN energy or coefficient would reach the Gibbs traces
+        pytest.param("resolvent", {"energies": "0.5, nan"}, "energies must be finite",
+                     id="resolvent energies = 0.5, nan"),
+        pytest.param("resolvent", {"coeffs": "0.8, nan"}, "coeffs must be finite",
+                     id="resolvent coeffs = 0.8, nan"),
         pytest.param("lemma33", {"radius_offset": "inf"}, "half_width must be finite",
                      id="radius_offset = inf"),
         pytest.param("memory", {"f_radius": "nan"}, "f_radius must be positive and finite",
@@ -290,7 +309,7 @@ def test_cli_rejects_a_bad_radius_list_before_solving(experiment, bad, expect, m
 
     monkeypatch.setattr(lab, "evolve_chebyshev_batch", no_solve)
     monkeypatch.setattr(condensates, "diagonalize", no_solve)
-    monkeypatch.setattr(hamiltonians, "_mrrr_window", no_solve)
+    monkeypatch.setattr(hamiltonians, "_window", no_solve)
     monkeypatch.setattr(lab.qf, "probe_density", no_solve)
     config = dict(LEMMA31_SMALL, **bad) if experiment == "lemma31" else bad
     cfg = tmp_path / "run.cfg"
@@ -478,13 +497,13 @@ def test_cli_thermal_exits_2_when_the_walk_reaches_the_box_edge(tmp_path, capsys
 
 
 def test_thermal_solves_no_eigenproblem_of_the_trap(monkeypatch):
-    # the density comes from the Lanczos bracket alone: no dstemr window of
-    # any trap.  The run peaked at 4,668,108 bytes here (numpy 2.4), against
+    # the density comes from the Lanczos bracket alone: no eigenvalue window
+    # of any trap.  The run peaked at 4,668,108 bytes here (numpy 2.4), against
     # 22.5 MB with the Bose-cap windows
     def no_window(*args, **kwargs):
         raise AssertionError("thermal solved an eigenvalue window of the trap")
 
-    monkeypatch.setattr(hamiltonians, "_mrrr_window", no_window)
+    monkeypatch.setattr(hamiltonians, "_window", no_window)
     run("thermal", {})  # warm-up outside the traced region
     tracemalloc.start()
     try:
@@ -603,14 +622,14 @@ def test_condensate1d_solves_each_radius_once(monkeypatch):
     # radius is one even (N rows) and one odd (N - 1 rows) one-mode
     # half-block window, and no full-grid solve
     sizes = []
-    window = hamiltonians._mrrr_window
+    window = hamiltonians._window
 
-    def counting(d, e, z):
-        assert z.shape[1] == 1
-        sizes.append(z.shape[0])
-        return window(d, e, z)
+    def counting(d, e, m):
+        assert m == 1
+        sizes.append(len(d))
+        return window(d, e, m)
 
-    monkeypatch.setattr(hamiltonians, "_mrrr_window", counting)
+    monkeypatch.setattr(hamiltonians, "_window", counting)
     rep = run("condensate1d", {})
     assert len(sizes) == len(set(sizes)) == 8
     assert sizes[1::2] == [n - 1 for n in sizes[::2]]
