@@ -53,10 +53,13 @@
 # points (grids._phase_sums): each power of the phase comes from the
 # previous one by one multiplication, so N samples at M momenta cost
 # O(N M) multiply-adds and O(N + M) memory, with roundoff of about
-# 2 N eps sum |c|.  Every scalar adaptive quadrature goes through _quad,
-# and momentum_weight's vector one (all its chemical potentials on shared
-# nodes) through _quad_vec; both raise QuadratureCapError when the rule
-# reports no convergence.
+# 2 N eps sum |c|.  Every adaptive quadrature (homogeneous_density,
+# _laplace_transform and momentum_weight's vector one, all its chemical
+# potentials on shared nodes) goes through _quad: a global adaptive
+# Gauss-Kronrod 10/21 rule with QUADPACK's error estimate (Piessens et al.,
+# QUADPACK, Springer 1983) that calls its integrand once per refinement, on
+# the nodes of every interval it splits, and raises QuadratureCapError at
+# its subdivision cap or on a non-finite value.
 #
 # The temporal correlation's oscillatory integral in p is composite Simpson
 # on nested grids: it starts at about two nodes per cycle of e^(-i t p^2) at
@@ -66,7 +69,8 @@
 # A time whose first doubling, or a rule whose next one, would pass
 # MEMORY_MAX_INTERVALS = 2^22 raises QuadratureCapError; so does an
 # amplitude spline whose half-set twin misses the dropped momenta by more
-# than SPLINE_REL_TOL of the amplitude's maximum.
+# than SPLINE_REL_TOL of the amplitude's maximum.  Both splines are
+# _not_a_knot's, on the uniform momentum grid.
 
 from __future__ import annotations
 
@@ -74,9 +78,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.integrate import quad, quad_vec
-from scipy.interpolate import CubicSpline
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, solve_banded
 
 from .grids import RadialGrid, WaveFunction, _phase_sums, _support_span, inner
 from .hamiltonians import SpectralDecomposition, TridiagonalOperator, _gershgorin_rows
@@ -104,37 +106,109 @@ class DivergenceError(ValueError):
     """Requested quantity diverges (Bose saturation in low dimension)."""
 
 
-def _quad(integrand, a: float, b: float, **kwargs) -> float:
+# Gauss-Kronrod 10/21 on [-1, 1] (QUADPACK's qk21): the Kronrod nodes from
+# the left end to the centre, their weights, and the 10-point Gauss weights
+# at every second node (0 at the others); the full tables mirror them
+_GK_HALF = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720, 0.0,
+])
+_GK_KRONROD = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+])
+_GK_GAUSS = np.array([
+    0.0, 0.066671344308688137593568809893332, 0.0, 0.149451349150580593145776339657697,
+    0.0, 0.219086362515982043995534934228163, 0.0, 0.269266719309996355091226921569469,
+    0.0, 0.295524224714752870173892994651338, 0.0,
+])
+_GK_X = np.concatenate((-_GK_HALF, _GK_HALF[-2::-1]))
+_GK_WK = np.concatenate((_GK_KRONROD, _GK_KRONROD[-2::-1]))
+_GK_WG = np.concatenate((_GK_GAUSS, _GK_GAUSS[-2::-1]))
+_GK_ROUNDOFF = 50.0 * np.finfo(float).eps  # QUADPACK's floor on a rule's error, per unit of |f|
+
+
+def _gk21(integrand, lo: np.ndarray, hi: np.ndarray):
     """
-    scipy's adaptive quad that fails loudly: where QUADPACK reports
-    ier != 0 (subdivision cap, roundoff, divergence) it raises
-    QuadratureCapError instead of warning and returning its best guess.
+    The Kronrod value on each interval [lo_i, hi_i] (one row of components
+    per interval) and QUADPACK's error estimate in the max norm over the
+    components, as scipy's quad_vec takes it: the Kronrod-Gauss difference
+    d becomes asc min(1, 200 d / asc)^1.5, asc the Kronrod integral of
+    |f - mean f|, and at least 50 eps times the Kronrod integral of |f|.
+    One integrand call takes the 21 nodes of every interval.
     """
-    out = quad(integrand, a, b, full_output=1, **kwargs)
-    if len(out) > 3:  # the convergence message is returned only for ier != 0
+    centre, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    x = (centre[:, None] + half[:, None] * _GK_X).ravel()
+    f = np.asarray(integrand(x), dtype=float)
+    bad = np.nonzero(~np.isfinite(f))[0]
+    if bad.size:
         raise QuadratureCapError(
-            f"quadrature on [{a:.6g}, {b:.6g}] did not converge: {out[3].splitlines()[0].strip()}"
+            f"quadrature did not converge: the integrand is not finite at {x[bad[0]]:.6g}"
         )
-    return out[0]
+    shape = f.shape[1:]
+    f = f.reshape(lo.size, 21, -1)
+    kron = _GK_WK @ f  # per interval and component, over the half-width
+    diff = half * np.abs(kron - _GK_WG @ f).max(axis=1)
+    asc = half * (_GK_WK @ np.abs(f - 0.5 * kron[:, None, :])).max(axis=1)
+    ratio = np.divide(200.0 * diff, asc, out=np.ones_like(asc), where=asc > 0)
+    err = np.where(asc > 0, asc * np.minimum(ratio, 1.0) ** 1.5, diff)
+    floor = _GK_ROUNDOFF * half * (_GK_WK @ np.abs(f)).max(axis=1)
+    err = np.where(floor > np.finfo(float).tiny, np.maximum(err, floor), err)
+    return (half[:, None] * kron).reshape((lo.size, *shape)), err
 
 
-def _quad_vec(integrand, a: float, b: float, limit: int, **kwargs):
+def _quad(integrand, breaks, epsabs: float, epsrel: float, limit: int):
     """
-    scipy's adaptive vector quadrature (Gauss-Kronrod 21 on every interval)
-    that fails loudly like _quad: a run that stops short of its tolerance
-    (subdivision cap, roundoff, non-finite values) raises
-    QuadratureCapError.  Returns the integral and its error estimate in
-    the chosen norm.
+    Integral of a vectorised integrand over [breaks[0], breaks[-1]], with
+    breaks the ascending end points of the first intervals: a global
+    adaptive Gauss-Kronrod 10/21 rule (Piessens et al., QUADPACK,
+    Springer 1983).  integrand maps an array x of shape (k,) to values of
+    shape (k,), or (k, m) for m components at once; the result has the
+    shape of one value, and its error estimate is in the max norm over the
+    components.
+
+    Each refinement bisects, largest error estimate first, the fewest
+    intervals whose estimates leave at most half the tolerance
+    max(epsabs, epsrel |integral|) to the rest, and calls the integrand
+    once on the 21 nodes of each new half.  It stops when the summed
+    estimate meets the tolerance.  It needs no epsilon extrapolation, as
+    QUADPACK's QAGS and QAGP carry: none of the integrands here
+    (homogeneous_density's, _laplace_transform's and momentum_weight's)
+    is singular on its interval.  A refinement that would pass
+    `limit` intervals, or a non-finite integrand value, raises
+    QuadratureCapError instead of returning a best guess.  Returns the
+    integral and its error estimate.
     """
-    val, err, info = quad_vec(integrand, a, b, limit=limit, full_output=True, **kwargs)
-    if info.status != 0:
-        reason = (
-            f"The maximum number of subdivisions ({limit}) has been achieved"
-            if info.status == 1
-            else info.message
-        )
-        raise QuadratureCapError(f"quadrature on [{a:.6g}, {b:.6g}] did not converge: {reason}")
-    return val, err
+    breaks = np.asarray(breaks, dtype=float)
+    lo, hi = breaks[:-1], breaks[1:]
+    val, err = _gk21(integrand, lo, hi)
+    while True:
+        total, est = val.sum(axis=0), err.sum()
+        tol = max(epsabs, epsrel * float(np.max(np.abs(total))))
+        if est <= tol:
+            return total, est
+        order = np.argsort(-err, kind="stable")
+        rest = est - np.cumsum(err[order])
+        count = min(np.count_nonzero(rest > 0.5 * tol) + 1, lo.size, limit - lo.size)
+        if count <= 0:
+            raise QuadratureCapError(
+                f"quadrature on [{breaks[0]:.6g}, {breaks[-1]:.6g}] did not converge: the maximum "
+                f"number of subdivisions ({limit}) has been reached with error estimate "
+                f"{est:.2e} against {tol:.2e}"
+            )
+        split, keep = order[:count], order[count:]
+        mid = 0.5 * (lo[split] + hi[split])
+        new_lo, new_hi = np.concatenate((lo[split], mid)), np.concatenate((mid, hi[split]))
+        new_val, new_err = _gk21(integrand, new_lo, new_hi)
+        lo, hi = np.concatenate((lo[keep], new_lo)), np.concatenate((hi[keep], new_hi))
+        val, err = np.concatenate((val[keep], new_val)), np.concatenate((err[keep], new_err))
 
 
 def _check_beta_mu(beta: float, mu) -> None:
@@ -344,7 +418,7 @@ def homogeneous_density(beta: float, mu: float, s: int) -> float:
         pts = [p for p in pts if 0 < p < p_cut]
     else:
         pts = [min(1.0, p_cut / 2)]
-    val = _quad(integrand, 0.0, p_cut, points=pts, limit=400, epsabs=0.0, epsrel=1e-11)
+    val, _ = _quad(integrand, [0.0, *pts, p_cut], 0.0, 1e-11, 400)
     return float(val / (2.0 * np.pi) ** s)
 
 
@@ -356,28 +430,29 @@ def momentum_weight(f: WaveFunction, beta: float, mu):
 
     mu is one chemical potential, giving a float, or a 1-D sequence,
     giving an array in the same order.  |fhat(p)|^2 does not depend on
-    mu, so all of them share one adaptive vector quadrature on
-    [0, p_cut]: at each node |fhat(p)|^2 is taken once and divided by
-    expm1(beta (p^2 - mu)) for every mu.  p_cut is the largest of the
-    per-mu cuts sqrt((600 + beta |mu|) / beta), and the breakpoints are
-    the union of every mu's sqrt(-mu), 10 sqrt(-mu) and 1.
+    mu, so all of them share one adaptive vector quadrature (_quad) on
+    [0, p_cut]: each refinement takes |fhat(p)|^2 at all its new nodes in
+    one phase-sum call and divides it by expm1(beta (p^2 - mu)) for every
+    mu.  p_cut is the largest of the per-mu cuts
+    sqrt((600 + beta |mu|) / beta), and the breakpoints are the union of
+    every mu's sqrt(-mu), 10 sqrt(-mu) and 1.
 
     Accuracy: the error estimate of every component is at most 1e-10 of
     that component's own value (the old per-mu epsrel), however far the
-    values spread, not merely of the largest.  The rule (scipy's quad_vec,
-    Gauss-Kronrod 21) runs at epsrel = 1e-12 in the max norm, whose
-    estimate bounds each component.  Where that estimate exceeds 1e-10 of
-    some value, the rule runs once more on the integrand divided by the
-    first values, which puts every component at scale 1; a miss after
-    that, or a run that does not converge, raises QuadratureCapError.  A
+    values spread, not merely of the largest.  The rule runs at
+    epsrel = 1e-12 in the max norm, whose estimate bounds each component.
+    Where that estimate exceeds 1e-10 of some value, the rule runs once
+    more on the integrand divided by the first values, which puts every
+    component at scale 1; a miss after that, or a run that does not
+    converge, raises QuadratureCapError.  A
     value that underflows to 0 at every node is exact.
 
     T is real, so the weight of f is the weight of Re f plus that of Im f;
     a real function has |fhat(-p)| = |fhat(p)|, so each part folds onto
     p >= 0 at twice its half-line integral.  Each part's support span is
     taken once per call; at every node |fhat(p)| is its phase sum over
-    that span, the phases e^(-ipk dx) built by a cumulative product (the
-    span's offset phase e^(-ipx_0) drops out of the modulus).
+    that span, grids._phase_sums over the angles -p dx of all the nodes
+    (the span's offset phase e^(-ipx_0) drops out of the modulus).
     """
     mus = np.asarray(mu, dtype=float)
     if mus.ndim > 1:
@@ -391,10 +466,10 @@ def momentum_weight(f: WaveFunction, beta: float, mu):
     parts = [v[_support_span(v)].astype(complex) for v in (f.values.real, f.values.imag) if v.any()]
     scale = dx * dx / (2.0 * np.pi)
 
-    def integrand(p):  # each component over its scale: 1, or its first-pass value
+    def integrand(p):  # rows: nodes; columns: each mu over its scale, 1 or its first-pass value
         fh2 = sum(np.abs(_phase_sums(c, -p * dx)) ** 2 for c in parts)
         with np.errstate(over="ignore"):  # past a small |mu|'s own cut n is 0
-            return float(fh2) * scale / np.expm1(beta * (p * p - mu_vec)) / unit
+            return (fh2 * scale)[:, None] / np.expm1(beta * ((p * p)[:, None] - mu_vec)) / unit
 
     sq = np.sqrt(-mu_vec)
     p_cut = float(np.sqrt((600.0 + beta * -mu_vec) / beta).max())
@@ -402,8 +477,7 @@ def momentum_weight(f: WaveFunction, beta: float, mu):
     unit = np.ones_like(mu_vec)
     for _ in range(2):
         # epsabs lets a value that underflows to 0 converge
-        val, err = _quad_vec(integrand, 0.0, p_cut, limit=400, points=sorted(cuts),
-                             norm="max", epsabs=1e-200, epsrel=1e-12)
+        val, err = _quad(integrand, [0.0, *sorted(cuts), p_cut], 1e-200, 1e-12, 400)
         val = val * unit
         # a zero value is an integrand that underflowed at every node
         if np.all((err * unit <= 1e-10 * val) | (val == 0)):
@@ -426,10 +500,11 @@ def momentum_weight(f: WaveFunction, beta: float, mu):
 def _laplace_transform(g, lam: float) -> float:
     """
     Integral_0^inf du e^(-u lam) g(u) for lam > 0 and a smooth g that
-    falls from g(0) = 1 and stays in (0, 1].  Adaptive quadrature in
-    v = ln u covers [a, 800/lam] with a = 1e-18/lam.  The piece below a is
-    taken as a, off by at most (lam + |g'(0)|) a^2 / 2; the piece above is
-    under e^(-800)/lam.
+    falls from g(0) = 1 and stays in (0, 1], g taking an array of u.
+    _quad in v = ln u covers [a, 800/lam] with a = 1e-18/lam, the
+    integrand evaluated on all the nodes of a refinement at once.  The
+    piece below a is taken as a, off by at most (lam + |g'(0)|) a^2 / 2;
+    the piece above is under e^(-800)/lam.
     """
     lo = 1e-18 / lam
 
@@ -437,7 +512,7 @@ def _laplace_transform(g, lam: float) -> float:
         u = np.exp(v)
         return u * np.exp(-u * lam) * g(u)
 
-    val = _quad(integrand, np.log(lo), np.log(800.0 / lam), epsabs=0.0, epsrel=1e-12, limit=400)
+    val, _ = _quad(integrand, [np.log(lo), np.log(800.0 / lam)], 0.0, 1e-12, 400)
     return float(val + lo)
 
 
@@ -631,6 +706,40 @@ def _simpson_start(t: float, p_cut: float) -> int:
     return max(64, 2 * int(np.ceil(cycles)))
 
 
+def _not_a_knot(h: float, y: np.ndarray):
+    """
+    The not-a-knot cubic spline through y_i at p_i = i h, i = 0 .. n-1,
+    n >= 4 (de Boor, A Practical Guide to Splines, 1978), as a function of
+    an array of momenta p >= 0.  Its second derivatives M solve one
+    five-band system: M_(i-1) + 4 M_i + M_(i+1) = 6 (y_(i-1) - 2 y_i +
+    y_(i+1)) / h^2 at the inner points, and M_0 - 2 M_1 + M_2 = 0 =
+    M_(n-3) - 2 M_(n-2) + M_(n-1) at the ends (the third derivative is
+    continuous at p_1 and p_(n-2)).  A momentum finds its piece by index
+    arithmetic, the last piece past p_(n-1), and the piece is Horner's
+    rule in p - p_i.
+    """
+    n = y.size
+    rhs = np.zeros(n)
+    rhs[1:-1] = 6.0 / (h * h) * (y[:-2] - 2.0 * y[1:-1] + y[2:])
+    band = np.zeros((5, n))  # row 2 + i - j holds entry (i, j), as solve_banded stores it
+    band[1, 2:] = band[3, :-2] = 1.0
+    band[2] = 4.0
+    band[2, [0, -1]] = band[0, 2] = band[4, -3] = 1.0
+    band[1, 1] = band[3, -2] = -2.0
+    m = solve_banded((2, 2), band, rhs)
+    # the piece on [p_i, p_(i+1)] is sum_k coef[i, k] (p - p_i)^k
+    coef = np.stack((y[:-1], np.diff(y) / h - h * (2.0 * m[:-1] + m[1:]) / 6.0,
+                     0.5 * m[:-1], np.diff(m) / (6.0 * h)), axis=1)
+
+    def spline(p):
+        p = np.asarray(p, dtype=float)
+        i = np.minimum((p / h).astype(np.intp), n - 2)
+        c, d = coef[i], p - i * h
+        return c[..., 0] + d * (c[..., 1] + d * (c[..., 2] + d * c[..., 3]))
+
+    return spline
+
+
 def _oscillatory_thermal_integral(
     fh_spline, beta: float, mu: float, t: float, p_cut: float, scale: float
 ) -> complex:
@@ -702,10 +811,10 @@ def temporal_correlation(state: HomogeneousState, f, g, t):
     fh = f.radial_transform(p_coarse)
     gh = fh if g is f else g.radial_transform(p_coarse)
     amp = fh * gh
-    spline = CubicSpline(p_coarse, amp)
+    spline = _not_a_knot(p_coarse[1], amp)
     # the spline's own error estimate: a spline on every other momentum,
     # checked at the momenta it leaves out
-    half = CubicSpline(p_coarse[::2], amp[::2])
+    half = _not_a_knot(p_coarse[2], amp[::2])
     spline_err = float(np.abs(half(p_coarse[1::2]) - amp[1::2]).max())
     if spline_err > SPLINE_REL_TOL * np.abs(amp).max():
         raise QuadratureCapError(

@@ -127,6 +127,16 @@ def test_lemma31_at_t_0_keeps_the_exit_code_of_the_run_without_it():
     assert with_0.exit_code == without.exit_code
 
 
+def test_lemma33_at_t_0_records_its_decrease_as_trivial():
+    # at t = 0 every exact sector norm is roundoff (2.2e-16 here), so there
+    # is no decrease to check, as for lemma31's decrease[...]
+    report = run("lemma33", {"t": 0.0, "n_points": 512, "trials": 1})
+    assert report.verdicts["decreasing"] == "trivial"
+    assert max(row[3] for row in report.rows) < 1e-14
+    assert report.exit_code == 0
+    assert run("lemma33", {"n_points": 512, "trials": 1}).verdicts["decreasing"] is True
+
+
 def test_lemma31_batch_keeps_its_memory_peak(monkeypatch):
     # the peak is the batched series: its 36-row ring over 28,852 rows
     # (8.3 MB), coefficient tables and sums for all ten packets, on top of
@@ -300,6 +310,21 @@ LEMMA31_SMALL = {"radius_list": "6, 8, 10, 12", "t_list": "0.25", "c_rules": "1"
         pytest.param("lemma31", {"margin": "inf"}, "margin must be positive and finite", id="margin = inf"),
         pytest.param("memory", {"kappa": "nan"}, "kappa must be >= 0 and finite", id="kappa = nan"),
         pytest.param("memory", {"kappa": "inf"}, "kappa must be >= 0 and finite", id="kappa = inf"),
+        # a gate or tolerance that is not finite would pass every edge[R] gate
+        # or final_within_tol
+        pytest.param("thermal", {"edge_gate": "nan"}, "edge_gate must be positive and finite",
+                     id="edge_gate = nan"),
+        pytest.param("thermal", {"edge_gate": "inf"}, "edge_gate must be positive and finite",
+                     id="edge_gate = inf"),
+        pytest.param("thermal", {"rel_tol": "nan"}, "rel_tol must be positive and finite",
+                     id="rel_tol = nan"),
+        pytest.param("thermal", {"rel_tol": "inf"}, "rel_tol must be positive and finite",
+                     id="rel_tol = inf"),
+        # a profile cut that leaves no radius to judge would pass profiles over an empty set
+        pytest.param("condensate1d", {"profile_min_R": "nan"}, "leaves no radius", id="profile_min_R = nan"),
+        pytest.param("condensate1d", {"profile_min_R": "inf"}, "leaves no radius", id="profile_min_R = inf"),
+        pytest.param("condensate1d", {"profile_min_R": "80.5"}, "leaves no radius",
+                     id="profile_min_R = 80.5"),
     ],
 )
 def test_cli_rejects_a_bad_radius_list_before_solving(experiment, bad, expect, monkeypatch, tmp_path,

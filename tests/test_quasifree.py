@@ -1,11 +1,11 @@
 import time
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import mpmath
 from scipy.integrate import quad
+from scipy.interpolate import CubicSpline
 from scipy.special import erfcx, zeta
 
 from thermolim.grids import RadialGrid, WaveFunction, bump, bump_profile, fourier_at, grid_delta, make_grid
@@ -471,20 +471,22 @@ def test_momentum_weight_rejects_a_bad_mu():
 
 def test_mu_scan_transforms_each_function_once_per_scan(monkeypatch):
     # lab's two default functions over its 10 mu values: one quadrature per
-    # function took 9,870 phase sums when every mu ran its own
-    calls = 0
+    # function took 9,870 phase sums when every mu ran its own.  Each call
+    # takes every node of one refinement (15 calls and 1,638 nodes here),
+    # where scipy's quad_vec made one call per node
+    calls = []
     phase_sums = qf._phase_sums
 
-    def counted(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return phase_sums(*args, **kwargs)
+    def counted(c, theta):
+        calls.append(np.size(theta))
+        return phase_sums(c, theta)
 
     monkeypatch.setattr(qf, "_phase_sums", counted)
     functions = _mulimit_functions()
     for name in ("mean_one", "zero_mean"):
         mu_limit_scan(1.0, functions[name], 0.05, MULIMIT_MUS, cauchy_tol=1e-4, vanish_ratio=0.05)
-    assert 0 < calls <= 9870 // 4
+    assert 0 < sum(calls) <= 9870 // 4
+    assert len(calls) <= 20
 
 
 def test_mu_scan_values_are_the_number_resolvent_expectations():
@@ -498,37 +500,71 @@ def test_mu_scan_values_are_the_number_resolvent_expectations():
         assert v == pytest.approx(geometric_resolvent_series(nbar, norm_sq, 1.0), rel=1e-12)
 
 
-def _not_converged(*args, **kwargs):
-    # what scipy's quad returns with full_output=1 when QUADPACK reports ier = 1
-    return 1.0, 1.0, {}, "The maximum number of subdivisions (400) has been achieved.\n  More"
-
-
-def _vec_not_converged(*args, **kwargs):
-    # what scipy's quad_vec returns with full_output=True when it stops at its interval limit
-    return 1.0, 1.0, SimpleNamespace(status=1, message="Target precision not reached.")
-
-
 @pytest.mark.parametrize(
-    "rule, fake, call",
+    "call",
     [
-        pytest.param("quad", _not_converged, lambda: homogeneous_density(1.0, -1.0, 1),
-                     id="homogeneous_density"),
-        pytest.param("quad_vec", _vec_not_converged,
-                     lambda: momentum_weight(bump(0.0, 2.0, make_grid(16.0, 1024)), 1.0, -0.5),
+        pytest.param(lambda: homogeneous_density(1.0, -1.0, 1), id="homogeneous_density"),
+        pytest.param(lambda: momentum_weight(bump(0.0, 2.0, make_grid(16.0, 1024)), 1.0, -0.5),
                      id="momentum_weight"),
-        pytest.param("quad_vec", _vec_not_converged,
-                     lambda: momentum_weight(bump(0.0, 2.0, make_grid(16.0, 1024)), 1.0, [-0.5, -0.1]),
+        pytest.param(lambda: momentum_weight(bump(0.0, 2.0, make_grid(16.0, 1024)), 1.0, [-0.5, -0.1]),
                      id="momentum_weight_sequence"),
-        pytest.param("quad", _not_converged, lambda: field_resolvent_value(1.0, 0.5),
-                     id="field_resolvent"),
-        pytest.param("quad", _not_converged, lambda: geometric_resolvent_series(2.0, 1.0, 1.0),
-                     id="number_resolvent"),
+        pytest.param(lambda: field_resolvent_value(1.0, 0.5), id="field_resolvent"),
+        pytest.param(lambda: geometric_resolvent_series(2.0, 1.0, 1.0), id="number_resolvent"),
     ],
 )
-def test_quadrature_failure_is_not_silent(monkeypatch, rule, fake, call):
-    monkeypatch.setattr(qf, rule, fake)
-    with pytest.raises(QuadratureCapError, match="did not converge: The maximum number"):
+def test_quadrature_failure_is_not_silent(monkeypatch, call):
+    # no error estimate meets a zero tolerance, so each call site bisects up
+    # to its own cap of 400 intervals
+    rule = qf._quad
+    monkeypatch.setattr(qf, "_quad", lambda f, breaks, eps_abs, eps_rel, cap: rule(f, breaks, 0.0, 0.0, cap))
+    cap = r"did not converge: the maximum number of subdivisions \(400\)"
+    with pytest.raises(QuadratureCapError, match=cap):
         call()
+
+
+def test_quadrature_refuses_a_non_finite_integrand():
+    # the centre of [0, 1] is one of its 21 nodes
+    with pytest.raises(QuadratureCapError, match="not finite at 0.5"):
+        qf._quad(lambda x: np.where(x == 0.5, np.inf, x), [0.0, 1.0], 0.0, 1e-12, 400)
+    with pytest.raises(QuadratureCapError, match="not finite at 0.5"):
+        qf._quad(lambda x: np.stack((x, np.where(x == 0.5, np.nan, x)), axis=1), [0.0, 1.0],
+                 0.0, 1e-12, 400)
+
+
+def _resolvent_weights():
+    # lab's resolvent defaults: energies 0.5, 1.5 at beta = 1, mu = -0.2, coefficients 0.8, 0.6
+    w = np.array([0.8, 0.6]) ** 2
+    occ = bose_occupation(np.array([0.5, 1.5]), 1.0, -0.2)
+    return float(w.sum()), float((w * occ).sum())
+
+
+def _laplace_reference(g, lam):
+    # QUADPACK on _laplace_transform's integrand in v = ln u, one scalar callback per node
+    lo = 1e-18 / lam
+    val, _ = quad(lambda v: np.exp(v) * np.exp(-np.exp(v) * lam) * g(np.exp(v)), np.log(lo),
+                  np.log(800.0 / lam), epsabs=0.0, epsrel=1e-13, limit=400)
+    return val + lo
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
+def test_resolvent_quadratures_match_quadpack(lam):
+    norm_sq, sigma_sq = _resolvent_weights()
+    field = _laplace_reference(lambda u: np.exp(-0.5 * u * u * sigma_sq), lam)
+    assert field_resolvent_value(lam, sigma_sq) == pytest.approx(field, rel=1e-12, abs=0)
+    # resolvent's occupation, and mulimit's largest ones near saturation
+    for nbar, s in ((sigma_sq / norm_sq, norm_sq), (30.0, 1.0), (3e3, 0.2)):
+        series = _laplace_reference(lambda u: 1.0 / (1.0 - nbar * np.expm1(-u * s)), lam)
+        assert geometric_resolvent_series(nbar, s, lam) == pytest.approx(series, rel=1e-12, abs=0)
+
+
+def test_homogeneous_density_matches_quadpack():
+    # thermal's defaults, beta = 1 and mu = -1, in one dimension; momentum_weight
+    # is held to QUADPACK at mulimit's defaults by its own definition tests
+    beta, mu = 1.0, -1.0
+    p_cut = np.sqrt((600.0 + beta * -mu) / beta)
+    ref, _ = quad(lambda p: 2.0 / np.expm1(beta * (p * p - mu)), 0.0, p_cut, points=[1.0, 10.0],
+                  epsabs=0.0, epsrel=1e-13, limit=400)
+    assert homogeneous_density(beta, mu, 1) == pytest.approx(ref / (2.0 * np.pi), rel=1e-12, abs=0)
 
 
 def test_oscillatory_integral_at_zero_tolerance_hits_its_cap(monkeypatch):
@@ -641,7 +677,7 @@ def test_oscillatory_integral_matches_the_fixed_grid_rule(mu):
     p_cut = np.sqrt(48.0 - mu)
     p = np.linspace(0.0, p_cut, 8193)
     amp = _memory_function().radial_transform(p) ** 2
-    spline = qf.CubicSpline(p, amp)
+    spline = qf._not_a_knot(p[1], amp)
     scale = float(np.abs(amp) @ qf._bose_measure(p, 1.0, mu)) * p[1]
     for t in (0.0, 5.0, 80.0, 2600.0):
         new, old = _CountingSpline(spline), _CountingSpline(spline)
@@ -652,6 +688,51 @@ def test_oscillatory_integral_matches_the_fixed_grid_rule(mu):
     assert new.points <= old.points / 4
     if mu == 0.0:
         assert old.points == 953_401 + 1  # its endpoint value at p = 0 is one more call
+
+
+@pytest.mark.parametrize("step", [1, 2])
+def test_not_a_knot_spline_matches_scipy(step):
+    # memory's amplitude on temporal_correlation's grid (step 1) and its
+    # half-set twin (step 2), between the knots and on them
+    p_cut = np.sqrt(48.0)
+    p = np.linspace(0.0, p_cut, 8193)[::step]
+    amp = _memory_function().radial_transform(p) ** 2
+    ours, theirs = qf._not_a_knot(p[1], amp), CubicSpline(p, amp, bc_type="not-a-knot")
+    x = np.concatenate((p, np.random.default_rng(5).uniform(0.0, p_cut, 20000), [p_cut * (1 + 1e-15)]))
+    assert np.abs(ours(x) - theirs(x)).max() <= 1e-13 * np.abs(amp).max()
+    assert ours(0.0) == pytest.approx(amp[0], rel=1e-14)
+
+
+def _simpson(fn, p_cut: float, n: int) -> complex:
+    p = np.linspace(0.0, p_cut, n + 1)
+    y = fn(p)
+    return p_cut / n / 3.0 * (y[0] + y[-1] + 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-2:2].sum())
+
+
+@pytest.mark.parametrize("t", [0.3, 1.0, 20.0])
+def test_memory_simpson_tol_bounds_the_oscillatory_integral(t):
+    # memory's own amplitude is even in p, so its integrand's odd derivatives
+    # vanish at both ends and Simpson converges faster than any power: the
+    # level after the first is at roundoff, whatever the stop.  An amplitude
+    # e^(-p) keeps Simpson at its h^4 rate, where the level returned after a
+    # change c errs by c / 15 (Richardson), below MEMORY_SIMPSON_TOL scale / 15.
+    # Held to a tenth of the tolerance, against Richardson's extrapolation of
+    # Simpson at 2^17 and 2^18 intervals on the same spline; at these times
+    # it errs by 1.1e-14, 2.8e-14 and 1.6e-14 of scale, and a ten times
+    # looser tolerance by 1.9e-13, 4.5e-13 and 2.6e-13.
+    mu, p_cut = 0.0, np.sqrt(48.0)
+    p = np.linspace(0.0, p_cut, 8193)
+    amp = np.exp(-p)
+    spline = qf._not_a_knot(p[1], amp)
+    scale = float(np.abs(amp) @ qf._bose_measure(p, 1.0, mu)) * p[1]
+
+    def integrand(q):
+        return spline(q) * qf._bose_measure(q, 1.0, mu) * np.exp(-1j * t * q * q)
+
+    coarse, fine = _simpson(integrand, p_cut, 1 << 17), _simpson(integrand, p_cut, 1 << 18)
+    ref = fine + (fine - coarse) / 15.0
+    got = qf._oscillatory_thermal_integral(spline, 1.0, mu, t, p_cut, scale)
+    assert abs(got - ref) <= 1e-12 / 10.0 * scale
 
 
 @pytest.mark.parametrize("t", [80.0, 2600.0])
